@@ -186,7 +186,9 @@ func TestBadRequestStatus(t *testing.T) {
 	}
 }
 
-// TestStatsGauges checks /v1/stats carries the live gauges the router polls.
+// TestStatsGauges checks /v1/stats carries the live gauges the router polls
+// and the prefix-cache counters, whose invariant holds on the wire:
+// prompt_tokens + prefix_hit_tokens is the prompt tokens admitted.
 func TestStatsGauges(t *testing.T) {
 	ts, _ := newTestServer(t, testModel(t))
 	postJSON(t, ts.URL+"/v1/generate", GenRequest{Prompt: "the king", Tokens: 4}).Body.Close()
@@ -196,15 +198,29 @@ func TestStatsGauges(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var st struct {
-		Requests uint64 `json:"requests"`
-		InFlight int    `json:"in_flight"`
-		Queued   int    `json:"queued"`
+		Requests        uint64  `json:"requests"`
+		InFlight        int     `json:"in_flight"`
+		Queued          int     `json:"queued"`
+		PromptTokens    uint64  `json:"prompt_tokens"`
+		PrefixLookups   *uint64 `json:"prefix_lookups"`
+		PrefixHits      *uint64 `json:"prefix_hits"`
+		PrefixHitTokens *uint64 `json:"prefix_hit_tokens"`
+		PrefixBlocks    *int    `json:"prefix_blocks"`
+		PrefixEvictions *uint64 `json:"prefix_evictions"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Requests != 1 || st.InFlight != 0 || st.Queued != 0 {
 		t.Fatalf("stats after one idle request: %+v", st)
+	}
+	if st.PrefixLookups == nil || st.PrefixHits == nil || st.PrefixHitTokens == nil ||
+		st.PrefixBlocks == nil || st.PrefixEvictions == nil {
+		t.Fatalf("a prefix-cache counter is missing from /v1/stats: %+v", st)
+	}
+	if st.PromptTokens+*st.PrefixHitTokens != 2 {
+		t.Fatalf("one two-token prompt admitted: prompt_tokens %d + prefix_hit_tokens %d",
+			st.PromptTokens, *st.PrefixHitTokens)
 	}
 }
 

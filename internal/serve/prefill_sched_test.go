@@ -36,6 +36,11 @@ func (f *fakeBatch) Add() int {
 
 func (f *fakeBatch) Drop(id int) { delete(f.lens, id) }
 
+// Attach and PrefixBlocks are the predictor without a prefix cache: nothing
+// restored, nothing resident.
+func (f *fakeBatch) Attach(int, []int) int       { return 0 }
+func (f *fakeBatch) PrefixBlocks() (int, uint64) { return 0, 0 }
+
 func (f *fakeBatch) Step(ids, toks []int) [][]float64 {
 	f.ops = append(f.ops, fmt.Sprintf("S%d", len(ids)))
 	out := make([][]float64, len(ids))

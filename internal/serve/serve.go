@@ -182,6 +182,12 @@ type Result = lm.Result
 // chunked prefill fast path versus sampled tokens from decode steps — so
 // prefill and decode rates are separately observable. Once the server is
 // idle, Requests == Completed + Cancelled + Failed.
+//
+// PromptTokens counts tokens run through Prefill; the prompt positions the
+// predictor's prefix cache restored instead are counted in PrefixHitTokens.
+// Once the server is idle and no request was cut off mid-prompt (cancelled,
+// failed or evicted before its first token), PromptTokens + PrefixHitTokens
+// equals the total prompt tokens admitted.
 type Stats struct {
 	Requests  uint64 `json:"requests"`  // accepted by Do/Generate (past validation)
 	Completed uint64 `json:"completed"` // finished with a result
@@ -193,6 +199,19 @@ type Stats struct {
 
 	PromptTokens uint64 `json:"prompt_tokens"` // prompt tokens ingested by prefill
 	DecodeTokens uint64 `json:"decode_tokens"` // tokens sampled (incl. each prompt's first, sampled from prefill logits)
+
+	// Prefix-cache counters (batched mode; see transformer.BatchedPredictor.
+	// Attach): every admitted prompt is one lookup, a hit is a lookup that
+	// restored at least one sixteen-token block, and PrefixHitTokens is the
+	// prompt positions restored rather than prefilled. PrefixBlocks is a
+	// gauge — the blocks resident in the loop's predictor, back to zero when
+	// a whole-batch failure rebuilds it — and PrefixEvictions counts blocks
+	// evicted to stay within the cache's byte budget.
+	PrefixLookups   uint64 `json:"prefix_lookups"`
+	PrefixHits      uint64 `json:"prefix_hits"`
+	PrefixHitTokens uint64 `json:"prefix_hit_tokens"`
+	PrefixBlocks    int    `json:"prefix_blocks"`
+	PrefixEvictions uint64 `json:"prefix_evictions"`
 
 	// InFlight and Queued are live gauges, not cumulative counters: the
 	// number of accepted requests not yet finished (decoding, queued, or
@@ -266,6 +285,10 @@ type Server struct {
 	// spec is the speculative-decoding driver (batched mode with
 	// Config.Speculate set); only the loop goroutine touches it.
 	spec *sample.Speculative
+
+	// evicted is the current predictor's eviction count as of the last
+	// countPrefill; only the loop goroutine touches it.
+	evicted uint64
 
 	queue chan *pending
 	quit  chan struct{}
@@ -762,7 +785,7 @@ func (s *Server) loop() {
 				// A finished prompt samples its first token from these logits
 				// below; the same counter update keeps DecodeTokens covering
 				// every sampled token, as in single-sequence mode.
-				s.countPrefill(chunk, len(pf.forced) == 0)
+				s.countPrefill(bp, chunk, len(pf.forced) == 0)
 				if len(pf.forced) == 0 {
 					// Prompt fully ingested: the chunk's logits are the first
 					// to sample.
@@ -823,13 +846,17 @@ func (s *Server) loop() {
 			// and a panic mid-step may have left partially written KV rows
 			// behind: fail the whole active batch and rebuild the
 			// predictor — the catastrophic-but-survivable path. The worker
-			// process keeps serving; new requests get a clean predictor.
+			// process keeps serving; new requests get a clean predictor,
+			// prefix cache included (emptied before the replies, so a
+			// caller that saw its request fail sees the gauge at zero).
+			bp = s.newBatch()
+			s.evicted = 0
+			s.count(func(st *Stats) { st.PrefixBlocks = 0 })
 			for _, lr := range active {
 				s.reply(lr.p, outcome{err: fmt.Errorf("serve: batched step failed: %w", err)})
 				s.countFailure(err)
 			}
 			active = active[:0]
-			bp = s.newBatch()
 			continue
 		}
 		s.countStep(len(ids))
@@ -1027,10 +1054,21 @@ func (s *Server) admit(bp batchPredictor, active *[]*liveReq, p *pending) {
 	if p.req.StopAtEOS {
 		stop = tokenizer.EOS
 	}
+	// The predictor restores whatever prefix of the prompt its cache holds;
+	// only the rest is left to prefill.
+	slot := bp.Add()
+	hit := bp.Attach(slot, ids)
+	s.count(func(st *Stats) {
+		st.PrefixLookups++
+		if hit > 0 {
+			st.PrefixHits++
+			st.PrefixHitTokens += uint64(hit)
+		}
+	})
 	lr := &liveReq{
 		p:      p,
-		slot:   bp.Add(),
-		forced: ids,
+		slot:   slot,
+		forced: ids[hit:],
 		dec:    sample.NewDecoder(strat, stop, p.req.MaxTokens, mathx.NewRNG(p.req.Seed+977)),
 	}
 	if p.events != nil {
@@ -1211,16 +1249,23 @@ func (s *Server) countSpec(drafted, accepted, emitted int) {
 // countPrefill records one chunked-prefill pass of the given token count;
 // sampled marks a pass that completed its prompt, whose logits immediately
 // yield one sampled token (counted here so DecodeTokens spans every
-// sampled token without an extra lock in the sampling path).
-func (s *Server) countPrefill(chunk int, sampled bool) {
+// sampled token without an extra lock in the sampling path). The pass may
+// have published prompt blocks to bp's prefix cache, so the occupancy
+// counters are refreshed under the same lock; the predictor's eviction count
+// restarts when the loop rebuilds it, hence the delta.
+func (s *Server) countPrefill(bp batchPredictor, chunk int, sampled bool) {
 	bucket := histBucket(chunk, len(s.stats.PrefillChunkHist))
+	blocks, evicted := bp.PrefixBlocks()
 	s.mu.Lock()
 	s.stats.PromptTokens += uint64(chunk)
 	s.stats.PrefillChunkHist[bucket]++
 	if sampled {
 		s.stats.DecodeTokens++
 	}
+	s.stats.PrefixBlocks = blocks
+	s.stats.PrefixEvictions += evicted - s.evicted
 	s.mu.Unlock()
+	s.evicted = evicted
 }
 
 // batchPredictor is the slice of transformer.BatchedPredictor the loop uses
@@ -1228,6 +1273,8 @@ func (s *Server) countPrefill(chunk int, sampled bool) {
 // testable).
 type batchPredictor interface {
 	Add() int
+	Attach(id int, ids []int) int
+	PrefixBlocks() (resident int, evicted uint64)
 	Drop(id int)
 	Step(ids []int, tokens []int) [][]float64
 	Prefill(id int, ids []int) []float64

@@ -30,19 +30,26 @@ import (
 // to running it alone through a Predictor.
 //
 // Like Predictor, the batched path avoids per-step churn: each sequence's
-// KV cache is preallocated to the window at Add, and all step intermediates
+// KV cache is preallocated to the window (Add recycles the buffers of
+// dropped sequences through a per-model pool), and all step intermediates
 // (projections, residuals, logits) live in a scratch arena reused across
 // Step calls. The arena grows to the largest live batch and is released
 // again when the batch stays well below that high-water mark (see
 // trimScratch), so a burst does not pin its peak footprint forever.
 //
+// A sequence that is told its whole prompt up front (Attach) restores the
+// longest prefix of it that the predictor's prefix cache holds instead of
+// prefilling it, and publishes the blocks it does prefill; see
+// prefixcache.go.
+//
 // A BatchedPredictor reads model weights and is not safe for concurrent use;
 // the serving loop owns one and is the sole caller.
 type BatchedPredictor struct {
-	m    *Model
-	c    *compiledModel
-	seqs map[int]*batchSeq
-	next int
+	m      *Model
+	c      *compiledModel
+	seqs   map[int]*batchSeq
+	next   int
+	prefix *prefixCache
 
 	// Step scratch, grown to the largest batch seen and reused; overCap
 	// counts consecutive steps far below capacity (the shrink hysteresis).
@@ -81,6 +88,13 @@ type batchSeq struct {
 	keys   [][]*tensor.Tensor
 	vals   [][]*tensor.Tensor
 	kpacks [][][]float64
+
+	// Prefix-cache state, empty unless the sequence was attached.
+	prompt  []int        // the attached prompt
+	hashes  []uint64     // chain hash of each full block of prompt
+	fed     int          // leading positions holding prompt's tokens, restored or written by Prefill
+	offered int          // leading blocks restored from or offered to the cache
+	tail    *prefixEntry // entry caching block offered-1; nil if that block is uncached
 }
 
 // NewBatchedPredictor compiles m's weights (the same packed layouts
@@ -91,15 +105,30 @@ func (m *Model) NewBatchedPredictor() *BatchedPredictor {
 		m:      m,
 		c:      m.compile(),
 		seqs:   map[int]*batchSeq{},
+		prefix: newPrefixCache(m.Cfg),
 		seen:   map[int]bool{},
 		scores: make([]float64, m.Cfg.Window),
 		smax:   make([]float64, m.Cfg.Window),
 	}
 }
 
-// Add registers a new empty sequence and returns its handle.
+// Add registers a new empty sequence and returns its handle. Its KV buffers
+// come from the model's pool of dropped sequences when one is waiting, and
+// are reused as they are: rows and pack lanes at or beyond a sequence's
+// length are overwritten before they are read (the argument Rewind rests on,
+// see speculate.go), so what an earlier sequence left there is never seen.
 func (bp *BatchedPredictor) Add() int {
-	m := bp.m
+	s, _ := bp.m.seqPool.Get().(*batchSeq)
+	if s == nil {
+		s = newBatchSeq(bp.m)
+	}
+	id := bp.next
+	bp.next++
+	bp.seqs[id] = s
+	return id
+}
+
+func newBatchSeq(m *Model) *batchSeq {
 	hd := m.Cfg.Dim / m.Cfg.Heads
 	s := &batchSeq{
 		keys:   make([][]*tensor.Tensor, len(m.Blocks)),
@@ -116,26 +145,35 @@ func (bp *BatchedPredictor) Add() int {
 			s.kpacks[i][h] = make([]float64, m.Cfg.keyPackLen(hd))
 		}
 	}
-	id := bp.next
-	bp.next++
-	bp.seqs[id] = s
-	return id
+	return s
 }
 
-// Drop releases a sequence and its KV cache.
-func (bp *BatchedPredictor) Drop(id int) { delete(bp.seqs, id) }
+// Drop releases a sequence; its KV buffers go back to the model's pool.
+func (bp *BatchedPredictor) Drop(id int) {
+	s := bp.seqs[id]
+	if s == nil {
+		return
+	}
+	delete(bp.seqs, id)
+	s.n, s.fed, s.offered, s.tail = 0, 0, 0, nil
+	s.prompt, s.hashes = s.prompt[:0], s.hashes[:0]
+	bp.m.seqPool.Put(s)
+}
 
 // Size returns the number of registered sequences.
 func (bp *BatchedPredictor) Size() int { return len(bp.seqs) }
 
-// Len returns the number of positions processed for sequence id.
-func (bp *BatchedPredictor) Len(id int) int {
+// seq returns sequence id's state, panicking on an unknown handle.
+func (bp *BatchedPredictor) seq(id int) *batchSeq {
 	s := bp.seqs[id]
 	if s == nil {
 		panic(fmt.Sprintf("transformer: unknown batch sequence %d", id))
 	}
-	return s.n
+	return s
 }
+
+// Len returns the number of positions processed for sequence id.
+func (bp *BatchedPredictor) Len(id int) int { return bp.seq(id).n }
 
 // Scratch-retention policy: the step arena tracks the largest batch seen,
 // which after a traffic burst can dwarf the steady batch. When the live

@@ -355,15 +355,13 @@ func (p *Predictor) Extend(ids []int) []float64 {
 // the serving loop interleave bounded prefill chunks with decode steps. If
 // ids exceeds the sequence's remaining window room, only the last
 // Window−Len(id) tokens are ingested (keep-last truncation); it returns nil
-// when no tokens remain.
+// when no tokens remain. On an attached sequence (see Attach) the prompt
+// blocks the pass completes are offered to the prefix cache.
 //
 // The returned slice is shared scratch, valid until the next Step or
 // Prefill call.
 func (bp *BatchedPredictor) Prefill(id int, ids []int) []float64 {
-	s := bp.seqs[id]
-	if s == nil {
-		panic("transformer: unknown batch sequence")
-	}
+	s := bp.seq(id)
 	ids = truncTail(ids, bp.m.Cfg.Window-s.n)
 	if len(ids) == 0 {
 		return nil
@@ -371,7 +369,9 @@ func (bp *BatchedPredictor) Prefill(id int, ids []int) []float64 {
 	if len(bp.pfLogits) < bp.m.Cfg.Vocab {
 		bp.pfLogits = make([]float64, bp.m.Cfg.Vocab)
 	}
-	prefillRun(bp.m, bp.c, s.keys, s.vals, s.kpacks, s.n, ids, bp.pfLogits)
+	start := s.n
+	prefillRun(bp.m, bp.c, s.keys, s.vals, s.kpacks, start, ids, bp.pfLogits)
 	s.n += len(ids)
+	bp.publish(s, start, ids)
 	return bp.pfLogits
 }

@@ -76,16 +76,16 @@ func (p *Predictor) ExtendAll(ids []int) [][]float64 {
 // Rewind discards the last n cached positions of batch sequence id — the
 // per-sequence form of Predictor.Rewind, with the same staleness argument
 // (each sequence owns its KV cache and key packs; the shared step scratch
-// holds no per-position state).
+// holds no per-position state). Rewinding into an attached prompt also takes
+// the discarded positions out of what the sequence may publish to the prefix
+// cache, until Prefill writes them from the prompt again.
 func (bp *BatchedPredictor) Rewind(id, n int) {
-	s := bp.seqs[id]
-	if s == nil {
-		panic(fmt.Sprintf("transformer: unknown batch sequence %d", id))
-	}
+	s := bp.seq(id)
 	if n < 0 || n > s.n {
 		panic(fmt.Sprintf("transformer: Rewind(%d) outside cached length %d", n, s.n))
 	}
 	s.n -= n
+	s.fed = min(s.fed, s.n)
 }
 
 // PrefillAll feeds a chunk to one batch sequence and returns per-position
@@ -97,10 +97,7 @@ func (bp *BatchedPredictor) Rewind(id, n int) {
 // The returned rows are views into shared scratch, valid until the next
 // PrefillAll call.
 func (bp *BatchedPredictor) PrefillAll(id int, ids []int) [][]float64 {
-	s := bp.seqs[id]
-	if s == nil {
-		panic(fmt.Sprintf("transformer: unknown batch sequence %d", id))
-	}
+	s := bp.seq(id)
 	ids = truncTail(ids, bp.m.Cfg.Window-s.n)
 	if len(ids) == 0 {
 		return nil

@@ -207,6 +207,11 @@ type Model struct {
 	// fresh predictor reuses a previous request's buffers instead of
 	// allocating them on its first Extend/Prefill.
 	pfPool sync.Pool
+
+	// KV buffers of dropped batch sequences (*batchSeq), reused by the next
+	// BatchedPredictor.Add instead of allocating and zeroing a window of KV
+	// rows per request.
+	seqPool sync.Pool
 }
 
 // New constructs a model with §6 initialization (weights ~ N(0, 1/√fan-in)).
