@@ -1,65 +1,97 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net/http"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/failpoint"
-	"repro/internal/grammar"
+	"repro/internal/fleettest"
 	"repro/internal/httpapi"
-	"repro/internal/lm"
-	"repro/internal/mathx"
-	"repro/internal/nn"
 	"repro/internal/router"
-	"repro/internal/serve"
-	"repro/internal/transformer"
 )
 
-// chaosOpts carries the -chaos flags.
-type chaosOpts struct {
-	workers  int    // worker processes behind the router
-	conns    int    // concurrent clients
-	requests int    // requests per phase
-	tokens   int    // tokens generated per request
-	seed     uint64 // plan seed + model/training seed
+// requests is the size of the seeded request set every scenario drives
+// twice. The pinned-seed fault schedules are tuned to it (and to
+// fleettest.Tokens per request), which is why it is not a flag.
+const requests = 60
+
+// reference is every scenario's phase 1: the fault-free run whose outputs
+// later survivors must match bitwise. It must be clean and must reconcile.
+func reference(f *fleettest.Fleet, doors []string) ([]fleettest.Result, error) {
+	baseline, _ := f.Drive(doors, requests, 0, nil)
+	for i, r := range baseline {
+		if r.Outcome != fleettest.OK {
+			return nil, fmt.Errorf("fault-free request %d failed (status %d): the baseline must be clean", i, r.Status)
+		}
+	}
+	return baseline, f.WaitIdle()
 }
 
-// chaosOutcome classifies one request's terminal outcome as the client saw
-// it. Every request must land in exactly one bucket — the "no lost
-// requests" invariant is that the buckets sum to the request count and the
-// workers' own terminal counters reconcile after the fleet drains.
-type chaosOutcome int
+// driveUnder is the faulted phase of the scenarios with a schedule: the
+// same request set, paced over span, while director acts on the live fleet.
+func driveUnder(f *fleettest.Fleet, doors []string, span time.Duration, director func() error) (run []fleettest.Result, failovers int, err error) {
+	dirErr := make(chan error, 1)
+	go func() { dirErr <- director() }()
+	run, failovers = f.Drive(doors, requests, span/requests, nil)
+	return run, failovers, <-dirErr
+}
 
-const (
-	chaosOK      chaosOutcome = iota // 200 with a completion
-	chaosFailed                      // an HTTP error status (500, 502, 504, ...)
-	chaosSevered                     // transport error: a dropped connection
-)
+// judge applies the invariants every scenario shares to a faulted run:
+// every request reached exactly one terminal outcome, and every completion
+// that survived is bitwise identical to the fault-free run's. With
+// mustSucceed (the scenarios whose faults the tier must absorb) anything
+// but a success counts as lost. hits is the number of prefix-cache hits the
+// faulted phase saw: none means it never ran on restored blocks.
+func judge(baseline, run []fleettest.Result, mustSucceed bool, hits uint64) (fleettest.Tally, error) {
+	t := fleettest.Compare(baseline, run)
+	for _, i := range t.Mismatched {
+		log.Printf("BITWISE MISMATCH request %d: %q != %q", i, run[i].Completion, baseline[i].Completion)
+	}
+	switch {
+	case len(t.Lost) > 0:
+		return t, fmt.Errorf("lost requests: %d ok + %d failed + %d severed != %d sent (no outcome for %v)",
+			t.OK, t.Failed, t.Severed, len(baseline), t.Lost)
+	case mustSucceed && t.OK != len(baseline):
+		for i, r := range run {
+			if r.Outcome != fleettest.OK {
+				log.Printf("request %d: outcome %d, status %d", i, r.Outcome, r.Status)
+			}
+		}
+		return t, fmt.Errorf("lost requests: %d ok + %d failed + %d severed != %d sent all-ok",
+			t.OK, t.Failed, t.Severed, len(baseline))
+	case len(t.Mismatched) > 0:
+		return t, fmt.Errorf("%d surviving requests diverged from the fault-free run", len(t.Mismatched))
+	case hits == 0:
+		return t, fmt.Errorf("no prefix block was restored in the faulted phase; the run proved nothing")
+	}
+	return t, nil
+}
 
-// runChaosJSON is the fault-injection chaos harness behind llm-bench -chaos
-// (E24). It self-hosts the full serving tier in one process — llm-serve
-// worker stacks with the continuous-batching loop on a real transformer,
-// real loopback listeners, an llm-router in front — then drives the same
-// seeded request set twice: once fault-free to record reference outputs,
-// once under an armed failpoint plan spanning every serving layer (sampler
-// panics, a whole-batch step fault, prefill and verify errors, relay faults,
-// dropped connections, starved deadlines). It asserts the stack's failure
-// invariants rather than a golden fault log, because concurrency reorders
-// which request absorbs which fault:
+// writeRecord writes one scenario's BENCH_<bench>.json: its metrics plus the
+// per-site fire counts, over the fleet shape.
+func writeRecord(dir, bench string, shape map[string]int, metrics map[string]float64, fired map[string]uint64) error {
+	for site, n := range fired {
+		metrics["fired_"+strings.ReplaceAll(site, "/", "_")] = float64(n)
+	}
+	shape["conns"], shape["requests"], shape["tokens"] = fleettest.Conns, requests, fleettest.Tokens
+	return writeBench(filepath.Join(dir, "BENCH_"+bench+".json"), perfResult{
+		Bench: bench, Shape: shape, Reps: requests, Metrics: metrics, UnixTime: time.Now().Unix(),
+	})
+}
+
+// runChaos is the serving-path chaos scenario behind llm-bench -chaos (E24):
+// two static workers behind one probing router, the request set driven
+// fault-free and then under a plan spanning every serving layer (sampler
+// panics, a whole-batch step fault, prefill and verify errors, relay
+// faults, dropped connections, starved deadlines). It asserts invariants
+// rather than a golden fault log, because concurrency reorders which
+// request absorbs which fault:
 //
 //  1. zero lost requests — every client call reaches exactly one terminal
-//     outcome, and after the fleet drains each worker's counters reconcile
-//     (requests == completed+cancelled+failed, nothing in flight);
+//     outcome, and after the fleet drains each worker's counters reconcile;
 //  2. the worker process survives injected panics — panics fired, were
 //     charged to their victims, and a fresh request succeeds on every
 //     worker afterwards;
@@ -67,118 +99,49 @@ const (
 //     chaos returns output bitwise identical to the fault-free run;
 //  4. bounded recovery — probe faults eject the whole fleet, and the next
 //     clean probe round readmits it within the recovery bound.
-//
-// Results (outcome tallies, per-site fire counts, recovery time, disarmed
-// per-site overhead) go to BENCH_chaos.json.
-func runChaosJSON(dir string, o chaosOpts) error {
-	if o.workers < 1 || o.conns < 1 || o.requests < 1 || o.tokens < 1 {
-		return fmt.Errorf("-load-workers, -conns, -requests and -load-tokens must be positive")
-	}
-	failpoint.Disarm() // the baseline phase must be fault-free
-	const recoveryBound = 10 * time.Second
-
+func runChaos(dir string, seed uint64) error {
+	const (
+		workers       = 2
+		recoveryBound = 10 * time.Second
+	)
 	log.Print("training the chaos-fleet transformer")
-	lines := corpus.PCFGText(grammar.TinyEnglish(), 200, 8, mathx.NewRNG(o.seed))
-	model, _, err := core.Train(lines, core.Config{
-		Tokenizer: core.WordTok,
-		Model: transformer.Config{
-			Dim: 16, Layers: 1, Heads: 2, Window: o.tokens + 16,
-			Pos: transformer.PosLearned, Act: nn.GELU,
-		},
-		Steps: 30, Seed: o.seed,
+	f, err := fleettest.NewTransformer(seed)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var bases []string
+	for i := 0; i < workers; i++ {
+		w, err := f.AddWorker()
+		if err != nil {
+			return err
+		}
+		bases = append(bases, w.Base)
+	}
+	rts, err := f.StartRouters(1, router.Config{
+		Backends: bases, MaxAttempts: 3, RetryBackoff: 5 * time.Millisecond,
+		HealthInterval: 20 * time.Millisecond, FailThreshold: 2,
+		RelayTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		return err
 	}
-	drafter := lm.DistillDrafter(model, 3, 512, o.seed)
+	front := rts[0]
+	doors := []string{front.Base} // one door: a failure is the outcome
 
-	// The fleet: workers on the batched transformer path with chunked
-	// prefill and speculation enabled, so every serve-loop failpoint site
-	// (prefill, step, verify, sample) sees traffic; a router with fast
-	// probes in front.
-	type chaosWorker struct {
-		srv  *serve.Server
-		base string
-		stop func()
-	}
-	fleet := make([]chaosWorker, o.workers)
-	urls := make([]string, o.workers)
-	for i := range fleet {
-		srv := serve.New(model, serve.Config{
-			MaxBatch: 4, CoalesceWait: time.Millisecond, PrefillChunk: 4,
-			Speculate: 2, Drafter: drafter,
-		})
-		base, stopHTTP, err := listenAndServe(httpapi.New(srv, nil))
-		if err != nil {
-			srv.Close()
-			for _, w := range fleet[:i] {
-				w.stop()
-			}
-			return err
-		}
-		fleet[i] = chaosWorker{srv: srv, base: base, stop: func() { stopHTTP(); srv.Close() }}
-		urls[i] = base
-	}
-	defer func() {
-		for _, w := range fleet {
-			w.stop()
-		}
-	}()
-	rt, err := router.New(router.Config{
-		Backends: urls, MaxAttempts: 3, RetryBackoff: 5 * time.Millisecond,
-		HealthInterval: 20 * time.Millisecond, FailThreshold: 2,
-		RelayTimeout: 5 * time.Second,
-	}, nil)
+	log.Printf("phase 1: fault-free reference run (%d requests)", requests)
+	baseline, err := reference(f, doors)
 	if err != nil {
 		return err
 	}
-	defer rt.Close()
-	front, stopFront, err := listenAndServe(rt)
-	if err != nil {
-		return err
-	}
-	defer stopFront()
-	client := &http.Client{
-		Timeout:   30 * time.Second, // no request may hang the harness
-		Transport: &http.Transport{MaxIdleConnsPerHost: o.conns + 4},
-	}
 
-	// Phase 1 — fault-free reference run: the disarmed outputs later 200s
-	// must match bitwise.
-	log.Printf("phase 1: fault-free reference run (%d requests)", o.requests)
-	baseline := driveChaos(client, front, o, false)
-	for i, r := range baseline {
-		if r.outcome != chaosOK {
-			return fmt.Errorf("fault-free request %d failed (status %d): the baseline must be clean", i, r.status)
-		}
-	}
-	waitFleetIdle := func() error {
-		deadline := time.Now().Add(recoveryBound)
-		for _, w := range fleet {
-			for {
-				st := w.srv.Stats()
-				if st.InFlight == 0 && st.Queued == 0 &&
-					st.Requests == st.Completed+st.Cancelled+st.Failed {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("lost requests: worker %s never reconciled: %+v", w.base, st)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-		return nil
-	}
-	if err := waitFleetIdle(); err != nil {
-		return err
-	}
-
-	// Phase 2 — the same request set under an armed plan touching every
-	// layer. Probabilities are low enough that most requests survive (the
-	// bitwise invariant needs survivors) and high enough that every kind
-	// of fault fires at the pinned seed.
+	// Probabilities are low enough that most requests survive (the bitwise
+	// invariant needs survivors) and high enough that every kind of fault
+	// fires at the pinned seed. Every 8th armed request carries a 1ms
+	// deadline budget, exercising the 504 path.
 	log.Print("phase 2: chaos run under the armed fault plan")
-	if err := failpoint.Arm(failpoint.Plan{Seed: o.seed, Rules: []failpoint.Rule{
+	hits := f.PrefixHits()
+	if err := f.Arm(failpoint.Plan{Seed: seed, Rules: []failpoint.Rule{
 		{Site: failpoint.ServeSample, Kind: failpoint.KindPanic, Prob: 0.02},
 		{Site: failpoint.ServeStep, Kind: failpoint.KindError, After: 20, Count: 1},
 		{Site: failpoint.ServePrefill, Kind: failpoint.KindError, Prob: 0.03},
@@ -188,221 +151,80 @@ func runChaosJSON(dir string, o chaosOpts) error {
 	}}); err != nil {
 		return err
 	}
-	chaos := driveChaos(client, front, o, true)
-	fired := failpoint.Stats()
-	failpoint.Disarm()
-	if err := waitFleetIdle(); err != nil {
+	run, _ := f.Drive(doors, requests, 0, func(i int, req *httpapi.GenRequest) {
+		if i%8 == 5 {
+			req.TimeoutMS = 1
+		}
+	})
+	f.Disarm()
+	fired, totalFired := f.Fired()
+	if err := f.WaitIdle(); err != nil {
 		return err
 	}
-
-	// Invariant 1: exactly one terminal outcome per request.
-	var nOK, nFailed, nSevered, nMismatch int
-	for i, r := range chaos {
-		switch r.outcome {
-		case chaosOK:
-			nOK++
-			if r.completion != baseline[i].completion {
-				nMismatch++
-				log.Printf("BITWISE MISMATCH request %d: %q != %q", i, r.completion, baseline[i].completion)
-			}
-		case chaosFailed:
-			nFailed++
-		case chaosSevered:
-			nSevered++
-		}
-	}
-	if nOK+nFailed+nSevered != o.requests {
-		return fmt.Errorf("lost requests: %d ok + %d failed + %d severed != %d sent",
-			nOK, nFailed, nSevered, o.requests)
-	}
-	// Invariant 3: survivors are bitwise intact.
-	if nMismatch > 0 {
-		return fmt.Errorf("%d surviving requests diverged from the fault-free run", nMismatch)
+	hits = f.PrefixHits() - hits
+	tally, err := judge(baseline, run, false, hits) // invariants 1 and 3
+	if err != nil {
+		return err
 	}
 	// Invariant 2: panics fired and every worker outlived them.
 	var panics, failed uint64
-	for _, w := range fleet {
-		st := w.srv.Stats()
+	for _, w := range f.Workers {
+		st := w.Stats()
 		panics += st.Panics
 		failed += st.Failed
 	}
 	if panics == 0 {
-		return fmt.Errorf("no sampler panic fired at seed %d; the chaos run proved nothing", o.seed)
+		return fmt.Errorf("no sampler panic fired at seed %d; the chaos run proved nothing", seed)
 	}
-	for _, w := range fleet {
-		status, _ := chaosGenerate(client, w.base, o.tokens, 1)
-		if status != http.StatusOK {
-			return fmt.Errorf("worker %s did not survive the chaos phase: fresh request got %d", w.base, status)
+	for _, w := range f.Workers {
+		if r := f.Post(w.Base, fleettest.Request(0)); r.Outcome != fleettest.OK {
+			return fmt.Errorf("worker %s did not survive the chaos phase: fresh request got %d", w.Base, r.Status)
 		}
 	}
 
-	// Phase 3 — recovery timing: enough consecutive probe faults to eject
-	// every worker (FailThreshold 2, one fault per worker per 20ms probe
-	// round), then measure how long the fleet takes to go all-healthy once
-	// the faults run out.
+	// Invariant 4: enough consecutive probe faults to eject every worker
+	// (FailThreshold 2, one fault per worker per 20ms probe round), then how
+	// long the fleet takes to go all-healthy once the faults run out.
 	log.Print("phase 3: probe-fault ejection and recovery timing")
-	allHealthy := func() bool {
-		st := rt.Stats()
-		for _, b := range st.Backends {
-			if !b.Healthy {
-				return false
-			}
-		}
-		return true
-	}
-	anyEjected := func() bool {
-		for _, b := range rt.Stats().Backends {
-			if !b.Healthy {
-				return true
-			}
-		}
-		return false
-	}
-	if err := failpoint.Arm(failpoint.Plan{Seed: o.seed, Rules: []failpoint.Rule{
-		{Site: failpoint.RouterProbe, Kind: failpoint.KindError, Count: 2 * o.workers},
+	healthy := func() bool { return fleettest.Converged(workers, front) }
+	if err := f.Arm(failpoint.Plan{Seed: seed, Rules: []failpoint.Rule{
+		{Site: failpoint.RouterProbe, Kind: failpoint.KindError, Count: 2 * workers},
 	}}); err != nil {
 		return err
 	}
 	ejectStart := time.Now()
-	for !anyEjected() {
-		if time.Since(ejectStart) > recoveryBound {
-			failpoint.Disarm()
-			return fmt.Errorf("probe faults never ejected a worker within %s", recoveryBound)
-		}
-		time.Sleep(time.Millisecond)
+	if err := fleettest.WaitUntil("probe faults ejecting a worker", recoveryBound, func() bool { return !healthy() }); err != nil {
+		return err
 	}
 	ejected := time.Since(ejectStart)
 	recoverStart := time.Now()
-	for !allHealthy() {
-		if time.Since(recoverStart) > recoveryBound {
-			failpoint.Disarm()
-			return fmt.Errorf("fleet did not recover within %s of ejection", recoveryBound)
-		}
-		time.Sleep(time.Millisecond)
+	if err := fleettest.WaitUntil("the ejected fleet recovering", recoveryBound, healthy); err != nil {
+		return err
 	}
 	recovery := time.Since(recoverStart)
-	failpoint.Disarm()
-	if status, _ := chaosGenerate(client, front, o.tokens, 1); status != http.StatusOK {
-		return fmt.Errorf("recovered fleet rejected a clean request: status %d", status)
+	f.Disarm()
+	if r := f.Post(front.Base, fleettest.Request(0)); r.Outcome != fleettest.OK {
+		return fmt.Errorf("recovered fleet rejected a clean request: status %d", r.Status)
 	}
 
-	// Disarmed overhead: the per-site cost every production request pays
-	// for carrying the failpoints (also pinned by TestDisarmedInjectZeroAlloc
-	// and BenchmarkDisarmedInject in internal/failpoint).
-	const overheadReps = 1_000_000
-	start := time.Now()
-	for i := 0; i < overheadReps; i++ {
-		_ = failpoint.Inject(failpoint.ServeStep)
-	}
-	disarmedNS := float64(time.Since(start).Nanoseconds()) / overheadReps
-
-	metrics := map[string]float64{
+	err = writeRecord(dir, "chaos", map[string]int{"workers": workers}, map[string]float64{
 		"baseline_ok":        float64(len(baseline)),
-		"chaos_ok":           float64(nOK),
-		"chaos_failed":       float64(nFailed),
-		"chaos_severed":      float64(nSevered),
-		"bitwise_mismatches": float64(nMismatch),
+		"chaos_ok":           float64(tally.OK),
+		"chaos_failed":       float64(tally.Failed),
+		"chaos_severed":      float64(tally.Severed),
+		"bitwise_mismatches": float64(len(tally.Mismatched)),
+		"prefix_hits":        float64(hits),
 		"worker_panics":      float64(panics),
 		"worker_failed":      float64(failed),
 		"ejection_ms":        ms(ejected),
 		"recovery_ms":        ms(recovery),
-		"disarmed_inject_ns": disarmedNS,
-	}
-	var totalFired uint64
-	for site, st := range fired {
-		metrics["fired_"+strings.ReplaceAll(site, "/", "_")] = float64(st.Fired)
-		totalFired += st.Fired
-	}
-	metrics["faults_fired"] = float64(totalFired)
-
-	res := perfResult{
-		Bench: "chaos",
-		Shape: map[string]int{
-			"workers": o.workers, "conns": o.conns,
-			"requests": o.requests, "tokens": o.tokens,
-		},
-		Reps:     o.requests,
-		Metrics:  metrics,
-		UnixTime: time.Now().Unix(),
-	}
-	if err := writeBench(filepath.Join(dir, "BENCH_chaos.json"), res); err != nil {
+		"faults_fired":       float64(totalFired),
+	}, fired)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("chaos: %d requests → %d ok, %d failed, %d severed; %d faults fired, %d panics survived, 0 lost, 0 bitwise mismatches\n",
-		o.requests, nOK, nFailed, nSevered, totalFired, panics)
-	fmt.Printf("recovery: ejected in %.0fms, fleet healthy %.0fms after faults cleared; disarmed site cost %.1fns\n",
-		ms(ejected), ms(recovery), disarmedNS)
+	fmt.Printf("chaos: %d requests → %d ok, %d failed, %d severed; %d faults fired, %d panics survived, 0 lost, 0 bitwise mismatches, prefix_hits %d\n",
+		requests, tally.OK, tally.Failed, tally.Severed, totalFired, panics, hits)
+	fmt.Printf("recovery: ejected in %.0fms, fleet healthy %.0fms after faults cleared\n", ms(ejected), ms(recovery))
 	return nil
-}
-
-// chaosResult is one driven request's observation.
-type chaosResult struct {
-	outcome    chaosOutcome
-	status     int
-	completion string
-}
-
-// driveChaos issues the seeded request set — o.requests greedy generations,
-// deterministic bodies keyed by index — through o.conns concurrent clients
-// and records every terminal outcome by index. Under chaos every 8th
-// request carries a 1ms deadline budget, exercising the 504 path without
-// disturbing the other indices' bodies.
-func driveChaos(client *http.Client, base string, o chaosOpts, armed bool) []chaosResult {
-	results := make([]chaosResult, o.requests)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < o.conns; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= o.requests {
-					return
-				}
-				req := httpapi.GenRequest{
-					Prompt: "the king", Tokens: o.tokens, Seed: uint64(i + 1),
-				}
-				if i%3 == 0 {
-					req.Session = fmt.Sprintf("sess-%d", i%7)
-				}
-				if armed && i%8 == 5 {
-					req.TimeoutMS = 1
-				}
-				results[i] = postGenerate(client, base, req)
-			}
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
-// chaosGenerate issues one clean greedy generation and returns its status
-// and completion.
-func chaosGenerate(client *http.Client, base string, tokens int, seed uint64) (int, string) {
-	r := postGenerate(client, base, httpapi.GenRequest{
-		Prompt: "the king", Tokens: tokens, Seed: seed,
-	})
-	return r.status, r.completion
-}
-
-// postGenerate drives one POST /v1/generate and classifies its outcome.
-func postGenerate(client *http.Client, base string, req httpapi.GenRequest) chaosResult {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return chaosResult{outcome: chaosFailed}
-	}
-	resp, err := client.Post(base+"/v1/generate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return chaosResult{outcome: chaosSevered}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return chaosResult{outcome: chaosFailed, status: resp.StatusCode}
-	}
-	var out httpapi.GenResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return chaosResult{outcome: chaosSevered, status: resp.StatusCode}
-	}
-	return chaosResult{outcome: chaosOK, status: resp.StatusCode, completion: out.Completion}
 }

@@ -4,60 +4,21 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"path/filepath"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/failpoint"
-	"repro/internal/grammar"
-	"repro/internal/httpapi"
-	"repro/internal/lm"
-	"repro/internal/mathx"
-	"repro/internal/nn"
+	"repro/internal/fleettest"
 	"repro/internal/router"
-	"repro/internal/serve"
-	"repro/internal/transformer"
 )
 
-// churnWorker is one self-hosted llm-serve stack under the churn
-// director's control: a batching server, an HTTP listener on a fixed
-// address (so a killed worker can restart on the same URL — the ring
-// identity), and the join loop keeping its router lease alive.
-type churnWorker struct {
-	addr   string // fixed host:port, stable across kill/restart
-	base   string
-	srv    *serve.Server
-	hs     *http.Server
-	joiner *httpapi.Joiner
-}
-
-// kill is the ungraceful death: heartbeats stop without deregistering (the
-// router must notice via lease expiry), connections are severed, the
-// batching loop dies.
-func (w *churnWorker) kill() {
-	if w.joiner != nil {
-		w.joiner.Stop()
-	}
-	w.hs.Close()
-	w.srv.Close()
-}
-
-// runChurnJSON is the membership-churn chaos harness behind
-// llm-bench -chaos -churn (E25). It self-hosts a router that starts with
-// an EMPTY fleet — every worker joins via lease-based registration — then
-// drives a seeded request set twice: once over the stable fleet to record
-// reference outputs and session placement, once while a director executes
-// a churn schedule against the live fleet (ungraceful kill → lease-expiry
-// ejection → restart and re-register on the same URL → a cold worker
-// joining on a new URL → a graceful leave through /v1/deregister), with
-// failpoints armed on the register/heartbeat control plane the whole
-// while. Invariants asserted:
+// runChurn is the membership-churn scenario behind llm-bench -chaos -churn
+// (E25): a router that starts with an EMPTY fleet — every worker joins via
+// lease-based registration — the request set driven over the stable fleet
+// and then while a director executes a churn schedule against the live
+// fleet (ungraceful kill → lease-expiry ejection → restart and re-register
+// on the same URL → a cold worker joining on a new URL → a graceful leave
+// through /v1/deregister), with failpoints armed on the register/heartbeat
+// control plane the whole while. Invariants:
 //
 //  1. zero lost requests — every churn-phase request reaches a terminal
 //     outcome and succeeds (the router retries across the kill), and
@@ -71,391 +32,206 @@ func (w *churnWorker) kill() {
 //     and receiving session traffic again within the rejoin bound;
 //  5. the membership ledger adds up — final epoch, join/leave/expiry
 //     counters, and member count match the schedule exactly.
-//
-// Results (outcome tallies, ejection/rejoin timings, per-site fire
-// counts, the epoch ledger) go to BENCH_chaos_churn.json.
-func runChurnJSON(dir string, o chaosOpts) error {
-	if o.conns < 1 || o.requests < 1 || o.tokens < 1 {
-		return fmt.Errorf("-conns, -requests and -load-tokens must be positive")
-	}
-	failpoint.Disarm()
+func runChurn(dir string, seed uint64) error {
 	const (
-		leaseTTL    = 250 * time.Millisecond
-		hbEvery     = 60 * time.Millisecond
+		baseWorkers = 3
 		rejoinBound = 5 * time.Second
-		settleBound = 10 * time.Second
 		driveSpan   = 3 * time.Second // churn-phase pacing window
 	)
-
 	log.Print("training the churn-fleet transformer")
-	lines := corpus.PCFGText(grammar.TinyEnglish(), 200, 8, mathx.NewRNG(o.seed))
-	model, _, err := core.Train(lines, core.Config{
-		Tokenizer: core.WordTok,
-		Model: transformer.Config{
-			Dim: 16, Layers: 1, Heads: 2, Window: o.tokens + 16,
-			Pos: transformer.PosLearned, Act: nn.GELU,
-		},
-		Steps: 30, Seed: o.seed,
-	})
+	f, err := fleettest.NewTransformer(seed)
 	if err != nil {
 		return err
 	}
-	drafter := lm.DistillDrafter(model, 3, 512, o.seed)
+	defer f.Close()
 
 	// The router starts with no members at all: the whole fleet arrives
 	// through /v1/register. FailThreshold is set high so the kill below is
 	// detected by lease expiry (the path under test), not probe ejection;
 	// ForgetAfter is long so the dead worker's ring slot survives until it
 	// restarts and renews.
-	rt, err := router.New(router.Config{
+	rts, err := f.StartRouters(1, router.Config{
 		MaxAttempts: 4, RetryBackoff: 2 * time.Millisecond,
 		HealthInterval: 20 * time.Millisecond, FailThreshold: 50,
 		RelayTimeout: 5 * time.Second,
-		DefaultLease: leaseTTL, ForgetAfter: 30 * time.Second,
-	}, nil)
+		DefaultLease: fleettest.Lease, ForgetAfter: 30 * time.Second,
+	})
 	if err != nil {
 		return err
 	}
-	defer rt.Close()
-	front, stopFront, err := listenAndServe(rt)
-	if err != nil {
-		return err
-	}
-	defer stopFront()
-	client := &http.Client{
-		Timeout:   30 * time.Second,
-		Transport: &http.Transport{MaxIdleConnsPerHost: o.conns + 4},
-	}
+	rt := rts[0]
+	doors := []string{rt.Base}
+	settled := func() bool { return fleettest.Converged(baseWorkers, rt) }
 
-	newWorker := func(addr string) (*churnWorker, error) {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		srv := serve.New(model, serve.Config{
-			MaxBatch: 4, CoalesceWait: time.Millisecond, PrefillChunk: 4,
-			Speculate: 2, Drafter: drafter,
-		})
-		hs := &http.Server{Handler: httpapi.New(srv, nil)}
-		go hs.Serve(ln)
-		base := "http://" + ln.Addr().String()
-		j, err := httpapi.StartJoiner(httpapi.JoinConfig{
-			Router: front, Self: base, Lease: leaseTTL, Interval: hbEvery,
-		})
-		if err != nil {
-			hs.Close()
-			srv.Close()
-			return nil, err
-		}
-		return &churnWorker{addr: ln.Addr().String(), base: base, srv: srv, hs: hs, joiner: j}, nil
-	}
-
-	waitUntil := func(what string, bound time.Duration, cond func() bool) error {
-		deadline := time.Now().Add(bound)
-		for !cond() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("timed out after %s waiting for %s", bound, what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		return nil
-	}
-	healthyIn := func(base string) func() bool {
-		return func() bool {
-			for _, b := range rt.Stats().Backends {
-				if b.Name == base {
-					return b.Healthy
-				}
-			}
-			return false
-		}
-	}
-
-	// Phase 0 — the fleet assembles itself: three workers join the empty
-	// router; each join is one epoch.
+	// Phase 0 — the fleet assembles itself; each join is one epoch.
 	log.Print("phase 0: 3 workers joining the empty router")
-	const baseWorkers = 3
-	workers := make([]*churnWorker, 0, baseWorkers+1)
-	defer func() {
-		for _, w := range workers {
-			w.kill()
-		}
-	}()
 	for i := 0; i < baseWorkers; i++ {
-		w, err := newWorker("127.0.0.1:0")
-		if err != nil {
+		if _, err := f.AddWorker(rt); err != nil {
 			return err
 		}
-		workers = append(workers, w)
 	}
-	if err := waitUntil("initial fleet registration", settleBound, func() bool {
-		st := rt.Stats()
-		if st.Members != baseWorkers {
-			return false
-		}
-		for _, b := range st.Backends {
-			if !b.Healthy {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
+	if err := fleettest.WaitUntil("initial fleet registration", fleettest.SettleBound, settled); err != nil {
 		return err
 	}
 	if e := rt.Stats().Epoch; e != baseWorkers {
 		return fmt.Errorf("membership epoch after %d joins is %d, want %d", baseWorkers, e, baseWorkers)
 	}
 
-	// liveWorkers maps base URL → batching server for ownership probing
-	// and reconciliation; the restarted worker replaces its old entry.
-	liveWorkers := func() map[string]*serve.Server {
-		m := make(map[string]*serve.Server, len(workers))
-		for _, w := range workers {
-			m[w.base] = w.srv
-		}
-		return m
-	}
-	waitFleetIdle := func() error {
-		deadline := time.Now().Add(settleBound)
-		for base, srv := range liveWorkers() {
-			for {
-				st := srv.Stats()
-				if st.InFlight == 0 && st.Queued == 0 &&
-					st.Requests == st.Completed+st.Cancelled+st.Failed {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("lost requests: worker %s never reconciled: %+v", base, st)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-		return nil
-	}
 	// ownerOf locates one session's worker empirically: issue a keyed
 	// request through the router and see whose request counter moved.
 	// Only valid while no other traffic is running.
-	ownerOf := func(session string) (string, error) {
-		live := liveWorkers()
-		before := make(map[string]uint64, len(live))
-		for base, srv := range live {
-			before[base] = srv.Stats().Requests
+	ownerOf := func(session string) (*fleettest.Worker, error) {
+		before := make([]uint64, len(f.Workers))
+		for i, w := range f.Workers {
+			before[i] = w.Stats().Requests
 		}
-		r := postGenerate(client, front, httpapi.GenRequest{
-			Prompt: "the king", Tokens: 2, Seed: 1, Session: session,
-		})
-		if r.outcome != chaosOK {
-			return "", fmt.Errorf("session-probe %q failed: status %d", session, r.status)
+		req := fleettest.Request(0)
+		req.Tokens, req.Session = 2, session
+		if r := f.Post(rt.Base, req); r.Outcome != fleettest.OK {
+			return nil, fmt.Errorf("session-probe %q failed: status %d", session, r.Status)
 		}
-		for base, srv := range live {
-			if srv.Stats().Requests > before[base] {
-				return base, nil
+		for i, w := range f.Workers {
+			if w.Stats().Requests > before[i] {
+				return w, nil
 			}
 		}
-		return "", fmt.Errorf("session-probe %q landed on no live worker", session)
+		return nil, fmt.Errorf("session-probe %q landed on no live worker", session)
 	}
 
-	// Phase 1 — churn-free reference run: record every completion and the
+	// Phase 1 — churn-free reference run: every completion, and the
 	// session→worker placement to diff against after the churn.
-	log.Printf("phase 1: churn-free reference run (%d requests)", o.requests)
-	baseline := driveChurn(client, front, o, 0)
-	for i, r := range baseline {
-		if r.outcome != chaosOK {
-			return fmt.Errorf("churn-free request %d failed (status %d): the baseline must be clean", i, r.status)
-		}
-	}
-	if err := waitFleetIdle(); err != nil {
+	log.Printf("phase 1: churn-free reference run (%d requests)", requests)
+	baseline, err := reference(f, doors)
+	if err != nil {
 		return err
 	}
-	ownersBefore := map[string]string{}
-	for s := 0; s < 7; s++ {
-		session := fmt.Sprintf("sess-%d", s)
-		owner, err := ownerOf(session)
-		if err != nil {
+	ownersBefore := map[string]*fleettest.Worker{}
+	for i := 0; i < 7; i++ {
+		session := fmt.Sprintf("sess-%d", i)
+		if ownersBefore[session], err = ownerOf(session); err != nil {
 			return err
 		}
-		ownersBefore[session] = owner
 	}
-	// The rejoin-to-traffic measurement needs a session pinned to the
-	// worker we will kill; probe extra keys until one lands there.
-	victim := workers[1]
-	victimSession := ""
-	for s, owner := range ownersBefore {
-		if owner == victim.base {
-			victimSession = s
-			break
-		}
-	}
-	for extra := 0; victimSession == "" && extra < 64; extra++ {
-		session := fmt.Sprintf("probe-%d", extra)
-		owner, err := ownerOf(session)
-		if err != nil {
-			return err
-		}
-		ownersBefore[session] = owner
-		if owner == victim.base {
-			victimSession = session
-		}
-	}
-	if victimSession == "" {
-		return fmt.Errorf("no session hashed to the kill target %s in 64 probes", victim.base)
+	// The kill target is a worker that owns a driven session (the
+	// rejoin-to-traffic measurement needs one pinned to it); the graceful
+	// leaver is another worker.
+	const victimSession = "sess-0"
+	victim := ownersBefore[victimSession]
+	leaver := f.Workers[0]
+	if leaver == victim {
+		leaver = f.Workers[1]
 	}
 
 	// Phase 2 — the same request set, paced over ~3s, while the director
 	// executes the churn schedule and failpoints attack the register/
 	// heartbeat control plane.
 	log.Print("phase 2: churn run (kill, lease-expiry, restart, cold join, graceful leave)")
-	if err := failpoint.Arm(failpoint.Plan{Seed: o.seed, Rules: []failpoint.Rule{
+	hits := f.PrefixHits()
+	if err := f.Arm(failpoint.Plan{Seed: seed, Rules: []failpoint.Rule{
 		{Site: failpoint.JoinHeartbeat, Kind: failpoint.KindError, Prob: 0.15},
 		{Site: failpoint.RouterRegister, Kind: failpoint.KindLatency, Prob: 0.2, Sleep: 5 * time.Millisecond},
 		{Site: failpoint.RouterRegister, Kind: failpoint.KindError, Prob: 0.1},
 	}}); err != nil {
 		return err
 	}
-
 	var (
 		expiryEject   time.Duration // kill → router marks the worker unhealthy
 		rejoinHealthy time.Duration // restart → router marks it healthy
 		rejoinTraffic time.Duration // restart → its sessions land on it again
+		cold          *fleettest.Worker
 	)
-	dirErr := make(chan error, 1)
-	go func() {
-		dirErr <- func() error {
-			// Let the paced drive establish traffic first.
-			time.Sleep(400 * time.Millisecond)
+	run, _, err := driveUnder(f, doors, driveSpan, func() error {
+		// Let the paced drive establish traffic first.
+		time.Sleep(400 * time.Millisecond)
 
-			// Ungraceful kill: no deregister — only the lease can tell.
-			log.Printf("director: killing %s (no deregister)", victim.base)
-			killedAt := time.Now()
-			victim.kill()
-			if err := waitUntil("lease-expiry ejection of the killed worker", rejoinBound, func() bool {
-				return !healthyIn(victim.base)()
-			}); err != nil {
-				return err
-			}
-			expiryEject = time.Since(killedAt)
+		// Ungraceful kill: no deregister — only the lease can tell.
+		log.Printf("director: killing %s (no deregister)", victim.Base)
+		killedAt := time.Now()
+		victim.Kill()
+		if err := fleettest.WaitUntil("lease-expiry ejection of the killed worker", rejoinBound, func() bool {
+			return !rt.Healthy(victim.Base)
+		}); err != nil {
+			return err
+		}
+		expiryEject = time.Since(killedAt)
 
-			// Restart on the same address: re-registration renews the
-			// existing (lapsed) membership, so no epoch changes and the
-			// worker's ring arcs — its sessions — come straight back.
-			log.Printf("director: restarting %s on its old address", victim.base)
-			restartAt := time.Now()
-			reborn, err := newWorker(victim.addr)
-			if err != nil {
-				return fmt.Errorf("restarting killed worker: %w", err)
-			}
-			workers[1] = reborn
-			if err := waitUntil("restarted worker turning healthy", rejoinBound, healthyIn(reborn.base)); err != nil {
-				return err
-			}
-			rejoinHealthy = time.Since(restartAt)
-			// Traffic bound: its old session must route back to it.
-			for {
-				if reborn.srv.Stats().Requests > 0 {
-					break
-				}
-				if time.Since(restartAt) > rejoinBound {
-					return fmt.Errorf("restarted worker got no traffic within %s", rejoinBound)
-				}
-				postGenerate(client, front, httpapi.GenRequest{
-					Prompt: "the king", Tokens: 2, Seed: 1, Session: victimSession,
-				})
-			}
-			rejoinTraffic = time.Since(restartAt)
+		// Restart on the same address: re-registration renews the existing
+		// (lapsed) membership, so no epoch changes and the worker's ring
+		// arcs — its sessions — come straight back.
+		log.Printf("director: restarting %s on its old address", victim.Base)
+		restartAt := time.Now()
+		if err := victim.Restart(); err != nil {
+			return fmt.Errorf("restarting killed worker: %w", err)
+		}
+		if err := fleettest.WaitUntil("restarted worker turning healthy", rejoinBound, func() bool {
+			return rt.Healthy(victim.Base)
+		}); err != nil {
+			return err
+		}
+		rejoinHealthy = time.Since(restartAt)
+		// Traffic bound: its old session must route back to it.
+		probe := fleettest.Request(0)
+		probe.Tokens, probe.Session = 2, victimSession
+		if err := fleettest.WaitUntil("restarted worker receiving its session's traffic", rejoinBound, func() bool {
+			f.Post(rt.Base, probe)
+			return victim.Stats().Requests > 0
+		}); err != nil {
+			return err
+		}
+		rejoinTraffic = time.Since(restartAt)
 
-			// Cold join: a brand-new worker on a new URL. One epoch.
-			log.Print("director: cold-joining a 4th worker")
-			cold, err := newWorker("127.0.0.1:0")
-			if err != nil {
-				return fmt.Errorf("cold join: %w", err)
-			}
-			workers = append(workers, cold)
-			if err := waitUntil("cold joiner turning healthy", rejoinBound, healthyIn(cold.base)); err != nil {
-				return err
-			}
+		// Cold join: a brand-new worker on a new URL. One epoch.
+		log.Print("director: cold-joining a 4th worker")
+		w, err := f.AddWorker(rt)
+		if err != nil {
+			return fmt.Errorf("cold join: %w", err)
+		}
+		cold = w
+		if err := fleettest.WaitUntil("cold joiner turning healthy", rejoinBound, func() bool {
+			return rt.Healthy(cold.Base)
+		}); err != nil {
+			return err
+		}
 
-			// Graceful leave: deregister explicitly (retrying through the
-			// injected control-plane faults); the worker itself keeps
-			// serving whatever is still in flight on it.
-			leaver := workers[2]
-			log.Printf("director: graceful leave of %s", leaver.base)
-			var leaveErr error
-			for attempt := 0; attempt < 10; attempt++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				leaveErr = leaver.joiner.Leave(ctx)
-				cancel()
-				if leaveErr == nil {
-					break
-				}
+		// Graceful leave: deregister explicitly (retrying through the
+		// injected control-plane faults); the worker itself keeps serving
+		// whatever is still in flight on it.
+		log.Printf("director: graceful leave of %s", leaver.Base)
+		var leaveErr error
+		for attempt := 0; attempt < 10; attempt++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			leaveErr = leaver.Leave(ctx)
+			cancel()
+			if leaveErr == nil {
+				return nil
 			}
-			if leaveErr != nil {
-				return fmt.Errorf("graceful leave never succeeded: %w", leaveErr)
-			}
-			return nil
-		}()
-	}()
-
-	churn := driveChurn(client, front, o, driveSpan/time.Duration(o.requests))
-	if err := <-dirErr; err != nil {
-		failpoint.Disarm()
+		}
+		return fmt.Errorf("graceful leave never succeeded: %w", leaveErr)
+	})
+	if err != nil {
 		return err
 	}
-	fired := failpoint.Stats()
-	failpoint.Disarm()
+	f.Disarm()
+	fired, totalFired := f.Fired()
+	hits = f.PrefixHits() - hits
 
-	// Invariant 1: zero lost requests — under churn every single request
-	// must still succeed (kills are retried, leaves are drained).
-	var nOK, nFailed, nSevered, nMismatch int
-	for i, r := range churn {
-		switch r.outcome {
-		case chaosOK:
-			nOK++
-			if r.completion != baseline[i].completion {
-				nMismatch++
-				log.Printf("BITWISE MISMATCH request %d: %q != %q", i, r.completion, baseline[i].completion)
-			}
-		case chaosFailed:
-			nFailed++
-			log.Printf("request %d failed with status %d", i, r.status)
-		case chaosSevered:
-			nSevered++
-			log.Printf("request %d severed", i)
-		}
-	}
-	if nOK != o.requests {
-		return fmt.Errorf("lost requests under churn: %d ok + %d failed + %d severed != %d sent all-ok",
-			nOK, nFailed, nSevered, o.requests)
-	}
-	// Invariant 2: survivors bitwise intact.
-	if nMismatch > 0 {
-		return fmt.Errorf("%d churn-phase completions diverged from the churn-free run", nMismatch)
+	// Invariants 1 and 2: under churn every single request must still
+	// succeed (kills are retried, leaves are drained), bitwise intact.
+	tally, err := judge(baseline, run, true, hits)
+	if err != nil {
+		return err
 	}
 	// The chaos plan must actually have attacked the membership path.
-	var totalFired uint64
-	for _, st := range fired {
-		totalFired += st.Fired
-	}
 	if totalFired == 0 {
-		return fmt.Errorf("no membership fault fired at seed %d; the churn run proved nothing", o.seed)
+		return fmt.Errorf("no membership fault fired at seed %d; the churn run proved nothing", seed)
 	}
 
-	// Settle: the fleet is w0, the reborn w1, and the cold joiner — all
-	// healthy — and every worker (the leaver included) reconciles.
-	if err := waitUntil("post-churn fleet settling", settleBound, func() bool {
-		st := rt.Stats()
-		if st.Members != baseWorkers {
-			return false
-		}
-		for _, b := range st.Backends {
-			if !b.Healthy {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
+	// Settle: the fleet is the two stayers (one reborn) and the cold joiner
+	// — all healthy — and every worker (the leaver included) reconciles.
+	if err := fleettest.WaitUntil("post-churn fleet settling", fleettest.SettleBound, settled); err != nil {
 		return err
 	}
-	if err := waitFleetIdle(); err != nil {
+	if err := f.WaitIdle(); err != nil {
 		return err
 	}
 
@@ -478,8 +254,6 @@ func runChurnJSON(dir string, o chaosOpts) error {
 	// Invariant 3: minimal remap — re-probe every recorded session; an
 	// owner change is legal only when the old owner left the fleet or the
 	// new owner is the cold joiner.
-	coldBase := workers[3].base
-	leaverBase := workers[2].base
 	var moved, unexplained int
 	for session, oldOwner := range ownersBefore {
 		newOwner, err := ownerOf(session)
@@ -490,21 +264,22 @@ func runChurnJSON(dir string, o chaosOpts) error {
 			continue
 		}
 		moved++
-		if oldOwner != leaverBase && newOwner != coldBase {
+		if oldOwner != leaver && newOwner != cold {
 			unexplained++
-			log.Printf("UNEXPLAINED REMAP session %q: %s -> %s", session, oldOwner, newOwner)
+			log.Printf("UNEXPLAINED REMAP session %q: %s -> %s", session, oldOwner.Base, newOwner.Base)
 		}
 	}
 	if unexplained > 0 {
 		return fmt.Errorf("%d sessions remapped without a membership reason", unexplained)
 	}
 
-	metrics := map[string]float64{
+	err = writeRecord(dir, "chaos_churn", map[string]int{"workers": baseWorkers}, map[string]float64{
 		"baseline_ok":        float64(len(baseline)),
-		"churn_ok":           float64(nOK),
-		"churn_failed":       float64(nFailed),
-		"churn_severed":      float64(nSevered),
-		"bitwise_mismatches": float64(nMismatch),
+		"churn_ok":           float64(tally.OK),
+		"churn_failed":       float64(tally.Failed),
+		"churn_severed":      float64(tally.Severed),
+		"bitwise_mismatches": float64(len(tally.Mismatched)),
+		"prefix_hits":        float64(hits),
 		"epoch_final":        float64(st.Epoch),
 		"joins":              float64(st.Joins),
 		"leaves":             float64(st.Leaves),
@@ -516,66 +291,14 @@ func runChurnJSON(dir string, o chaosOpts) error {
 		"sessions_tracked":   float64(len(ownersBefore)),
 		"sessions_moved":     float64(moved),
 		"faults_fired":       float64(totalFired),
-	}
-	for site, fs := range fired {
-		metrics["fired_"+strings.ReplaceAll(site, "/", "_")] = float64(fs.Fired)
-	}
-
-	res := perfResult{
-		Bench: "chaos_churn",
-		Shape: map[string]int{
-			"workers": baseWorkers, "conns": o.conns,
-			"requests": o.requests, "tokens": o.tokens,
-		},
-		Reps:     o.requests,
-		Metrics:  metrics,
-		UnixTime: time.Now().Unix(),
-	}
-	if err := writeBench(filepath.Join(dir, "BENCH_chaos_churn.json"), res); err != nil {
+	}, fired)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("churn: %d requests → %d ok, 0 lost, 0 bitwise mismatches across kill/restart/join/leave; %d control-plane faults fired\n",
-		o.requests, nOK, totalFired)
+	fmt.Printf("churn: %d requests → %d ok, 0 lost, 0 bitwise mismatches across kill/restart/join/leave; %d control-plane faults fired, prefix_hits %d\n",
+		requests, tally.OK, totalFired, hits)
 	fmt.Printf("membership: epoch %d (joins %d, leaves %d, expiries %d); eject %.0fms after kill, rejoin healthy %.0fms, traffic %.0fms; %d/%d sessions moved, all explained\n",
 		st.Epoch, st.Joins, st.Leaves, st.LeaseExpiries,
 		ms(expiryEject), ms(rejoinHealthy), ms(rejoinTraffic), moved, len(ownersBefore))
 	return nil
-}
-
-// driveChurn issues the seeded request set — identical bodies to the
-// baseline run by construction — through o.conns concurrent clients. A
-// non-zero pace spreads request starts over time (request i is not issued
-// before i*pace) so the run spans the director's churn schedule instead of
-// racing past it.
-func driveChurn(client *http.Client, base string, o chaosOpts, pace time.Duration) []chaosResult {
-	results := make([]chaosResult, o.requests)
-	start := time.Now()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < o.conns; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= o.requests {
-					return
-				}
-				if pace > 0 {
-					if wait := time.Until(start.Add(time.Duration(i) * pace)); wait > 0 {
-						time.Sleep(wait)
-					}
-				}
-				req := httpapi.GenRequest{
-					Prompt: "the king", Tokens: o.tokens, Seed: uint64(i + 1),
-				}
-				if i%3 == 0 {
-					req.Session = fmt.Sprintf("sess-%d", i%7)
-				}
-				results[i] = postGenerate(client, base, req)
-			}
-		}()
-	}
-	wg.Wait()
-	return results
 }

@@ -3,55 +3,25 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/failpoint"
-	"repro/internal/grammar"
-	"repro/internal/httpapi"
-	"repro/internal/lm"
-	"repro/internal/mathx"
-	"repro/internal/nn"
+	"repro/internal/fleettest"
 	"repro/internal/router"
-	"repro/internal/serve"
-	"repro/internal/transformer"
 )
 
-// haRouter is one replicated llm-router instance under the director's
-// control: the router core and its HTTP listener on a fixed address, so a
-// killed router can restart on the same URL — the address its peers and
-// the workers' join loops keep dialing.
-type haRouter struct {
-	addr string
-	base string
-	rt   *router.Router
-	hs   *http.Server
-}
-
-// kill is the ungraceful router death: connections severed, loops stopped,
-// no drain, no goodbye to peers or workers.
-func (r *haRouter) kill() {
-	r.hs.Close()
-	r.rt.Close()
-}
-
-// runRouterHAJSON is the router-high-availability chaos harness behind
-// llm-bench -chaos -router-ha (E26). It self-hosts TWO peered routers over
-// one worker fleet — every worker registers with and heartbeats both —
-// then drives a seeded request set twice through a failover client that
-// retries the other router when one refuses or vanishes: once with both
-// routers stable to record reference outputs, once while a director kills
-// router B mid-load, restarts it on the same address, gossips a worker
-// that only B knows first-hand across to A, and partitions the peer-sync
-// channel (failpoints on the send and receive sites). Invariants:
+// runRouterHA is the router-high-availability scenario behind
+// llm-bench -chaos -router-ha (E26): TWO peered routers over one worker
+// fleet — every worker registers with and heartbeats both — the request set
+// driven through a failover client that retries the other router when one
+// refuses or vanishes, once with both routers stable and once while a
+// director kills router B mid-load, restarts it on the same address,
+// gossips a worker that only B knows first-hand across to A, and partitions
+// the peer-sync channel (failpoints on the send and receive sites).
+// Invariants:
 //
 //  1. zero lost requests — every request reaches a terminal outcome and
 //     succeeds: one router's death only costs a client-side failover;
@@ -69,126 +39,41 @@ func (r *haRouter) kill() {
 //  5. identical ledgers after convergence — both routers end with the
 //     same member set, the same leased flags, and the same ring digest
 //     (epochs are local rebuild counters and legitimately differ).
-//
-// Results (outcome tallies, failover counts, recovery timings, divergence
-// and reconvergence timings, per-site fire counts) go to
-// BENCH_chaos_router_ha.json.
-func runRouterHAJSON(dir string, o chaosOpts) error {
-	if o.conns < 1 || o.requests < 1 || o.tokens < 1 {
-		return fmt.Errorf("-conns, -requests and -load-tokens must be positive")
-	}
-	failpoint.Disarm()
-	defer failpoint.Disarm()
+func runRouterHA(dir string, seed uint64) error {
 	const (
-		leaseTTL     = 250 * time.Millisecond
-		hbEvery      = 60 * time.Millisecond
-		syncEvery    = 40 * time.Millisecond
+		baseWorkers  = 3
 		recoverBound = 5 * time.Second
-		settleBound  = 10 * time.Second
 		driveSpan    = 4 * time.Second // chaos-phase pacing window
 	)
-
 	log.Print("training the router-HA fleet transformer")
-	lines := corpus.PCFGText(grammar.TinyEnglish(), 200, 8, mathx.NewRNG(o.seed))
-	model, _, err := core.Train(lines, core.Config{
-		Tokenizer: core.WordTok,
-		Model: transformer.Config{
-			Dim: 16, Layers: 1, Heads: 2, Window: o.tokens + 16,
-			Pos: transformer.PosLearned, Act: nn.GELU,
-		},
-		Steps: 30, Seed: o.seed,
+	f, err := fleettest.NewTransformer(seed)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+
+	// FailThreshold is high so worker liveness is governed by leases (the
+	// replicated state under test); ForgetAfter is long so nothing silently
+	// leaves the ring mid-run.
+	rts, err := f.StartRouters(2, router.Config{
+		MaxAttempts: 4, RetryBackoff: 2 * time.Millisecond,
+		HealthInterval: 20 * time.Millisecond, FailThreshold: 50,
+		RelayTimeout: 5 * time.Second,
+		DefaultLease: fleettest.Lease, ForgetAfter: 30 * time.Second,
+		SyncInterval: 40 * time.Millisecond,
 	})
 	if err != nil {
 		return err
 	}
-	drafter := lm.DistillDrafter(model, 3, 512, o.seed)
-
-	// Reserve both router addresses first: each router's config needs its
-	// peer's URL before either exists.
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
+	rtA, rtB := rts[0], rts[1]
+	doors := []string{rtA.Base, rtB.Base} // two doors: the client fails over
+	converged := func(members int) func() bool {
+		return func() bool { return fleettest.Converged(members, rtA, rtB) }
 	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	urlOf := func(ln net.Listener) string { return "http://" + ln.Addr().String() }
-	baseA, baseB := urlOf(lnA), urlOf(lnB)
-
-	// startRouter serves one peered router on ln. FailThreshold is high so
-	// worker liveness is governed by leases (the replicated state under
-	// test); ForgetAfter is long so nothing silently leaves the ring
-	// mid-run.
-	startRouter := func(ln net.Listener, peer string) (*haRouter, error) {
-		rt, err := router.New(router.Config{
-			MaxAttempts: 4, RetryBackoff: 2 * time.Millisecond,
-			HealthInterval: 20 * time.Millisecond, FailThreshold: 50,
-			RelayTimeout: 5 * time.Second,
-			DefaultLease: leaseTTL, ForgetAfter: 30 * time.Second,
-			Peers: []string{peer}, SyncInterval: syncEvery,
-		}, nil)
-		if err != nil {
-			return nil, err
-		}
-		hs := &http.Server{Handler: rt}
-		go hs.Serve(ln)
-		return &haRouter{addr: ln.Addr().String(), base: urlOf(ln), rt: rt, hs: hs}, nil
-	}
-	rtA, err := startRouter(lnA, baseB)
-	if err != nil {
-		return err
-	}
-	defer rtA.kill()
-	rtB, err := startRouter(lnB, baseA)
-	if err != nil {
-		return err
-	}
-	defer func() { rtB.kill() }()
-
-	client := &http.Client{
-		Timeout:   30 * time.Second,
-		Transport: &http.Transport{MaxIdleConnsPerHost: o.conns + 4},
-	}
-
-	// newWorker starts one llm-serve stack joined to the given routers.
-	newWorker := func(routers []string) (*churnWorker, error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		srv := serve.New(model, serve.Config{
-			MaxBatch: 4, CoalesceWait: time.Millisecond, PrefillChunk: 4,
-			Speculate: 2, Drafter: drafter,
-		})
-		hs := &http.Server{Handler: httpapi.New(srv, nil)}
-		go hs.Serve(ln)
-		base := "http://" + ln.Addr().String()
-		j, err := httpapi.StartJoiner(httpapi.JoinConfig{
-			Routers: routers, Self: base, Lease: leaseTTL, Interval: hbEvery,
-		})
-		if err != nil {
-			hs.Close()
-			srv.Close()
-			return nil, err
-		}
-		return &churnWorker{addr: ln.Addr().String(), base: base, srv: srv, hs: hs, joiner: j}, nil
-	}
-
-	waitUntil := func(what string, bound time.Duration, cond func() bool) error {
-		deadline := time.Now().Add(bound)
-		for !cond() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("timed out after %s waiting for %s", bound, what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		return nil
-	}
-	// leaseAt reads one router's view of one member's lease: present,
-	// leased, and the remaining milliseconds (negative once lapsed).
-	leaseAt := func(rt *router.Router, base string) (present bool, leaseMS int64) {
-		for _, b := range rt.Stats().Backends {
+	// leaseAt reads router A's view of one member's lease: leased, and the
+	// remaining milliseconds (negative once lapsed).
+	leaseAtA := func(base string) (leased bool, leaseMS int64) {
+		for _, b := range rtA.Stats().Backends {
 			if b.Name == base && b.Leased {
 				return true, b.LeaseMS
 			}
@@ -199,68 +84,18 @@ func runRouterHAJSON(dir string, o chaosOpts) error {
 	// Phase 0 — the fleet assembles: three workers join BOTH routers; both
 	// converge on the same three-member ring.
 	log.Print("phase 0: 3 workers joining both routers")
-	const baseWorkers = 3
-	workers := make([]*churnWorker, 0, baseWorkers+1)
-	defer func() {
-		for _, w := range workers {
-			w.kill()
-		}
-	}()
 	for i := 0; i < baseWorkers; i++ {
-		w, err := newWorker([]string{baseA, baseB})
-		if err != nil {
+		if _, err := f.AddWorker(rtA, rtB); err != nil {
 			return err
 		}
-		workers = append(workers, w)
 	}
-	bothConverged := func(members int) func() bool {
-		return func() bool {
-			a, b := rtA.rt.Stats(), rtB.rt.Stats()
-			if a.Members != members || b.Members != members || a.RingDigest != b.RingDigest {
-				return false
-			}
-			for _, st := range [][]router.BackendStats{a.Backends, b.Backends} {
-				for _, bk := range st {
-					if !bk.Healthy {
-						return false
-					}
-				}
-			}
-			return true
-		}
-	}
-	if err := waitUntil("initial fleet registration at both routers", settleBound, bothConverged(baseWorkers)); err != nil {
+	if err := fleettest.WaitUntil("initial fleet registration at both routers", fleettest.SettleBound, converged(baseWorkers)); err != nil {
 		return err
 	}
 
-	waitFleetIdle := func() error {
-		deadline := time.Now().Add(settleBound)
-		for _, w := range workers {
-			for {
-				st := w.srv.Stats()
-				if st.InFlight == 0 && st.Queued == 0 &&
-					st.Requests == st.Completed+st.Cancelled+st.Failed {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("lost requests: worker %s never reconciled: %+v", w.base, st)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-		return nil
-	}
-
-	// Phase 1 — stable reference run through the failover client with both
-	// routers serving.
-	log.Printf("phase 1: stable two-router reference run (%d requests)", o.requests)
-	baseline, _ := driveHA(client, []string{baseA, baseB}, o, 0)
-	for i, r := range baseline {
-		if r.outcome != chaosOK {
-			return fmt.Errorf("stable-run request %d failed (status %d): the baseline must be clean", i, r.status)
-		}
-	}
-	if err := waitFleetIdle(); err != nil {
+	log.Printf("phase 1: stable two-router reference run (%d requests)", requests)
+	baseline, err := reference(f, doors)
+	if err != nil {
 		return err
 	}
 
@@ -279,21 +114,10 @@ func runRouterHAJSON(dir string, o chaosOpts) error {
 		{Site: failpoint.RouterPeerSend, Kind: failpoint.KindError},
 		{Site: failpoint.RouterPeerRecv, Kind: failpoint.KindError},
 	}, mildRules[2:]...)
-	if err := failpoint.Arm(failpoint.Plan{Seed: o.seed, Rules: mildRules}); err != nil {
+	hits := f.PrefixHits()
+	if err := f.Arm(failpoint.Plan{Seed: seed, Rules: mildRules}); err != nil {
 		return err
 	}
-	// Arm replaces the plan and resets its counters, so fire counts are
-	// banked at every transition.
-	var firedMu sync.Mutex
-	fired := map[string]uint64{}
-	bankFired := func() {
-		firedMu.Lock()
-		for site, st := range failpoint.Stats() {
-			fired[site] += st.Fired
-		}
-		firedMu.Unlock()
-	}
-
 	var (
 		recoverReady   time.Duration // router restart -> /healthz 200
 		recoverTraffic time.Duration // router restart -> a request served via it
@@ -301,169 +125,130 @@ func runRouterHAJSON(dir string, o chaosOpts) error {
 		divergeLapse   time.Duration // partition armed -> A's copy lapsed
 		healRevive     time.Duration // partition healed -> A's copy fresh again
 	)
-	dirErr := make(chan error, 1)
-	go func() {
-		dirErr <- func() error {
-			// Let the paced drive establish traffic through both routers.
-			time.Sleep(400 * time.Millisecond)
+	run, failovers, err := driveUnder(f, doors, driveSpan, func() error {
+		// Let the paced drive establish traffic through both routers.
+		time.Sleep(400 * time.Millisecond)
 
-			// Ungraceful router kill: no drain, no deregistration relay.
-			// Clients fail over; workers keep heartbeating the survivor.
-			log.Printf("director: killing router B (%s)", baseB)
-			rtB.kill()
-			time.Sleep(300 * time.Millisecond)
+		// Ungraceful router kill: no drain, no deregistration relay.
+		// Clients fail over; workers keep heartbeating the survivor.
+		log.Printf("director: killing router B (%s)", rtB.Base)
+		rtB.Kill()
+		time.Sleep(300 * time.Millisecond)
 
-			// Restart on the same address: B comes back empty, gates
-			// readiness on its initial anti-entropy round, and relearns the
-			// fleet from A plus the workers' own heartbeats.
-			log.Print("director: restarting router B on its old address")
-			restartAt := time.Now()
-			lnB2, err := net.Listen("tcp", rtB.addr)
+		// Restart on the same address: B comes back empty, gates readiness
+		// on its initial anti-entropy round, and relearns the fleet from A
+		// plus the workers' own heartbeats.
+		log.Print("director: restarting router B on its old address")
+		restartAt := time.Now()
+		if err := rtB.Restart(); err != nil {
+			return fmt.Errorf("restarting router B: %w", err)
+		}
+		if err := fleettest.WaitUntil("restarted router readiness", recoverBound, func() bool {
+			resp, err := f.Client.Get(rtB.Base + "/healthz")
 			if err != nil {
-				return fmt.Errorf("rebinding router B: %w", err)
+				return false
 			}
-			reborn, err := startRouter(lnB2, baseA)
-			if err != nil {
-				return err
-			}
-			rtB = reborn
-			if err := waitUntil("restarted router readiness", recoverBound, func() bool {
-				resp, err := client.Get(baseB + "/healthz")
-				if err != nil {
-					return false
-				}
-				resp.Body.Close()
-				return resp.StatusCode == http.StatusOK
-			}); err != nil {
-				return err
-			}
-			recoverReady = time.Since(restartAt)
-			if err := waitUntil("restarted router serving traffic", recoverBound, func() bool {
-				r := postGenerate(client, baseB, httpapi.GenRequest{
-					Prompt: "the king", Tokens: 2, Seed: 1,
-				})
-				return r.outcome == chaosOK
-			}); err != nil {
-				return err
-			}
-			recoverTraffic = time.Since(restartAt)
-			if err := waitUntil("restarted router reconverging", recoverBound, bothConverged(baseWorkers)); err != nil {
-				return err
-			}
+			resp.Body.Close()
+			return resp.StatusCode == http.StatusOK
+		}); err != nil {
+			return err
+		}
+		recoverReady = time.Since(restartAt)
+		probe := fleettest.Request(0)
+		probe.Tokens, probe.Session = 2, ""
+		if err := fleettest.WaitUntil("restarted router serving traffic", recoverBound, func() bool {
+			return f.Post(rtB.Base, probe).Outcome == fleettest.OK
+		}); err != nil {
+			return err
+		}
+		recoverTraffic = time.Since(restartAt)
+		if err := fleettest.WaitUntil("restarted router reconverging", recoverBound, converged(baseWorkers)); err != nil {
+			return err
+		}
 
-			// Gossip-only membership: a 4th worker registers ONLY at B; A
-			// may learn it exclusively through peer sync, and must then keep
-			// its lease fresh on gossiped renewals alone.
-			log.Print("director: cold-joining a worker at router B only")
-			joinAt := time.Now()
-			w4, err := newWorker([]string{baseB})
-			if err != nil {
-				return fmt.Errorf("gossip-only join: %w", err)
-			}
-			workers = append(workers, w4)
-			if err := waitUntil("gossiped member appearing at router A", recoverBound, func() bool {
-				present, leaseMS := leaseAt(rtA.rt, w4.base)
-				return present && leaseMS > 0
-			}); err != nil {
-				return err
-			}
-			gossipJoin = time.Since(joinAt)
+		// Gossip-only membership: a 4th worker registers ONLY at B; A may
+		// learn it exclusively through peer sync, and must then keep its
+		// lease fresh on gossiped renewals alone.
+		log.Print("director: cold-joining a worker at router B only")
+		joinAt := time.Now()
+		w4, err := f.AddWorker(rtB)
+		if err != nil {
+			return fmt.Errorf("gossip-only join: %w", err)
+		}
+		if err := fleettest.WaitUntil("gossiped member appearing at router A", recoverBound, func() bool {
+			leased, leaseMS := leaseAtA(w4.Base)
+			return leased && leaseMS > 0
+		}); err != nil {
+			return err
+		}
+		gossipJoin = time.Since(joinAt)
 
-			// Partition the peer-sync channel completely. A's only source
-			// of w4 renewals is gone: its copy of the lease must lapse —
-			// honest divergence, not a silent stale member.
-			log.Print("director: partitioning peer sync")
-			bankFired()
-			if err := failpoint.Arm(failpoint.Plan{Seed: o.seed + 1, Rules: partitionRules}); err != nil {
-				return err
-			}
-			partitionAt := time.Now()
-			if err := waitUntil("partitioned router A's gossip lease lapsing", recoverBound, func() bool {
-				present, leaseMS := leaseAt(rtA.rt, w4.base)
-				return present && leaseMS < 0
-			}); err != nil {
-				return err
-			}
-			divergeLapse = time.Since(partitionAt)
+		// Partition the peer-sync channel completely. A's only source of
+		// w4 renewals is gone: its copy of the lease must lapse — honest
+		// divergence, not a silent stale member.
+		log.Print("director: partitioning peer sync")
+		if err := f.Arm(failpoint.Plan{Seed: seed + 1, Rules: partitionRules}); err != nil {
+			return err
+		}
+		partitionAt := time.Now()
+		if err := fleettest.WaitUntil("partitioned router A's gossip lease lapsing", recoverBound, func() bool {
+			leased, leaseMS := leaseAtA(w4.Base)
+			return leased && leaseMS < 0
+		}); err != nil {
+			return err
+		}
+		divergeLapse = time.Since(partitionAt)
 
-			// Heal: back to the mild plan. Anti-entropy resumes and A's
-			// copy of w4 must come back to life without any re-register.
-			log.Print("director: healing the partition")
-			bankFired()
-			if err := failpoint.Arm(failpoint.Plan{Seed: o.seed + 2, Rules: mildRules}); err != nil {
-				return err
-			}
-			healAt := time.Now()
-			if err := waitUntil("healed gossip reviving the lease at A", recoverBound, func() bool {
-				present, leaseMS := leaseAt(rtA.rt, w4.base)
-				return present && leaseMS > 0
-			}); err != nil {
-				return err
-			}
-			healRevive = time.Since(healAt)
-			return nil
-		}()
-	}()
-
-	haResults, failovers := driveHA(client, []string{baseA, baseB}, o, driveSpan/time.Duration(o.requests))
-	if err := <-dirErr; err != nil {
+		// Heal: back to the mild plan. Anti-entropy resumes and A's copy of
+		// w4 must come back to life without any re-register.
+		log.Print("director: healing the partition")
+		if err := f.Arm(failpoint.Plan{Seed: seed + 2, Rules: mildRules}); err != nil {
+			return err
+		}
+		healAt := time.Now()
+		if err := fleettest.WaitUntil("healed gossip reviving the lease at A", recoverBound, func() bool {
+			leased, leaseMS := leaseAtA(w4.Base)
+			return leased && leaseMS > 0
+		}); err != nil {
+			return err
+		}
+		healRevive = time.Since(healAt)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	bankFired()
-	failpoint.Disarm()
+	f.Disarm()
+	fired, totalFired := f.Fired()
+	hits = f.PrefixHits() - hits
 
-	// Invariant 1: zero lost requests — a router death is a failover, never
-	// a failure the client sees.
-	var nOK, nFailed, nSevered, nMismatch int
-	for i, r := range haResults {
-		switch r.outcome {
-		case chaosOK:
-			nOK++
-			if r.completion != baseline[i].completion {
-				nMismatch++
-				log.Printf("BITWISE MISMATCH request %d: %q != %q", i, r.completion, baseline[i].completion)
-			}
-		case chaosFailed:
-			nFailed++
-			log.Printf("request %d failed with status %d", i, r.status)
-		case chaosSevered:
-			nSevered++
-			log.Printf("request %d severed", i)
-		}
+	// Invariants 1 and 2: a router death is a failover, never a failure the
+	// client sees, and every completion is bitwise intact. Invariant 3 was
+	// enforced by the director's bounded waits; the timings go to the
+	// report.
+	tally, err := judge(baseline, run, true, hits)
+	if err != nil {
+		return err
 	}
-	if nOK != o.requests {
-		return fmt.Errorf("lost requests across the router kill: %d ok + %d failed + %d severed != %d sent all-ok",
-			nOK, nFailed, nSevered, o.requests)
-	}
-	// Invariant 2: survivors bitwise intact.
-	if nMismatch > 0 {
-		return fmt.Errorf("%d HA-phase completions diverged from the stable run", nMismatch)
-	}
-	// Invariant 3: bounded recovery (already enforced by the waits; the
-	// timings go to the report).
 	// The kill must actually have cost somebody a failover, and the chaos
 	// plans must have fired.
 	if failovers == 0 {
 		return fmt.Errorf("no request ever failed over: the router kill was invisible and proved nothing")
 	}
-	var totalFired uint64
-	for _, n := range fired {
-		totalFired += n
-	}
 	if totalFired == 0 {
-		return fmt.Errorf("no fault fired at seed %d; the HA run proved nothing", o.seed)
+		return fmt.Errorf("no fault fired at seed %d; the HA run proved nothing", seed)
 	}
 
 	// Invariant 5: identical ledgers after convergence — same members, same
 	// leased flags, same ring digest, both ready.
-	if err := waitUntil("final two-router convergence", settleBound, bothConverged(baseWorkers+1)); err != nil {
+	if err := fleettest.WaitUntil("final two-router convergence", fleettest.SettleBound, converged(baseWorkers+1)); err != nil {
 		return err
 	}
-	if err := waitFleetIdle(); err != nil {
+	if err := f.WaitIdle(); err != nil {
 		return err
 	}
-	ledger := func(rt *router.Router) string {
-		st := rt.Stats()
+	stA, stB := rtA.Stats(), rtB.Stats()
+	ledger := func(st router.Stats) string {
 		rows := make([]string, 0, len(st.Backends))
 		for _, b := range st.Backends {
 			rows = append(rows, fmt.Sprintf("%s leased=%v", b.Name, b.Leased))
@@ -471,19 +256,18 @@ func runRouterHAJSON(dir string, o chaosOpts) error {
 		sort.Strings(rows)
 		return strings.Join(rows, "\n") + "\ndigest=" + st.RingDigest
 	}
-	la, lb := ledger(rtA.rt), ledger(rtB.rt)
-	if la != lb {
+	if la, lb := ledger(stA), ledger(stB); la != lb {
 		return fmt.Errorf("membership ledgers diverge after convergence:\nrouter A:\n%s\nrouter B:\n%s", la, lb)
 	}
 
-	stA, stB := rtA.rt.Stats(), rtB.rt.Stats()
-	metrics := map[string]float64{
+	err = writeRecord(dir, "chaos_router_ha", map[string]int{"routers": 2, "workers": baseWorkers + 1}, map[string]float64{
 		"baseline_ok":        float64(len(baseline)),
-		"ha_ok":              float64(nOK),
-		"ha_failed":          float64(nFailed),
-		"ha_severed":         float64(nSevered),
+		"ha_ok":              float64(tally.OK),
+		"ha_failed":          float64(tally.Failed),
+		"ha_severed":         float64(tally.Severed),
 		"failovers":          float64(failovers),
-		"bitwise_mismatches": float64(nMismatch),
+		"bitwise_mismatches": float64(len(tally.Mismatched)),
+		"prefix_hits":        float64(hits),
 		"recover_ready_ms":   ms(recoverReady),
 		"recover_traffic_ms": ms(recoverTraffic),
 		"gossip_join_ms":     ms(gossipJoin),
@@ -493,84 +277,13 @@ func runRouterHAJSON(dir string, o chaosOpts) error {
 		"router_a_syncs_in":  float64(stA.SyncsIn),
 		"router_b_syncs_in":  float64(stB.SyncsIn),
 		"faults_fired":       float64(totalFired),
-	}
-	for site, n := range fired {
-		metrics["fired_"+strings.ReplaceAll(site, "/", "_")] = float64(n)
-	}
-
-	res := perfResult{
-		Bench: "chaos_router_ha",
-		Shape: map[string]int{
-			"routers": 2, "workers": baseWorkers + 1, "conns": o.conns,
-			"requests": o.requests, "tokens": o.tokens,
-		},
-		Reps:     o.requests,
-		Metrics:  metrics,
-		UnixTime: time.Now().Unix(),
-	}
-	if err := writeBench(filepath.Join(dir, "BENCH_chaos_router_ha.json"), res); err != nil {
+	}, fired)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("router-ha: %d requests → %d ok, 0 lost, 0 bitwise mismatches across a router kill (%d failovers); %d faults fired\n",
-		o.requests, nOK, failovers, totalFired)
+	fmt.Printf("router-ha: %d requests → %d ok, 0 lost, 0 bitwise mismatches across a router kill (%d failovers); %d faults fired, prefix_hits %d\n",
+		requests, tally.OK, failovers, totalFired, hits)
 	fmt.Printf("recovery: ready %.0fms, traffic %.0fms after restart; gossip join %.0fms, partition lapse %.0fms, heal revive %.0fms; ledgers identical (digest %s)\n",
 		ms(recoverReady), ms(recoverTraffic), ms(gossipJoin), ms(divergeLapse), ms(healRevive), stA.RingDigest)
 	return nil
-}
-
-// driveHA issues the seeded request set through o.conns concurrent clients
-// against a replicated router tier. Each request prefers one router
-// (alternating by index, so both carry traffic) and fails over to the
-// others on a severed connection or a refusal (429/5xx) — the client-side
-// half of router HA. failovers counts requests that needed more than their
-// preferred router. A non-zero pace spreads request starts so the run
-// spans the director's schedule.
-func driveHA(client *http.Client, bases []string, o chaosOpts, pace time.Duration) (results []chaosResult, failovers int) {
-	results = make([]chaosResult, o.requests)
-	var nFailover atomic.Int64
-	start := time.Now()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < o.conns; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= o.requests {
-					return
-				}
-				if pace > 0 {
-					if wait := time.Until(start.Add(time.Duration(i) * pace)); wait > 0 {
-						time.Sleep(wait)
-					}
-				}
-				req := httpapi.GenRequest{
-					Prompt: "the king", Tokens: o.tokens, Seed: uint64(i + 1),
-				}
-				if i%3 == 0 {
-					req.Session = fmt.Sprintf("sess-%d", i%7)
-				}
-				// Two passes over the replicas, preferred router first:
-				// enough to ride out one router being down plus a transient
-				// refusal at the survivor. Any request that went past its
-				// preferred router counts as one failover.
-				var r chaosResult
-				for attempt := 0; attempt < 2*len(bases); attempt++ {
-					base := bases[(i+attempt)%len(bases)]
-					r = postGenerate(client, base, req)
-					if r.outcome == chaosOK {
-						if attempt > 0 {
-							nFailover.Add(1)
-						}
-						break
-					}
-					time.Sleep(10 * time.Millisecond)
-				}
-				results[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	return results, int(nFailover.Load())
 }

@@ -3,7 +3,8 @@
 // exists as a package (rather than code private to cmd/llm-serve) because
 // three parties must agree on the wire contract: the worker binary, the
 // llm-router tier that proxies and health-checks workers, and the
-// llm-bench -load generator that self-hosts worker fleets in-process.
+// self-hosted fleets (internal/fleettest, bench/) that run worker stacks
+// in-process.
 //
 // Endpoints:
 //

@@ -545,7 +545,6 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 			}
 		}
 		if rt.tryBackend(w, r, cands[i], path, body, stream, remaining) {
-			rt.nProxied.Add(1)
 			return
 		}
 	}
@@ -639,6 +638,9 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *backend,
 		return false
 	}
 	b.markSuccess()
+	// Counted before the first byte is relayed — count, then reply — so a
+	// client holding its answer never reads Stats without it.
+	rt.nProxied.Add(1)
 
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)

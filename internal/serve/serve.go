@@ -435,15 +435,33 @@ func (s *Server) track(p *pending) {
 
 // reply delivers p's terminal outcome and drops it from the watchdog
 // registry — the single exit point that keeps "exactly one terminal
-// outcome per accepted request" true.
-func (s *Server) reply(p *pending, o outcome) {
+// outcome per accepted request" true, and therefore the single accounting
+// point: terminal charges the outcome to its counter (a panic is split out
+// here) before the reply is delivered, so a caller holding its answer never
+// reads Stats with the request still in flight.
+func (s *Server) reply(p *pending, o outcome, terminal func(*Stats)) {
 	if s.watch != nil {
 		s.wmu.Lock()
 		delete(s.watch, p)
 		s.wmu.Unlock()
 	}
+	var pe *PanicError
+	isPanic := errors.As(o.err, &pe)
+	s.mu.Lock()
+	terminal(&s.stats)
+	if isPanic {
+		s.stats.Panics++
+	}
+	s.mu.Unlock()
 	p.done <- o
 }
+
+// The terminal counters a reply charges.
+func completed(st *Stats) { st.Completed++ }
+func cancelled(st *Stats) { st.Cancelled++ }
+func failed(st *Stats)    { st.Failed++ }
+func deadlined(st *Stats) { st.Failed++; st.Deadlined++ }
+func stalled(st *Stats)   { st.Failed++; st.Stalled++ }
 
 // prepare wraps the caller's context with the request's teardown handles:
 // a cancel-with-cause hook for the watchdog and, when the request or server
@@ -472,17 +490,14 @@ func (s *Server) settle(p *pending) error {
 	cause := context.Cause(p.ctx)
 	switch {
 	case errors.Is(cause, ErrDeadline):
-		s.reply(p, outcome{err: ErrDeadline})
-		s.count(func(st *Stats) { st.Failed++; st.Deadlined++ })
+		s.reply(p, outcome{err: ErrDeadline}, deadlined)
 		return ErrDeadline
 	case errors.Is(cause, ErrStalled):
-		s.reply(p, outcome{err: ErrStalled})
-		s.count(func(st *Stats) { st.Failed++; st.Stalled++ })
+		s.reply(p, outcome{err: ErrStalled}, stalled)
 		return ErrStalled
 	default:
 		err := p.ctx.Err()
-		s.reply(p, outcome{err: err})
-		s.count(func(st *Stats) { st.Cancelled++ })
+		s.reply(p, outcome{err: err}, cancelled)
 		return err
 	}
 }
@@ -575,8 +590,7 @@ func (s *Server) enqueue(ctx context.Context, p *pending) error {
 	case <-ctx.Done():
 		return s.settle(p)
 	case <-s.quit:
-		s.reply(p, outcome{err: ErrClosed})
-		s.count(func(st *Stats) { st.Failed++ })
+		s.reply(p, outcome{err: ErrClosed}, failed)
 		return ErrClosed
 	}
 }
@@ -853,8 +867,7 @@ func (s *Server) loop() {
 			s.evicted = 0
 			s.count(func(st *Stats) { st.PrefixBlocks = 0 })
 			for _, lr := range active {
-				s.reply(lr.p, outcome{err: fmt.Errorf("serve: batched step failed: %w", err)})
-				s.countFailure(err)
+				s.reply(lr.p, outcome{err: fmt.Errorf("serve: batched step failed: %w", err)}, failed)
 			}
 			active = active[:0]
 			continue
@@ -969,21 +982,7 @@ func (s *Server) evict(bp batchPredictor, lr *liveReq, err error) {
 		defer func() { recover() }()
 		bp.Drop(lr.slot)
 	}()
-	s.reply(lr.p, outcome{err: err})
-	s.countFailure(err)
-}
-
-// countFailure charges one terminal failure, splitting out the panic
-// counter the chaos harness asserts on.
-func (s *Server) countFailure(err error) {
-	var pe *PanicError
-	isPanic := errors.As(err, &pe)
-	s.count(func(st *Stats) {
-		st.Failed++
-		if isPanic {
-			st.Panics++
-		}
-	})
+	s.reply(lr.p, outcome{err: err}, failed)
 }
 
 // slotTarget adapts one BatchedPredictor sequence to the single-sequence
@@ -1042,8 +1041,7 @@ func (s *Server) admit(bp batchPredictor, active *[]*liveReq, p *pending) {
 	}
 	ids, err := s.model.EncodePrompt(p.req.Prompt, p.req.MaxTokens)
 	if err != nil {
-		s.reply(p, outcome{err: err})
-		s.count(func(st *Stats) { st.Failed++ })
+		s.reply(p, outcome{err: err}, failed)
 		return
 	}
 	strat := p.req.Strategy
@@ -1105,16 +1103,14 @@ func (s *Server) coalesce(bp batchPredictor, active *[]*liveReq) {
 
 // finish decodes a completed request and replies.
 func (s *Server) finish(lr *liveReq) {
-	s.reply(lr.p, outcome{res: lm.Finish(s.backend, lr.dec.Tokens(), lr.p.req.Options())})
-	s.count(func(st *Stats) { st.Completed++ })
+	s.reply(lr.p, outcome{res: lm.Finish(s.backend, lr.dec.Tokens(), lr.p.req.Options())}, completed)
 }
 
 // shutdown fails the active batch and drains the queue.
 func (s *Server) shutdown(bp batchPredictor, active []*liveReq) {
 	for _, lr := range active {
 		bp.Drop(lr.slot)
-		s.reply(lr.p, outcome{err: ErrClosed})
-		s.count(func(st *Stats) { st.Failed++ })
+		s.reply(lr.p, outcome{err: ErrClosed}, failed)
 	}
 	s.drainQueue()
 }
@@ -1124,8 +1120,7 @@ func (s *Server) drainQueue() {
 	for {
 		select {
 		case p := <-s.queue:
-			s.reply(p, outcome{err: ErrClosed})
-			s.count(func(st *Stats) { st.Failed++ })
+			s.reply(p, outcome{err: ErrClosed}, failed)
 		default:
 			return
 		}
@@ -1181,13 +1176,11 @@ func (s *Server) serveSingle(p *pending) {
 	res, err := s.trySingle(p, onTok)
 	switch {
 	case err == nil:
-		s.reply(p, outcome{res: res})
-		s.count(func(st *Stats) { st.Completed++ })
+		s.reply(p, outcome{res: res}, completed)
 	case p.ctx.Err() != nil:
 		s.settle(p)
 	default:
-		s.reply(p, outcome{err: err})
-		s.countFailure(err)
+		s.reply(p, outcome{err: err}, failed)
 	}
 }
 

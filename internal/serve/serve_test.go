@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -277,4 +278,32 @@ func TestGenerateUnknownPromptTokens(t *testing.T) {
 	if want, _ := m.Generate("the king!", 3, sample.Greedy{}, 0); out != want {
 		t.Fatalf("%q != %q", out, want)
 	}
+}
+
+// TestStatsCountBeforeReply pins the accounting order: a terminal counter is
+// bumped before the reply is delivered, so the instant a call returns Stats
+// already holds its outcome — at least as many terminal outcomes as calls
+// that have returned.
+func TestStatsCountBeforeReply(t *testing.T) {
+	m := testLLM(t)
+	s := New(m, Config{MaxBatch: 4, CoalesceWait: time.Millisecond})
+	defer s.Close()
+	const n = 32
+	var returned atomic.Uint64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Generate(context.Background(), "the king", 1+i%3, sample.Greedy{}, uint64(i)); err != nil {
+				t.Error(err)
+			}
+			back := returned.Add(1)
+			st := s.Stats()
+			if done := st.Completed + st.Cancelled + st.Failed; done < back {
+				t.Errorf("%d calls have returned but Stats counts %d terminal outcomes", back, done)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
