@@ -6,14 +6,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// packedMat is one projection compiled for single-token inference: the
-// weight matrix transposed to output-major and then packed sixteen output
-// rows at a time into the element-interleaved layout mathx.DotInterleaved16
-// consumes (block b stores rows 16b..16b+15; within a block, element i of
-// all sixteen rows is contiguous). Leftover rows (rows % 16) stay in plain
+// packedMat is one projection compiled for inference: the weight matrix
+// transposed to output-major and then packed sixteen output rows at a time
+// into the element-interleaved layout mathx.DotInterleaved16 consumes
+// (block b stores rows 16b..16b+15; within a block, element i of all
+// sixteen rows is contiguous). Leftover rows (rows % 16) stay in plain
 // transposed row-major form and are reduced with sequential mathx.Dot
 // calls. Both paths accumulate every output in ascending input order, so a
-// packed matVec is bitwise identical to the training-layout loop it
+// packed product is bitwise identical to the training-layout loop it
 // replaces.
 type packedMat struct {
 	rows, cols int
@@ -43,32 +43,15 @@ func packMat(wT *tensor.Tensor) *packedMat {
 	return pm
 }
 
-// matVec writes wT·x into dst (len rows), one interleaved block — sixteen
-// outputs — per kernel call.
-func (pm *packedMat) matVec(dst, x []float64) {
-	nb := pm.rows / 16
-	for b := 0; b < nb; b++ {
-		mathx.DotInterleaved16((*[16]float64)(dst[b*16:b*16+16]),
-			pm.blocks[b*pm.cols*16:(b+1)*pm.cols*16], x)
-	}
-	if pm.tail != nil {
-		base := nb * 16
-		for r := 0; r < pm.tail.Shape[0]; r++ {
-			dst[base+r] = mathx.Dot(pm.tail.Row(r), x)
-		}
-	}
-}
-
-// matMat is the batch (matrix-matrix) form of matVec: it writes wT·x_r into
-// row r of dst for every row of xs (dst is rows×pm.rows, xs is rows×pm.cols).
-// Weight blocks form the outer loop and batch rows the inner loop, so each
-// packed block is streamed from memory once per four-row group instead of
-// once per row — the locality shift that makes both chunked prefill and
-// the cross-sequence decode step matrix-matrix operations. Rows are
-// processed four per weight stream through the fused X4 kernel (then two,
-// then one for the remainder). Per row the arithmetic is exactly matVec's
-// (same lanes, same ascending accumulation), so results are bitwise
-// identical to row-by-row matVec calls at any row count and any grouping.
+// matMat writes wT·x_r into row r of dst for every row of xs (dst is
+// rows×pm.rows, xs is rows×pm.cols), sixteen outputs per kernel call. Weight
+// blocks form the outer loop and rows the inner loop, so each packed block
+// is streamed from memory once per four-row group instead of once per row —
+// the locality that makes chunked prefill and the cross-sequence decode step
+// matrix-matrix operations. Rows are processed four per weight stream
+// through the fused X4 kernel (then two, then one for the remainder). Per
+// row and lane the arithmetic is one ascending accumulation whatever the
+// grouping, so results are bitwise identical at any row count.
 //
 // Large products fan out across GOMAXPROCS along whichever axis offers
 // more parallelism while preserving the fused streaming: four-row groups
@@ -76,7 +59,9 @@ func (pm *packedMat) matVec(dst, x []float64) {
 // chunks) when there are at least as many groups as blocks, weight blocks
 // (each owns a disjoint sixteen-column stripe of dst, streamed exactly
 // once — tall projections over small batches) otherwise. Workers never
-// share outputs either way.
+// share outputs either way. A single row — Predictor.Append, whose
+// steady state must not allocate the fan-out's closure — always runs
+// serially.
 func (pm *packedMat) matMat(dst, xs *tensor.Tensor) {
 	rows := xs.Shape[0]
 	nb := pm.rows / 16
@@ -90,7 +75,7 @@ func (pm *packedMat) matMat(dst, xs *tensor.Tensor) {
 				pm.matMatBlock(b, dst, xs, lo, min(lo+4, rows))
 			}
 		})
-	case parallelRows(nb, work):
+	case rows > 1 && parallelRows(nb, work):
 		rowParallel(nb, func(b int) { pm.matMatBlock(b, dst, xs, 0, rows) })
 	default:
 		for b := 0; b < nb; b++ {
@@ -132,11 +117,11 @@ func (pm *packedMat) matMatBlock(b int, dst, xs *tensor.Tensor, lo, hi int) {
 	}
 }
 
-// compiledLayer is one block's weights packed for single-token inference.
-// The Q/K/V projections of all heads are stacked into one Dim-output matrix
-// each, rows grouped head-major: output h·hd+r is output r of head h, so a
-// single packed matVec produces the concatenated per-head vectors the
-// attention step consumes.
+// compiledLayer is one block's weights packed for inference. The Q/K/V
+// projections of all heads are stacked into one Dim-output matrix each,
+// rows grouped head-major: output h·hd+r is output r of head h, so a single
+// packed sweep produces the concatenated per-head vectors the attention
+// step consumes.
 type compiledLayer struct {
 	wq, wk, wv *packedMat // Dim outputs each, head-stacked
 	wo         *packedMat // Dim outputs

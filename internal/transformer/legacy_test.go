@@ -1,7 +1,9 @@
 package transformer
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/mathx"
@@ -191,33 +193,119 @@ func legacyFFN(f *nn.FFN, x []float64) []float64 {
 	return out
 }
 
-// TestCompiledPredictorMatchesLegacyBitwise drives the compiled fast path
-// and the preserved pre-compile implementation over identical token streams
+// actScalar is the reference's scalar activation; the kernel's vectorized
+// actInto must equal it bitwise, element by element.
+func actScalar(a nn.Activation, x float64) float64 {
+	switch a {
+	case nn.ReLU:
+		if x > 0 {
+			return x
+		}
+		return 0
+	case nn.Tanh:
+		return math.Tanh(x)
+	case nn.GELU:
+		return mathx.GELU(x)
+	default:
+		panic("transformer: unknown activation")
+	}
+}
+
+// TestCompiledPredictorMatchesLegacyBitwise drives the row-pass kernel and
+// the preserved pre-compile implementation over identical token streams
 // across every positional scheme, norm order, and the sparse mask: logits
-// must agree bitwise at every step, not just within tolerance — the whole
-// fast path is layout and reuse changes, never arithmetic changes.
+// must agree bitwise at every position, not just within tolerance — the whole
+// fast path is layout and reuse changes, never arithmetic changes. Predictor
+// and BatchedPredictor share the kernel, so tests that compare them compare it
+// with itself; this table is where every entry point meets the reference.
+// The last two configs have sixteen-wide heads (the DotInterleaved16 value
+// sum) and windows that cross full key-pack blocks plus a partial tail; the
+// last is the serving benchmark's shape, whose 32- and 64-row chunks take
+// matMat's block-parallel and quad-parallel branches (run it under -race).
 func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // matMat fans out only with ≥ 2 workers
+	}
 	for _, cfg := range []Config{
 		{Vocab: 23, Dim: 16, Layers: 2, Heads: 2, Window: 14, Pos: PosLearned, Act: nn.GELU},
 		{Vocab: 23, Dim: 16, Layers: 1, Heads: 4, Window: 14, Pos: PosSinusoidal, Act: nn.ReLU},
 		{Vocab: 23, Dim: 16, Layers: 2, Heads: 2, Window: 14, Pos: PosNone, Act: nn.Tanh, PostNorm: true},
 		{Vocab: 23, Dim: 16, Layers: 2, Heads: 2, Window: 14, Pos: PosLearned, Act: nn.GELU, SparseStride: 3},
+		{Vocab: 23, Dim: 32, Layers: 2, Heads: 2, Window: 50, Pos: PosLearned, Act: nn.GELU},
+		{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 150, Pos: PosSinusoidal, Act: nn.GELU},
 	} {
 		m := MustNew(cfg, mathx.NewRNG(77))
 		rng := mathx.NewRNG(78)
-		fast := m.NewPredictor()
+		tag := func(s string) string { return fmt.Sprintf("cfg %+v: %s", cfg, s) }
+		// The reference: one window-long stream, want[i] the logits after toks[i].
+		toks := make([]int, cfg.Window)
+		want := make([][]float64, cfg.Window)
 		slow := newLegacyPredictor(m)
-		for step := 0; step < cfg.Window; step++ {
-			id := rng.Intn(cfg.Vocab)
-			got := fast.Append(id)
-			want := slow.Append(id)
-			for o := range want {
-				if got[o] != want[o] {
-					t.Fatalf("cfg %+v step %d logit %d: compiled %v != legacy %v",
-						cfg, step, o, got[o], want[o])
-				}
+		for i := range toks {
+			toks[i] = rng.Intn(cfg.Vocab)
+			want[i] = slow.Append(toks[i])
+		}
+
+		// (a) Append, token by token.
+		fast := m.NewPredictor()
+		for i, id := range toks {
+			bitsEqual(t, tag("append"), fast.Append(id), want[i])
+		}
+
+		// (b) Extend in ragged chunks, clipped to the window.
+		fast = m.NewPredictor()
+		for _, n := range []int{1, 15, 16, 17, 32, 64, cfg.Window} {
+			lo, hi := fast.Len(), min(fast.Len()+n, cfg.Window)
+			if lo < hi {
+				bitsEqual(t, tag("extend"), fast.Extend(toks[lo:hi]), want[hi-1])
 			}
 		}
+
+		// (c) A 3-wide Step over sequences prefilled to different lengths.
+		bp := m.NewBatchedPredictor()
+		lens := []int{1, cfg.Window / 3, cfg.Window / 2}
+		ids := make([]int, len(lens))
+		next := make([]int, len(lens))
+		for i, l := range lens {
+			ids[i] = bp.Add()
+			bitsEqual(t, tag("prefill"), bp.Prefill(ids[i], toks[:l]), want[l-1])
+		}
+		for lens[2] < cfg.Window {
+			for i, l := range lens {
+				next[i] = toks[l]
+			}
+			for i, row := range bp.Step(ids, next) {
+				bitsEqual(t, tag("step"), row, want[lens[i]])
+				lens[i]++
+			}
+		}
+
+		// (d) PrefillAll: row r is the reference's r-th Append.
+		id := bp.Add()
+		for _, span := range [][2]int{{0, 5}, {5, cfg.Window}} {
+			for r, row := range bp.PrefillAll(id, toks[span[0]:span[1]]) {
+				bitsEqual(t, tag("prefillall"), row, want[span[0]+r])
+			}
+		}
+
+		// (e) Rewind over rows and pack lanes holding other tokens, then re-feed.
+		a := cfg.Window / 2
+		junk := make([]int, cfg.Window-a)
+		for i := range junk {
+			junk[i] = (toks[a+i] + 1) % cfg.Vocab
+		}
+		fast = m.NewPredictor()
+		fast.Extend(toks[:a])
+		fast.ExtendAll(junk)
+		fast.Rewind(len(junk))
+		bitsEqual(t, tag("rewind/append"), fast.Append(toks[a]), want[a])
+		for r, row := range fast.ExtendAll(toks[a+1:]) {
+			bitsEqual(t, tag("rewind/extendall"), row, want[a+1+r])
+		}
+		bp.Rewind(id, cfg.Window-a)
+		bp.PrefillAll(id, junk)
+		bp.Rewind(id, len(junk))
+		bitsEqual(t, tag("rewind/step"), bp.Step([]int{id}, toks[a:a+1])[0], want[a])
 	}
 }
 

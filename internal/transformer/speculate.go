@@ -1,32 +1,22 @@
 package transformer
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
-
 // This file is the transformer side of speculative decoding: a verification
-// pass that scores a whole block of drafted tokens in one chunked
-// matrix-matrix sweep (ExtendAll / PrefillAll), and cache truncation
-// (Rewind) that un-ingests the drafted suffix a verifier rejects.
+// pass that scores a whole block of drafted tokens at once (ExtendAll /
+// PrefillAll: a chunk pass with a logits row per position), and cache
+// truncation (Rewind) that un-ingests the drafted suffix a verifier rejects.
 //
 // Rewind is a plain length decrement — no KV rows or interleaved key-pack
-// lanes are cleared — and is still bitwise-exact, because stale state beyond
-// the valid length is provably never read before being overwritten:
-//
-//   - Decode (Append/Step) at position pos scores keys [0, pos] only. The
-//     packed score path reads full sixteen-row blocks up to
-//     nb = (pos+1)/16 — every lane of those blocks holds a position ≤ pos —
-//     and finishes the tail from the position-major key rows, also bounded
-//     by pos. A stale lane lives strictly beyond pos and is skipped.
-//   - A chunk pass (Extend/Prefill/ExtendAll) starting at position start
-//     first rewrites rows [start, start+rows) of the key/value caches and
-//     their pack lanes, then scores causally with full-block reads capped at
-//     nFull = (start+rows)/16 — again never past the chunk's own frontier.
-//   - Writes are position-addressed (kc.Row(pos), lane pos&15 of block
-//     pos>>4), so re-ingesting position p after a rewind lands exactly where
-//     the stale value sat, replacing it before any read.
+// lanes are cleared — and is still bitwise-exact, because state beyond a
+// sequence's length is never read before it is overwritten. Every pass
+// (rowPass, prefill.go) appending rows at positions [start, start+R) of a
+// state first writes those rows of the key/value caches and their pack
+// lanes, position-addressed (kc.Row(pos), lane pos&15 of block pos>>4), so
+// re-ingesting position p lands exactly where the stale value sat. It then
+// scores each row over [0, pos] only: whole pack blocks below
+// nFull = (start+R)/16, every lane of which is a position < start+R the
+// state now holds, and the tail from position-major rows up to pos. A decode
+// step is the case R = 1, nFull = (pos+1)/16. A stale row or lane lives at a
+// position ≥ start+R and is skipped.
 //
 // The rewind property test in rewind_test.go checks this bit for bit against
 // predictors rebuilt from scratch, across window-boundary crossings, sparse
@@ -37,12 +27,7 @@ import (
 // the cached length. The next Append/Extend continues from the truncated
 // position with logits bitwise identical to a predictor that never saw the
 // discarded tokens.
-func (p *Predictor) Rewind(n int) {
-	if n < 0 || n > p.n {
-		panic(fmt.Sprintf("transformer: Rewind(%d) outside cached length %d", n, p.n))
-	}
-	p.n -= n
-}
+func (p *Predictor) Rewind(n int) { p.rewind(n) }
 
 // ExtendAll feeds a chunk of tokens like Extend but returns next-token
 // logits for every chunk position, not just the last: row r is bitwise
@@ -55,22 +40,10 @@ func (p *Predictor) Rewind(n int) {
 // The returned rows are views into the predictor's reusable scratch, valid
 // until the next ExtendAll call.
 func (p *Predictor) ExtendAll(ids []int) [][]float64 {
-	ids = truncTail(ids, p.m.Cfg.Window-p.n)
-	if len(ids) == 0 {
+	if len(p.m.chunkPass(p.c, &p.kvState, ids, &p.all, true)) == 0 {
 		return nil
 	}
-	rows := len(ids)
-	logits := tensor.Ensure(&p.allLogits, rows, p.m.Cfg.Vocab)
-	prefillRunAll(p.m, p.c, p.keys, p.vals, p.kpacks, p.n, ids, logits)
-	p.n += rows
-	if cap(p.allOut) < rows {
-		p.allOut = make([][]float64, rows)
-	}
-	out := p.allOut[:rows]
-	for r := range out {
-		out[r] = logits.Row(r)
-	}
-	return out
+	return p.all.rows
 }
 
 // Rewind discards the last n cached positions of batch sequence id — the
@@ -81,10 +54,7 @@ func (p *Predictor) ExtendAll(ids []int) [][]float64 {
 // cache, until Prefill writes them from the prompt again.
 func (bp *BatchedPredictor) Rewind(id, n int) {
 	s := bp.seq(id)
-	if n < 0 || n > s.n {
-		panic(fmt.Sprintf("transformer: Rewind(%d) outside cached length %d", n, s.n))
-	}
-	s.n -= n
+	s.rewind(n)
 	s.fed = min(s.fed, s.n)
 }
 
@@ -97,21 +67,8 @@ func (bp *BatchedPredictor) Rewind(id, n int) {
 // The returned rows are views into shared scratch, valid until the next
 // PrefillAll call.
 func (bp *BatchedPredictor) PrefillAll(id int, ids []int) [][]float64 {
-	s := bp.seq(id)
-	ids = truncTail(ids, bp.m.Cfg.Window-s.n)
-	if len(ids) == 0 {
+	if len(bp.m.chunkPass(bp.c, &bp.seq(id).kvState, ids, &bp.pfAll, true)) == 0 {
 		return nil
 	}
-	rows := len(ids)
-	logits := tensor.Ensure(&bp.pfAll, rows, bp.m.Cfg.Vocab)
-	prefillRunAll(bp.m, bp.c, s.keys, s.vals, s.kpacks, s.n, ids, logits)
-	s.n += rows
-	if cap(bp.pfAllOut) < rows {
-		bp.pfAllOut = make([][]float64, rows)
-	}
-	out := bp.pfAllOut[:rows]
-	for r := range out {
-		out[r] = logits.Row(r)
-	}
-	return out
+	return bp.pfAll.rows
 }

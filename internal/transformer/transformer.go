@@ -203,9 +203,9 @@ type Model struct {
 	compiledMu    sync.Mutex
 	compiledCache *compiledModel
 
-	// Chunk-prefill scratch, pooled per model so each serving request's
-	// fresh predictor reuses a previous request's buffers instead of
-	// allocating them on its first Extend/Prefill.
+	// Chunk-pass scratch (*passScratch), pooled per model so each serving
+	// request's fresh predictor reuses a previous request's buffers instead
+	// of allocating them on its first Extend/Prefill.
 	pfPool sync.Pool
 
 	// KV buffers of dropped batch sequences (*batchSeq), reused by the next
@@ -488,49 +488,28 @@ func GPT3Estimate(dBlocks, p int) int {
 // rebuilding the full O(L²) graph. It reads the trained weights and does
 // not construct autograd state.
 //
-// Predictor is the decode fast path: NewPredictor runs an inference compile
-// step that packs every projection into transposed contiguous layout, the
-// KV cache is preallocated to the full window (no copy-growth per token),
-// and all intermediate vectors live in a per-predictor scratch arena reused
-// across Append calls — steady-state decoding performs zero heap
-// allocations while producing logits bitwise identical to the training
-// graph's forward pass.
+// Predictor is a thin owner of one KV state and a one-row scratch arena
+// over the model's row-pass kernel (rowPass, prefill.go): NewPredictor runs
+// the inference compile step that packs every projection into transposed
+// contiguous layout, the KV cache is preallocated to the full window (no
+// copy-growth per token), and Append is a pass of one row whose
+// intermediates live in the arena — steady-state decoding performs zero
+// heap allocations while producing logits bitwise identical to the training
+// graph's forward pass. BatchedPredictor runs the same kernel over many KV
+// states; the two differ in batching only.
 //
 // Predictor is the transformer's streaming hook: it satisfies
 // sample.Stepper, so the unified generation API (lm.Gen / lm.Stream and the
 // serving front end) drives it token by token exactly like the other model
 // substrates.
 type Predictor struct {
-	m *Model
-	c *compiledModel
-	// Per layer, per head: cached keys and values, preallocated to Window
-	// rows; rows [0, n) are valid. kpacks mirrors the key cache in the
-	// sixteen-row interleaved layout (see packKeyRow), maintained
-	// incrementally as each key row is written, so both decode scoring and
-	// chunked prefill read ready-packed blocks instead of re-packing the
-	// prefix.
-	keys   [][]*tensor.Tensor
-	vals   [][]*tensor.Tensor
-	kpacks [][][]float64
-	n      int
+	m       *Model
+	c       *compiledModel
+	kvState // the sequence's cache; rows [0, n) are valid
 
-	// Scratch arena, sized once in NewPredictor and reused every Append.
-	x      []float64 // residual stream (Dim)
-	norm   []float64 // layer-norm output (Dim)
-	q      []float64 // all heads' queries, head-major (Dim)
-	k      []float64 // all heads' keys (Dim)
-	v      []float64 // all heads' values (Dim)
-	concat []float64 // concatenated head outputs (Dim)
-	att    []float64 // attention output / FFN output (Dim)
-	hidden []float64 // FFN hidden (Hidden)
-	scores []float64 // attention scores/weights (Window)
-	smax   []float64 // softmax scratch (Window)
-	logits []float64 // next-token logits (Vocab)
-
-	// Verification scratch, created on first ExtendAll and reused: the
-	// per-position logits matrix and the row views handed to the caller.
-	allLogits *tensor.Tensor
-	allOut    [][]float64
+	sc     passScratch // Append's one-row arena, sized by the first Append
+	logits logitBuf    // Append / Extend result
+	all    logitBuf    // ExtendAll result, one row per chunk position
 }
 
 // NewPredictor compiles m's weights into the packed inference layout and
@@ -538,37 +517,7 @@ type Predictor struct {
 // the matrix weights; training m further does not retarget an existing
 // predictor.
 func (m *Model) NewPredictor() *Predictor {
-	cfg := m.Cfg
-	p := &Predictor{
-		m:      m,
-		c:      m.compile(),
-		x:      make([]float64, cfg.Dim),
-		norm:   make([]float64, cfg.Dim),
-		q:      make([]float64, cfg.Dim),
-		k:      make([]float64, cfg.Dim),
-		v:      make([]float64, cfg.Dim),
-		concat: make([]float64, cfg.Dim),
-		att:    make([]float64, cfg.Dim),
-		hidden: make([]float64, cfg.Hidden),
-		scores: make([]float64, cfg.Window),
-		smax:   make([]float64, cfg.Window),
-		logits: make([]float64, cfg.Vocab),
-	}
-	hd := cfg.Dim / cfg.Heads
-	p.keys = make([][]*tensor.Tensor, len(m.Blocks))
-	p.vals = make([][]*tensor.Tensor, len(m.Blocks))
-	p.kpacks = make([][][]float64, len(m.Blocks))
-	for i, b := range m.Blocks {
-		p.keys[i] = make([]*tensor.Tensor, b.Attn.NumHeads())
-		p.vals[i] = make([]*tensor.Tensor, b.Attn.NumHeads())
-		p.kpacks[i] = make([][]float64, b.Attn.NumHeads())
-		for h := range p.keys[i] {
-			p.keys[i][h] = tensor.New(cfg.Window, hd)
-			p.vals[i][h] = tensor.New(cfg.Window, hd)
-			p.kpacks[i][h] = make([]float64, cfg.keyPackLen(hd))
-		}
-	}
-	return p
+	return &Predictor{m: m, c: m.compile(), kvState: newKVState(m.Cfg)}
 }
 
 // keyPackLen is the per-head interleaved key-pack size: the window's full
@@ -593,102 +542,12 @@ func (p *Predictor) Len() int { return p.n }
 // the next Append call, matching how every decoding loop in this repository
 // consumes logits (pick a token, then step again). Clone it to retain.
 func (p *Predictor) Append(id int) []float64 {
-	m := p.m
-	if p.n >= m.Cfg.Window {
+	if p.n >= p.m.Cfg.Window {
 		panic("transformer: predictor window exhausted")
 	}
-	pos := p.n
-	// Embed the single token.
-	copy(p.x, m.TokEmb.W.Value.Row(id))
-	switch m.Cfg.Pos {
-	case PosLearned:
-		for j, v := range m.PosTable.Value.Row(pos) {
-			p.x[j] += v
-		}
-	case PosSinusoidal:
-		for j, v := range m.sinTable.Row(pos) {
-			p.x[j] += v
-		}
-	}
-	for li, b := range m.Blocks {
-		p.blockStep(li, b, pos)
-	}
-	layerNormInto(p.norm, p.x, m.FinalNorm)
-	// Unembedding through the packed kernel.
-	c := p.c
-	c.out.matVec(p.logits, p.norm)
-	for o, bv := range c.outB {
-		p.logits[o] += bv
-	}
-	p.n++
-	return p.logits
-}
-
-// blockStep advances one block over the residual stream in p.x, in place.
-func (p *Predictor) blockStep(li int, b *Block, pos int) {
-	m := p.m
-	cl := &p.c.layers[li]
-	hd := m.Cfg.Dim / m.Cfg.Heads
-	attnIn := p.x
-	if !b.postNorm {
-		layerNormInto(p.norm, p.x, b.LN1)
-		attnIn = p.norm
-	}
-	// Q/K/V for every head in three packed sweeps.
-	cl.wq.matVec(p.q, attnIn)
-	cl.wk.matVec(p.k, attnIn)
-	cl.wv.matVec(p.v, attnIn)
-	scale := 1 / math.Sqrt(float64(hd))
-	stride := m.Cfg.SparseStride
-	for hi := 0; hi < m.Cfg.Heads; hi++ {
-		kc, vc := p.keys[li][hi], p.vals[li][hi]
-		qh := p.q[hi*hd : (hi+1)*hd]
-		krow := p.k[hi*hd : (hi+1)*hd]
-		copy(kc.Row(pos), krow)
-		packKeyRow(p.kpacks[li][hi], krow, pos)
-		copy(vc.Row(pos), p.v[hi*hd:(hi+1)*hd])
-		scores := p.scores[:pos+1]
-		if stride > 0 {
-			for j := 0; j <= pos; j++ {
-				if pos-j >= stride && j%stride != 0 {
-					scores[j] = math.Inf(-1)
-					continue
-				}
-				scores[j] = mathx.Dot(qh, kc.Row(j)) * scale
-			}
-		} else {
-			packedAttnScores(p.scores, qh, p.kpacks[li][hi], kc, pos, scale)
-		}
-		w := mathx.SoftmaxFastInto(scores, scores, p.smax, 1)
-		out := p.concat[hi*hd : (hi+1)*hd]
-		weightedValueSum(out, vc, w, pos, hd)
-	}
-	cl.wo.matVec(p.att, p.concat)
-	for i := range p.x {
-		p.x[i] += p.att[i]
-	}
-	if b.postNorm {
-		layerNormInto(p.x, p.x, b.LN1)
-	}
-	ffnIn := p.x
-	if !b.postNorm {
-		layerNormInto(p.norm, p.x, b.LN2)
-		ffnIn = p.norm
-	}
-	cl.ffnIn.matVec(p.hidden, ffnIn)
-	for r, bv := range cl.ffnInB {
-		p.hidden[r] = actScalar(b.FFN.Act, p.hidden[r]+bv)
-	}
-	cl.ffnOut.matVec(p.att, p.hidden)
-	for r, bv := range cl.ffnOutB {
-		p.att[r] += bv
-	}
-	for i := range p.x {
-		p.x[i] += p.att[i]
-	}
-	if b.postNorm {
-		layerNormInto(p.x, p.x, b.LN2)
-	}
+	p.sc.begin(1)[0].kv = &p.kvState
+	p.m.rowPass(p.c, &p.sc, []int{id}, p.logits.ensure(1, p.m.Cfg.Vocab))
+	return p.logits.rows[0]
 }
 
 // weightedValueSum accumulates the attention-weighted value rows into out:
@@ -698,8 +557,8 @@ func (p *Predictor) blockStep(li int, b *Block, pos int) {
 // positions in order), so one kernel call does the whole reduction; other
 // widths take the scalar loop. Both run every output's additions in the
 // same ascending-j order as the training graph.
-func weightedValueSum(out []float64, vc *tensor.Tensor, w []float64, pos, hd int) {
-	if hd == 16 {
+func weightedValueSum(out []float64, vc *tensor.Tensor, w []float64, pos int) {
+	if len(out) == 16 {
 		mathx.DotInterleaved16((*[16]float64)(out), vc.Data[:(pos+1)*16], w[:pos+1])
 		return
 	}
@@ -722,9 +581,8 @@ func weightedValueSum(out []float64, vc *tensor.Tensor, w []float64, pos, hd int
 // a block is contiguous, the layout mathx.DotInterleaved16 consumes). The
 // pack holds only the window's full sixteen-row blocks; a position in the
 // final partial block has no pack slot and is scored straight from the
-// position-major cache. Maintaining the pack incrementally as each key is
-// written — by Append, the batched Step, and the chunked prefill alike —
-// means every scoring path reads ready-packed blocks and nothing ever
+// position-major cache. Every pass maintains the pack incrementally as it
+// writes each key, so scoring reads ready-packed blocks and nothing ever
 // re-packs the prefix.
 func packKeyRow(kp, row []float64, pos int) {
 	hd := len(row)
@@ -739,35 +597,46 @@ func packKeyRow(kp, row []float64, pos int) {
 	}
 }
 
-// packedAttnScores fills scores[j] = (q · key row j)·scale for j in
-// [0, pos]: sixteen keys per interleaved kernel call over the key pack's
-// full blocks, then a scalar tail over the position-major cache rows past
-// the last full block. Each score accumulates its products in the same
-// ascending element order as a plain mathx.Dot, and the scale multiply is
-// one multiplication per score either way, so results are bitwise
-// identical to the per-row loop this replaces. The caller handles the
-// sparse-stride mask, which disables this dense kernel.
-func packedAttnScores(scores, q, kp []float64, keys *tensor.Tensor, pos int, scale float64) {
+// packedAttnScores fills scores[j] = q · key row j for j from block `from`
+// through position pos: sixteen keys per interleaved kernel call over the
+// key pack's blocks below nFull (the caller's count of blocks whose every
+// lane the pass has written), then a scalar tail over the position-major
+// cache rows past the last such block. A query whose causal frontier ends
+// inside a full block lets the kernel compute the whole block — the
+// out-of-frontier lanes land beyond scores[:pos+1] and are never read. Each
+// score accumulates its products in the same ascending element order as a
+// plain mathx.Dot, so results are bitwise identical to the per-row loop.
+// Sparse-stride attention takes maskedAttnScores instead.
+func packedAttnScores(scores, q, kp []float64, keys *tensor.Tensor, from, pos, nFull int) {
 	hd := keys.Shape[1]
 	if len(q) != hd {
 		panic("transformer: packedAttnScores length mismatch")
 	}
-	nb := (pos + 1) / 16
-	for bk := 0; bk < nb; bk++ {
+	nb := min((pos+16)/16, nFull)
+	for bk := from; bk < nb; bk++ {
 		mathx.DotInterleaved16((*[16]float64)(scores[bk*16:bk*16+16]),
 			kp[bk*16*hd:(bk+1)*16*hd], q)
 	}
 	for j := nb * 16; j <= pos; j++ {
 		scores[j] = mathx.Dot(keys.Row(j), q)
 	}
-	s := scores[:pos+1]
-	for j := range s {
-		s[j] *= scale
+}
+
+// maskedAttnScores is the sparse-stride scorer (§6): position pos attends
+// to the stride most recent positions and every stride-th earlier one;
+// every other score is −∞, which the softmax turns into weight zero.
+func maskedAttnScores(scores, q []float64, keys *tensor.Tensor, pos, stride int) {
+	for j := 0; j <= pos; j++ {
+		if pos-j >= stride && j%stride != 0 {
+			scores[j] = math.Inf(-1)
+			continue
+		}
+		scores[j] = mathx.Dot(keys.Row(j), q)
 	}
 }
 
 // layerNormInto writes ln(x) into dst (dst may alias x): the inference-path
-// layer norm shared by the single-token and batched decode kernels.
+// layer norm, one residual row at a time.
 func layerNormInto(dst, x []float64, ln *nn.LayerNorm) {
 	mu := mathx.Mean(x)
 	va := 0.0
@@ -781,21 +650,5 @@ func layerNormInto(dst, x []float64, ln *nn.LayerNorm) {
 	b := ln.Bias.Value.Row(0)
 	for i, v := range x {
 		dst[i] = (v-mu)*is*g[i] + b[i]
-	}
-}
-
-func actScalar(a nn.Activation, x float64) float64 {
-	switch a {
-	case nn.ReLU:
-		if x > 0 {
-			return x
-		}
-		return 0
-	case nn.Tanh:
-		return math.Tanh(x)
-	case nn.GELU:
-		return mathx.GELU(x)
-	default:
-		panic("transformer: unknown activation")
 	}
 }
