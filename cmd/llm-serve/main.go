@@ -4,8 +4,8 @@
 // inference path, each with its own sampling parameters. Without -model it
 // trains a small model on the synthetic PCFG corpus at startup so the
 // service can be tried end to end with no checkpoint; -backend swaps in a
-// §5 ladder substrate (n-gram, FFN-LM, LSTM) served in single-sequence
-// mode through the same API.
+// §5 ladder substrate (n-gram, FFN-LM, LSTM) served by the same loop and
+// API.
 //
 // Usage:
 //

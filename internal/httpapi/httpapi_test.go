@@ -18,8 +18,7 @@ import (
 )
 
 // testModel trains the fast n-gram backend — milliseconds, deterministic,
-// and served through the same single-sequence loop the worker binary uses
-// for it.
+// and served through the same loop the worker binary uses for it.
 func testModel(t *testing.T) lm.LanguageModel {
 	t.Helper()
 	lines := corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7))
@@ -33,8 +32,8 @@ func testModel(t *testing.T) lm.LanguageModel {
 // slowModel gates decode steps on a channel receive, holding requests in
 // flight for as long as the test wants — the fake slow backend seam the
 // drain test hangs a real SSE stream on. The first free Append calls pass
-// ungated so prompt ingestion (which also steps the model on this
-// single-sequence path) is not counted; after that, token k+1's step blocks
+// ungated so prompt ingestion (which also steps the model, one Append per
+// prompt token) is not counted; after that, token k+1's step blocks
 // until a permit arrives (token 1 samples straight off the prompt logits,
 // so it needs none). Closing the gate releases everything.
 type slowModel struct {

@@ -20,8 +20,7 @@ import (
 )
 
 // LanguageModel is the encode/step/decode contract every generation entry
-// point (direct calls, llm.Server single-sequence mode, the eval harness,
-// the CLIs) accepts.
+// point (direct calls, llm.Server, the eval harness, the CLIs) accepts.
 type LanguageModel interface {
 	// EncodePrompt tokenizes prompt, reserving budget tokens of generation
 	// room within any finite context the model has. It errors when the

@@ -32,6 +32,7 @@ func TestServerDecodeStepAllocsBounded(t *testing.T) {
 	do() // warm the loop, the batch slot, and every scratch arena
 	allocs := testing.AllocsPerRun(20, do)
 	perToken := allocs / tokens
+	t.Logf("%.2f allocations per token (%.0f per request)", perToken, allocs)
 	if perToken > 8 {
 		t.Errorf("server decode allocates %.1f per token (%.0f per request), want <= 8",
 			perToken, allocs)
@@ -66,6 +67,7 @@ func TestServerConcurrentDecodeAllocsBounded(t *testing.T) {
 	burst() // warm the loop, all batch slots, and the step arena
 	allocs := testing.AllocsPerRun(10, burst)
 	perToken := allocs / (load * tokens)
+	t.Logf("%.2f allocations per token (%.0f per burst)", perToken, allocs)
 	if perToken > 12 {
 		t.Errorf("concurrent decode allocates %.1f per token (%.0f per burst), want <= 12",
 			perToken, allocs)
@@ -93,6 +95,7 @@ func TestServerDecodeStepAllocsFlat(t *testing.T) {
 	}
 	short := perToken(6)
 	long := perToken(12)
+	t.Logf("%.2f allocations per token at n=6, %.2f at n=12", short, long)
 	if long > 4*short+8 {
 		t.Errorf("per-token allocations grew with length: %.1f at n=6 vs %.1f at n=12", short, long)
 	}

@@ -41,7 +41,7 @@ func waitStats(s *Server, cond func(Stats) bool) Stats {
 // zero once the server drains.
 func TestInFlightQueuedGauges(t *testing.T) {
 	m := testLLM(t)
-	s := newServer(m, m, Config{MaxBatch: 2, CoalesceWait: -1})
+	s := newServer(m, Config{MaxBatch: 2, CoalesceWait: -1})
 	fake := &blockingBatch{
 		fakeBatch: fakeBatch{vocab: m.Tok.VocabSize()},
 		release:   make(chan struct{}),

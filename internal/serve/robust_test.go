@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -294,9 +295,9 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 }
 
-// TestSingleLoopPanicIsolation: the single-sequence loop (non-transformer
-// backends) survives a panicking request the same way the batched loop does.
-func TestSingleLoopPanicIsolation(t *testing.T) {
+// TestBackendPanicIsolation: a non-transformer backend survives a panicking
+// request the same way the transformer does.
+func TestBackendPanicIsolation(t *testing.T) {
 	b := testBackend(t)
 	s := NewBackend(b, Config{})
 	defer s.Close()
@@ -309,11 +310,47 @@ func TestSingleLoopPanicIsolation(t *testing.T) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
 	if _, err := s.Do(context.Background(), Request{Prompt: "the king", MaxTokens: 4}); err != nil {
-		t.Fatalf("single loop dead after panic: %v", err)
+		t.Fatalf("loop dead after panic: %v", err)
 	}
 	st := waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
 	if st.Panics != 1 || st.Completed != 1 {
 		t.Errorf("Panics = %d, Completed = %d, want 1, 1", st.Panics, st.Completed)
+	}
+	checkInvariant(t, st)
+}
+
+// decodeBomb is a backend whose Decode panics once.
+type decodeBomb struct {
+	lm.LanguageModel
+	armed *atomic.Bool
+}
+
+func (d decodeBomb) Decode(ids []int) string {
+	if d.armed.Swap(false) {
+		panic("decodeBomb: detonated")
+	}
+	return d.LanguageModel.Decode(ids)
+}
+
+// TestFinishPanicIsolation: a panic while decoding a finished request's text
+// — past every predictor and sampling call — fails that request alone.
+func TestFinishPanicIsolation(t *testing.T) {
+	armed := new(atomic.Bool)
+	armed.Store(true)
+	s := NewBackend(decodeBomb{testBackend(t), armed}, Config{})
+	defer s.Close()
+
+	_, err := s.Do(context.Background(), Request{Prompt: "the king", MaxTokens: 3})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Site != "finish" {
+		t.Fatalf("err = %v, want a *PanicError at finish", err)
+	}
+	if _, err := s.Do(context.Background(), Request{Prompt: "the king", MaxTokens: 3}); err != nil {
+		t.Fatalf("loop dead after panic: %v", err)
+	}
+	st := waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
+	if st.Panics != 1 || st.Failed != 1 || st.Completed != 1 {
+		t.Errorf("Panics = %d, Failed = %d, Completed = %d, want 1, 1, 1", st.Panics, st.Failed, st.Completed)
 	}
 	checkInvariant(t, st)
 }

@@ -1,20 +1,26 @@
 // Package serve is the batched generation front end: a request queue that
 // coalesces concurrent Generate calls into batched forward passes over the
-// transformer's KV-cache inference path (continuous batching). Each request
+// model's incremental inference path (continuous batching). Each request
 // keeps its own sampling strategy, seed, and token budget, and is dropped
 // from the batch the moment its context is cancelled. One background loop
-// owns the model's BatchedPredictor; callers only ever touch channels, so
-// the server is safe for arbitrary concurrent use.
+// owns the predictor; callers only ever touch channels, so the server is
+// safe for arbitrary concurrent use.
+//
+// The loop is two layers: Server.loop is everything that needs a channel or
+// a clock (idle wait, the CoalesceWait linger, queue top-up, shutdown), and
+// batch.iterate is one synchronous scheduling iteration over loop-owned
+// state, which tests drive with plain calls. Every call into a model or a
+// strategy runs behind one recovery boundary (guard), and a request leaves
+// the batch in one place (retire).
 //
 // Results stream: Stream delivers per-token events as each continuous-
 // batching step completes, and the final text is bitwise identical to the
 // unbatched lm.Gen / core.LLM.Generate result for the same request.
 //
-// The server is backend-agnostic at the API level: NewBackend accepts any
-// lm.LanguageModel. The transformer pipeline (core.LLM) gets the batched
-// loop; other substrates (n-gram, FFN-LM, RNN) are served by an equivalent
-// single-sequence loop with the same queue, cancellation, streaming, and
-// stats behavior.
+// Every lm.LanguageModel is served by that one loop: the transformer
+// pipeline (core.LLM) through transformer.BatchedPredictor, the other
+// substrates (n-gram, FFN-LM, RNN) through one sample.Stepper per sequence
+// behind the same seam (stepperBatch).
 package serve
 
 import (
@@ -23,6 +29,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,8 +63,8 @@ var ErrStalled = errors.New("serve: stream stalled: no token progress within the
 
 // PanicError wraps a panic recovered inside the serving loop: the request
 // that triggered it fails with this error while the batch and server keep
-// running. Site names the loop operation that panicked (sample, prefill,
-// verify, step, single).
+// running. Site names the loop operation that panicked (admit, prefill,
+// sample, verify, step, finish).
 type PanicError struct {
 	Site  string
 	Value any
@@ -188,11 +195,17 @@ type Result = lm.Result
 // Once the server is idle and no request was cut off mid-prompt (cancelled,
 // failed or evicted before its first token), PromptTokens + PrefixHitTokens
 // equals the total prompt tokens admitted.
+//
+// The counting is the same for every backend: a request's first token is
+// sampled from its last prefill chunk's logits, so it counts toward
+// DecodeTokens but occupies no step row (without speculation a request rides
+// tokens − 1 steps). Non-transformer backends have no prefix cache — each
+// admission is a PrefixLookups miss — and ignore Config.Speculate.
 type Stats struct {
 	Requests  uint64 `json:"requests"`  // accepted by Do/Generate (past validation)
 	Completed uint64 `json:"completed"` // finished with a result
 	Cancelled uint64 `json:"cancelled"` // dropped by context cancellation
-	Failed    uint64 `json:"failed"`    // prompt errors and shutdown rejections
+	Failed    uint64 `json:"failed"`    // failed by the server: prompt errors, shutdown, panics, deadlines, stalls, failed steps
 	Steps     uint64 `json:"steps"`     // decode steps executed
 	StepRows  uint64 `json:"step_rows"` // total sequence-rows fed across decode steps
 	MaxBatch  int    `json:"max_batch"` // largest per-step decode batch observed
@@ -200,9 +213,9 @@ type Stats struct {
 	PromptTokens uint64 `json:"prompt_tokens"` // prompt tokens ingested by prefill
 	DecodeTokens uint64 `json:"decode_tokens"` // tokens sampled (incl. each prompt's first, sampled from prefill logits)
 
-	// Prefix-cache counters (batched mode; see transformer.BatchedPredictor.
-	// Attach): every admitted prompt is one lookup, a hit is a lookup that
-	// restored at least one sixteen-token block, and PrefixHitTokens is the
+	// Prefix-cache counters (see transformer.BatchedPredictor.Attach): every
+	// admitted prompt is one lookup, a hit is a lookup that restored at
+	// least one sixteen-token block, and PrefixHitTokens is the
 	// prompt positions restored rather than prefilled. PrefixBlocks is a
 	// gauge — the blocks resident in the loop's predictor, back to zero when
 	// a whole-batch failure rebuilds it — and PrefixEvictions counts blocks
@@ -270,25 +283,19 @@ func histBucket(n, buckets int) int {
 	return b
 }
 
-// Server owns one model and one serving loop (batched for core.LLM,
-// single-sequence for other backends).
+// Server owns one model and the serving loop that decodes for it.
 type Server struct {
-	backend lm.LanguageModel
-	model   *core.LLM // non-nil in batched mode
-	window  int       // 0 = unbounded
-	cfg     Config
+	model  lm.LanguageModel
+	window int // 0 = unbounded
+	cfg    Config
 
 	// newBatch builds the loop's predictor; a seam the scheduling tests
 	// replace to observe the exact prefill/decode call sequence.
 	newBatch func() batchPredictor
 
-	// spec is the speculative-decoding driver (batched mode with
-	// Config.Speculate set); only the loop goroutine touches it.
+	// spec is the speculative-decoding driver (Config.Speculate on a
+	// predictor that can verify); only the loop goroutine touches it.
 	spec *sample.Speculative
-
-	// evicted is the current predictor's eviction count as of the last
-	// countPrefill; only the loop goroutine touches it.
-	evicted uint64
 
 	queue chan *pending
 	quit  chan struct{}
@@ -314,7 +321,7 @@ type pending struct {
 
 	// cancel tears the request down with a cause (ErrStalled from the
 	// watchdog); nil when the request was built without prepare (tests
-	// driving the queue directly).
+	// driving the batch directly).
 	cancel context.CancelCauseFunc
 	// progress is the UnixNano stamp of the last observable progress
 	// (admission, a prefill chunk, a sampled token) — the watchdog's
@@ -330,7 +337,7 @@ type outcome struct {
 // liveReq is a request admitted into the decoding batch.
 type liveReq struct {
 	p      *pending
-	slot   int   // BatchedPredictor sequence handle
+	slot   int   // predictor sequence handle; -1 until admission takes one
 	forced []int // prompt tokens not yet fed (prefill)
 	last   int   // most recently sampled token (decode phase)
 	ctx    []int // full decoded context incl. last (speculative mode only)
@@ -338,41 +345,39 @@ type liveReq struct {
 	pd     *lm.PieceDecoder // non-nil when streaming
 }
 
-// New starts a batched server over the transformer pipeline. Callers must
-// Close it to stop the background loop.
-func New(model *core.LLM, cfg Config) *Server {
-	s := newServer(model, model, cfg)
+// New starts a server over the transformer pipeline. Callers must Close it
+// to stop the background loop.
+func New(model *core.LLM, cfg Config) *Server { return NewBackend(model, cfg) }
+
+// NewBackend starts a server over any LanguageModel: one continuous-batching
+// loop with identical request semantics (queue, per-request options, chunked
+// prefill, streaming, cancellation, stats) whatever the substrate. Only how a
+// step is computed differs — see batchPredictor.
+func NewBackend(m lm.LanguageModel, cfg Config) *Server {
+	s := newServer(m, cfg)
 	s.wg.Add(1)
 	go s.loop()
 	return s
 }
 
-// NewBackend starts a server over any LanguageModel. The transformer
-// pipeline gets the continuous-batching loop; every other backend is served
-// by a single-sequence loop with identical request semantics (queue,
-// per-request options, streaming, cancellation, stats).
-func NewBackend(m lm.LanguageModel, cfg Config) *Server {
-	if model, ok := m.(*core.LLM); ok {
-		return New(model, cfg)
-	}
-	s := newServer(m, nil, cfg)
-	s.wg.Add(1)
-	go s.loopSingle()
-	return s
-}
-
-func newServer(backend lm.LanguageModel, model *core.LLM, cfg Config) *Server {
+func newServer(m lm.LanguageModel, cfg Config) *Server {
 	s := &Server{
-		backend: backend,
-		model:   model,
-		window:  backend.ContextWindow(),
-		cfg:     cfg.withDefaults(),
-		quit:    make(chan struct{}),
+		model:  m,
+		window: m.ContextWindow(),
+		cfg:    cfg.withDefaults(),
+		quit:   make(chan struct{}),
 	}
-	if model != nil {
-		s.newBatch = func() batchPredictor { return model.Model.NewBatchedPredictor() }
+	// The transformer steps every sequence in one cross-sequence pass and can
+	// verify a draft block; any other backend gets one stepper per slot and
+	// ignores Speculate.
+	llm, batched := m.(*core.LLM)
+	s.newBatch = func() batchPredictor {
+		if batched {
+			return llm.Model.NewBatchedPredictor()
+		}
+		return &stepperBatch{model: m, seqs: make(map[int]sample.Stepper)}
 	}
-	if s.cfg.Speculate > 0 && s.cfg.Drafter != nil {
+	if batched && s.cfg.Speculate > 0 && s.cfg.Drafter != nil {
 		s.spec = &sample.Speculative{K: s.cfg.Speculate, Drafter: s.cfg.Drafter}
 	}
 	s.queue = make(chan *pending, s.cfg.QueueDepth)
@@ -420,17 +425,6 @@ func (s *Server) stamp(p *pending) {
 	if s.watch != nil {
 		p.progress.Store(time.Now().UnixNano())
 	}
-}
-
-// track registers p with the watchdog; reply unregisters it.
-func (s *Server) track(p *pending) {
-	if s.watch == nil {
-		return
-	}
-	p.progress.Store(time.Now().UnixNano())
-	s.wmu.Lock()
-	s.watch[p] = struct{}{}
-	s.wmu.Unlock()
 }
 
 // reply delivers p's terminal outcome and drops it from the watchdog
@@ -575,7 +569,7 @@ func (s *Server) Validate(req Request) error {
 	if err := s.validateBudget(req); err != nil {
 		return err
 	}
-	_, err := s.backend.EncodePrompt(req.Prompt, req.MaxTokens)
+	_, err := s.model.EncodePrompt(req.Prompt, req.MaxTokens)
 	return err
 }
 
@@ -583,7 +577,12 @@ func (s *Server) Validate(req Request) error {
 // stall watchdog.
 func (s *Server) enqueue(ctx context.Context, p *pending) error {
 	s.count(func(st *Stats) { st.Requests++ })
-	s.track(p)
+	if s.watch != nil {
+		s.stamp(p)
+		s.wmu.Lock()
+		s.watch[p] = struct{}{}
+		s.wmu.Unlock()
+	}
 	select {
 	case s.queue <- p:
 		return nil
@@ -598,51 +597,27 @@ func (s *Server) enqueue(ctx context.Context, p *pending) error {
 // Do enqueues req and blocks until it completes, the context is cancelled,
 // the request's deadline or the stall watchdog fires, or the server closes.
 func (s *Server) Do(ctx context.Context, req Request) (Result, error) {
+	return s.Stream(ctx, req, nil)
+}
+
+// Stream is Do with per-token delivery: onToken (when non-nil) is invoked,
+// in order, with every sampled token the moment its decoding step completes
+// — one continuous-batching step shared with the other in-flight requests.
+// The concatenated event pieces and the final Result.Text are bitwise
+// identical to the unbatched path. A non-nil error from onToken cancels the
+// request.
+func (s *Server) Stream(ctx context.Context, req Request, onToken func(sample.Token) error) (Result, error) {
 	if err := s.validateBudget(req); err != nil {
 		return Result{}, err
 	}
 	ctx, cancel := s.prepare(ctx, req)
 	defer cancel(nil)
 	p := &pending{ctx: ctx, req: req, done: make(chan outcome, 1), cancel: cancel}
-	if err := s.enqueue(ctx, p); err != nil {
-		return Result{}, err
-	}
-	select {
-	case o := <-p.done:
-		return o.res, o.err
-	case <-ctx.Done():
-		return Result{}, context.Cause(ctx)
-	case <-s.quit:
-		// The loop may have replied just before shutting down.
-		select {
-		case o := <-p.done:
-			return o.res, o.err
-		default:
-			return Result{}, ErrClosed
-		}
-	}
-}
-
-// Stream is Do with per-token delivery: onToken is invoked, in order, with
-// every sampled token the moment its decoding step completes — in batched
-// mode that is one continuous-batching step shared with the other in-flight
-// requests. The concatenated event pieces and the final Result.Text are
-// bitwise identical to the unbatched path. A non-nil error from onToken
-// cancels the request.
-func (s *Server) Stream(ctx context.Context, req Request, onToken func(sample.Token) error) (Result, error) {
-	if onToken == nil {
-		return s.Do(ctx, req)
-	}
-	if err := s.validateBudget(req); err != nil {
-		return Result{}, err
-	}
-	ctx, cancel := s.prepare(ctx, req)
-	defer cancel(nil)
-	p := &pending{
-		ctx: ctx, req: req, done: make(chan outcome, 1), cancel: cancel,
+	if onToken != nil {
 		// The loop must never block on delivery: capacity covers every
-		// token the decoder can produce.
-		events: make(chan sample.Token, req.MaxTokens+1),
+		// token the decoder can produce. Without a callback the channel
+		// stays nil and its select case below never fires.
+		p.events = make(chan sample.Token, req.MaxTokens+1)
 	}
 	if err := s.enqueue(ctx, p); err != nil {
 		return Result{}, err
@@ -658,14 +633,10 @@ func (s *Server) Stream(ctx context.Context, req Request, onToken func(sample.To
 		}
 	}
 	finish := func(o outcome) (Result, error) {
-		for {
-			select {
-			case ev := <-p.events:
-				deliver(ev)
-				continue
-			default:
-			}
-			break
+		// The loop sends a request's events before its outcome, so whatever
+		// is still undelivered is already buffered.
+		for len(p.events) > 0 {
+			deliver(<-p.events)
 		}
 		if cbErr != nil {
 			return Result{}, cbErr
@@ -684,6 +655,7 @@ func (s *Server) Stream(ctx context.Context, req Request, onToken func(sample.To
 			}
 			return Result{}, context.Cause(ctx)
 		case <-s.quit:
+			// The loop may have replied just before shutting down.
 			select {
 			case o := <-p.done:
 				return finish(o)
@@ -694,11 +666,90 @@ func (s *Server) Stream(ctx context.Context, req Request, onToken func(sample.To
 	}
 }
 
-// ---- batching loop (transformer backend) ----
+// ---- the serving loop: mechanism ----
 
-// loop is the continuous-batching scheduler. Each iteration interleaves the
-// two phases of the workload:
+// loop is the half of the serving loop that needs channels and clocks: it
+// blocks while the batch is empty, lingers after one forms from idle, tops a
+// running batch up without waiting, and shuts down on quit. Between those it
+// calls batch.iterate, which holds the scheduling policy and touches neither.
+func (s *Server) loop() {
+	defer s.wg.Done()
+	b := &batch{Server: s, bp: s.newBatch()}
+	for {
+		if len(b.active) == 0 {
+			select {
+			case p := <-s.queue:
+				b.admit(p)
+				s.linger(b)
+			case <-s.quit:
+			}
+		} else {
+			// Top up without waiting: the loop is the queue's only
+			// consumer, so a non-empty queue cannot block the receive.
+			for len(b.active) < s.cfg.MaxBatch && len(s.queue) > 0 {
+				b.admit(<-s.queue)
+			}
+		}
+		select {
+		case <-s.quit:
+			// Shutdown: fail the active batch, then whatever is still queued.
+			for n := len(b.active); n > 0; n-- {
+				b.retire(b.active[n-1], false, ErrClosed)
+			}
+			for len(s.queue) > 0 {
+				s.reply(<-s.queue, outcome{err: ErrClosed}, failed)
+			}
+			return
+		default:
+		}
+		b.iterate()
+	}
+}
+
+// linger holds a batch that just formed from idle open for CoalesceWait,
+// gathering more concurrent requests so they share the first decoding steps.
+func (s *Server) linger(b *batch) {
+	if s.cfg.CoalesceWait <= 0 {
+		return
+	}
+	timer := time.NewTimer(s.cfg.CoalesceWait)
+	defer timer.Stop()
+	for len(b.active) < s.cfg.MaxBatch {
+		select {
+		case p := <-s.queue:
+			b.admit(p)
+		case <-timer.C:
+			return
+		case <-s.quit:
+			return // the main loop observes quit next
+		}
+	}
+}
+
+// ---- the serving loop: policy and execution ----
+
+// batch is the loop goroutine's private state. Nothing in it is shared, so
+// admit and iterate are plain synchronous calls: the loop makes them between
+// channel operations, the scheduling tests make them directly.
+type batch struct {
+	*Server
+	bp     batchPredictor
+	active []*liveReq // in admission order; the cursors index into it
+	rr, sr int        // round-robin cursors: next request to prefill, to verify
+
+	// Step buffers, reused across iterations: the decode loop allocates
+	// nothing per step beyond what a request's own lifecycle requires.
+	ids, toks []int
+	decs      []*liveReq
+
+	evicted uint64 // bp's prefix-eviction count as of the last countPrefill
+}
+
+// iterate is one scheduling iteration over the active batch:
 //
+//   - the cancellation sweep: client cancellations, deadline expiries
+//     (ErrDeadline cause) and watchdog kills (ErrStalled cause) all reclaim
+//     their batch slot here, between decode steps;
 //   - at most ONE chunked prefill pass (round-robin over the requests still
 //     ingesting their prompt, at most PrefillChunk tokens), so a prompt of
 //     any length delays in-flight decodes by one bounded chunk rather than
@@ -709,283 +760,280 @@ func (s *Server) Stream(ctx context.Context, req Request, onToken func(sample.To
 //   - one batched decode step over every other request past its prompt.
 //
 // A request whose prompt finishes mid-iteration samples its first token
-// from the prefill logits immediately (the exact logits the old
-// one-forced-token-per-step loop sampled, so outputs are unchanged) and
-// joins the decode batch the same iteration. Every decode-phase request
-// advances at least one token per iteration — via its speculative round or
-// via the batched step — so speculation changes scheduling only by letting
-// one request advance several tokens.
-func (s *Server) loop() {
-	defer s.wg.Done()
-	bp := s.newBatch()
-	var active []*liveReq
-	// Step buffers, reused across iterations: the decode loop allocates
-	// nothing per step beyond what a request's own lifecycle requires.
-	var ids, toks []int
-	var decs []*liveReq
-	rr := 0 // round-robin cursor over prefilling requests
-	sr := 0 // round-robin cursor over speculating requests
-	for {
-		// Admission: block when idle, otherwise top up without waiting.
-		if len(active) == 0 {
-			select {
-			case p := <-s.queue:
-				s.admit(bp, &active, p)
-				s.coalesce(bp, &active)
-			case <-s.quit:
-				s.shutdown(bp, active)
-				return
-			}
+// from the prefill logits immediately (the exact logits a one-token-per-step
+// loop would sample, so outputs are unchanged), may take this iteration's
+// verification round and joins this iteration's step. Every decode-phase
+// request advances at least one token per iteration — via its speculative
+// round or via the batched step — so speculation changes scheduling only by
+// letting one request advance several tokens.
+func (b *batch) iterate() {
+	for i := 0; i < len(b.active); {
+		if lr := b.active[i]; lr.p.ctx.Err() != nil {
+			b.retire(lr, false, nil)
 		} else {
-			for len(active) < s.cfg.MaxBatch {
-				select {
-				case p := <-s.queue:
-					s.admit(bp, &active, p)
-					continue
-				default:
-				}
-				break
-			}
+			i++
 		}
-		select {
-		case <-s.quit:
-			s.shutdown(bp, active)
-			return
-		default:
+	}
+	if lr := b.next(&b.rr, true); lr != nil {
+		b.prefill(lr)
+	}
+	var sped *liveReq
+	if b.spec != nil {
+		if sped = b.next(&b.sr, false); sped != nil {
+			b.verify(sped)
 		}
-		// Cancellation sweep, run between decode steps: client
-		// cancellations, per-request deadline expiries (ErrDeadline
-		// cause), and watchdog kills (ErrStalled cause) all reclaim the
-		// batch slot here — settle charges each to the right counter.
-		alive := active[:0]
-		for _, lr := range active {
-			if lr.p.ctx.Err() != nil {
-				bp.Drop(lr.slot)
-				s.settle(lr.p)
-				continue
-			}
-			alive = append(alive, lr)
+	}
+	b.step(sped)
+}
+
+// next is the round-robin pick both bounded-intrusion phases share: the
+// first request at or after *cur, wrapping, that is prefilling (or, with
+// prefilling false, decoding), leaving *cur just past it.
+func (b *batch) next(cur *int, prefilling bool) *liveReq {
+	n := len(b.active)
+	for i := 0; i < n; i++ {
+		j := (*cur + i) % n
+		if lr := b.active[j]; (len(lr.forced) > 0) == prefilling {
+			*cur = (j + 1) % n
+			return lr
 		}
-		active = alive
-		if len(active) == 0 {
-			continue
-		}
-		// One prefill chunk for the next prompt-ingesting request.
-		var pf *liveReq
-		for i := 0; i < len(active); i++ {
-			lr := active[(rr+i)%len(active)]
-			if len(lr.forced) > 0 {
-				pf = lr
-				rr = (rr + i + 1) % len(active)
-				break
-			}
-		}
-		if pf != nil {
-			chunk := len(pf.forced)
-			if s.cfg.PrefillChunk > 0 && chunk > s.cfg.PrefillChunk {
-				chunk = s.cfg.PrefillChunk
-			}
-			logits, err := s.tryPrefill(bp, pf, chunk)
-			switch {
-			case err != nil:
-				// The pass failed or panicked: only this request is
-				// implicated (per-sequence KV state is slot-local), so
-				// evict it and keep the batch running.
-				s.evict(bp, pf, err)
-				active = remove(active, pf)
-			default:
-				pf.forced = pf.forced[chunk:]
-				s.stamp(pf.p)
-				// A finished prompt samples its first token from these logits
-				// below; the same counter update keeps DecodeTokens covering
-				// every sampled token, as in single-sequence mode.
-				s.countPrefill(bp, chunk, len(pf.forced) == 0)
-				if len(pf.forced) == 0 {
-					// Prompt fully ingested: the chunk's logits are the first
-					// to sample.
-					done, err := s.trySample(pf, logits)
-					switch {
-					case err != nil:
-						s.evict(bp, pf, err)
-						active = remove(active, pf)
-					case done:
-						bp.Drop(pf.slot)
-						s.finish(pf)
-						active = remove(active, pf)
-					}
-				}
-			}
-		}
-		// One speculative verification round for the next decode-phase
-		// request; it advances several tokens at once and sits out the
-		// batched step below.
-		var sped *liveReq
-		if s.spec != nil {
-			for i := 0; i < len(active); i++ {
-				lr := active[(sr+i)%len(active)]
-				if len(lr.forced) == 0 {
-					sped = lr
-					sr = (sr + i + 1) % len(active)
-					break
-				}
-			}
-		}
-		if sped != nil {
-			done, err := s.trySpec(bp, sped)
-			switch {
-			case err != nil:
-				s.evict(bp, sped, err)
-				active = remove(active, sped)
-			case done:
-				bp.Drop(sped.slot)
-				s.finish(sped)
-				active = remove(active, sped)
-			}
-		}
-		// One batched decode step over every other request past its prompt.
-		ids, toks, decs = ids[:0], toks[:0], decs[:0]
-		for _, lr := range active {
-			if len(lr.forced) == 0 && lr != sped {
-				ids = append(ids, lr.slot)
-				toks = append(toks, lr.last)
-				decs = append(decs, lr)
-			}
-		}
-		if len(ids) == 0 {
-			continue
-		}
-		logits, err := s.tryStep(bp, ids, toks)
-		if err != nil {
-			// A failed batched step cannot be attributed to one request,
-			// and a panic mid-step may have left partially written KV rows
-			// behind: fail the whole active batch and rebuild the
-			// predictor — the catastrophic-but-survivable path. The worker
-			// process keeps serving; new requests get a clean predictor,
-			// prefix cache included (emptied before the replies, so a
-			// caller that saw its request fail sees the gauge at zero).
-			bp = s.newBatch()
-			s.evicted = 0
-			s.count(func(st *Stats) { st.PrefixBlocks = 0 })
-			for _, lr := range active {
-				s.reply(lr.p, outcome{err: fmt.Errorf("serve: batched step failed: %w", err)}, failed)
-			}
-			active = active[:0]
-			continue
-		}
-		s.countStep(len(ids))
-		for i, lr := range decs {
-			done, err := s.trySample(lr, logits[i])
-			switch {
-			case err != nil:
-				// Sampling state is per-request: a panicking strategy (or
-				// an injected fault) kills only its own request, and the
-				// other in-flight streams finish bitwise-intact.
-				s.evict(bp, lr, err)
-				active = remove(active, lr)
-			case done:
-				bp.Drop(lr.slot)
-				s.finish(lr)
-				active = remove(active, lr)
-			}
-		}
+	}
+	return nil
+}
+
+// prefill ingests lr's next prompt chunk. A failed pass implicates only lr
+// (per-sequence KV state is slot-local), so it alone leaves the batch.
+func (b *batch) prefill(lr *liveReq) {
+	chunk := len(lr.forced)
+	if c := b.cfg.PrefillChunk; c > 0 && chunk > c {
+		chunk = c
+	}
+	var logits []float64
+	if err := guard(failpoint.ServePrefill, func() { logits = b.bp.Prefill(lr.slot, lr.forced[:chunk]) }); err != nil {
+		b.retire(lr, false, err)
+		return
+	}
+	lr.forced = lr.forced[chunk:]
+	b.stamp(lr.p)
+	b.countPrefill(chunk, len(lr.forced) == 0)
+	if len(lr.forced) == 0 {
+		// Prompt fully ingested: the chunk's logits are the first to sample.
+		b.sample(lr, logits)
 	}
 }
 
-// sampleTok samples one token for lr from logits, delivers its stream event,
-// and reports whether the request finished.
-func (s *Server) sampleTok(lr *liveReq, logits []float64) bool {
-	tok, done := lr.dec.Next(logits)
+// sample draws lr's next token from logits. Sampling state is per-request:
+// a panicking strategy (or an injected fault) retires only its own request,
+// and the other in-flight streams finish bitwise-intact.
+func (b *batch) sample(lr *liveReq, logits []float64) {
+	var done bool
+	err := guard(failpoint.ServeSample, func() {
+		var tok int
+		tok, done = lr.dec.Next(logits)
+		b.emit(lr, tok)
+	})
+	if done || err != nil {
+		b.retire(lr, done, err)
+	}
+}
+
+// verify runs lr's speculative verification round: lr advances several
+// tokens at once and sits out this iteration's batched step. The emitted
+// tokens are delivered and counted exactly as the step's sampled tokens are,
+// so greedy requests keep bitwise-identical output and the stats stay
+// coherent.
+func (b *batch) verify(lr *liveReq) {
+	var done bool
+	err := guard(failpoint.ServeVerify, func() {
+		room := 1 << 30
+		if b.window > 0 {
+			// Admission guarantees prompt+budget fit the window, so room
+			// covers the pending token and at least one draft.
+			room = b.window - b.bp.Len(lr.slot)
+		}
+		rr := b.spec.Round(slotTarget{b.bp, lr.slot}, lr.dec, lr.ctx, room)
+		for _, tok := range rr.Emitted {
+			b.emit(lr, tok)
+		}
+		b.countSpec(rr.Drafted, rr.Accepted, len(rr.Emitted))
+		done = rr.Done
+	})
+	if done || err != nil {
+		b.retire(lr, done, err)
+	}
+}
+
+// step runs one batched decode step over every decode-phase request but
+// skip (this iteration's verified request) and samples each row.
+func (b *batch) step(skip *liveReq) {
+	b.ids, b.toks, b.decs = b.ids[:0], b.toks[:0], b.decs[:0]
+	for _, lr := range b.active {
+		if len(lr.forced) == 0 && lr != skip {
+			b.ids = append(b.ids, lr.slot)
+			b.toks = append(b.toks, lr.last)
+			b.decs = append(b.decs, lr)
+		}
+	}
+	if len(b.ids) == 0 {
+		return
+	}
+	var logits [][]float64
+	if err := guard(failpoint.ServeStep, func() { logits = b.bp.Step(b.ids, b.toks) }); err != nil {
+		// A failed batched step cannot be attributed to one request, and a
+		// panic mid-step may have left partially written KV rows behind:
+		// fail the whole active batch and rebuild the predictor — the
+		// catastrophic-but-survivable path. The worker process keeps
+		// serving; new requests get a clean predictor, prefix cache included
+		// (emptied before the replies, so a caller that saw its request fail
+		// sees the gauge at zero).
+		b.bp = b.newBatch()
+		b.evicted = 0
+		b.count(func(st *Stats) { st.PrefixBlocks = 0 })
+		for _, lr := range b.active {
+			b.reply(lr.p, outcome{err: fmt.Errorf("serve: batched step failed: %w", err)}, failed)
+		}
+		clear(b.active)
+		b.active = b.active[:0]
+		return
+	}
+	b.countStep(len(b.ids))
+	for i, lr := range b.decs {
+		b.sample(lr, logits[i])
+	}
+}
+
+// guard is the loop's one recovery boundary. The loop goroutine is the whole
+// worker: a panic reaching it — a strategy tripping a check in
+// internal/sample, a bug in the predictor or tokenizer, an injected fault —
+// would kill the process and every in-flight stream. So every call the loop
+// makes into a model, strategy or drafter runs as op here and comes back as
+// an error: the failpoint's, or a *PanicError. site is the failpoint.Serve*
+// site evaluated first, or a bare operation name where there is none (admit,
+// finish). op must not escape: callers' closures stay on their stacks.
+func guard(site string, op func()) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Site: strings.TrimPrefix(site, "serve/"), Value: v}
+		}
+	}()
+	if err := failpoint.Inject(site); err != nil {
+		return err
+	}
+	op()
+	return nil
+}
+
+// retire is the one place a request leaves the batch: its slot is released,
+// it is removed with the cursors kept on the requests they pointed at, and
+// its terminal outcome is delivered — failed with err, finished (done), or,
+// with neither, settled by whatever ended its context.
+func (b *batch) retire(lr *liveReq, done bool, err error) {
+	if lr.slot >= 0 {
+		// Guarded: the panic that doomed the request may have left its
+		// slot-local state inconsistent, and a second panic during cleanup
+		// must not undo the isolation.
+		func() {
+			defer func() { recover() }()
+			b.bp.Drop(lr.slot)
+		}()
+	}
+	// Order is preserved (the cursors and per-step iteration depend on it);
+	// slices.Delete zeroes the vacated tail, so a finished request's buffers
+	// are not retained by the backing array while the server idles.
+	i := slices.Index(b.active, lr)
+	b.active = slices.Delete(b.active, i, i+1)
+	if i < b.rr {
+		b.rr--
+	}
+	if i < b.sr {
+		b.sr--
+	}
+	var res Result
+	if done && err == nil {
+		err = guard("finish", func() { res = lm.Finish(b.model, lr.dec.Tokens(), lr.p.req.Options()) })
+	}
+	switch {
+	case err != nil:
+		b.reply(lr.p, outcome{err: err}, failed)
+	case done:
+		b.reply(lr.p, outcome{res: res}, completed)
+	default:
+		b.settle(lr.p)
+	}
+}
+
+// admit moves a queued request into the batch; a prompt error, or a panic
+// anywhere in open, fails that request alone.
+func (b *batch) admit(p *pending) {
+	if p.ctx.Err() != nil {
+		b.settle(p)
+		return
+	}
+	lr := &liveReq{p: p, slot: -1}
+	b.active = append(b.active, lr)
+	var err error
+	if perr := guard("admit", func() { err = b.open(lr) }); perr != nil {
+		err = perr
+	}
+	if err != nil {
+		b.retire(lr, false, err)
+	}
+}
+
+// open fills in lr's decoding state. The predictor restores whatever prefix
+// of the prompt its cache holds; only the rest is left to prefill.
+func (b *batch) open(lr *liveReq) error {
+	req := lr.p.req
+	ids, err := b.model.EncodePrompt(req.Prompt, req.MaxTokens)
+	if err != nil {
+		return err
+	}
+	lr.slot = b.bp.Add()
+	hit := b.bp.Attach(lr.slot, ids)
+	b.count(func(st *Stats) {
+		st.PrefixLookups++
+		if hit > 0 {
+			st.PrefixHits++
+			st.PrefixHitTokens += uint64(hit)
+		}
+	})
+	lr.forced = ids[hit:]
+	strat := req.Strategy
+	if strat == nil {
+		strat = sample.Greedy{}
+	}
+	stop := -1
+	if req.StopAtEOS {
+		stop = tokenizer.EOS
+	}
+	lr.dec = sample.NewDecoder(strat, stop, req.MaxTokens, mathx.NewRNG(req.Seed+977))
+	if lr.p.events != nil {
+		lr.pd = lm.NewPieceDecoder(b.model.Decode)
+	}
+	if b.spec != nil {
+		// Speculative rounds need the full decoded context (the drafter
+		// conditions on it); cloned so prefill's reslicing of forced cannot
+		// alias it.
+		lr.ctx = append([]int(nil), ids...)
+	}
+	return nil
+}
+
+// emit records tok as lr's newest token and delivers its stream event: the
+// moment its step or round completes, never blocking (the channel is
+// pre-sized for the whole budget).
+func (b *batch) emit(lr *liveReq, tok int) {
 	lr.last = tok
 	if lr.ctx != nil {
 		lr.ctx = append(lr.ctx, tok)
 	}
-	s.stamp(lr.p)
+	b.stamp(lr.p)
 	if lr.p.events != nil {
-		// Delivered as soon as this step completes; capacity is pre-sized,
-		// so the loop never blocks.
 		lr.p.events <- lr.pd.Next(tok)
 	}
-	return done
 }
 
-// ---- panic isolation ----
-//
-// The loop goroutine is the whole worker: before this layer existed, any
-// panic that reached it — a malformed strategy tripping a guard in
-// internal/sample, a bug in the predictor, an injected fault — killed the
-// process and every in-flight stream. Each loop operation now runs behind
-// a recover that converts the panic into an error; per-request operations
-// (prefill, sampling, a verify round) evict only the offending request,
-// while a batched-step failure fails the batch and rebuilds the predictor.
-
-// trySample is the guarded sampleTok: a panic in the sampling strategy (or
-// a fault injected at serve/sample) becomes an error attributed to lr.
-func (s *Server) trySample(lr *liveReq, logits []float64) (done bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Site: "sample", Value: v}
-		}
-	}()
-	if err := failpoint.Inject(failpoint.ServeSample); err != nil {
-		return false, err
-	}
-	return s.sampleTok(lr, logits), nil
-}
-
-// tryPrefill is the guarded per-request prefill pass (failpoint site
-// serve/prefill).
-func (s *Server) tryPrefill(bp batchPredictor, lr *liveReq, chunk int) (logits []float64, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Site: "prefill", Value: v}
-		}
-	}()
-	if err := failpoint.Inject(failpoint.ServePrefill); err != nil {
-		return nil, err
-	}
-	return bp.Prefill(lr.slot, lr.forced[:chunk]), nil
-}
-
-// trySpec is the guarded speculative verification round (failpoint site
-// serve/verify).
-func (s *Server) trySpec(bp batchPredictor, lr *liveReq) (done bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Site: "verify", Value: v}
-		}
-	}()
-	if err := failpoint.Inject(failpoint.ServeVerify); err != nil {
-		return false, err
-	}
-	return s.specRound(bp, lr), nil
-}
-
-// tryStep is the guarded batched decode step (failpoint site serve/step).
-func (s *Server) tryStep(bp batchPredictor, ids, toks []int) (logits [][]float64, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Site: "step", Value: v}
-		}
-	}()
-	if err := failpoint.Inject(failpoint.ServeStep); err != nil {
-		return nil, err
-	}
-	return bp.Step(ids, toks), nil
-}
-
-// evict fails one request out of the batch with err. The slot release is
-// itself guarded: the panic that doomed the request may have left its
-// slot-local state inconsistent, and a second panic during cleanup must not
-// undo the isolation.
-func (s *Server) evict(bp batchPredictor, lr *liveReq, err error) {
-	func() {
-		defer func() { recover() }()
-		bp.Drop(lr.slot)
-	}()
-	s.reply(lr.p, outcome{err: err}, failed)
-}
-
-// slotTarget adapts one BatchedPredictor sequence to the single-sequence
+// slotTarget adapts one predictor sequence to the single-sequence
 // verification surface sample.Speculative drives.
 type slotTarget struct {
 	bp   batchPredictor
@@ -995,206 +1043,6 @@ type slotTarget struct {
 func (t slotTarget) ExtendAll(ids []int) [][]float64 { return t.bp.PrefillAll(t.slot, ids) }
 func (t slotTarget) Rewind(n int)                    { t.bp.Rewind(t.slot, n) }
 func (t slotTarget) Len() int                        { return t.bp.Len(t.slot) }
-
-// specRound runs one speculative verification round for lr and reports
-// whether the request finished. The emitted tokens are delivered and counted
-// exactly as the batched step's sampled tokens are, so greedy requests keep
-// bitwise-identical output and the stats stay coherent.
-func (s *Server) specRound(bp batchPredictor, lr *liveReq) bool {
-	room := 1 << 30
-	if s.window > 0 {
-		// Admission guarantees prompt+budget fit the window, so room covers
-		// the pending token and at least one draft whenever a round runs.
-		room = s.window - bp.Len(lr.slot)
-	}
-	rr := s.spec.Round(slotTarget{bp, lr.slot}, lr.dec, lr.ctx, room)
-	if len(rr.Emitted) > 0 {
-		s.stamp(lr.p)
-	}
-	for _, tok := range rr.Emitted {
-		lr.last = tok
-		if lr.p.events != nil {
-			lr.p.events <- lr.pd.Next(tok)
-		}
-	}
-	lr.ctx = append(lr.ctx, rr.Emitted...)
-	s.countSpec(rr.Drafted, rr.Accepted, len(rr.Emitted))
-	return rr.Done
-}
-
-// remove deletes lr from the batch, preserving order (the round-robin
-// cursor and per-step iteration depend on stable ordering). slices.Delete
-// zeroes the vacated tail slot, so a finished request's buffers are not
-// retained by the backing array while the server idles.
-func remove(active []*liveReq, lr *liveReq) []*liveReq {
-	if i := slices.Index(active, lr); i >= 0 {
-		return slices.Delete(active, i, i+1)
-	}
-	return active
-}
-
-// admit moves a queued request into the decoding batch.
-func (s *Server) admit(bp batchPredictor, active *[]*liveReq, p *pending) {
-	if p.ctx.Err() != nil {
-		s.settle(p)
-		return
-	}
-	ids, err := s.model.EncodePrompt(p.req.Prompt, p.req.MaxTokens)
-	if err != nil {
-		s.reply(p, outcome{err: err}, failed)
-		return
-	}
-	strat := p.req.Strategy
-	if strat == nil {
-		strat = sample.Greedy{}
-	}
-	stop := -1
-	if p.req.StopAtEOS {
-		stop = tokenizer.EOS
-	}
-	// The predictor restores whatever prefix of the prompt its cache holds;
-	// only the rest is left to prefill.
-	slot := bp.Add()
-	hit := bp.Attach(slot, ids)
-	s.count(func(st *Stats) {
-		st.PrefixLookups++
-		if hit > 0 {
-			st.PrefixHits++
-			st.PrefixHitTokens += uint64(hit)
-		}
-	})
-	lr := &liveReq{
-		p:      p,
-		slot:   slot,
-		forced: ids[hit:],
-		dec:    sample.NewDecoder(strat, stop, p.req.MaxTokens, mathx.NewRNG(p.req.Seed+977)),
-	}
-	if p.events != nil {
-		lr.pd = lm.NewPieceDecoder(s.backend.Decode)
-	}
-	if s.spec != nil {
-		// Speculative rounds need the full decoded context (the drafter
-		// conditions on it); cloned so prefill's reslicing of forced cannot
-		// alias it.
-		lr.ctx = append([]int(nil), ids...)
-	}
-	*active = append(*active, lr)
-}
-
-// coalesce lingers briefly after a batch forms from idle, gathering more
-// concurrent requests so they share the first decoding steps.
-func (s *Server) coalesce(bp batchPredictor, active *[]*liveReq) {
-	if s.cfg.CoalesceWait <= 0 {
-		return
-	}
-	timer := time.NewTimer(s.cfg.CoalesceWait)
-	defer timer.Stop()
-	for len(*active) < s.cfg.MaxBatch {
-		select {
-		case p := <-s.queue:
-			s.admit(bp, active, p)
-		case <-timer.C:
-			return
-		case <-s.quit:
-			return // the main loop observes quit next
-		}
-	}
-}
-
-// finish decodes a completed request and replies.
-func (s *Server) finish(lr *liveReq) {
-	s.reply(lr.p, outcome{res: lm.Finish(s.backend, lr.dec.Tokens(), lr.p.req.Options())}, completed)
-}
-
-// shutdown fails the active batch and drains the queue.
-func (s *Server) shutdown(bp batchPredictor, active []*liveReq) {
-	for _, lr := range active {
-		bp.Drop(lr.slot)
-		s.reply(lr.p, outcome{err: ErrClosed}, failed)
-	}
-	s.drainQueue()
-}
-
-// drainQueue fails everything still queued at shutdown.
-func (s *Server) drainQueue() {
-	for {
-		select {
-		case p := <-s.queue:
-			s.reply(p, outcome{err: ErrClosed}, failed)
-		default:
-			return
-		}
-	}
-}
-
-// ---- single-sequence loop (non-transformer backends) ----
-
-// loopSingle serves requests one at a time through the generic decoding
-// driver: same queue, validation, streaming, cancellation, and stats
-// surface as the batched loop, for backends without a batched predictor.
-func (s *Server) loopSingle() {
-	defer s.wg.Done()
-	for {
-		select {
-		case p := <-s.queue:
-			s.serveSingle(p)
-		case <-s.quit:
-			s.drainQueue()
-			return
-		}
-	}
-}
-
-// serveSingle runs one queued request to completion.
-func (s *Server) serveSingle(p *pending) {
-	if p.ctx.Err() != nil {
-		s.settle(p)
-		return
-	}
-	// The prompt-token split of the batched loop, for parity: the driver
-	// below re-encodes, so this costs one extra (cheap) encode.
-	if ids, err := s.backend.EncodePrompt(p.req.Prompt, p.req.MaxTokens); err == nil {
-		n := uint64(len(ids))
-		s.count(func(st *Stats) { st.PromptTokens += n })
-	}
-	onTok := func(ev sample.Token) error {
-		select {
-		case <-s.quit:
-			return ErrClosed
-		default:
-		}
-		if err := failpoint.Inject(failpoint.ServeSample); err != nil {
-			return err
-		}
-		s.countStep(1)
-		s.stamp(p)
-		if p.events != nil {
-			p.events <- ev
-		}
-		return nil
-	}
-	res, err := s.trySingle(p, onTok)
-	switch {
-	case err == nil:
-		s.reply(p, outcome{res: res}, completed)
-	case p.ctx.Err() != nil:
-		s.settle(p)
-	default:
-		s.reply(p, outcome{err: err}, failed)
-	}
-}
-
-// trySingle is the guarded single-sequence driver: a panic anywhere in the
-// backend or sampling path fails this request only, and the loop goroutine
-// survives to serve the next one.
-func (s *Server) trySingle(p *pending, onTok func(sample.Token) error) (res Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Site: "single", Value: v}
-		}
-	}()
-	return lm.StreamOptions(p.ctx, s.backend, p.req.Prompt, onTok, p.req.Options())
-}
 
 func (s *Server) count(f func(*Stats)) {
 	s.mu.Lock()
@@ -1246,24 +1094,26 @@ func (s *Server) countSpec(drafted, accepted, emitted int) {
 // have published prompt blocks to bp's prefix cache, so the occupancy
 // counters are refreshed under the same lock; the predictor's eviction count
 // restarts when the loop rebuilds it, hence the delta.
-func (s *Server) countPrefill(bp batchPredictor, chunk int, sampled bool) {
-	bucket := histBucket(chunk, len(s.stats.PrefillChunkHist))
-	blocks, evicted := bp.PrefixBlocks()
-	s.mu.Lock()
-	s.stats.PromptTokens += uint64(chunk)
-	s.stats.PrefillChunkHist[bucket]++
+func (b *batch) countPrefill(chunk int, sampled bool) {
+	bucket := histBucket(chunk, len(b.stats.PrefillChunkHist))
+	blocks, evicted := b.bp.PrefixBlocks()
+	b.mu.Lock()
+	b.stats.PromptTokens += uint64(chunk)
+	b.stats.PrefillChunkHist[bucket]++
 	if sampled {
-		s.stats.DecodeTokens++
+		b.stats.DecodeTokens++
 	}
-	s.stats.PrefixBlocks = blocks
-	s.stats.PrefixEvictions += evicted - s.evicted
-	s.mu.Unlock()
-	s.evicted = evicted
+	b.stats.PrefixBlocks = blocks
+	b.stats.PrefixEvictions += evicted - b.evicted
+	b.mu.Unlock()
+	b.evicted = evicted
 }
 
-// batchPredictor is the slice of transformer.BatchedPredictor the loop uses
-// (an interface so the admission helpers and the chunk scheduling stay
-// testable).
+// batchPredictor is what the loop needs from a model: per-slot incremental
+// state and the passes that advance it (transformer.BatchedPredictor,
+// stepperBatch, or the scheduling tests' recording fake). A logits row stays
+// valid until the next call that advances its slot: the loop samples every
+// row of a Step before it calls the predictor again.
 type batchPredictor interface {
 	Add() int
 	Attach(id int, ids []int) int
@@ -1275,3 +1125,50 @@ type batchPredictor interface {
 	Rewind(id int, n int)
 	Len(id int) int
 }
+
+// stepperBatch serves any LanguageModel with one sample.Stepper per slot: a
+// Step is one Append per row, so requests share the schedule (interleaving,
+// chunked prefill, MaxBatch) though not the arithmetic. Each stepper returns
+// its own logits slice, so rows of one Step never alias. No prefix cache and
+// nothing to verify with: newServer builds no speculative driver over it, so
+// PrefillAll, Rewind and Len are unreachable.
+type stepperBatch struct {
+	model lm.LanguageModel
+	seqs  map[int]sample.Stepper
+	next  int
+	rows  [][]float64 // Step's result, reused
+}
+
+func (sb *stepperBatch) Add() int {
+	id := sb.next
+	sb.next++
+	sb.seqs[id] = sb.model.NewStepper()
+	return id
+}
+
+func (sb *stepperBatch) Drop(id int)                 { delete(sb.seqs, id) }
+func (sb *stepperBatch) Attach(int, []int) int       { return 0 }
+func (sb *stepperBatch) PrefixBlocks() (int, uint64) { return 0, 0 }
+
+func (sb *stepperBatch) Step(ids, tokens []int) [][]float64 {
+	sb.rows = sb.rows[:0]
+	for i, id := range ids {
+		sb.rows = append(sb.rows, sb.seqs[id].Append(tokens[i]))
+	}
+	return sb.rows
+}
+
+func (sb *stepperBatch) Prefill(id int, ids []int) (logits []float64) {
+	st := sb.seqs[id]
+	if ex, ok := st.(sample.Extender); ok {
+		return ex.Extend(ids)
+	}
+	for _, tok := range ids {
+		logits = st.Append(tok)
+	}
+	return logits
+}
+
+func (sb *stepperBatch) PrefillAll(int, []int) [][]float64 { panic("serve: no verify surface") }
+func (sb *stepperBatch) Rewind(int, int)                   { panic("serve: no verify surface") }
+func (sb *stepperBatch) Len(int) int                       { panic("serve: no verify surface") }

@@ -23,64 +23,6 @@ func (u uniformDrafter) NextDist([]int) []float64 {
 	return d
 }
 
-// TestSpeculativeScheduling pins the speculative serving policy on the fake
-// predictor: at most one verification round per loop iteration, rounds
-// interleave with (never block) another request's chunked prefill, every
-// round's depth respects the remaining budget, and the stats counters match
-// the pinned op sequence exactly.
-func TestSpeculativeScheduling(t *testing.T) {
-	m := testLLM(t)
-	s := newServer(m, m, Config{
-		MaxBatch: 4, CoalesceWait: -1, PrefillChunk: 4,
-		Speculate: 3, Drafter: uniformDrafter{m.Tok.VocabSize()},
-	})
-	fake := &fakeBatch{vocab: m.Tok.VocabSize()}
-	s.newBatch = func() batchPredictor { return fake }
-
-	// A: short prompt, 9 decode tokens — enters decode immediately and takes
-	// speculative rounds. B, queued behind it: a 12-token prompt (3 chunks)
-	// whose ingestion must interleave with A's rounds.
-	pa := &pending{ctx: context.Background(),
-		req: Request{Prompt: "the king", MaxTokens: 9}, done: make(chan outcome, 1)}
-	pb := &pending{ctx: context.Background(),
-		req:  Request{Prompt: strings.TrimSpace(strings.Repeat("the king ", 6)), MaxTokens: 3},
-		done: make(chan outcome, 1)}
-	s.queue <- pa
-	s.queue <- pb
-	s.wg.Add(1)
-	go s.loop()
-	if o := <-pa.done; o.err != nil {
-		t.Fatal(o.err)
-	}
-	if o := <-pb.done; o.err != nil {
-		t.Fatal(o.err)
-	}
-	s.Close()
-
-	// Iteration by iteration: A prefills and takes a depth-3 round (V4 =
-	// pending + 3 drafts, all accepted, no rewind); B's prompt chunks land
-	// between A's rounds; B's own round is budget-clamped to depth 1 (V2).
-	want := []string{"P2", "V4", "P4", "V4", "P4", "P4", "V2"}
-	if got := fmt.Sprint(fake.ops); got != fmt.Sprint(want) {
-		t.Fatalf("op sequence %v, want %v", fake.ops, want)
-	}
-
-	st := s.Stats()
-	if st.SpecRounds != 3 || st.SpecDrafted != 7 || st.SpecAccepted != 7 {
-		t.Errorf("spec counters rounds=%d drafted=%d accepted=%d, want 3/7/7",
-			st.SpecRounds, st.SpecDrafted, st.SpecAccepted)
-	}
-	if st.SpecAcceptHist[3] != 2 || st.SpecAcceptHist[1] != 1 {
-		t.Errorf("SpecAcceptHist = %v, want two depth-3 rounds and one depth-1", st.SpecAcceptHist)
-	}
-	if st.DecodeTokens != 12 {
-		t.Errorf("DecodeTokens = %d, want 12 (9+3 sampled tokens)", st.DecodeTokens)
-	}
-	if st.PromptTokens != 14 {
-		t.Errorf("PromptTokens = %d, want 14", st.PromptTokens)
-	}
-}
-
 // TestServeSpeculativeParity checks the end-to-end contract on the real
 // model: greedy requests served with speculative decoding produce bitwise
 // the same text and tokens as the plain single-sequence driver, including

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -312,7 +313,7 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
-// ---- single-sequence backend mode ----
+// ---- non-transformer backends ----
 
 var (
 	backendOnce sync.Once
@@ -333,9 +334,8 @@ func testBackend(t *testing.T) lm.LanguageModel {
 	return backend
 }
 
-// TestBackendServerMatchesDirect: a non-transformer backend served in
-// single-sequence mode returns exactly the direct lm.Gen output, for both
-// Do and Stream.
+// TestBackendServerMatchesDirect: a non-transformer backend returns exactly
+// the direct lm.Gen output, for both Do and Stream.
 func TestBackendServerMatchesDirect(t *testing.T) {
 	b := testBackend(t)
 	s := NewBackend(b, Config{})
@@ -371,41 +371,60 @@ func TestBackendServerMatchesDirect(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.Completed != 2 || st.MaxBatch != 1 || st.Steps != st.StepRows {
-		t.Errorf("single-sequence stats inconsistent: %+v", st)
+		t.Errorf("sequential-traffic stats inconsistent: %+v", st)
 	}
 }
 
-// TestBackendServerConcurrent: concurrent requests against the single-
-// sequence loop all complete with deterministic results.
+// TestBackendServerConcurrent: concurrent requests to each non-transformer
+// backend share the loop's decode steps — they are queued before the loop
+// starts, so the first batch holds all of them — and every result is still
+// bitwise the direct lm.Gen output.
 func TestBackendServerConcurrent(t *testing.T) {
-	b := testBackend(t)
-	s := NewBackend(b, Config{QueueDepth: 4})
-	defer s.Close()
-	const n = 8
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			opts := []sample.Option{sample.WithMaxTokens(3 + i%3), sample.WithSeed(uint64(i))}
-			want, err := lm.Gen(b, "the king", opts...)
-			if err != nil {
-				t.Error(err)
-				return
+	lines := corpus.PCFGText(grammar.TinyEnglish(), 120, 10, mathx.NewRNG(11))
+	for _, name := range []string{"rnn", "ngram", "ffn"} {
+		b := testBackend(t)
+		if name != "rnn" {
+			var err error
+			if b, err = lm.TrainBackend(name, lines, 5); err != nil {
+				t.Fatal(err)
 			}
-			got, err := s.Gen(context.Background(), "the king", opts...)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got.Text != want.Text {
-				t.Errorf("req %d: %q != %q", i, got.Text, want.Text)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if st := s.Stats(); st.Completed != n {
-		t.Errorf("Completed = %d, want %d", st.Completed, n)
+		}
+		s := newServer(b, Config{})
+		const n = 8
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				opts := []sample.Option{sample.WithMaxTokens(3 + i%3), sample.WithSeed(uint64(i))}
+				if i%2 == 1 {
+					opts = append(opts, sample.WithStrategy(sample.Temperature{T: 0.9}))
+				}
+				want, err := lm.Gen(b, "the king", opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := s.Gen(context.Background(), "the king", opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Text != want.Text || !slices.Equal(got.Tokens, want.Tokens) {
+					t.Errorf("%s req %d: %q != %q", name, i, got.Text, want.Text)
+				}
+			}(i)
+		}
+		waitStats(s, func(st Stats) bool { return st.Queued == n })
+		s.wg.Add(1)
+		go s.loop()
+		wg.Wait()
+		st := s.Stats()
+		s.Close()
+		if st.Completed != n || st.MaxBatch < 2 {
+			t.Errorf("%s: Completed = %d, MaxBatch = %d; want %d requests sharing steps", name, st.Completed, st.MaxBatch, n)
+		}
+		checkInvariant(t, st)
 	}
 }
 

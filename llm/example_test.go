@@ -110,7 +110,7 @@ func ExampleServer() {
 
 // ExampleNewBackendServer serves a non-transformer rung of the §5 model
 // ladder through the same Server API: the backend is trained behind the
-// LanguageModel interface and served in single-sequence mode.
+// LanguageModel interface and served by the same continuous-batching loop.
 func ExampleNewBackendServer() {
 	backend, err := llm.TrainBackend("ngram", llm.SyntheticCorpus(200, 42), 1)
 	if err != nil {

@@ -213,7 +213,7 @@ type Token = sample.Token
 // LanguageModel is the backend-agnostic encode/step/decode contract of the
 // generation API: the trained transformer pipeline (*LLM) satisfies it, as
 // do the §5 ladder substrates trained via TrainBackend, so evaluation,
-// serving (single-sequence mode), and the CLIs accept any backend.
+// serving, and the CLIs accept any backend.
 type LanguageModel = lm.LanguageModel
 
 // Gen runs one generation over any backend with the unified options; for a
@@ -295,10 +295,11 @@ func NewServer(model *LLM, cfg ServerConfig) *Server {
 	return &Server{s: serve.New(model, cfg)}
 }
 
-// NewBackendServer starts a generation server over any LanguageModel: the
-// transformer pipeline gets the continuous-batching loop, every other
-// backend an equivalent single-sequence loop with the same request,
-// streaming, cancellation, and stats semantics.
+// NewBackendServer starts a generation server over any LanguageModel: one
+// continuous-batching loop with the same request, streaming, cancellation,
+// and stats semantics for every backend. The transformer pipeline steps all
+// in-flight sequences in one batched pass; any other backend steps one
+// sequence at a time within the same schedule.
 func NewBackendServer(m LanguageModel, cfg ServerConfig) *Server {
 	return &Server{s: serve.NewBackend(m, cfg)}
 }
