@@ -30,25 +30,25 @@
 // the lease.
 //
 // -request-timeout is the server-side default deadline: a request without
-// its own timeout_ms budget that overruns it fails with 504 between decode
-// steps and releases its batch slot. -stall-timeout arms the token-progress
+// its own timeout_ms budget that overruns it fails with 504 between passes
+// and releases its batch slot. -stall-timeout arms the token-progress
 // watchdog, which fails streams that stop producing tokens (a wedged loop
 // or blocked predictor) even when total runtime is still within budget.
 //
-// Prompts are ingested through the chunked prefill fast path: whole chunks
-// of -prefill-chunk tokens per matrix pass, interleaved with the in-flight
-// batch's decode steps so a long prompt never stalls running streams by
-// more than one chunk (negative = whole prompts in one pass). /v1/stats
-// reports prompt_tokens and decode_tokens separately, the in_flight and
-// queued live gauges an llm-router polls for load-aware placement, plus the
-// prefill_chunk_hist histogram of chunk sizes and the batch_hist histogram
-// of per-step decode batch sizes (how well concurrent traffic amortizes
-// each step's one-pass weight streaming).
+// Each loop iteration is one forward pass: every in-flight stream's next
+// token plus at most one chunk of at most -prefill-chunk prompt rows, so a
+// long prompt rides the running streams' passes a bounded chunk at a time
+// (negative = whole prompts in one pass). /v1/stats reports prompt_tokens
+// and decode_tokens separately, the in_flight and queued live gauges an
+// llm-router polls for load-aware placement, plus the prefill_chunk_hist
+// histogram of chunk sizes and the batch_hist histogram of decode rows per
+// pass (how well concurrent traffic amortizes each pass's one-time weight
+// streaming).
 //
 // -speculate k enables speculative decoding (transformer backend only): an
 // n-gram draft model distilled from the served model at startup proposes
-// blocks of k tokens and each block is verified in one pass, scheduled like
-// prefill chunks so draft work never starves in-flight decodes. Greedy
+// blocks of k tokens and each block is verified in its own pass, one round
+// per iteration round-robin, so draft work never starves in-flight decodes. Greedy
 // requests keep bitwise-identical output; stochastic requests keep their
 // exact token distribution. /v1/stats gains spec_rounds, spec_drafted,
 // spec_accepted, and the spec_accept_hist acceptance-length histogram.
@@ -113,7 +113,7 @@ func main() {
 		maxBatch     = flag.Int("max-batch", 8, "max sequences decoded per batched step")
 		coalesce     = flag.Duration("coalesce", 2*time.Millisecond, "linger for more requests before decoding a fresh batch")
 		queue        = flag.Int("queue", 64, "pending-request buffer depth")
-		prefill      = flag.Int("prefill-chunk", 32, "max prompt tokens ingested per prefill pass between decode steps (negative = whole prompt)")
+		prefill      = flag.Int("prefill-chunk", 32, "max prompt rows per forward pass, beside the decode rows (negative = whole prompt)")
 		speculate    = flag.Int("speculate", 0, "speculative draft depth; distills an n-gram drafter at startup (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM or /v1/drain")
 		reqTimeout   = flag.Duration("request-timeout", 0, "default per-request deadline; requests without their own timeout_ms fail with 504 past it (0 disables)")

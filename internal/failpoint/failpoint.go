@@ -77,13 +77,15 @@ const (
 	// failed exchange); Drop → the connection is severed; Latency → a slow
 	// merge.
 	RouterPeerRecv = "router/peer-recv"
-	// ServePrefill fires per chunked-prefill pass in the batching loop,
-	// attributed to the request whose prompt is being ingested. Panic →
-	// that request is evicted; the batch and server keep running.
+	// ServePrefill fires per prompt chunk in the batching loop, before the
+	// pass that would carry it, attributed to the request whose prompt is
+	// being ingested. Panic → that request is evicted and the pass runs
+	// without its chunk; the batch and server keep running.
 	ServePrefill = "serve/prefill"
-	// ServeStep fires per batched decode step. A fault here cannot be
-	// attributed to one request: the whole active batch fails and the
-	// loop rebuilds its predictor — the catastrophic-but-survivable path.
+	// ServeStep fires per forward pass (decode rows plus prompt chunk). A
+	// fault here cannot be attributed to one request: the whole active
+	// batch fails and the loop rebuilds its predictor — the
+	// catastrophic-but-survivable path.
 	ServeStep = "serve/step"
 	// ServeVerify fires per speculative verification round, attributed to
 	// the round's request.

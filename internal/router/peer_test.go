@@ -235,38 +235,34 @@ func TestPeerTombstoneBlocksResurrection(t *testing.T) {
 // on both the send and receive sites), a router cut off from the worker's
 // heartbeats watches its lease copy lapse — honest divergence — and once
 // the partition heals, gossip revives the lease without any re-register.
+//
+// The test heartbeats the origin itself, once per poll of each wait, so A's
+// lease is fresh whenever a condition is checked however the scheduler
+// treats the test's goroutines; a background ticker starved past the TTL
+// used to let A's lease lapse for reasons that had nothing to do with the
+// partition. What the partition could break at A is asserted instead of a
+// timing: the member stays, and A records no leave, no forgotten member and
+// no ring change.
 func TestPeerPartitionDivergesThenHeals(t *testing.T) {
 	ws := startWorkers(t, 1, 2, nil)
 	rts, urls := newPeeredRouters(t, 2, ws, nil)
 
 	w := newFakeWorker(t, "w1", 2, nil)
 	const leaseMS = 150
-	registerWorker(t, urls[0], w.ts.URL, leaseMS)
-	waitFor(t, "peer to learn the member", func() bool {
+	renewing := func(cond func() bool) func() bool {
+		return func() bool {
+			registerWorker(t, urls[0], w.ts.URL, leaseMS)
+			return cond()
+		}
+	}
+	waitFor(t, "peer to learn the member", renewing(func() bool {
 		_, ok := backendIn(rts[1].Stats(), w.ts.URL)
 		return ok
-	})
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tick := time.NewTicker(30 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				body, _ := json.Marshal(map[string]any{"url": w.ts.URL, "lease_ms": leaseMS})
-				if resp, err := http.Post(urls[0]+"/v1/register", "application/json", bytes.NewReader(body)); err == nil {
-					resp.Body.Close()
-				}
-			}
-		}
-	}()
+	}))
 
 	// Sever peer sync in both directions (the registry is process-global,
 	// which here IS the full partition).
+	before := rts[0].Stats()
 	if err := failpoint.Arm(failpoint.Plan{Seed: 1, Rules: []failpoint.Rule{
 		{Site: failpoint.RouterPeerSend, Kind: failpoint.KindError},
 		{Site: failpoint.RouterPeerRecv, Kind: failpoint.KindError},
@@ -275,23 +271,28 @@ func TestPeerPartitionDivergesThenHeals(t *testing.T) {
 	}
 	defer failpoint.Disarm()
 
-	waitFor(t, "partitioned peer's lease copy to lapse", func() bool {
+	waitFor(t, "partitioned peer's lease copy to lapse", renewing(func() bool {
 		b, ok := backendIn(rts[1].Stats(), w.ts.URL)
 		return ok && b.LeaseMS < 0
-	})
+	}))
 	// A, which hears the worker first-hand, must be unaffected.
-	if b, ok := backendIn(rts[0].Stats(), w.ts.URL); !ok || b.LeaseMS <= 0 {
-		t.Fatalf("origin router's lease suffered from the peer partition: %+v ok=%v", b, ok)
+	after := rts[0].Stats()
+	if _, ok := backendIn(after, w.ts.URL); !ok {
+		t.Fatal("origin router dropped the member during the peer partition")
+	}
+	if after.Leaves != before.Leaves || after.Forgotten != before.Forgotten || after.RingDigest != before.RingDigest {
+		t.Fatalf("origin router's membership changed during the peer partition: leaves %d→%d, forgotten %d→%d, digest %s→%s",
+			before.Leaves, after.Leaves, before.Forgotten, after.Forgotten, before.RingDigest, after.RingDigest)
 	}
 
 	failpoint.Disarm()
-	waitFor(t, "healed peer to revive the lease via gossip", func() bool {
+	waitFor(t, "healed peer to revive the lease via gossip", renewing(func() bool {
 		b, ok := backendIn(rts[1].Stats(), w.ts.URL)
 		return ok && b.LeaseMS > 0 && b.Healthy
-	})
-	waitFor(t, "digests to reconverge", func() bool {
+	}))
+	waitFor(t, "digests to reconverge", renewing(func() bool {
 		return rts[0].Stats().RingDigest == rts[1].Stats().RingDigest
-	})
+	}))
 }
 
 // TestReadyGateWithDeadPeer: a router whose only peer is unreachable must

@@ -7,9 +7,10 @@ import (
 	"time"
 
 	"repro/internal/sample"
+	"repro/internal/transformer"
 )
 
-// blockingBatch pins decode in flight: every Step waits on release, so a
+// blockingBatch pins requests in flight: every Pass waits on release, so a
 // test can hold a known request population inside the server while it
 // samples the InFlight/Queued gauges.
 type blockingBatch struct {
@@ -17,9 +18,9 @@ type blockingBatch struct {
 	release chan struct{}
 }
 
-func (b *blockingBatch) Step(ids, toks []int) [][]float64 {
+func (b *blockingBatch) Pass(chunks []transformer.Chunk) [][]float64 {
 	<-b.release
-	return b.fakeBatch.Step(ids, toks)
+	return b.fakeBatch.Pass(chunks)
 }
 
 // waitStats polls Stats until cond accepts a snapshot or the deadline
@@ -61,9 +62,9 @@ func TestInFlightQueuedGauges(t *testing.T) {
 			}
 		}()
 	}
-	// With coalescing disabled the idle loop admits exactly one request,
-	// prefills it, and blocks in its first decode step; the other 3 wait in
-	// the submission queue. All 4 are in flight.
+	// With coalescing disabled the idle loop admits exactly one request and
+	// blocks in its first pass; the other 3 wait in the submission queue.
+	// All 4 are in flight.
 	st := waitStats(s, func(st Stats) bool { return st.InFlight == n && st.Queued == n-1 })
 	if st.InFlight != n {
 		t.Errorf("InFlight = %d with %d requests held in the server, want %d", st.InFlight, n, n)

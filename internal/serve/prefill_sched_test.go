@@ -9,35 +9,43 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/failpoint"
 	"repro/internal/lm"
 	"repro/internal/mathx"
 	"repro/internal/sample"
+	"repro/internal/transformer"
 )
 
-// fakeBatch records the loop's exact predictor call sequence, so the
-// scheduling tests can assert the chunked-prefill and speculative-round
-// policies (bounded chunks, at most one chunk or round between decode
-// steps) independent of model arithmetic. Zero logits make Greedy sample
-// token 0 deterministically. Per-slot lengths track Prefill/PrefillAll/
-// Step/Rewind so the speculative scheduling test can assert window
-// accounting too.
+// fakeBatch records the loop's exact sequence of passes, so the scheduling
+// tests can assert the pass policy (one pass per iteration, at most one
+// bounded prompt chunk in it, at most one verification pass before it)
+// independent of model arithmetic. Zero logits make Greedy sample token 0
+// deterministically. Per-slot lengths track every pass and Rewind so the
+// speculative scheduling test can assert window accounting too; the prompt
+// length each slot was attached with tells a prompt chunk from a decode row.
 type fakeBatch struct {
-	vocab int
-	next  int
-	ops   []string    // "P<len>" per Prefill, "S<rows>" per Step, "V<len>" per PrefillAll, "R<n>" per Rewind
-	lens  map[int]int // ingested positions per live slot
+	vocab  int
+	next   int
+	ops    []string    // "[S<rows> P<len>]" per pass — its decode rows and its prompt chunk — "[V<len>]" per verification pass, "R<n>" per Rewind
+	lens   map[int]int // ingested positions per live slot
+	prompt map[int]int // attached prompt length per live slot
 
-	tag  bool                 // suffix per-slot ops with the slot's letter: "P4b"
-	fail func(kind byte) bool // reports whether this call ('A' for Attach, else the op letter) panics
+	tag  bool                 // suffix per-slot entries with the slot's letter: "P4b"
+	fail func(kind byte) bool // reports whether this call ('A' Attach, 'V' a verification pass, 'S' any other pass, 'R' Rewind) panics
+}
+
+// name formats one per-slot entry of an op: "P4", or with tag "P4b".
+func (f *fakeBatch) name(kind byte, n, slot int) string {
+	op := fmt.Sprintf("%c%d", kind, n)
+	if f.tag {
+		op += string(rune('a' + slot))
+	}
+	return op
 }
 
 // record logs one predictor call, or — when fail picks it — logs it with a
 // "!" and panics in its place.
-func (f *fakeBatch) record(kind byte, n, slot int) {
-	op := fmt.Sprintf("%c%d", kind, n)
-	if f.tag && slot >= 0 {
-		op += string(rune('a' + slot))
-	}
+func (f *fakeBatch) record(kind byte, op string) {
 	if f.fail != nil && f.fail(kind) {
 		f.ops = append(f.ops, op+"!")
 		panic("fakeBatch: injected fault in " + op)
@@ -47,7 +55,7 @@ func (f *fakeBatch) record(kind byte, n, slot int) {
 
 func (f *fakeBatch) Add() int {
 	if f.lens == nil {
-		f.lens = make(map[int]int)
+		f.lens, f.prompt = make(map[int]int), make(map[int]int)
 	}
 	id := f.next
 	f.next++
@@ -55,46 +63,52 @@ func (f *fakeBatch) Add() int {
 	return id
 }
 
-func (f *fakeBatch) Drop(id int) { delete(f.lens, id) }
+func (f *fakeBatch) Drop(id int) { delete(f.lens, id); delete(f.prompt, id) }
 
 // Attach and PrefixBlocks are the predictor without a prefix cache: nothing
 // restored, nothing resident.
-func (f *fakeBatch) Attach(int, []int) int {
+func (f *fakeBatch) Attach(id int, ids []int) int {
 	if f.fail != nil && f.fail('A') {
 		panic("fakeBatch: injected fault in Attach")
 	}
+	f.prompt[id] = len(ids)
 	return 0
 }
 func (f *fakeBatch) PrefixBlocks() (int, uint64) { return 0, 0 }
 
-func (f *fakeBatch) Step(ids, toks []int) [][]float64 {
-	f.record('S', len(ids), -1)
-	out := make([][]float64, len(ids))
-	for i, id := range ids {
-		f.lens[id]++
-		out[i] = make([]float64, f.vocab)
+func (f *fakeBatch) Pass(chunks []transformer.Chunk) [][]float64 {
+	kind, rows, parts := byte('S'), 0, []string(nil)
+	for _, c := range chunks {
+		switch {
+		case c.All:
+			kind = 'V'
+			parts = append(parts, f.name('V', len(c.Tokens), c.ID))
+		case f.lens[c.ID] < f.prompt[c.ID]:
+			parts = append(parts, f.name('P', len(c.Tokens), c.ID))
+		default:
+			rows++
+		}
 	}
-	return out
-}
-
-func (f *fakeBatch) Prefill(id int, ids []int) []float64 {
-	f.record('P', len(ids), id)
-	f.lens[id] += len(ids)
-	return make([]float64, f.vocab)
-}
-
-func (f *fakeBatch) PrefillAll(id int, ids []int) [][]float64 {
-	f.record('V', len(ids), id)
-	f.lens[id] += len(ids)
-	out := make([][]float64, len(ids))
-	for i := range out {
-		out[i] = make([]float64, f.vocab)
+	if rows > 0 {
+		parts = append([]string{fmt.Sprintf("S%d", rows)}, parts...)
+	}
+	f.record(kind, "["+strings.Join(parts, " ")+"]")
+	var out [][]float64
+	for _, c := range chunks {
+		f.lens[c.ID] += len(c.Tokens)
+		n := 1
+		if c.All {
+			n = len(c.Tokens)
+		}
+		for range n {
+			out = append(out, make([]float64, f.vocab))
+		}
 	}
 	return out
 }
 
 func (f *fakeBatch) Rewind(id, n int) {
-	f.record('R', n, id)
+	f.record('R', f.name('R', n, id))
 	if n < 0 || n > f.lens[id] {
 		panic("fakeBatch: rewind out of range")
 	}
@@ -117,17 +131,22 @@ type schedResult struct {
 	ops   string // every predictor call in order; " | " where the loop rebuilt its predictor
 	outs  string // each request's terminal outcome, in request order
 	stats Stats
+
+	passes [3]int // iterations that made 0, 1 and 2 slot-advancing passes
 }
 
 // runSched drives reqs through admit and iterate on the loop state — no
 // goroutine, no clock: arrivals queue up and are admitted while the batch
 // has room, exactly as Server.loop tops it up. boom names the one predictor
-// call that panics ("V2": the second PrefillAll; 'A' counts Attach calls).
-// After every iterate it checks what holds on any schedule:
+// call that panics ("V2": the second verification pass, "S2": the second
+// other pass; 'A' counts Attach calls). After every iterate it checks what
+// holds on any schedule:
 //
-//   - the iteration made at most one prefill pass, then at most one
-//     verification round, then at most one step, in that order, no pass
-//     longer than PrefillChunk and no step wider than MaxBatch;
+//   - the iteration made at most one verification pass (and its rewind),
+//     then at most one pass, in that order: one slot-advancing pass per
+//     iteration, two when a speculative round ran;
+//   - that pass carried at most MaxBatch decode rows and at most one prompt
+//     chunk, of at most PrefillChunk tokens;
 //   - every request that began the iteration past its prompt and did not
 //     fail gained at least one token — so whatever else the iteration ran
 //     delayed an in-flight decode by one bounded chunk and round at most;
@@ -142,7 +161,7 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 	var fakes []*fakeBatch
 	calls := 0
 	s.newBatch = func() batchPredictor {
-		f := &fakeBatch{vocab: m.Tok.VocabSize(), tag: tag, lens: map[int]int{}}
+		f := &fakeBatch{vocab: m.Tok.VocabSize(), tag: tag}
 		if boom != "" {
 			f.fail = func(kind byte) bool {
 				if kind != boom[0] {
@@ -156,6 +175,7 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 		return f
 	}
 	b := &batch{Server: s, bp: s.newBatch()}
+	var passes [3]int
 	ops := func() (all []string) {
 		for i, f := range fakes {
 			if i > 0 {
@@ -209,26 +229,39 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 
 		kinds := ""
 		for _, op := range ops()[before:] {
-			var n int
-			fmt.Sscanf(op[1:], "%d", &n)
-			switch {
-			case op[0] == 'P' && s.cfg.PrefillChunk > 0 && n > s.cfg.PrefillChunk:
-				t.Fatalf("iteration %d: prefill pass %s exceeds PrefillChunk %d", it, op, s.cfg.PrefillChunk)
-			case op[0] == 'S' && n > s.cfg.MaxBatch:
-				t.Fatalf("iteration %d: step %s exceeds MaxBatch %d", it, op, s.cfg.MaxBatch)
+			kind, chunks := op[0], 0
+			if kind == '[' {
+				kind = 'F'
+				for _, part := range strings.Fields(strings.Trim(op, "[]!")) {
+					var n int
+					fmt.Sscanf(part[1:], "%d", &n)
+					switch part[0] {
+					case 'V':
+						kind = 'V'
+					case 'S':
+						if n > s.cfg.MaxBatch {
+							t.Fatalf("iteration %d: pass %s has more decode rows than MaxBatch %d", it, op, s.cfg.MaxBatch)
+						}
+					case 'P':
+						if chunks++; chunks > 1 || s.cfg.PrefillChunk > 0 && n > s.cfg.PrefillChunk {
+							t.Fatalf("iteration %d: pass %s carries more than one chunk of at most PrefillChunk %d", it, op, s.cfg.PrefillChunk)
+						}
+					}
+				}
 			}
-			kinds += op[:1]
+			kinds += string(kind)
 		}
-		// "PVRS" in order, each at most once (R is a round's rewind, a
-		// trailing "|" the rebuild after a failed step).
-		order := "PVRS|"
+		// "VRF" in order, each at most once (R is a round's rewind, a
+		// trailing "|" the rebuild after a failed pass).
+		order := "VRF|"
 		for _, k := range kinds {
 			i := strings.IndexRune(order, k)
 			if i < 0 {
-				t.Fatalf("iteration %d ran %v: want at most one prefill pass, one round and one step", it, ops()[before:])
+				t.Fatalf("iteration %d ran %v: want at most one verification pass, then one pass", it, ops()[before:])
 			}
 			order = order[i+1:]
 		}
+		passes[strings.Count(kinds, "V")+strings.Count(kinds, "F")]++
 		for i, p := range pend {
 			select {
 			case o := <-p.done:
@@ -254,7 +287,7 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 		}
 	}
 
-	res := schedResult{ops: strings.Join(ops(), " "), stats: s.Stats()}
+	res := schedResult{ops: strings.Join(ops(), " "), stats: s.Stats(), passes: passes}
 	for i, p := range pend {
 		o, ok := outs[p]
 		var pe *PanicError
@@ -280,7 +313,10 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 }
 
 // TestScheduling pins the serving policy as plain data: requests and a
-// config in, the predictor call sequence, the outcomes and the counters out.
+// config in, the sequence of passes, the outcomes and the counters out. Each
+// "[...]" is one pass: "S<n>" its n decode rows, "P<n>" its prompt chunk,
+// "V<n>" a verification block; every expected sequence below is derived by
+// hand in its comment.
 func TestScheduling(t *testing.T) {
 	if got := (Config{}).withDefaults().PrefillChunk; got != 32 {
 		t.Fatalf("default PrefillChunk = %d, want 32", got)
@@ -292,57 +328,79 @@ func TestScheduling(t *testing.T) {
 	chunk4 := Config{MaxBatch: 4, CoalesceWait: -1, PrefillChunk: 4}
 	spec3 := Config{MaxBatch: 4, CoalesceWait: -1, PrefillChunk: 4, Speculate: 3, Drafter: uniformDrafter{vocab}}
 	cases := []struct {
-		name string
-		cfg  Config
-		reqs []schedReq
-		boom string
-		tag  bool
-		want schedResult
+		name  string
+		cfg   Config
+		reqs  []schedReq
+		boom  string
+		fault failpoint.Rule // armed for the run when its Site is set
+		tag   bool
+		want  schedResult
 	}{{
-		// Prompts are ingested in chunks of at most PrefillChunk tokens, at
-		// most one chunk runs between consecutive decode steps (so a
-		// mid-decode request is never stalled by more than one chunk of
-		// someone else's prompt), and a finished prompt samples its first
-		// token from the prefill logits and joins the decode batch the same
-		// iteration. A: 2-token prompt, 8 tokens; B, arriving behind it: 12
-		// (3 chunks), 3 tokens. 8+3 sampled tokens, two of them from prefill
-		// logits: those count toward DecodeTokens but occupy no step row.
+		// Prompts are ingested in chunks of at most PrefillChunk tokens, one
+		// chunk per pass beside the decode rows (so a mid-decode request never
+		// shares a pass with more than one chunk of someone else's prompt),
+		// and a finished prompt samples its first token from its pass and is
+		// a decode row from the next. A: 2-token prompt, 8 tokens; B, arriving
+		// at iteration 1: 12 (3 chunks), 3 tokens. A's prompt (it 0), then
+		// A's rows 2-4 beside B's chunks (its 1-3; B samples its first token
+		// at 3), both decoding (its 4-5; B done), A alone (its 6-7). 8+3
+		// sampled tokens, two of them from a chunk's last row: those count
+		// toward DecodeTokens but occupy no decode row.
 		name: "PrefillChunkScheduling", cfg: chunk4,
 		reqs: []schedReq{{words: 2, tokens: 8}, {words: 12, tokens: 3, at: 1}},
-		want: schedResult{ops: "P2 S1 P4 S1 P4 S1 P4 S2 S2 S1 S1", outs: "ok ok", stats: Stats{
+		want: schedResult{ops: "[P2] [S1 P4] [S1 P4] [S1 P4] [S2] [S2] [S1] [S1]", outs: "ok ok", stats: Stats{
 			Requests: 2, Completed: 2, PrefixLookups: 2,
 			PromptTokens: 14, DecodeTokens: 11, Steps: 7, StepRows: 9, MaxBatch: 2,
 			PrefillChunkHist: [9]uint64{1: 1, 2: 3}, BatchHist: [9]uint64{0: 5, 1: 2},
 		}},
 	}, {
-		// A negative PrefillChunk removes the cap: the whole prompt in one pass.
+		// Decode rows and a chunk share one pass, however many rows there are.
+		// A and B (2-token prompts, 4 tokens) prefill in turn, A's second
+		// token riding B's chunk (it 1); C (9 words, 2 tokens) arrives at
+		// iteration 2 and its chunks ride beside both decode rows (its 2-3;
+		// A done at 3), its last token beside B's last row (it 4; C samples
+		// its first), and C's last token alone (it 5).
+		name: "decode rows and a chunk share one pass", cfg: chunk4, tag: true,
+		reqs: []schedReq{{words: 2, tokens: 4}, {words: 2, tokens: 4}, {words: 9, tokens: 2, at: 2}},
+		want: schedResult{ops: "[P2a] [S1 P2b] [S2 P4c] [S2 P4c] [S1 P1c] [S1]", outs: "ok ok ok", stats: Stats{
+			Requests: 3, Completed: 3, PrefixLookups: 3,
+			PromptTokens: 13, DecodeTokens: 10, Steps: 5, StepRows: 7, MaxBatch: 2,
+			PrefillChunkHist: [9]uint64{0: 1, 1: 2, 2: 2}, BatchHist: [9]uint64{0: 3, 1: 2},
+		}},
+	}, {
+		// A negative PrefillChunk removes the cap: the whole prompt in one
+		// pass, which samples the first token; the second rides the next.
 		name: "PrefillChunkConfigured", cfg: Config{CoalesceWait: -1, PrefillChunk: -1},
 		reqs: []schedReq{{words: 12, tokens: 2}},
-		want: schedResult{ops: "P12 S1", outs: "ok", stats: Stats{
+		want: schedResult{ops: "[P12] [S1]", outs: "ok", stats: Stats{
 			Requests: 1, Completed: 1, PrefixLookups: 1,
 			PromptTokens: 12, DecodeTokens: 2, Steps: 1, StepRows: 1, MaxBatch: 1,
 			PrefillChunkHist: [9]uint64{4: 1}, BatchHist: [9]uint64{0: 1},
 		}},
 	}, {
-		// At most one verification round per iteration, rounds interleave
-		// with (never block) another request's chunked prefill, and every
-		// round's depth respects the remaining budget. A prefills and takes a
-		// depth-3 round (V4 = pending + 3 drafts, all accepted by the uniform
-		// drafter, no rewind); B's prompt chunks land between A's rounds; B's
-		// own round is budget-clamped to depth 1 (V2).
+		// At most one verification round per iteration, before the pass, and
+		// rounds interleave with (never block) another request's chunks;
+		// every round's depth respects the remaining budget. A prefills (it
+		// 0), then takes depth-3 rounds (V4 = pending + 3 drafts, all
+		// accepted by the uniform drafter, no rewind) at its 1-2 — done after
+		// 1+4+4 tokens — while B's three chunks ride the passes of its 1-3.
+		// B samples its first token at 3 and its own round (it 4) is
+		// budget-clamped to depth 1 (V2). No pass carried a decode row.
 		name: "SpeculativeScheduling", cfg: spec3,
 		reqs: []schedReq{{words: 2, tokens: 9}, {words: 12, tokens: 3, at: 1}},
-		want: schedResult{ops: "P2 V4 P4 V4 P4 P4 V2", outs: "ok ok", stats: Stats{
+		want: schedResult{ops: "[P2] [V4] [P4] [V4] [P4] [P4] [V2]", outs: "ok ok", stats: Stats{
 			Requests: 2, Completed: 2, PrefixLookups: 2,
 			PromptTokens: 14, DecodeTokens: 12,
 			PrefillChunkHist: [9]uint64{1: 1, 2: 3},
 			SpecRounds:       3, SpecDrafted: 7, SpecAccepted: 7, SpecAcceptHist: [17]uint64{1: 1, 3: 2},
 		}},
 	}, {
-		// Three prompts ingesting together take their chunks strictly in turn.
+		// Three prompts ingesting together take their chunks strictly in
+		// turn (its 0-6); each finished prompt's second token rides the next
+		// prompt's last chunk, and c's rides alone.
 		name: "round-robin prefill", cfg: chunk4, tag: true,
 		reqs: []schedReq{{words: 9, tokens: 2}, {words: 9, tokens: 2}, {words: 9, tokens: 2}},
-		want: schedResult{ops: "P4a P4b P4c P4a P4b P4c P1a S1 P1b S1 P1c S1", outs: "ok ok ok", stats: Stats{
+		want: schedResult{ops: "[P4a] [P4b] [P4c] [P4a] [P4b] [P4c] [P1a] [S1 P1b] [S1 P1c] [S1]", outs: "ok ok ok", stats: Stats{
 			Requests: 3, Completed: 3, PrefixLookups: 3,
 			PromptTokens: 27, DecodeTokens: 6, Steps: 3, StepRows: 3, MaxBatch: 1,
 			PrefillChunkHist: [9]uint64{0: 3, 2: 6}, BatchHist: [9]uint64{0: 3},
@@ -350,27 +408,29 @@ func TestScheduling(t *testing.T) {
 	}, {
 		// A request leaving from below a cursor must not cost the next one
 		// its turn: A finishes on its only chunk, and B — not C — is next.
+		// B's second token rides C's last chunk.
 		name: "cursor survives a removal", cfg: chunk4, tag: true,
 		reqs: []schedReq{{words: 2, tokens: 1}, {words: 9, tokens: 2}, {words: 9, tokens: 2}},
-		want: schedResult{ops: "P2a P4b P4c P4b P4c P1b S1 P1c S1", outs: "ok ok ok", stats: Stats{
+		want: schedResult{ops: "[P2a] [P4b] [P4c] [P4b] [P4c] [P1b] [S1 P1c] [S1]", outs: "ok ok ok", stats: Stats{
 			Requests: 3, Completed: 3, PrefixLookups: 3,
 			PromptTokens: 20, DecodeTokens: 5, Steps: 2, StepRows: 2, MaxBatch: 1,
 			PrefillChunkHist: [9]uint64{0: 2, 1: 1, 2: 4}, BatchHist: [9]uint64{0: 2},
 		}},
 	}, {
-		// A one-token budget is spent on the prefill logits: no step row.
+		// A one-token budget is spent on the chunk's last row: no decode row.
 		name: "MaxTokens 1 never steps", cfg: chunk4,
 		reqs: []schedReq{{words: 2, tokens: 1}},
-		want: schedResult{ops: "P2", outs: "ok", stats: Stats{
+		want: schedResult{ops: "[P2]", outs: "ok", stats: Stats{
 			Requests: 1, Completed: 1, PrefixLookups: 1,
 			PromptTokens: 2, DecodeTokens: 1, PrefillChunkHist: [9]uint64{1: 1},
 		}},
 	}, {
 		// A context cancelled between two iterations frees its slot in the
-		// next one's sweep, before any further predictor call.
+		// next one's sweep, before any further pass: a's first chunk (it 0),
+		// then b's prompt (it 1) and two decode rows.
 		name: "cancelled between iterations", cfg: chunk4, tag: true,
 		reqs: []schedReq{{words: 12, tokens: 4, cancel: 1}, {words: 2, tokens: 3}},
-		want: schedResult{ops: "P4a P2b S1 S1", outs: "cancelled ok", stats: Stats{
+		want: schedResult{ops: "[P4a] [P2b] [S1] [S1]", outs: "cancelled ok", stats: Stats{
 			Requests: 2, Completed: 1, Cancelled: 1, PrefixLookups: 2,
 			PromptTokens: 6, DecodeTokens: 3, Steps: 2, StepRows: 2, MaxBatch: 1,
 			PrefillChunkHist: [9]uint64{1: 1, 2: 1}, BatchHist: [9]uint64{0: 2},
@@ -380,35 +440,60 @@ func TestScheduling(t *testing.T) {
 		// request alone and gives back the slot it had taken.
 		name: "admission panic", cfg: chunk4, tag: true, boom: "A2",
 		reqs: []schedReq{{words: 2, tokens: 3}, {words: 2, tokens: 3}},
-		want: schedResult{ops: "P2a S1 S1", outs: "ok panic(admit)", stats: Stats{
+		want: schedResult{ops: "[P2a] [S1] [S1]", outs: "ok panic(admit)", stats: Stats{
 			Requests: 2, Completed: 1, Failed: 1, Panics: 1, PrefixLookups: 1,
 			PromptTokens: 2, DecodeTokens: 3, Steps: 2, StepRows: 2, MaxBatch: 1,
 			PrefillChunkHist: [9]uint64{1: 1}, BatchHist: [9]uint64{0: 2},
 		}},
 	}, {
+		// An injected serve/prefill fault removes only its chunk, and the
+		// pass still serves the other rows. A prefills (hit 1) and decodes;
+		// B's first chunk rides A's second row (hit 2); at B's second chunk
+		// (hit 3) the site fires before the pass, B alone fails, and the pass
+		// carries A's row without it.
+		name: "prefill fault removes only its chunk", cfg: chunk4, tag: true,
+		fault: failpoint.Rule{Site: failpoint.ServePrefill, Kind: failpoint.KindPanic, After: 2, Count: 1},
+		reqs:  []schedReq{{words: 2, tokens: 4}, {words: 9, tokens: 2, at: 1}},
+		want: schedResult{ops: "[P2a] [S1 P4b] [S1] [S1]", outs: "ok panic(prefill)", stats: Stats{
+			Requests: 2, Completed: 1, Failed: 1, Panics: 1, PrefixLookups: 2,
+			PromptTokens: 6, DecodeTokens: 4, Steps: 3, StepRows: 3, MaxBatch: 1,
+			PrefillChunkHist: [9]uint64{1: 1, 2: 1}, BatchHist: [9]uint64{0: 3},
+		}},
+	}, {
 		// A failed verification round fails its own request; the other keeps
-		// its rounds and finishes.
+		// its rounds and finishes. a prefills (it 0); a's round (V4a) runs
+		// beside b's prompt (it 1); b's round (V3b, budget-clamped) panics,
+		// and a's row takes the pass (it 2); a's last round is clamped to its
+		// remaining budget (it 3).
 		name: "verify failure", cfg: spec3, tag: true, boom: "V2",
 		reqs: []schedReq{{words: 2, tokens: 9}, {words: 2, tokens: 4}},
-		want: schedResult{ops: "P2a V4a P2b V3b! S1 V3a", outs: "ok panic(verify)", stats: Stats{
+		want: schedResult{ops: "[P2a] [V4a] [P2b] [V3b]! [S1] [V3a]", outs: "ok panic(verify)", stats: Stats{
 			Requests: 2, Completed: 1, Failed: 1, Panics: 1, PrefixLookups: 2,
 			PromptTokens: 4, DecodeTokens: 10, Steps: 1, StepRows: 1, MaxBatch: 1,
 			PrefillChunkHist: [9]uint64{1: 2}, BatchHist: [9]uint64{0: 1},
 			SpecRounds: 2, SpecDrafted: 5, SpecAccepted: 5, SpecAcceptHist: [17]uint64{2: 1, 3: 1},
 		}},
 	}, {
-		// A failed step cannot be pinned on one request: the whole batch
-		// fails, and the next arrival is served by a fresh predictor.
+		// A failed pass cannot be pinned on one request: the whole batch
+		// fails — here the pass carrying a's decode row and b's prompt chunk,
+		// so b's chunk is lost with it — and the next arrival is served by a
+		// fresh predictor.
 		name: "step failure", cfg: chunk4, tag: true, boom: "S2",
 		reqs: []schedReq{{words: 2, tokens: 4}, {words: 2, tokens: 4}, {words: 2, tokens: 2, at: 3}},
-		want: schedResult{ops: "P2a S1 P2b S2! | P2a S1", outs: "panic(step) panic(step) ok", stats: Stats{
+		want: schedResult{ops: "[P2a] [S1 P2b]! | [P2a] [S1]", outs: "panic(step) panic(step) ok", stats: Stats{
 			Requests: 3, Completed: 1, Failed: 2, Panics: 2, PrefixLookups: 3,
-			PromptTokens: 6, DecodeTokens: 5, Steps: 2, StepRows: 2, MaxBatch: 1,
-			PrefillChunkHist: [9]uint64{1: 3}, BatchHist: [9]uint64{0: 2},
+			PromptTokens: 4, DecodeTokens: 3, Steps: 1, StepRows: 1, MaxBatch: 1,
+			PrefillChunkHist: [9]uint64{1: 2}, BatchHist: [9]uint64{0: 1},
 		}},
 	}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if c.fault.Site != "" {
+				if err := failpoint.Arm(failpoint.Plan{Seed: 1, Rules: []failpoint.Rule{c.fault}}); err != nil {
+					t.Fatal(err)
+				}
+				defer failpoint.Disarm()
+			}
 			got := runSched(t, c.cfg, c.reqs, c.boom, c.tag)
 			if got.ops != c.want.ops {
 				t.Errorf("op sequence %q, want %q", got.ops, c.want.ops)
@@ -428,6 +513,7 @@ func TestScheduling(t *testing.T) {
 // through runSched, whose per-iteration checks are the properties.
 func TestSchedulingProperties(t *testing.T) {
 	vocab := testLLM(t).Tok.VocabSize()
+	var passes [3]int
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := mathx.NewRNG(seed)
 		cfg := Config{MaxBatch: 1 + rng.Intn(4), CoalesceWait: -1, PrefillChunk: 1 + rng.Intn(5)}
@@ -445,7 +531,11 @@ func TestSchedulingProperties(t *testing.T) {
 		if got.stats.Failed != 0 {
 			t.Errorf("seed %d: %d requests failed with no fault injected: %s", seed, got.stats.Failed, got.outs)
 		}
+		for k, n := range got.passes {
+			passes[k] += n
+		}
 	}
+	t.Logf("iterations by slot-advancing passes made (0, 1, 2): %v", passes)
 }
 
 // TestServeOverlongPromptMatchesDirect pins the keep-last window truncation

@@ -40,6 +40,7 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/sample"
 	"repro/internal/tokenizer"
+	"repro/internal/transformer"
 )
 
 // ErrClosed is returned for requests submitted to (or stranded in) a server
@@ -48,7 +49,7 @@ var ErrClosed = errors.New("serve: server closed")
 
 // ErrDeadline is returned for requests that exhaust their per-request
 // deadline (Request.Timeout, or the server-wide Config.RequestTimeout
-// default). The loop enforces it between decode steps, so a slow or stuck
+// default). The loop enforces it between passes, so a slow or stuck
 // request cannot occupy a batch slot indefinitely; the failure is charged
 // to Stats.Failed (and Deadlined), never to Cancelled — the client did not
 // leave, the server gave up.
@@ -61,10 +62,14 @@ var ErrDeadline = errors.New("serve: request deadline exceeded")
 // a merely long generation.
 var ErrStalled = errors.New("serve: stream stalled: no token progress within the stall timeout")
 
-// PanicError wraps a panic recovered inside the serving loop: the request
-// that triggered it fails with this error while the batch and server keep
-// running. Site names the loop operation that panicked (admit, prefill,
-// sample, verify, step, finish).
+// PanicError wraps a panic recovered inside the serving loop. Site names the
+// loop operation that panicked: at admit, prefill, sample, verify or finish
+// the request it implicates fails alone; at step, the iteration's forward
+// pass over every decode row and the prompt chunk, the whole active batch
+// fails and the loop rebuilds its predictor. The prefill site is evaluated
+// before the pass, so an injected prompt fault costs only its request; a
+// real panic while a chunk is ingested costs the batch, though validated
+// inputs (EncodePrompt truncation, the MaxTokens bound) reach none.
 type PanicError struct {
 	Site  string
 	Value any
@@ -96,11 +101,11 @@ type Config struct {
 	// requests to arrive before decoding starts (default 2ms). 0 keeps
 	// the default; negative disables lingering.
 	CoalesceWait time.Duration
-	// PrefillChunk caps how many prompt tokens one chunked-prefill pass
-	// ingests (default 32). The loop runs at most one prefill chunk
-	// between consecutive decode steps, so this bounds the extra latency
-	// a mid-decode request can see from another request's prompt: one
-	// chunk's compute, regardless of prompt length. Larger chunks ingest
+	// PrefillChunk caps how many prompt rows one forward pass carries
+	// (default 32). Each iteration's pass holds every decode-phase
+	// request's next token plus at most one prompt chunk, so this bounds
+	// the extra work a mid-decode request's token shares its pass with:
+	// one chunk's rows, regardless of prompt length. Larger chunks ingest
 	// prompts faster (better time-to-first-token for the new request);
 	// smaller chunks keep in-flight streams smoother. 0 keeps the
 	// default; negative removes the cap (whole prompts in one pass).
@@ -109,7 +114,7 @@ type Config struct {
 	// iteration runs one verification round of this draft depth for one
 	// decode-phase request (round-robin, mirroring the prefill-chunk
 	// policy, so draft work never starves the other in-flight decodes)
-	// while the rest take the normal batched step. Requires Drafter;
+	// before the rest ride the iteration's pass. Requires Drafter;
 	// 0 disables. Greedy requests keep bitwise-identical output; stochastic
 	// requests keep their exact token distribution via rejection sampling.
 	Speculate int
@@ -119,8 +124,8 @@ type Config struct {
 	Drafter sample.Drafter
 	// RequestTimeout is the server-side default deadline applied to
 	// requests that do not carry their own Request.Timeout; 0 disables.
-	// Enforced between decode steps, so a request can overrun by at most
-	// one step (plus one prefill chunk / verify round).
+	// Enforced between iterations, so a request can overrun by at most
+	// one pass (plus one verify round).
 	RequestTimeout time.Duration
 	// StallTimeout arms the token-progress watchdog: a request that makes
 	// no progress (no sampled token, no prefill chunk) for this long is
@@ -157,7 +162,7 @@ type Request struct {
 	// Timeout is this request's end-to-end deadline, measured from
 	// submission; 0 falls back to Config.RequestTimeout (and negative is
 	// rejected at validation). On expiry the request fails with
-	// ErrDeadline between decode steps and its batch slot is reclaimed.
+	// ErrDeadline between passes and its batch slot is reclaimed.
 	Timeout time.Duration
 }
 
@@ -183,35 +188,38 @@ func (r Request) Options() sample.Options {
 // Result is a finished generation (same shape as the direct lm.Gen path).
 type Result = lm.Result
 
-// Stats is a snapshot of server counters. StepRows/Steps is the mean decode
-// batch size actually achieved; MaxBatch is the peak. PromptTokens and
-// DecodeTokens split throughput by phase — prompt ingestion through the
-// chunked prefill fast path versus sampled tokens from decode steps — so
-// prefill and decode rates are separately observable. Once the server is
-// idle, Requests == Completed + Cancelled + Failed.
+// Stats is a snapshot of server counters. Each loop iteration makes one
+// forward pass carrying every decode-phase request's next token (a decode
+// row) and at most one prompt chunk: Steps counts the passes with a decode
+// row and StepRows their decode rows, so StepRows/Steps is the mean decode
+// batch actually achieved; MaxBatch is the peak. PromptTokens and
+// DecodeTokens split throughput by phase, so prefill and decode rates are
+// separately observable. Once the server is idle, Requests == Completed +
+// Cancelled + Failed.
 //
-// PromptTokens counts tokens run through Prefill; the prompt positions the
-// predictor's prefix cache restored instead are counted in PrefixHitTokens.
-// Once the server is idle and no request was cut off mid-prompt (cancelled,
-// failed or evicted before its first token), PromptTokens + PrefixHitTokens
-// equals the total prompt tokens admitted.
+// PromptTokens counts prompt tokens run through a pass; the prompt positions
+// the predictor's prefix cache restored instead are counted in
+// PrefixHitTokens. Once the server is idle and no request was cut off
+// mid-prompt (cancelled, failed or evicted before its first token),
+// PromptTokens + PrefixHitTokens equals the total prompt tokens admitted.
 //
 // The counting is the same for every backend: a request's first token is
-// sampled from its last prefill chunk's logits, so it counts toward
-// DecodeTokens but occupies no step row (without speculation a request rides
-// tokens − 1 steps). Non-transformer backends have no prefix cache — each
-// admission is a PrefixLookups miss — and ignore Config.Speculate.
+// sampled from the logits of the pass that carried its last prompt chunk, so
+// it counts toward DecodeTokens but occupies no decode row (without
+// speculation a request is a decode row in tokens − 1 passes). Non-transformer
+// backends have no prefix cache — each admission is a PrefixLookups miss —
+// and ignore Config.Speculate.
 type Stats struct {
 	Requests  uint64 `json:"requests"`  // accepted by Do/Generate (past validation)
 	Completed uint64 `json:"completed"` // finished with a result
 	Cancelled uint64 `json:"cancelled"` // dropped by context cancellation
-	Failed    uint64 `json:"failed"`    // failed by the server: prompt errors, shutdown, panics, deadlines, stalls, failed steps
-	Steps     uint64 `json:"steps"`     // decode steps executed
-	StepRows  uint64 `json:"step_rows"` // total sequence-rows fed across decode steps
-	MaxBatch  int    `json:"max_batch"` // largest per-step decode batch observed
+	Failed    uint64 `json:"failed"`    // failed by the server: prompt errors, shutdown, panics, deadlines, stalls, failed passes
+	Steps     uint64 `json:"steps"`     // passes that carried at least one decode row
+	StepRows  uint64 `json:"step_rows"` // decode rows across those passes
+	MaxBatch  int    `json:"max_batch"` // most decode rows in one pass
 
-	PromptTokens uint64 `json:"prompt_tokens"` // prompt tokens ingested by prefill
-	DecodeTokens uint64 `json:"decode_tokens"` // tokens sampled (incl. each prompt's first, sampled from prefill logits)
+	PromptTokens uint64 `json:"prompt_tokens"` // prompt tokens ingested by passes
+	DecodeTokens uint64 `json:"decode_tokens"` // tokens sampled (incl. each prompt's first, sampled from the pass that finished it)
 
 	// Prefix-cache counters (see transformer.BatchedPredictor.Attach): every
 	// admitted prompt is one lookup, a hit is a lookup that restored at
@@ -235,16 +243,17 @@ type Stats struct {
 	InFlight int `json:"in_flight"`
 	Queued   int `json:"queued"`
 
-	// PrefillChunkHist is a histogram of per-pass prefill chunk sizes:
-	// bucket i counts chunks of size in (2^(i-1), 2^i] (bucket 0 is size
-	// 1, the last bucket collects everything larger than 2^7).
+	// PrefillChunkHist is a histogram of prompt chunk sizes, one entry per
+	// chunk a pass carried: bucket i counts chunks of size in
+	// (2^(i-1), 2^i] (bucket 0 is size 1, the last bucket collects
+	// everything larger than 2^7).
 	PrefillChunkHist [9]uint64 `json:"prefill_chunk_hist"`
 
-	// BatchHist is the same power-of-two histogram over per-step decode
-	// batch sizes. With the cross-sequence GEMM step, weight traffic per
-	// step is near-constant, so the histogram shows directly how well
-	// traffic amortizes that fixed cost: mass in the higher buckets means
-	// each weight stream served many sequences.
+	// BatchHist is the same power-of-two histogram over the decode rows of
+	// each pass that had any. Weight traffic per pass is near-constant, so
+	// the histogram shows directly how well traffic amortizes that fixed
+	// cost: mass in the higher buckets means each weight stream served many
+	// sequences.
 	BatchHist [9]uint64 `json:"batch_hist"`
 
 	// Speculative-decoding counters (Config.Speculate). SpecAcceptHist is
@@ -290,7 +299,7 @@ type Server struct {
 	cfg    Config
 
 	// newBatch builds the loop's predictor; a seam the scheduling tests
-	// replace to observe the exact prefill/decode call sequence.
+	// replace to observe the exact sequence of passes.
 	newBatch func() batchPredictor
 
 	// spec is the speculative-decoding driver (Config.Speculate on a
@@ -337,10 +346,10 @@ type outcome struct {
 // liveReq is a request admitted into the decoding batch.
 type liveReq struct {
 	p      *pending
-	slot   int   // predictor sequence handle; -1 until admission takes one
-	forced []int // prompt tokens not yet fed (prefill)
-	last   int   // most recently sampled token (decode phase)
-	ctx    []int // full decoded context incl. last (speculative mode only)
+	slot   int    // predictor sequence handle; -1 until admission takes one
+	forced []int  // prompt tokens not yet fed (prefill)
+	last   [1]int // most recently sampled token (decode phase); an array so a pass's chunk can slice it
+	ctx    []int  // full decoded context incl. last (speculative mode only)
 	dec    *sample.Decoder
 	pd     *lm.PieceDecoder // non-nil when streaming
 }
@@ -737,35 +746,29 @@ type batch struct {
 	active []*liveReq // in admission order; the cursors index into it
 	rr, sr int        // round-robin cursors: next request to prefill, to verify
 
-	// Step buffers, reused across iterations: the decode loop allocates
-	// nothing per step beyond what a request's own lifecycle requires.
-	ids, toks []int
-	decs      []*liveReq
+	// Pass buffers, reused across iterations: the loop allocates nothing per
+	// pass beyond what a request's own lifecycle requires.
+	chunks []transformer.Chunk
+	decs   []*liveReq
 
-	evicted uint64 // bp's prefix-eviction count as of the last countPrefill
+	evicted uint64 // bp's prefix-eviction count as of the last countPass
 }
 
 // iterate is one scheduling iteration over the active batch:
 //
 //   - the cancellation sweep: client cancellations, deadline expiries
 //     (ErrDeadline cause) and watchdog kills (ErrStalled cause) all reclaim
-//     their batch slot here, between decode steps;
-//   - at most ONE chunked prefill pass (round-robin over the requests still
-//     ingesting their prompt, at most PrefillChunk tokens), so a prompt of
-//     any length delays in-flight decodes by one bounded chunk rather than
-//     monopolizing the loop;
+//     their batch slot here, between passes;
 //   - in speculative mode, at most ONE verification round (round-robin over
-//     the decode-phase requests) — the same bounded-intrusion policy, so
-//     draft blocks never starve the other in-flight decodes;
-//   - one batched decode step over every other request past its prompt.
+//     the decode-phase requests) — the same bounded-intrusion policy as the
+//     prompt chunk, so draft blocks never starve the other in-flight decodes;
+//   - ONE forward pass over every other decode-phase request and at most one
+//     prompt chunk.
 //
-// A request whose prompt finishes mid-iteration samples its first token
-// from the prefill logits immediately (the exact logits a one-token-per-step
-// loop would sample, so outputs are unchanged), may take this iteration's
-// verification round and joins this iteration's step. Every decode-phase
-// request advances at least one token per iteration — via its speculative
-// round or via the batched step — so speculation changes scheduling only by
-// letting one request advance several tokens.
+// So an iteration makes one pass that advances a slot, two when a round
+// runs. Every decode-phase request advances at least one token per
+// iteration — via its speculative round or via the pass — so speculation
+// changes scheduling only by letting one request advance several tokens.
 func (b *batch) iterate() {
 	for i := 0; i < len(b.active); {
 		if lr := b.active[i]; lr.p.ctx.Err() != nil {
@@ -774,16 +777,13 @@ func (b *batch) iterate() {
 			i++
 		}
 	}
-	if lr := b.next(&b.rr, true); lr != nil {
-		b.prefill(lr)
-	}
 	var sped *liveReq
 	if b.spec != nil {
 		if sped = b.next(&b.sr, false); sped != nil {
 			b.verify(sped)
 		}
 	}
-	b.step(sped)
+	b.pass(sped)
 }
 
 // next is the round-robin pick both bounded-intrusion phases share: the
@@ -801,24 +801,68 @@ func (b *batch) next(cur *int, prefilling bool) *liveReq {
 	return nil
 }
 
-// prefill ingests lr's next prompt chunk. A failed pass implicates only lr
-// (per-sequence KV state is slot-local), so it alone leaves the batch.
-func (b *batch) prefill(lr *liveReq) {
-	chunk := len(lr.forced)
-	if c := b.cfg.PrefillChunk; c > 0 && chunk > c {
-		chunk = c
+// pass runs the iteration's forward pass: at most one prompt chunk of at most
+// PrefillChunk tokens, round-robin over the prefilling requests, and a decode
+// row for every decode-phase request but skip (this iteration's verified
+// request). A chunk that finishes its prompt is sampled first, so its
+// request's first token goes out ahead of the pass's other tokens; the
+// request is a decode row from the next pass on. serve/prefill is evaluated
+// for the chunk before the pass: an injected prompt fault retires only its
+// request, and the pass runs without the chunk.
+func (b *batch) pass(skip *liveReq) {
+	b.chunks, b.decs = b.chunks[:0], b.decs[:0]
+	chunk := 0
+	if pre := b.next(&b.rr, true); pre != nil {
+		if err := guard(failpoint.ServePrefill, func() {}); err != nil {
+			b.retire(pre, false, err)
+		} else {
+			if chunk = len(pre.forced); b.cfg.PrefillChunk > 0 {
+				chunk = min(chunk, b.cfg.PrefillChunk)
+			}
+			b.chunks = append(b.chunks, transformer.Chunk{ID: pre.slot, Tokens: pre.forced[:chunk]})
+			b.decs = append(b.decs, pre)
+		}
 	}
-	var logits []float64
-	if err := guard(failpoint.ServePrefill, func() { logits = b.bp.Prefill(lr.slot, lr.forced[:chunk]) }); err != nil {
-		b.retire(lr, false, err)
+	for _, lr := range b.active {
+		if len(lr.forced) == 0 && lr != skip {
+			b.chunks = append(b.chunks, transformer.Chunk{ID: lr.slot, Tokens: lr.last[:]})
+			b.decs = append(b.decs, lr)
+		}
+	}
+	if len(b.chunks) == 0 {
 		return
 	}
-	lr.forced = lr.forced[chunk:]
-	b.stamp(lr.p)
-	b.countPrefill(chunk, len(lr.forced) == 0)
-	if len(lr.forced) == 0 {
-		// Prompt fully ingested: the chunk's logits are the first to sample.
-		b.sample(lr, logits)
+	var logits [][]float64
+	if err := guard(failpoint.ServeStep, func() { logits = b.bp.Pass(b.chunks) }); err != nil {
+		// A failed pass cannot be attributed to one request, and a panic
+		// mid-pass may have left partially written KV rows behind: fail the
+		// whole active batch and rebuild the predictor — the
+		// catastrophic-but-survivable path. The worker process keeps
+		// serving; new requests get a clean predictor, prefix cache included
+		// (emptied before the replies, so a caller that saw its request fail
+		// sees the gauge at zero).
+		b.bp = b.newBatch()
+		b.evicted = 0
+		b.count(func(st *Stats) { st.PrefixBlocks = 0 })
+		for _, lr := range b.active {
+			b.reply(lr.p, outcome{err: fmt.Errorf("serve: batched pass failed: %w", err)}, failed)
+		}
+		clear(b.active)
+		b.active = b.active[:0]
+		return
+	}
+	sampled, rows := b.decs, len(b.decs)
+	if chunk > 0 {
+		pre := b.decs[0]
+		pre.forced = pre.forced[chunk:]
+		b.stamp(pre.p)
+		if rows--; len(pre.forced) > 0 {
+			sampled, logits = b.decs[1:], logits[1:]
+		}
+	}
+	b.countPass(rows, chunk, len(sampled))
+	for i, lr := range sampled {
+		b.sample(lr, logits[i])
 	}
 }
 
@@ -838,10 +882,9 @@ func (b *batch) sample(lr *liveReq, logits []float64) {
 }
 
 // verify runs lr's speculative verification round: lr advances several
-// tokens at once and sits out this iteration's batched step. The emitted
-// tokens are delivered and counted exactly as the step's sampled tokens are,
-// so greedy requests keep bitwise-identical output and the stats stay
-// coherent.
+// tokens at once and sits out this iteration's pass. The emitted tokens are
+// delivered and counted exactly as the pass's sampled tokens are, so greedy
+// requests keep bitwise-identical output and the stats stay coherent.
 func (b *batch) verify(lr *liveReq) {
 	var done bool
 	err := guard(failpoint.ServeVerify, func() {
@@ -860,45 +903,6 @@ func (b *batch) verify(lr *liveReq) {
 	})
 	if done || err != nil {
 		b.retire(lr, done, err)
-	}
-}
-
-// step runs one batched decode step over every decode-phase request but
-// skip (this iteration's verified request) and samples each row.
-func (b *batch) step(skip *liveReq) {
-	b.ids, b.toks, b.decs = b.ids[:0], b.toks[:0], b.decs[:0]
-	for _, lr := range b.active {
-		if len(lr.forced) == 0 && lr != skip {
-			b.ids = append(b.ids, lr.slot)
-			b.toks = append(b.toks, lr.last)
-			b.decs = append(b.decs, lr)
-		}
-	}
-	if len(b.ids) == 0 {
-		return
-	}
-	var logits [][]float64
-	if err := guard(failpoint.ServeStep, func() { logits = b.bp.Step(b.ids, b.toks) }); err != nil {
-		// A failed batched step cannot be attributed to one request, and a
-		// panic mid-step may have left partially written KV rows behind:
-		// fail the whole active batch and rebuild the predictor — the
-		// catastrophic-but-survivable path. The worker process keeps
-		// serving; new requests get a clean predictor, prefix cache included
-		// (emptied before the replies, so a caller that saw its request fail
-		// sees the gauge at zero).
-		b.bp = b.newBatch()
-		b.evicted = 0
-		b.count(func(st *Stats) { st.PrefixBlocks = 0 })
-		for _, lr := range b.active {
-			b.reply(lr.p, outcome{err: fmt.Errorf("serve: batched step failed: %w", err)}, failed)
-		}
-		clear(b.active)
-		b.active = b.active[:0]
-		return
-	}
-	b.countStep(len(b.ids))
-	for i, lr := range b.decs {
-		b.sample(lr, logits[i])
 	}
 }
 
@@ -937,7 +941,7 @@ func (b *batch) retire(lr *liveReq, done bool, err error) {
 			b.bp.Drop(lr.slot)
 		}()
 	}
-	// Order is preserved (the cursors and per-step iteration depend on it);
+	// Order is preserved (the cursors and per-pass iteration depend on it);
 	// slices.Delete zeroes the vacated tail, so a finished request's buffers
 	// are not retained by the backing array while the server idles.
 	i := slices.Index(b.active, lr)
@@ -1020,10 +1024,10 @@ func (b *batch) open(lr *liveReq) error {
 }
 
 // emit records tok as lr's newest token and delivers its stream event: the
-// moment its step or round completes, never blocking (the channel is
+// moment its pass or round completes, never blocking (the channel is
 // pre-sized for the whole budget).
 func (b *batch) emit(lr *liveReq, tok int) {
-	lr.last = tok
+	lr.last[0] = tok
 	if lr.ctx != nil {
 		lr.ctx = append(lr.ctx, tok)
 	}
@@ -1034,36 +1038,22 @@ func (b *batch) emit(lr *liveReq, tok int) {
 }
 
 // slotTarget adapts one predictor sequence to the single-sequence
-// verification surface sample.Speculative drives.
+// verification surface sample.Speculative drives: a verification block is a
+// pass of one all-rows chunk.
 type slotTarget struct {
 	bp   batchPredictor
 	slot int
 }
 
-func (t slotTarget) ExtendAll(ids []int) [][]float64 { return t.bp.PrefillAll(t.slot, ids) }
-func (t slotTarget) Rewind(n int)                    { t.bp.Rewind(t.slot, n) }
-func (t slotTarget) Len() int                        { return t.bp.Len(t.slot) }
+func (t slotTarget) Rewind(n int) { t.bp.Rewind(t.slot, n) }
+func (t slotTarget) Len() int     { return t.bp.Len(t.slot) }
+func (t slotTarget) ExtendAll(ids []int) [][]float64 {
+	return t.bp.Pass([]transformer.Chunk{{ID: t.slot, Tokens: ids, All: true}})
+}
 
 func (s *Server) count(f func(*Stats)) {
 	s.mu.Lock()
 	f(&s.stats)
-	s.mu.Unlock()
-}
-
-// countStep records one decoding step of the given batch width without
-// allocating (the closure form would capture the width and escape). Every
-// decode row samples exactly one token, so the same call maintains
-// DecodeTokens.
-func (s *Server) countStep(rows int) {
-	bucket := histBucket(rows, len(s.stats.BatchHist))
-	s.mu.Lock()
-	s.stats.Steps++
-	s.stats.StepRows += uint64(rows)
-	s.stats.DecodeTokens += uint64(rows)
-	s.stats.BatchHist[bucket]++
-	if rows > s.stats.MaxBatch {
-		s.stats.MaxBatch = rows
-	}
 	s.mu.Unlock()
 }
 
@@ -1087,22 +1077,28 @@ func (s *Server) countSpec(drafted, accepted, emitted int) {
 	s.mu.Unlock()
 }
 
-// countPrefill records one chunked-prefill pass of the given token count;
-// sampled marks a pass that completed its prompt, whose logits immediately
-// yield one sampled token (counted here so DecodeTokens spans every
-// sampled token without an extra lock in the sampling path). The pass may
-// have published prompt blocks to bp's prefix cache, so the occupancy
-// counters are refreshed under the same lock; the predictor's eviction count
-// restarts when the loop rebuilds it, hence the delta.
-func (b *batch) countPrefill(chunk int, sampled bool) {
-	bucket := histBucket(chunk, len(b.stats.PrefillChunkHist))
+// countPass records one forward pass of rows decode rows, a prompt chunk of
+// chunk tokens (0 for none) and sampled sampled tokens — the decode rows,
+// plus one when the chunk finished its prompt — without allocating (the
+// closure form would capture the counts and escape), and without an extra
+// lock in the sampling path. The pass may have published prompt blocks to
+// bp's prefix cache, so the occupancy counters are refreshed under the same
+// lock; the predictor's eviction count restarts when the loop rebuilds it,
+// hence the delta.
+func (b *batch) countPass(rows, chunk, sampled int) {
 	blocks, evicted := b.bp.PrefixBlocks()
 	b.mu.Lock()
-	b.stats.PromptTokens += uint64(chunk)
-	b.stats.PrefillChunkHist[bucket]++
-	if sampled {
-		b.stats.DecodeTokens++
+	if rows > 0 {
+		b.stats.Steps++
+		b.stats.StepRows += uint64(rows)
+		b.stats.BatchHist[histBucket(rows, len(b.stats.BatchHist))]++
+		b.stats.MaxBatch = max(b.stats.MaxBatch, rows)
 	}
+	if chunk > 0 {
+		b.stats.PromptTokens += uint64(chunk)
+		b.stats.PrefillChunkHist[histBucket(chunk, len(b.stats.PrefillChunkHist))]++
+	}
+	b.stats.DecodeTokens += uint64(sampled)
 	b.stats.PrefixBlocks = blocks
 	b.stats.PrefixEvictions += evicted - b.evicted
 	b.mu.Unlock()
@@ -1110,33 +1106,34 @@ func (b *batch) countPrefill(chunk int, sampled bool) {
 }
 
 // batchPredictor is what the loop needs from a model: per-slot incremental
-// state and the passes that advance it (transformer.BatchedPredictor,
-// stepperBatch, or the scheduling tests' recording fake). A logits row stays
-// valid until the next call that advances its slot: the loop samples every
-// row of a Step before it calls the predictor again.
+// state and the one forward method that advances it, Pass, with the
+// contract of transformer.BatchedPredictor.Pass (implemented by it,
+// stepperBatch, or the scheduling tests' recording fake). The loop calls
+// Pass at most twice per iteration: a verification block (one all-rows
+// chunk) and the iteration's pass. A logits row stays valid until the next
+// Pass: the loop samples every row before it calls the predictor again.
 type batchPredictor interface {
 	Add() int
 	Attach(id int, ids []int) int
 	PrefixBlocks() (resident int, evicted uint64)
 	Drop(id int)
-	Step(ids []int, tokens []int) [][]float64
-	Prefill(id int, ids []int) []float64
-	PrefillAll(id int, ids []int) [][]float64
+	Pass(chunks []transformer.Chunk) [][]float64
 	Rewind(id int, n int)
 	Len(id int) int
 }
 
 // stepperBatch serves any LanguageModel with one sample.Stepper per slot: a
-// Step is one Append per row, so requests share the schedule (interleaving,
-// chunked prefill, MaxBatch) though not the arithmetic. Each stepper returns
-// its own logits slice, so rows of one Step never alias. No prefix cache and
-// nothing to verify with: newServer builds no speculative driver over it, so
-// PrefillAll, Rewind and Len are unreachable.
+// Pass feeds each chunk to its slot's stepper in turn, so requests share the
+// schedule (interleaving, chunked prefill, MaxBatch) though not the
+// arithmetic. Each stepper returns its own logits slice, so rows of one Pass
+// never alias. No prefix cache and nothing to verify with: newServer builds
+// no speculative driver over it, so no chunk asks for All and Rewind and Len
+// are unreachable.
 type stepperBatch struct {
 	model lm.LanguageModel
 	seqs  map[int]sample.Stepper
 	next  int
-	rows  [][]float64 // Step's result, reused
+	rows  [][]float64 // Pass's result, reused
 }
 
 func (sb *stepperBatch) Add() int {
@@ -1150,25 +1147,24 @@ func (sb *stepperBatch) Drop(id int)                 { delete(sb.seqs, id) }
 func (sb *stepperBatch) Attach(int, []int) int       { return 0 }
 func (sb *stepperBatch) PrefixBlocks() (int, uint64) { return 0, 0 }
 
-func (sb *stepperBatch) Step(ids, tokens []int) [][]float64 {
+// Pass returns each chunk's logits after its last token, through Extend
+// where the stepper has it.
+func (sb *stepperBatch) Pass(chunks []transformer.Chunk) [][]float64 {
 	sb.rows = sb.rows[:0]
-	for i, id := range ids {
-		sb.rows = append(sb.rows, sb.seqs[id].Append(tokens[i]))
+	for _, c := range chunks {
+		st := sb.seqs[c.ID]
+		var logits []float64
+		if ex, ok := st.(sample.Extender); ok {
+			logits = ex.Extend(c.Tokens)
+		} else {
+			for _, tok := range c.Tokens {
+				logits = st.Append(tok)
+			}
+		}
+		sb.rows = append(sb.rows, logits)
 	}
 	return sb.rows
 }
 
-func (sb *stepperBatch) Prefill(id int, ids []int) (logits []float64) {
-	st := sb.seqs[id]
-	if ex, ok := st.(sample.Extender); ok {
-		return ex.Extend(ids)
-	}
-	for _, tok := range ids {
-		logits = st.Append(tok)
-	}
-	return logits
-}
-
-func (sb *stepperBatch) PrefillAll(int, []int) [][]float64 { panic("serve: no verify surface") }
-func (sb *stepperBatch) Rewind(int, int)                   { panic("serve: no verify surface") }
-func (sb *stepperBatch) Len(int) int                       { panic("serve: no verify surface") }
+func (sb *stepperBatch) Rewind(int, int) { panic("serve: no verify surface") }
+func (sb *stepperBatch) Len(int) int     { panic("serve: no verify surface") }

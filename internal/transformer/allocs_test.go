@@ -1,6 +1,7 @@
 package transformer
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mathx"
@@ -67,16 +68,27 @@ func TestCompiledCacheSharedAndInvalidated(t *testing.T) {
 	}
 }
 
-// TestBatchedStepAllocsBounded bounds the batched decoding step at every
-// batch size the E21 scaling benchmark sweeps: after the scratch arena has
-// grown to the batch size, Step's only remaining allocations are the small
-// per-call bookkeeping (map clear is free, tensor views are reused), so the
-// whole step must stay within a handful of allocations regardless of batch
-// size or position. Each width gets a fresh predictor so the shrink policy
-// (constant batch ⇒ capacity == batch ⇒ no trim) never fires mid-measure.
+// TestBatchedStepAllocsBounded pins the batched pass at zero allocations in
+// steady state, at every batch size the E21 scaling benchmark sweeps and for
+// a serving iteration's mixed pass (eight decode rows plus a 32-row prompt
+// chunk, rewound after each pass so the window never runs out): once the
+// scratch arena has grown to the pass, the map clear, the chunk list and the
+// tensor views are all reused. Each shape gets a fresh predictor so the
+// shrink policy (constant pass ⇒ capacity == rows ⇒ no trim) never fires
+// mid-measure.
 func TestBatchedStepAllocsBounded(t *testing.T) {
 	cfg := Config{Vocab: 33, Dim: 32, Layers: 2, Heads: 2, Window: 600, Pos: PosLearned, Act: nn.GELU}
 	m := MustNew(cfg, mathx.NewRNG(5))
+	measure := func(name string, pass func()) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			pass() // warm the scratch
+		}
+		if allocs := testing.AllocsPerRun(300, pass); allocs != 0 {
+			t.Errorf("%s: BatchedPredictor allocates %v per pass at steady state, want 0", name, allocs)
+		}
+	}
+	rng := mathx.NewRNG(6)
 	for _, batch := range []int{1, 2, 4, 8, 16, 32} {
 		bp := m.NewBatchedPredictor()
 		ids := make([]int, batch)
@@ -84,21 +96,27 @@ func TestBatchedStepAllocsBounded(t *testing.T) {
 		for i := range ids {
 			ids[i] = bp.Add()
 		}
-		rng := mathx.NewRNG(6)
-		step := func() {
+		measure(fmt.Sprintf("batch %d", batch), func() {
 			for i := range toks {
 				toks[i] = rng.Intn(cfg.Vocab)
 			}
 			bp.Step(ids, toks)
-		}
-		for i := 0; i < 4; i++ {
-			step() // warm the scratch
-		}
-		allocs := testing.AllocsPerRun(300, step)
-		if allocs > 2 {
-			t.Errorf("batch %d: BatchedPredictor.Step allocates %v per step at steady state, want <= 2", batch, allocs)
-		}
+		})
 	}
+	bp := m.NewBatchedPredictor()
+	chunks := make([]Chunk, 9)
+	for i := range chunks {
+		chunks[i] = Chunk{ID: bp.Add(), Tokens: randTokens(rng, 1, cfg.Vocab)}
+	}
+	prompt := chunks[8].ID
+	chunks[8].Tokens = randTokens(rng, 32, cfg.Vocab)
+	measure("8 decode rows + a 32-row chunk", func() {
+		for i := range chunks[:8] {
+			chunks[i].Tokens[0] = rng.Intn(cfg.Vocab)
+		}
+		bp.Pass(chunks)
+		bp.Rewind(prompt, 32)
+	})
 }
 
 // TestBatchedScratchShrinksAfterBurst pins the scratch-retention policy: a

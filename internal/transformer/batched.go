@@ -13,25 +13,28 @@ import (
 // Sequences join (Add) and leave (Drop) the batch at any step, which is what
 // the serving front end's continuous batching relies on.
 //
-// A Step is the row-pass kernel (rowPass, prefill.go) at B states × 1 row:
-// every dense projection runs as one packedMat.matMat sweep with the batch's
+// A Pass is the row-pass kernel (rowPass, prefill.go) over every row of the
+// chunks it is given — decode tokens, a prompt chunk, a verification block:
+// every dense projection runs as one packedMat.matMat sweep with the pass's
 // residual rows as the right-hand matrix, so each sixteen-row weight block
-// is streamed from memory exactly once per step regardless of batch size
-// (four rows per stream through the fused mathx.DotInterleaved16X4 kernel),
-// and each row's attention reads its own sequence's interleaved key pack,
-// sixteen keys per kernel call. Predictor.Append is the same kernel at
-// 1 × 1, so the logits for a sequence are bitwise identical to running it
-// alone through a Predictor.
+// is streamed from memory exactly once per pass however many sequences ride
+// it (four rows per stream through the fused mathx.DotInterleaved16X4
+// kernel), and each row's attention reads its own sequence's interleaved key
+// pack, sixteen keys per kernel call. Step and Prefill are shapes of Pass,
+// and Predictor.Append is the same kernel at 1 × 1, so the logits for a
+// sequence are bitwise identical to running it alone through a Predictor.
 //
-// Like Predictor, the batched path avoids per-step churn: each sequence's
+// Like Predictor, the batched path avoids per-pass churn: each sequence's
 // KV cache is preallocated to the window (Add recycles the buffers of
-// dropped sequences through a per-model pool), and all step intermediates
-// (projections, residuals, logits) live in a scratch arena reused across
-// Step calls. The arena grows to the largest live batch and is released
-// again when the batch stays well below that high-water mark (see
-// trimScratch), so a burst does not pin its peak footprint forever. Chunk
-// passes (Prefill, PrefillAll) run in scratch pooled on the model instead,
-// which keeps a prompt's chunk width out of the step arena's hysteresis.
+// dropped sequences through a per-model pool), and all pass intermediates
+// (projections, residuals, logits) live in one scratch arena reused across
+// passes. The arena grows to the largest pass — in the serving loop at most
+// MaxBatch decode rows plus one prompt chunk — and is released again when
+// passes stay well below that high-water mark (see trimScratch), so a burst
+// does not pin its peak footprint forever. Prompt chunks no longer take
+// pooled scratch to stay out of that hysteresis: a chunk that shares its
+// pass with decode rows shares their arena, and the trim bounds what it
+// leaves behind.
 //
 // A sequence that is told its whole prompt up front (Attach) restores the
 // longest prefix of it that the predictor's prefix cache holds instead of
@@ -47,16 +50,14 @@ type BatchedPredictor struct {
 	next   int
 	prefix *prefixCache
 
-	// Step arena (rows and intermediates) and result, grown to the largest
-	// batch seen and reused; overCap counts consecutive steps far below
+	// Pass arena (rows and intermediates) and result, grown to the largest
+	// pass seen and reused; overCap counts consecutive passes far below
 	// capacity (the shrink hysteresis).
 	passScratch
-	step    logitBuf
+	logits  logitBuf
 	seen    map[int]bool
 	overCap int
-
-	pf    logitBuf // Prefill result
-	pfAll logitBuf // PrefillAll result, one row per chunk position
+	steps   []Chunk // Step's chunk list, reused
 }
 
 // batchSeq is one sequence's decoding state: its KV cache and what the
@@ -67,7 +68,7 @@ type batchSeq struct {
 	// Prefix-cache state, empty unless the sequence was attached.
 	prompt  []int        // the attached prompt
 	hashes  []uint64     // chain hash of each full block of prompt
-	fed     int          // leading positions holding prompt's tokens, restored or written by Prefill
+	fed     int          // leading positions holding prompt's tokens, restored or written by a pass
 	offered int          // leading blocks restored from or offered to the cache
 	tail    *prefixEntry // entry caching block offered-1; nil if that block is uncached
 }
@@ -135,10 +136,10 @@ func (bp *BatchedPredictor) seq(id int) *batchSeq {
 // Len returns the number of positions processed for sequence id.
 func (bp *BatchedPredictor) Len(id int) int { return bp.seq(id).n }
 
-// Scratch-retention policy: the step arena tracks the largest batch seen,
-// which after a traffic burst can dwarf the steady batch. When the live
-// batch has stayed at or below capacity/scratchShrinkFactor for
-// scratchShrinkAfter consecutive steps, the arena is released and regrown
+// Scratch-retention policy: the pass arena tracks the largest pass seen,
+// which after a traffic burst can dwarf the steady pass. When live passes
+// have stayed at or below capacity/scratchShrinkFactor rows for
+// scratchShrinkAfter consecutive passes, the arena is released and regrown
 // at the live size; tiny arenas (≤ scratchMinRows rows) are never worth
 // reclaiming. The hysteresis keeps an oscillating load from thrashing
 // between shrink and regrowth.
@@ -148,10 +149,10 @@ const (
 	scratchMinRows      = 8
 )
 
-// trimScratch applies the retention policy above before a step of the given
-// batch size; the step then regrows it at the live size.
-func (bp *BatchedPredictor) trimScratch(batch int) {
-	if cap(bp.rows) <= scratchMinRows || batch*scratchShrinkFactor > cap(bp.rows) {
+// trimScratch applies the retention policy above to the last pass, before
+// the next one, which then regrows the arena at its own size.
+func (bp *BatchedPredictor) trimScratch() {
+	if cap(bp.rows) <= scratchMinRows || len(bp.rows)*scratchShrinkFactor > cap(bp.rows) {
 		bp.overCap = 0
 		return
 	}
@@ -159,7 +160,7 @@ func (bp *BatchedPredictor) trimScratch(batch int) {
 		return
 	}
 	bp.overCap = 0
-	bp.passScratch, bp.step = passScratch{}, logitBuf{}
+	bp.passScratch, bp.logits = passScratch{}, logitBuf{}
 }
 
 // rowParallelWork is the per-call flop count above which a per-row sweep
@@ -204,35 +205,76 @@ func rowParallel(n int, f func(i int)) {
 	wg.Wait()
 }
 
+// Chunk is one sequence's share of a Pass: Tokens to append to sequence ID
+// (a decode token, a prompt chunk or a draft block), with logits wanted after
+// every one of them (All) or only after the last.
+type Chunk struct {
+	ID     int
+	Tokens []int
+	All    bool
+}
+
+// Pass appends every chunk to its sequence in one forward pass and returns
+// the logits the chunks want, in chunk order; sequences not named stay
+// untouched. A chunk beyond its sequence's window room is truncated keep-last
+// to its last Window−Len(id) tokens. Pass panics on an unknown or repeated id
+// and on a chunk with no token to ingest (empty, or its window exhausted).
+// Every row is bitwise what feeding its sequence alone, one token at a time,
+// would give, whatever else rides the pass; an attached sequence (Attach)
+// offers the prompt blocks a chunk completes to the prefix cache. The rows
+// are views into the predictor's scratch, valid until the next Pass, Step or
+// Prefill call; clone a row to retain it.
+func (bp *BatchedPredictor) Pass(chunks []Chunk) [][]float64 {
+	if len(chunks) == 0 {
+		return nil
+	}
+	bp.trimScratch()
+	bp.rows = bp.rows[:0]
+	clear(bp.seen)
+	for _, c := range chunks {
+		s := bp.seq(c.ID)
+		ids := truncTail(c.Tokens, bp.m.Cfg.Window-s.n)
+		if bp.seen[c.ID] || len(ids) == 0 {
+			panic(fmt.Sprintf("transformer: sequence %d repeated in a pass or with no token to ingest", c.ID))
+		}
+		bp.seen[c.ID] = true
+		for i, tok := range ids {
+			bp.rows = append(bp.rows, passRow{kv: &s.kvState, tok: tok, logits: c.All || i == len(ids)-1})
+		}
+	}
+	bp.m.rowPass(bp.c, &bp.passScratch, &bp.logits)
+	r := 0
+	for _, c := range chunks {
+		first := bp.rows[r] // rowPass tagged it with the chunk's start and end
+		k := first.end - first.pos
+		bp.publish(bp.seqs[c.ID], first.pos, c.Tokens[len(c.Tokens)-k:])
+		r += k
+	}
+	return bp.logits.rows
+}
+
 // Step feeds one token per listed sequence and returns next-position logits
-// aligned with ids. Sequences not listed stay untouched, which lets callers
-// prefill a newly admitted request while others are mid-decode. It panics on
-// an unknown or duplicated id, and when a sequence's window is exhausted.
-//
-// The returned rows are views into the predictor's step scratch: they are
-// valid until the next Step call (the serving loop and every decoding
-// driver consume them immediately). Clone a row to retain it.
+// aligned with ids: a Pass of one-token chunks. It panics on an unknown or
+// duplicated id, and when a sequence's window is exhausted.
 func (bp *BatchedPredictor) Step(ids []int, tokens []int) [][]float64 {
 	if len(ids) != len(tokens) {
 		panic("transformer: BatchedPredictor.Step ids/tokens length mismatch")
 	}
-	if len(ids) == 0 {
+	bp.steps = bp.steps[:0]
+	for i, id := range ids {
+		bp.steps = append(bp.steps, Chunk{ID: id, Tokens: tokens[i : i+1]})
+	}
+	return bp.Pass(bp.steps)
+}
+
+// Prefill feeds a chunk of tokens to one sequence and returns the logits
+// after the last one: a Pass of one chunk, bitwise identical to
+// Predictor.Extend. If ids exceeds the sequence's window room, only the last
+// Window−Len(id) tokens are ingested (keep-last truncation); it returns nil
+// when no tokens remain.
+func (bp *BatchedPredictor) Prefill(id int, ids []int) []float64 {
+	if len(truncTail(ids, bp.m.Cfg.Window-bp.Len(id))) == 0 {
 		return nil
 	}
-	bp.trimScratch(len(ids))
-	rows := bp.begin(len(ids))
-	clear(bp.seen)
-	for i, id := range ids {
-		s := bp.seq(id)
-		if bp.seen[id] {
-			panic(fmt.Sprintf("transformer: sequence %d listed twice in one step", id))
-		}
-		bp.seen[id] = true
-		if s.n >= bp.m.Cfg.Window {
-			panic("transformer: predictor window exhausted")
-		}
-		rows[i].kv = &s.kvState
-	}
-	bp.m.rowPass(bp.c, &bp.passScratch, tokens, bp.step.ensure(len(ids), bp.m.Cfg.Vocab))
-	return bp.step.rows
+	return bp.Pass([]Chunk{{ID: id, Tokens: ids}})[0]
 }

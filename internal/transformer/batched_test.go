@@ -126,12 +126,14 @@ func TestBatchedStepParityAcrossWidths(t *testing.T) {
 	}
 }
 
-// TestBatchedStepProperty fuzzes the batched step against shadow solo
-// predictors: random configurations (head widths incl. non-16, windows not
-// divisible by 16, both norm orders, sparse masks), random batch
-// compositions per step (any subset of the live sequences), and random
-// interleaved Prefill chunks. Every returned row must match the shadow's
-// Append bitwise.
+// TestBatchedStepProperty fuzzes Pass against shadow solo predictors:
+// random configurations (head widths incl. non-16, windows not divisible by
+// 16, both norm orders, sparse masks) and random chunk lists per pass — any
+// subset of the live sequences, each with one decode token, a chunk of
+// random width (truncated keep-last at the window), or a chunk that ends on
+// a key-pack block edge, any of them possibly all-rows; a sequence whose
+// window is full is sometimes replaced by a recycled one. Every returned
+// row must match the shadow's Append bitwise.
 func TestBatchedStepProperty(t *testing.T) {
 	rng := mathx.NewRNG(441)
 	for trial := 0; trial < 25; trial++ {
@@ -163,41 +165,45 @@ func TestBatchedStepProperty(t *testing.T) {
 			shadow[i] = m.NewPredictor()
 		}
 		for round := 0; round < 30; round++ {
-			// Pick a random non-empty subset with window room left.
-			var stepIDs, stepToks []int
-			var stepShadow []*Predictor
+			// A random non-empty subset of the sequences with window room.
+			var chunks []Chunk
+			var shadows []*Predictor
 			for i := range ids {
-				if shadow[i].Len() < cfg.Window && rng.Intn(2) == 0 {
-					tok := rng.Intn(cfg.Vocab)
-					stepIDs = append(stepIDs, ids[i])
-					stepToks = append(stepToks, tok)
-					stepShadow = append(stepShadow, shadow[i])
+				n := shadow[i].Len()
+				if n >= cfg.Window && rng.Intn(2) == 0 {
+					bp.Drop(ids[i])
+					ids[i], shadow[i], n = bp.Add(), m.NewPredictor(), 0
 				}
+				if n >= cfg.Window || rng.Intn(2) == 0 {
+					continue
+				}
+				width := 1
+				switch rng.Intn(4) {
+				case 0:
+					width = 1 + rng.Intn(20)
+				case 1:
+					width = 16 - n%16
+				}
+				chunks = append(chunks, Chunk{ID: ids[i], Tokens: randTokens(rng, width, cfg.Vocab), All: rng.Intn(4) == 0})
+				shadows = append(shadows, shadow[i])
 			}
-			if len(stepIDs) == 0 {
+			if len(chunks) == 0 {
 				continue
 			}
-			// Occasionally prefill one member a short chunk instead.
-			if rng.Intn(5) == 0 {
-				i := rng.Intn(len(stepIDs))
-				chunk := make([]int, 1+rng.Intn(4))
-				for j := range chunk {
-					chunk[j] = rng.Intn(cfg.Vocab)
+			got := bp.Pass(chunks)
+			r := 0
+			for i, c := range chunks {
+				toks := truncTail(c.Tokens, cfg.Window-shadows[i].Len())
+				for j, tok := range toks {
+					want := shadows[i].Append(tok)
+					if c.All || j == len(toks)-1 {
+						bitsEqual(t, "property-pass", got[r], want)
+						r++
+					}
 				}
-				room := cfg.Window - bp.Len(stepIDs[i])
-				got := bp.Prefill(stepIDs[i], chunk)
-				var want []float64
-				for _, id := range truncTail(chunk, room) {
-					want = stepShadow[i].Append(id)
-				}
-				if want != nil {
-					bitsEqual(t, "property-prefill", got, want)
-				}
-				continue
 			}
-			got := bp.Step(stepIDs, stepToks)
-			for i := range got {
-				bitsEqual(t, "property-step", got[i], stepShadow[i].Append(stepToks[i]))
+			if r != len(got) {
+				t.Fatalf("trial %d: pass returned %d rows, want %d", trial, len(got), r)
 			}
 		}
 	}
@@ -244,6 +250,7 @@ func TestBatchedPredictorPanics(t *testing.T) {
 	expectPanic("unknown id", func() { bp.Step([]int{99}, []int{0}) })
 	expectPanic("duplicate id", func() { bp.Step([]int{id, id}, []int{0, 0}) })
 	expectPanic("length mismatch", func() { bp.Step([]int{id}, []int{0, 1}) })
+	expectPanic("empty chunk", func() { bp.Pass([]Chunk{{ID: id}}) })
 	bp.Step([]int{id}, []int{0})
 	bp.Step([]int{id}, []int{1})
 	expectPanic("window exhausted", func() { bp.Step([]int{id}, []int{2}) })

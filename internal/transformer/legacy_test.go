@@ -280,11 +280,11 @@ func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
 			}
 		}
 
-		// (d) PrefillAll: row r is the reference's r-th Append.
+		// (d) An all-rows chunk: row r is the reference's r-th Append.
 		id := bp.Add()
 		for _, span := range [][2]int{{0, 5}, {5, cfg.Window}} {
-			for r, row := range bp.PrefillAll(id, toks[span[0]:span[1]]) {
-				bitsEqual(t, tag("prefillall"), row, want[span[0]+r])
+			for r, row := range bp.Pass([]Chunk{{ID: id, Tokens: toks[span[0]:span[1]], All: true}}) {
+				bitsEqual(t, tag("pass/all"), row, want[span[0]+r])
 			}
 		}
 
@@ -303,9 +303,37 @@ func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
 			bitsEqual(t, tag("rewind/extendall"), row, want[a+1+r])
 		}
 		bp.Rewind(id, cfg.Window-a)
-		bp.PrefillAll(id, junk)
+		bp.Pass([]Chunk{{ID: id, Tokens: junk, All: true}})
 		bp.Rewind(id, len(junk))
 		bitsEqual(t, tag("rewind/step"), bp.Step([]int{id}, toks[a:a+1])[0], want[a])
+
+		// (f) One Pass mixing what a serving iteration can hold: three decode
+		// rows (one at a key-pack block's first lane where the window has a
+		// second block), a prompt chunk that crosses a block boundary where
+		// the window allows, and an all-rows chunk.
+		w := cfg.Window
+		starts := []int{1, w / 3, w - 1, w / 4, w / 2}
+		ends := []int{2, w/3 + 1, w, min(w/4+20, w), min(w/2+5, w)}
+		bp = m.NewBatchedPredictor()
+		chunks := make([]Chunk, len(starts))
+		for i, s := range starts {
+			id := bp.Add()
+			bp.Prefill(id, toks[:s])
+			chunks[i] = Chunk{ID: id, Tokens: toks[s:ends[i]], All: i == len(starts)-1}
+		}
+		rows := bp.Pass(chunks)
+		r := 0
+		for i, c := range chunks {
+			for j := range c.Tokens {
+				if c.All || j == len(c.Tokens)-1 {
+					bitsEqual(t, tag("pass/mixed"), rows[r], want[starts[i]+j])
+					r++
+				}
+			}
+		}
+		if r != len(rows) {
+			t.Fatalf("%s: mixed pass returned %d rows, want %d", tag("pass/mixed"), len(rows), r)
+		}
 	}
 }
 

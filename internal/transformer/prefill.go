@@ -11,14 +11,17 @@ import (
 
 // This file is the transformer block's one inference form: rowPass advances
 // the model over R residual rows, each tagged with the KV state it appends
-// to. Every entry point is a shape of it — Append is 1 state × 1 row, a
-// batched decode Step is B states × 1 row each, Prefill/Extend is 1 state ×
-// R rows with last-row logits, PrefillAll/ExtendAll the same with a logits
-// row per position. Each dense projection is one blocked matrix-matrix
-// sweep over all rows (packedMat.matMat: every weight block streamed once
-// per pass), attention scores run sixteen keys per interleaved kernel call
-// against each state's key pack, and only the rows whose logits the caller
-// wants are final-normed and unembedded.
+// to and whether its logits are wanted. Every entry point is a shape of it —
+// Append is 1 state × 1 row, Extend is 1 state × R rows with last-row
+// logits, ExtendAll the same with a logits row per position, and
+// BatchedPredictor.Pass any mix of those over many states in one pass (a
+// serving iteration's decode rows, its prompt chunk, or a verification
+// block). Each dense projection is one blocked matrix-matrix sweep over all
+// rows (packedMat.matMat: every weight block streamed once per pass),
+// attention scores run sixteen keys per interleaved kernel call against each
+// state's key pack, and only the rows whose logits are wanted are
+// final-normed and unembedded. Predictor's chunk passes take pooled scratch
+// (chunkPass); BatchedPredictor's share its one arena (see batched.go).
 //
 // Correctness contract: a pass performs, row by row, the arithmetic of
 // feeding that state's tokens one at a time — same kernels or bitwise-equal
@@ -79,17 +82,19 @@ func (kv *kvState) rewind(n int) {
 }
 
 // passRow tags one residual row of a pass with the KV state it appends to.
-// The caller names kv; rowPass derives the rest.
+// The caller names kv, tok and logits; rowPass derives the rest.
 type passRow struct {
-	kv  *kvState
-	pos int // the row's position in kv
-	end int // kv's length once the pass completes
+	kv     *kvState
+	tok    int  // the token embedded at this row
+	logits bool // final-norm and unembed this row
+	pos    int  // the row's position in kv
+	end    int  // kv's length once the pass completes
 }
 
 // passScratch holds every intermediate of a row pass, grown to the largest
 // pass seen and reused, so steady-state passes allocate nothing.
 type passScratch struct {
-	rows    []passRow
+	rows    []passRow      // filled by the caller: one state's rows adjacent, in position order, within its window
 	x       *tensor.Tensor // residual stream (rows×Dim)
 	norm    *tensor.Tensor // layer-norm output (rows×Dim)
 	q       *tensor.Tensor // all heads' queries, head-major (rows×Dim)
@@ -101,17 +106,6 @@ type passScratch struct {
 	scores  []float64      // one row's attention scores (Window)
 	scores2 []float64      // second score row for the paired-query kernel
 	smax    []float64      // softmax scratch (Window)
-}
-
-// begin starts a pass of n rows and returns their tags for the caller to
-// name each row's KV state. Rows of one state must be adjacent, in position
-// order, and fit its window.
-func (sc *passScratch) begin(n int) []passRow {
-	if cap(sc.rows) < n {
-		sc.rows = make([]passRow, n)
-	}
-	sc.rows = sc.rows[:n]
-	return sc.rows
 }
 
 func (sc *passScratch) ensure(cfg Config, rows int) {
@@ -131,8 +125,9 @@ func (sc *passScratch) ensure(cfg Config, rows int) {
 }
 
 // logitBuf is a caller-owned logits matrix and the row views handed out of
-// it. Results live here rather than in the pass scratch because chunk passes
-// run in pooled scratch that the next predictor may already be using.
+// it. Results live here rather than in the pass scratch because Predictor's
+// chunk passes run in pooled scratch that the next predictor may already be
+// using.
 type logitBuf struct {
 	t    *tensor.Tensor
 	rows [][]float64
@@ -152,12 +147,12 @@ func (l *logitBuf) ensure(n, vocab int) *tensor.Tensor {
 	return t
 }
 
-// rowPass runs the pass begun on sc: it embeds tokens[r] at row r's position,
-// advances every block over the rows (writing each row's keys and values
-// into its state), final-norms and unembeds the last logits.Shape[0] rows —
-// one for next-token logits, all of them for a verification pass — and
-// extends each state by its rows.
-func (m *Model) rowPass(c *compiledModel, sc *passScratch, tokens []int, logits *tensor.Tensor) {
+// rowPass runs the pass whose rows the caller put in sc.rows: it embeds each
+// row's token at its position, advances every block over the rows (writing
+// each row's keys and values into its state), final-norms and unembeds the
+// rows that want logits into out, in row order, and extends each state by
+// its rows.
+func (m *Model) rowPass(c *compiledModel, sc *passScratch, out *logitBuf) {
 	cfg := m.Cfg
 	rows := sc.rows
 	n := len(rows)
@@ -173,9 +168,9 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, tokens []int, logits 
 	}
 	sc.ensure(cfg, n)
 	x := sc.x
-	for r, id := range tokens {
+	for r := range rows {
 		row := x.Row(r)
-		copy(row, m.TokEmb.W.Value.Row(id))
+		copy(row, m.TokEmb.W.Value.Row(rows[r].tok))
 		switch cfg.Pos {
 		case PosLearned:
 			for j, v := range m.PosTable.Value.Row(rows[r].pos) {
@@ -193,11 +188,15 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, tokens []int, logits 
 	// sc.norm is free after the last block, so the final norm lands there.
 	// The unembedding — the largest matrix in the model — streams once for
 	// however many rows want logits.
-	last := logits.Shape[0]
-	norm := tensor.Ensure(&sc.norm, last, cfg.Dim)
-	for i := 0; i < last; i++ {
-		layerNormInto(norm.Row(i), x.Row(n-last+i), m.FinalNorm)
+	want := 0
+	for r := range rows {
+		if rows[r].logits {
+			layerNormInto(sc.norm.Row(want), x.Row(r), m.FinalNorm)
+			want++
+		}
 	}
+	norm := tensor.Ensure(&sc.norm, want, cfg.Dim)
+	logits := out.ensure(want, cfg.Vocab)
 	c.out.matMat(logits, norm)
 	addBias(logits, c.outB)
 	for r := range rows {
@@ -354,8 +353,8 @@ func actInto(a nn.Activation, xs []float64) {
 
 // truncTail returns the keep-last suffix of ids that fits the remaining
 // window room: the canonical prompt-longer-than-window behavior shared by
-// EncodePrompt (which truncates against Window−budget) and every chunk pass
-// (which truncates against Window−Len).
+// EncodePrompt (which truncates against Window−budget) and every chunk of a
+// pass (which truncates against Window−Len).
 func truncTail(ids []int, room int) []int {
 	if room < 0 {
 		room = 0
@@ -366,33 +365,29 @@ func truncTail(ids []int, room int) []int {
 	return ids
 }
 
-// chunkPass appends a chunk of tokens to kv as one pass of 1 state × R rows
-// and returns the ids it ingested: the keep-last suffix that fits kv's
-// window room, none when the window is full. out receives the logits after
-// the last position, or with all set after every position. The pass runs in
-// scratch pooled on the model (taken per call, returned when the pass
-// completes), so predictors created per request share warm buffers instead
-// of each paying a first-call allocation.
-func (m *Model) chunkPass(c *compiledModel, kv *kvState, ids []int, out *logitBuf, all bool) []int {
+// chunkPass appends a chunk of tokens to a Predictor's kv as one pass of 1
+// state × R rows and reports whether it ingested any: it feeds the keep-last
+// suffix that fits kv's window room, nothing when the window is full. out
+// receives the logits after the last position, or with all set after every
+// position. The pass runs in scratch pooled on the model (taken per call,
+// returned when the pass completes), so predictors created per request share
+// warm buffers instead of each paying a first-call allocation.
+func (m *Model) chunkPass(c *compiledModel, kv *kvState, ids []int, out *logitBuf, all bool) bool {
 	ids = truncTail(ids, m.Cfg.Window-kv.n)
 	if len(ids) == 0 {
-		return nil
+		return false
 	}
 	sc, _ := m.pfPool.Get().(*passScratch)
 	if sc == nil {
 		sc = &passScratch{}
 	}
 	defer m.pfPool.Put(sc)
-	rows := sc.begin(len(ids))
-	for r := range rows {
-		rows[r].kv = kv
+	sc.rows = sc.rows[:0]
+	for r, id := range ids {
+		sc.rows = append(sc.rows, passRow{kv: kv, tok: id, logits: all || r == len(ids)-1})
 	}
-	want := 1
-	if all {
-		want = len(ids)
-	}
-	m.rowPass(c, sc, ids, out.ensure(want, m.Cfg.Vocab))
-	return ids
+	m.rowPass(c, sc, out)
+	return true
 }
 
 // Extend feeds a whole chunk of tokens and returns the logits for the
@@ -409,31 +404,8 @@ func (m *Model) chunkPass(c *compiledModel, kv *kvState, ids []int, out *logitBu
 // no heap allocations once the pooled scratch has grown to the caller's
 // chunk size.
 func (p *Predictor) Extend(ids []int) []float64 {
-	if len(p.m.chunkPass(p.c, &p.kvState, ids, &p.logits, false)) == 0 {
+	if !p.m.chunkPass(p.c, &p.kvState, ids, &p.logits, false) {
 		return nil
 	}
 	return p.logits.rows[0]
-}
-
-// Prefill feeds a whole chunk of tokens to one batch sequence and returns
-// the logits for the position after the last one — bitwise identical to
-// stepping the sequence alone through Step once per token (and therefore to
-// Predictor.Append), the same pass as Predictor.Extend. Sequences not named
-// are untouched, which is what lets the serving loop interleave bounded
-// prefill chunks with decode steps. If ids exceeds the sequence's remaining
-// window room, only the last Window−Len(id) tokens are ingested (keep-last
-// truncation); it returns nil when no tokens remain. On an attached
-// sequence (see Attach) the prompt blocks the pass completes are offered to
-// the prefix cache.
-//
-// The returned slice is shared scratch, valid until the next Step or
-// Prefill call.
-func (bp *BatchedPredictor) Prefill(id int, ids []int) []float64 {
-	s := bp.seq(id)
-	ids = bp.m.chunkPass(bp.c, &s.kvState, ids, &bp.pf, false)
-	if len(ids) == 0 {
-		return nil
-	}
-	bp.publish(s, s.n-len(ids), ids)
-	return bp.pf.rows[0]
 }

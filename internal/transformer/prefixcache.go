@@ -23,8 +23,7 @@ import "slices"
 // reduces a head's values with one DotInterleaved16 call over the contiguous
 // value rows, and splitting that reduction across non-contiguous pages would
 // change its floating-point association. A restored sequence is an ordinary
-// contiguous one, so Step, Prefill, PrefillAll, Rewind and every kernel run
-// on it unchanged.
+// contiguous one, so Pass, Rewind and every kernel run on it unchanged.
 //
 // Admission is by second sighting: the first time a chain hash is offered it
 // is only remembered in a bounded table; the block is copied in the second
@@ -217,12 +216,12 @@ func (s *batchSeq) copyBlock(buf []float64, b int, restore bool) {
 // sequence's KV cache, and returns the number of positions restored: the
 // caller prefills ids[n:] as usual. At least one token is always left to
 // prefill, since the first sampled token needs that position's logits. From
-// then on every full block of the prompt that Prefill completes is offered
+// then on every full block of the prompt that a pass completes is offered
 // to the cache. A sequence that is never attached neither reads nor feeds the
 // cache.
 //
 // ids must be the tokens exactly as they will be fed from position 0; a
-// prompt longer than the window (which Prefill would truncate keep-last,
+// prompt longer than the window (which a pass would truncate keep-last,
 // shifting every position) is left unattached. Attach panics on an unknown
 // sequence and on one that already holds positions or a prompt.
 func (bp *BatchedPredictor) Attach(id int, ids []int) int {
@@ -260,7 +259,7 @@ func (bp *BatchedPredictor) Attach(id int, ids []int) int {
 
 // publish offers the cache every full block of s's attached prompt that the
 // pass which just ingested chunk at position start completed. Only positions
-// Prefill wrote from the prompt's own tokens, contiguously from the restored
+// a pass wrote from the prompt's own tokens, contiguously from the restored
 // prefix, count (s.fed): a block containing anything else is never offered.
 func (bp *BatchedPredictor) publish(s *batchSeq, start int, chunk []int) {
 	if start != s.fed || start >= len(s.prompt) {

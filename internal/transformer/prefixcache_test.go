@@ -81,7 +81,7 @@ func prefillChunked(bp *BatchedPredictor, rng *mathx.RNG, prompt []int) (id, res
 
 // TestPrefixCacheProperty drives one predictor through many sequence
 // lifetimes whose prompts open with one of a few shared prefixes: Attach,
-// then random interleavings of Prefill (random chunking), Step, PrefillAll,
+// then random interleavings of Prefill (random chunking), Step, all-rows Pass,
 // Rewind (into the prompt too) and finally Drop. After every op the logits
 // and the whole KV state must equal, bitwise, a fresh solo predictor's
 // Append-only replay of the surviving history — whatever the cache restored,
@@ -145,9 +145,9 @@ func TestPrefixCacheProperty(t *testing.T) {
 					check("step", bp.Step([]int{id}, tok)[0])
 				case rng.Intn(4) == 0:
 					chunk := next(1 + rng.Intn(room))
-					rows := bp.PrefillAll(id, chunk)
+					rows := bp.Pass([]Chunk{{ID: id, Tokens: chunk, All: true}})
 					hist = append(hist, chunk...)
-					check("prefillall", rows[len(rows)-1])
+					check("pass-all", rows[len(rows)-1])
 				default:
 					chunk := next(1 + rng.Intn(room))
 					logits := bp.Prefill(id, chunk)

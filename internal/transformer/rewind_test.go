@@ -116,7 +116,7 @@ func TestRewindProperty(t *testing.T) {
 }
 
 // TestBatchedRewindProperty is the BatchedPredictor form: two sequences
-// advance through random Step/Prefill/PrefillAll/Rewind interleavings while
+// advance through random Step/Prefill/all-rows Pass/Rewind interleavings while
 // each is shadowed by a solo Predictor given the same net history. Rewinding
 // one sequence must leave the other bit-identical, and every logits row must
 // match the solo path.
@@ -141,7 +141,7 @@ func TestBatchedRewindProperty(t *testing.T) {
 		for si := range ids {
 			tok := rng.Intn(cfg.Vocab)
 			hists[si] = append(hists[si], tok)
-			rows := bp.PrefillAll(ids[si], []int{tok})
+			rows := bp.Pass([]Chunk{{ID: ids[si], Tokens: []int{tok}, All: true}})
 			bitsEqual(t, "batched/seed", rows[0], rebuilt(si))
 		}
 		for op := 0; op < 20; op++ {
@@ -183,13 +183,13 @@ func TestBatchedRewindProperty(t *testing.T) {
 					hists[si] = append(hists[si], chunk...)
 					bitsEqual(t, "batched/prefill", got, rebuilt(si))
 				} else {
-					rows := bp.PrefillAll(ids[si], chunk)
+					rows := bp.Pass([]Chunk{{ID: ids[si], Tokens: chunk, All: true}})
 					sh := m.NewPredictor()
 					for _, id := range hists[si] {
 						sh.Append(id)
 					}
 					for r, id := range chunk {
-						bitsEqual(t, "batched/prefillall", rows[r], sh.Append(id))
+						bitsEqual(t, "batched/pass-all", rows[r], sh.Append(id))
 					}
 					hists[si] = append(hists[si], chunk...)
 				}

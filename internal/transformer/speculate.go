@@ -1,9 +1,10 @@
 package transformer
 
 // This file is the transformer side of speculative decoding: a verification
-// pass that scores a whole block of drafted tokens at once (ExtendAll /
-// PrefillAll: a chunk pass with a logits row per position), and cache
-// truncation (Rewind) that un-ingests the drafted suffix a verifier rejects.
+// pass that scores a whole block of drafted tokens at once (ExtendAll, or a
+// BatchedPredictor.Pass chunk with All set: a logits row per position), and
+// cache truncation (Rewind) that un-ingests the drafted suffix a verifier
+// rejects.
 //
 // Rewind is a plain length decrement — no KV rows or interleaved key-pack
 // lanes are cleared — and is still bitwise-exact, because state beyond a
@@ -40,7 +41,7 @@ func (p *Predictor) Rewind(n int) { p.rewind(n) }
 // The returned rows are views into the predictor's reusable scratch, valid
 // until the next ExtendAll call.
 func (p *Predictor) ExtendAll(ids []int) [][]float64 {
-	if len(p.m.chunkPass(p.c, &p.kvState, ids, &p.all, true)) == 0 {
+	if !p.m.chunkPass(p.c, &p.kvState, ids, &p.all, true) {
 		return nil
 	}
 	return p.all.rows
@@ -48,27 +49,12 @@ func (p *Predictor) ExtendAll(ids []int) [][]float64 {
 
 // Rewind discards the last n cached positions of batch sequence id — the
 // per-sequence form of Predictor.Rewind, with the same staleness argument
-// (each sequence owns its KV cache and key packs; the shared step scratch
+// (each sequence owns its KV cache and key packs; the shared pass scratch
 // holds no per-position state). Rewinding into an attached prompt also takes
 // the discarded positions out of what the sequence may publish to the prefix
-// cache, until Prefill writes them from the prompt again.
+// cache, until a pass writes them from the prompt again.
 func (bp *BatchedPredictor) Rewind(id, n int) {
 	s := bp.seq(id)
 	s.rewind(n)
 	s.fed = min(s.fed, s.n)
-}
-
-// PrefillAll feeds a chunk to one batch sequence and returns per-position
-// logits, the batched counterpart of Predictor.ExtendAll: row r is bitwise
-// identical to stepping the sequence alone through Step with ids[r].
-// Sequences not named are untouched, so the serving loop can run one
-// request's speculative verification pass between batched decode steps.
-//
-// The returned rows are views into shared scratch, valid until the next
-// PrefillAll call.
-func (bp *BatchedPredictor) PrefillAll(id int, ids []int) [][]float64 {
-	if len(bp.m.chunkPass(bp.c, &bp.seq(id).kvState, ids, &bp.pfAll, true)) == 0 {
-		return nil
-	}
-	return bp.pfAll.rows
 }

@@ -203,9 +203,9 @@ type Model struct {
 	compiledMu    sync.Mutex
 	compiledCache *compiledModel
 
-	// Chunk-pass scratch (*passScratch), pooled per model so each serving
-	// request's fresh predictor reuses a previous request's buffers instead
-	// of allocating them on its first Extend/Prefill.
+	// Predictor chunk-pass scratch (*passScratch), pooled per model so each
+	// fresh Predictor reuses a previous one's buffers instead of allocating
+	// them on its first Extend/ExtendAll.
 	pfPool sync.Pool
 
 	// KV buffers of dropped batch sequences (*batchSeq), reused by the next
@@ -545,8 +545,8 @@ func (p *Predictor) Append(id int) []float64 {
 	if p.n >= p.m.Cfg.Window {
 		panic("transformer: predictor window exhausted")
 	}
-	p.sc.begin(1)[0].kv = &p.kvState
-	p.m.rowPass(p.c, &p.sc, []int{id}, p.logits.ensure(1, p.m.Cfg.Vocab))
+	p.sc.rows = append(p.sc.rows[:0], passRow{kv: &p.kvState, tok: id, logits: true})
+	p.m.rowPass(p.c, &p.sc, &p.logits)
 	return p.logits.rows[0]
 }
 

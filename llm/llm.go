@@ -250,9 +250,9 @@ func SyntheticCorpus(n int, seed uint64) []string {
 
 // ServerConfig tunes the request-batching generation service; the zero
 // value selects sensible defaults (batch of 8, 2ms coalescing window,
-// 32-token prefill chunks). PrefillChunk bounds how much of a new request's
-// prompt is ingested between decode steps, so long prompts never stall
-// in-flight streams by more than one chunk.
+// 32-token prefill chunks). PrefillChunk bounds how many prompt rows of a new
+// request share each forward pass with the in-flight streams' decode rows,
+// so a long prompt never stalls them by more than one chunk.
 type ServerConfig = serve.Config
 
 // GenRequest is one generation job for a Server, with per-request sampling
@@ -283,8 +283,8 @@ var ErrServerClosed = serve.ErrClosed
 // Generate calls are coalesced into batched forward passes that share each
 // decoding step's matrix work, while every request keeps its own sampling
 // parameters and context-cancellation path. Prompts are ingested through
-// the chunked prefill fast path (whole chunks as matrix-matrix work,
-// interleaved with decode steps in bounded pieces). Results are identical
+// the chunked prefill fast path (bounded chunks as matrix-matrix work,
+// riding the same forward pass as the decode rows). Results are identical
 // to the corresponding unbatched LLM.Generate call.
 type Server struct {
 	s *serve.Server
