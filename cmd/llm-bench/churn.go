@@ -47,14 +47,15 @@ func runChurn(dir string, seed uint64) error {
 
 	// The router starts with no members at all: the whole fleet arrives
 	// through /v1/register. FailThreshold is set high so the kill below is
-	// detected by lease expiry (the path under test), not probe ejection;
-	// ForgetAfter is long so the dead worker's ring slot survives until it
-	// restarts and renews.
+	// detected by lease expiry (the path under test), not probe ejection.
+	// The dead worker's ring slot survives until it restarts and renews:
+	// the router forgets a member only after ten lapsed TTLs (2.5 s), and
+	// the restart follows the lapse by tens of milliseconds.
 	rts, err := f.StartRouters(1, router.Config{
 		MaxAttempts: 4, RetryBackoff: 2 * time.Millisecond,
 		HealthInterval: 20 * time.Millisecond, FailThreshold: 50,
 		RelayTimeout: 5 * time.Second,
-		DefaultLease: fleettest.Lease, ForgetAfter: 30 * time.Second,
+		DefaultLease: fleettest.Lease,
 	})
 	if err != nil {
 		return err

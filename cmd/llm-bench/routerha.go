@@ -53,13 +53,14 @@ func runRouterHA(dir string, seed uint64) error {
 	defer f.Close()
 
 	// FailThreshold is high so worker liveness is governed by leases (the
-	// replicated state under test); ForgetAfter is long so nothing silently
-	// leaves the ring mid-run.
+	// replicated state under test). Nothing leaves the ring mid-run: a
+	// router forgets only a member that has been lapsed ten TTLs AND fails
+	// its probes, and every worker here stays up and answers probes.
 	rts, err := f.StartRouters(2, router.Config{
 		MaxAttempts: 4, RetryBackoff: 2 * time.Millisecond,
 		HealthInterval: 20 * time.Millisecond, FailThreshold: 50,
 		RelayTimeout: 5 * time.Second,
-		DefaultLease: fleettest.Lease, ForgetAfter: 30 * time.Second,
+		DefaultLease: fleettest.Lease,
 		SyncInterval: 40 * time.Millisecond,
 	})
 	if err != nil {

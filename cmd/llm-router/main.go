@@ -18,16 +18,18 @@
 // (llm-serve -join does this automatically), renew by heartbeating the
 // same endpoint, and leave via POST /v1/deregister when they drain. A
 // lease that expires without renewal ejects its worker like a failed
-// probe; one lapsed far past its TTL is removed from the ring entirely.
-// -backends seeds permanent members (no lease) and may be empty — a
-// router can start with no workers and grow its fleet entirely through
-// registration. Every membership change bumps the epoch on /v1/stats.
+// probe; one lapsed ten TTLs (and failing its probes) is removed from the
+// ring entirely. -backends seeds permanent members (their lease never
+// expires) and may be empty — a router can start with no workers and grow
+// its fleet entirely through registration. Every membership change bumps
+// the epoch on /v1/stats.
 //
 // High availability: -peers lists the base URLs of the other routers in a
 // replicated router tier. Peers converge on the same leased-member set —
-// and therefore the same placement — via relayed joins/leaves, push-pull
-// anti-entropy every -sync-interval (POST /v1/sync), and the workers'
-// own heartbeats to every router (llm-serve -join with all router URLs).
+// and therefore the same placement — via the workers' own heartbeats to
+// every router (llm-serve -join with all router URLs) and push-pull
+// anti-entropy every -sync-interval (POST /v1/sync), which carries a join
+// or leave heard by one router to the others within one interval.
 // GET /healthz answers 200 only once the router is ready: its initial
 // peer-sync round has run and at least one backend is healthy — so a
 // restarted router does not take traffic before it has a fleet to place

@@ -66,11 +66,10 @@ const (
 	// Error/Drop → the attempt fails and the loop retries with jittered
 	// backoff; Latency → a heartbeat that almost misses its lease.
 	JoinHeartbeat = "httpapi/join/heartbeat"
-	// RouterPeerSend fires per outgoing peer-sync exchange (the anti-
-	// entropy push-pull and the relay-on-change path), before the HTTP
-	// call leaves the router. Error/Drop → the exchange fails and the next
-	// anti-entropy tick retries — a partitioned peer link; Latency → a
-	// slow cross-router network.
+	// RouterPeerSend fires per outgoing anti-entropy push-pull exchange,
+	// before the HTTP call leaves the router. Error/Drop → the exchange
+	// fails and the next anti-entropy tick retries — a partitioned peer
+	// link; Latency → a slow cross-router network.
 	RouterPeerSend = "router/peer-send"
 	// RouterPeerRecv fires in the router's POST /v1/sync handler before
 	// the peer's records are parsed. Error → 500 (the sender counts a

@@ -8,13 +8,14 @@
 //
 // With replicated routers (-join takes a comma-separated list) the Joiner
 // runs one independent heartbeat loop per router: each router's view of
-// this worker is first-hand, any subset of routers being down degrades
-// nothing as long as one is reachable, and a router that restarts from
-// empty relearns the worker within one heartbeat interval without help
-// from its peers. Leave fans the deregister out to every router, each with
-// its own bounded retry, so a single unreachable router cannot stall a
-// drain — its peers tombstone the worker and gossip the leave to it when
-// it returns.
+// this worker is first-hand — the fast path of router membership, next to
+// the routers' periodic anti-entropy — any subset of routers being down
+// degrades nothing as long as one is reachable, and a router that restarts
+// from empty relearns the worker within one heartbeat interval without
+// help from its peers. Leave fans the deregister out to every router, each
+// with its own bounded retry, so a single unreachable router cannot stall
+// a drain — its peers tombstone the worker and gossip the leave to it at
+// their next anti-entropy exchange.
 
 package httpapi
 
@@ -66,11 +67,8 @@ type DeregisterResponse struct {
 
 // JoinConfig configures a worker's self-registration loop.
 type JoinConfig struct {
-	// Router is a single router's base URL (e.g. http://127.0.0.1:8370).
-	// Kept for single-router callers; merged into Routers.
-	Router string
-	// Routers lists every router base URL the worker registers with and
-	// heartbeats. Duplicates (including of Router) are dropped.
+	// Routers lists every router base URL (e.g. http://127.0.0.1:8370) the
+	// worker registers with and heartbeats. Duplicates are dropped.
 	Routers []string
 	// Self is the base URL this worker advertises as reachable.
 	Self string
@@ -96,12 +94,12 @@ type Joiner struct {
 	once    sync.Once
 }
 
-// joinRouters normalizes the configured router list: Router plus Routers,
-// trimmed, with empties and duplicates dropped, order preserved.
+// joinRouters normalizes the configured router list: trimmed, with empties
+// and duplicates dropped, order preserved.
 func joinRouters(cfg JoinConfig) []string {
 	var out []string
 	seen := map[string]bool{}
-	for _, r := range append([]string{cfg.Router}, cfg.Routers...) {
+	for _, r := range cfg.Routers {
 		r = strings.TrimSuffix(strings.TrimSpace(r), "/")
 		if r == "" || seen[r] {
 			continue

@@ -71,7 +71,7 @@ func waitJoin(t *testing.T, what string, cond func() bool) {
 func TestJoinerHeartbeats(t *testing.T) {
 	fr := newFakeRouter(t)
 	j, err := StartJoiner(JoinConfig{
-		Router: fr.ts.URL, Self: "http://127.0.0.1:9999",
+		Routers: []string{fr.ts.URL}, Self: "http://127.0.0.1:9999",
 		Lease: 300 * time.Millisecond, Interval: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestJoinerRetriesThroughFailures(t *testing.T) {
 	fr := newFakeRouter(t)
 	fr.failFirst.Store(5)
 	j, err := StartJoiner(JoinConfig{
-		Router: fr.ts.URL, Self: "http://127.0.0.1:9999",
+		Routers: []string{fr.ts.URL}, Self: "http://127.0.0.1:9999",
 		Lease: 300 * time.Millisecond, Interval: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -116,7 +116,7 @@ func TestJoinerRetriesThroughFailures(t *testing.T) {
 func TestLeaveDeregisters(t *testing.T) {
 	fr := newFakeRouter(t)
 	j, err := StartJoiner(JoinConfig{
-		Router: fr.ts.URL, Self: "http://127.0.0.1:9999",
+		Routers: []string{fr.ts.URL}, Self: "http://127.0.0.1:9999",
 		Lease: 300 * time.Millisecond, Interval: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -143,13 +143,12 @@ func TestLeaveDeregisters(t *testing.T) {
 	}
 }
 
-// TestJoinRoutersNormalize: the legacy single Router and the Routers list
-// merge, with whitespace, trailing slashes, empties, and duplicates
-// dropped — a worker must never run two heartbeat loops at one router.
+// TestJoinRoutersNormalize: the Routers list is normalized, with
+// whitespace, trailing slashes, empties, and duplicates dropped — a worker
+// must never run two heartbeat loops at one router.
 func TestJoinRoutersNormalize(t *testing.T) {
 	got := joinRouters(JoinConfig{
-		Router:  "http://a:1/",
-		Routers: []string{" http://b:2 ", "", "http://a:1", "http://b:2/"},
+		Routers: []string{"http://a:1/", " http://b:2 ", "", "http://a:1", "http://b:2/"},
 	})
 	want := []string{"http://a:1", "http://b:2"}
 	if len(got) != len(want) {

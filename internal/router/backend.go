@@ -39,12 +39,12 @@ type backend struct {
 	load    int  // last polled worker gauge: in_flight + queued
 	polled  bool // load has been populated at least once
 
-	// Lease state (zero for static seed members, which never expire). A
-	// worker that registered via /v1/register must renew within ttl of its
-	// last heartbeat; past expires the sweep ejects it exactly like a
-	// failed probe would, and once it has stayed lapsed long enough the
-	// membership layer forgets it entirely (removes it from the ring).
-	leased  bool
+	// Lease state. A worker that registered via /v1/register must renew
+	// within ttl of its last heartbeat; past expires the sweep ejects it
+	// exactly like a failed probe would, and once it has stayed lapsed for
+	// forgetFactor TTLs the membership layer forgets it entirely (removes
+	// it from the ring). ttl == 0 is a seed: a -backends member whose lease
+	// never expires, which is never gossiped and never forgotten.
 	ttl     time.Duration
 	expires time.Time
 	lapsed  bool // the current lease has expired without renewal
@@ -105,33 +105,37 @@ func (b *backend) isHealthy() bool {
 	return b.healthy
 }
 
-// renewLease grants or renews the backend's registration lease. A
-// heartbeat is an affirmative liveness signal from the worker process, so
-// it clears the failure streak and readmits an ejected backend the same
-// way a successful probe does — which is also what bounds a rejoining
-// worker's readmission time to one register round-trip.
-func (b *backend) renewLease(ttl time.Duration, now time.Time) {
+// renew grants or renews the backend's registration lease from a
+// first-hand heartbeat. A heartbeat is an affirmative liveness signal from
+// the worker process, so it always applies, clears the failure streak and
+// readmits an ejected backend the same way a successful probe does — which
+// is also what bounds a rejoining worker's readmission time to one
+// register round-trip.
+func (b *backend) renew(ttl time.Duration, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.leased, b.ttl, b.expires, b.lapsed = true, ttl, now.Add(ttl), false
-	b.renewedAt = now
+	b.ttl, b.expires, b.lapsed, b.renewedAt = ttl, now.Add(ttl), false, now
 	b.fails = 0
 	b.healthy = true
 }
 
-// adoptLease installs lease state learned from a peer router rather than
-// from the worker itself: the transition version is taken as-is and the
-// expiry is computed from the renewal instant at the ORIGIN router
-// (eventAt = the peer's clock reading translated through an age, so skew
-// cancels). Unlike renewLease, a record that is already expired on arrival
-// does not readmit the backend — second-hand staleness is not liveness
-// evidence — it just updates the books and lets the sweep eject as usual.
-func (b *backend) adoptLease(version uint64, ttl time.Duration, eventAt, now time.Time) {
+// adopt applies a peer router's record of this member's lease. It takes
+// effect only if the record is newer than the one on the books: a higher
+// transition version, or the same version renewed strictly later (both
+// routers heard the same incarnation; the later heartbeat wins, and an
+// equal record never readmits a probe-ejected member). The expiry is
+// computed from the renewal instant at the ORIGIN router (eventAt = the
+// peer's age translated into this router's clock, so skew cancels). Only a
+// lease still running on arrival readmits the backend — second-hand
+// staleness is not liveness evidence — an expired one just updates the
+// books and lets the sweep eject as usual.
+func (b *backend) adopt(version uint64, ttl time.Duration, eventAt, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.version = version
-	b.leased, b.ttl, b.expires = true, ttl, eventAt.Add(ttl)
-	b.renewedAt = eventAt
+	if version < b.version || (version == b.version && !eventAt.After(b.renewedAt)) {
+		return
+	}
+	b.version, b.ttl, b.expires, b.renewedAt = version, ttl, eventAt.Add(ttl), eventAt
 	if b.expires.After(now) {
 		b.lapsed = false
 		b.fails = 0
@@ -139,40 +143,12 @@ func (b *backend) adoptLease(version uint64, ttl time.Duration, eventAt, now tim
 	}
 }
 
-// freshenLease applies an equal-version peer record: only a renewal more
-// recent than the one already on the books moves anything (both routers
-// heard from the same incarnation of the worker; the later heartbeat wins).
-func (b *backend) freshenLease(ttl time.Duration, eventAt, now time.Time) {
-	b.mu.Lock()
-	if !b.leased || !eventAt.After(b.renewedAt) {
-		b.mu.Unlock()
-		return
-	}
-	v := b.version
-	b.mu.Unlock()
-	b.adoptLease(v, ttl, eventAt, now)
-}
-
-// getVersion reads the member's transition version.
-func (b *backend) getVersion() uint64 {
+// lease reads the member's transition version and granted TTL (0 for a
+// seed).
+func (b *backend) lease() (version uint64, ttl time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.version
-}
-
-// setVersion stamps the transition version on a freshly created member.
-func (b *backend) setVersion(v uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.version = v
-}
-
-// isLeased distinguishes registered members from config-seeded ones; peer
-// sync never touches seeds (each router's seed list is its own config).
-func (b *backend) isLeased() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.leased
+	return b.version, b.ttl
 }
 
 // syncRecord renders the member for a peer-sync exchange. Seed members are
@@ -180,7 +156,7 @@ func (b *backend) isLeased() bool {
 func (b *backend) syncRecord(now time.Time) (rec syncRecord, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.leased {
+	if b.ttl == 0 {
 		return syncRecord{}, false
 	}
 	return syncRecord{
@@ -193,16 +169,17 @@ func (b *backend) syncRecord(now time.Time) (rec syncRecord, ok bool) {
 
 // expireIfDue checks the lease against now. On the first sweep past the
 // expiry it marks the lease lapsed and ejects the backend (one ejection,
-// like crossing FailThreshold); newly reports that transition. lapsedFor
-// is how long the lease has been expired — the membership layer's
-// forget-this-member clock.
-func (b *backend) expireIfDue(now time.Time) (newly bool, lapsedFor time.Duration) {
+// like crossing FailThreshold); newly reports that transition. forget
+// reports that the lease has been lapsed for more than forgetFactor TTLs
+// and no probe has readmitted the backend meanwhile — the probe guard means
+// a live worker whose heartbeats broke degrades to probe-governed health
+// instead of being silently dropped mid-service.
+func (b *backend) expireIfDue(now time.Time) (newly, forget bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.leased || now.Before(b.expires) {
-		return false, 0
+	if b.ttl == 0 || now.Before(b.expires) {
+		return false, false
 	}
-	lapsedFor = now.Sub(b.expires)
 	if !b.lapsed {
 		b.lapsed = true
 		newly = true
@@ -211,14 +188,14 @@ func (b *backend) expireIfDue(now time.Time) (newly bool, lapsedFor time.Duratio
 			b.ejections.Add(1)
 		}
 	}
-	return newly, lapsedFor
+	return newly, now.Sub(b.expires) > forgetFactor*b.ttl && !b.healthy
 }
 
 // leaseInfo snapshots the lease state for /v1/stats.
 func (b *backend) leaseInfo(now time.Time) (leased bool, remainingMS int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.leased {
+	if b.ttl == 0 {
 		return false, 0
 	}
 	return true, b.expires.Sub(now).Milliseconds()

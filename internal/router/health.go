@@ -26,8 +26,8 @@ type workerGauges struct {
 // receive traffic, so an ejected, idle backend re-enters service via its
 // next successful probe here. Each tick also sweeps registration leases —
 // a worker that stopped heartbeating is ejected when its lease lapses and
-// forgotten (removed from the ring) once it has stayed lapsed past the
-// forget horizon with probes failing too.
+// forgotten (removed from the ring) once it has stayed lapsed for
+// forgetFactor TTLs with probes failing too.
 func (rt *Router) healthLoop() {
 	defer rt.hwg.Done()
 	ticker := time.NewTicker(rt.cfg.HealthInterval)
@@ -37,7 +37,7 @@ func (rt *Router) healthLoop() {
 		case <-rt.quit:
 			return
 		case <-ticker.C:
-			expired, forgotten := rt.mem.sweep(time.Now(), rt.cfg.ForgetAfter)
+			expired, forgotten := rt.mem.sweep(time.Now())
 			rt.nExpiries.Add(uint64(expired))
 			rt.nForgotten.Add(uint64(forgotten))
 			rt.probeAll()
@@ -60,18 +60,12 @@ func (rt *Router) probeAll() {
 	wg.Wait()
 }
 
-// probeTimeout bounds one probe round-trip: the health interval, clamped so
-// very short test intervals do not flake and long intervals do not let a
-// black-holed probe stall ejection.
-func (rt *Router) probeTimeout() time.Duration {
-	d := rt.cfg.HealthInterval
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
+// exchangeTimeout bounds one round-trip of a periodic loop — a probe or a
+// peer-sync exchange — at the loop's interval, clamped so very short test
+// intervals do not flake and long intervals do not let a black-holed
+// worker or peer stall the loop.
+func exchangeTimeout(interval time.Duration) time.Duration {
+	return min(max(interval, 100*time.Millisecond), 2*time.Second)
 }
 
 func (rt *Router) probeOne(b *backend) {
@@ -81,7 +75,7 @@ func (rt *Router) probeOne(b *backend) {
 		b.markFailure(rt.cfg.FailThreshold)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), exchangeTimeout(rt.cfg.HealthInterval))
 	defer cancel()
 	if !rt.getOK(ctx, b.endpoint("/healthz"), nil) {
 		b.markFailure(rt.cfg.FailThreshold)
@@ -135,11 +129,11 @@ type Stats struct {
 	LeaseExpiries uint64 `json:"lease_expiries"` // leases lapsed without renewal
 	Forgotten     uint64 `json:"forgotten"`      // lapsed members swept from the ring
 
-	// Router-HA state. RingDigest hashes the member set (sorted URLs +
-	// seed/leased class): two routers with equal digests have converged on
-	// the same membership and therefore the same ring and placement —
-	// epochs are local rebuild counters and legitimately differ. Converged
-	// is the readiness gate /healthz applies alongside backend health.
+	// Router-HA state. RingDigest hashes the member set (sorted URLs): two
+	// routers with equal digests have converged on the same membership and
+	// therefore the same ring and placement — epochs are local rebuild
+	// counters and legitimately differ. Converged is the readiness gate
+	// /healthz applies alongside backend health.
 	RingDigest string      `json:"ring_digest"`
 	Converged  bool        `json:"converged"`
 	SyncRounds uint64      `json:"sync_rounds,omitempty"` // anti-entropy rounds completed

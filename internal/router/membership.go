@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,17 +14,26 @@ import (
 	"repro/internal/httpapi"
 )
 
-// Lease TTL clamp bounds for /v1/register. The floor keeps a typo'd
-// lease_ms from flapping membership at sweep speed; the ceiling keeps a
-// crashed worker from squatting in the ring for an hour.
+// Lease TTL clamp bounds for /v1/register and peer records. The floor keeps
+// a typo'd lease_ms from flapping membership at sweep speed; the ceiling
+// keeps a crashed worker from squatting in the ring for an hour.
 const (
 	minLease = 20 * time.Millisecond
 	maxLease = 10 * time.Minute
 )
 
-// forgetFactor is the default forget horizon in lease TTLs: a member whose
-// lease has been lapsed this many TTLs (and that no probe can reach) is
-// removed from the ring entirely. Config.ForgetAfter overrides it.
+// clampLease is the lease actually granted for a requested one: def when
+// none was requested, then clamped to [minLease, maxLease].
+func clampLease(requested, def time.Duration) time.Duration {
+	if requested <= 0 {
+		requested = def
+	}
+	return min(max(requested, minLease), maxLease)
+}
+
+// forgetFactor is the forget horizon in lease TTLs: a member whose lease
+// has been lapsed this many TTLs (and that no probe can reach) is removed
+// from the ring entirely, and a tombstone this old is dropped.
 const forgetFactor = 10
 
 // membership is the router's dynamic view of the fleet: the current member
@@ -45,6 +55,10 @@ const forgetFactor = 10
 // sessions fail over along the unchanged successor order and snap back on
 // readmission; only a genuine join/leave moves ownership, and then only
 // of the arcs the joined/left member claims or frees.
+//
+// Members are of one kind: a backend with a lease. Seeds are the members
+// whose TTL is 0 (their lease never expires); they are local configuration,
+// so export, merge and the sweep pass over them.
 type membership struct {
 	mu      sync.RWMutex
 	members []*backend
@@ -102,63 +116,58 @@ func (m *membership) rebuildLocked() {
 	m.epoch++
 }
 
+// without returns a copy of bs minus its element i: member slices are
+// copy-on-write, never edited in place.
+func without(bs []*backend, i int) []*backend {
+	return append(append(make([]*backend, 0, len(bs)-1), bs[:i]...), bs[i+1:]...)
+}
+
 // register adds b as a leased member, or — when a member with the same
 // canonical URL already exists — renews that member's lease instead (the
 // heartbeat path, and how a restarted worker readmits itself). Only a
 // genuinely new member changes the ring. A new member's transition version
 // is stamped above any tombstone left by a previous incarnation, so peers
 // adopt the rejoin over the remembered leave; renewals do NOT bump the
-// version (see the version comment on backend). rec is the state to relay
-// to peer routers.
-func (m *membership) register(b *backend, lease time.Duration, now time.Time) (created bool, epoch uint64, rec syncRecord) {
+// version (see the version comment on backend).
+func (m *membership) register(b *backend, lease time.Duration, now time.Time) (created bool, epoch uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.members {
 		if e.name == b.name {
-			e.renewLease(lease, now)
-			rec, _ = e.syncRecord(now)
-			return false, m.epoch, rec
+			e.renew(lease, now)
+			return false, m.epoch
 		}
 	}
-	version := uint64(1)
+	// b is not shared until it joins m.members below.
+	b.version = 1
 	if t := m.tomb[b.name]; t != nil {
-		version = t.version + 1
+		b.version = t.version + 1
 		delete(m.tomb, b.name)
 	}
-	b.renewLease(lease, now)
-	b.setVersion(version)
+	b.renew(lease, now)
 	m.members = append(append([]*backend(nil), m.members...), b)
 	m.rebuildLocked()
-	rec, _ = b.syncRecord(now)
-	return true, m.epoch, rec
+	return true, m.epoch
 }
 
 // deregister removes the named member — the graceful-leave path. Removing
 // an unknown name is a no-op (deregistration races with expiry sweeps and
 // process shutdown, so it must be idempotent). A leased member leaves a
 // versioned tombstone behind for peer sync; seeds (config-owned) do not.
-func (m *membership) deregister(name string, now time.Time) (removed bool, epoch uint64, rec syncRecord) {
+func (m *membership) deregister(name string, now time.Time) (removed bool, epoch uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, e := range m.members {
 		if e.name == name {
-			next := make([]*backend, 0, len(m.members)-1)
-			next = append(next, m.members[:i]...)
-			next = append(next, m.members[i+1:]...)
-			m.members = next
-			if e.isLeased() {
-				t := &tombstone{version: e.getVersion() + 1, at: now, ttl: e.leaseTTL()}
-				m.tomb[name] = t
-				rec = t.syncRecord(now, name)
+			m.members = without(m.members, i)
+			if version, ttl := e.lease(); ttl > 0 {
+				m.tomb[name] = &tombstone{version: version + 1, at: now, ttl: ttl}
 			}
 			m.rebuildLocked()
-			return true, m.epoch, rec
+			return true, m.epoch
 		}
 	}
-	if t := m.tomb[name]; t != nil {
-		rec = t.syncRecord(now, name)
-	}
-	return false, m.epoch, rec
+	return false, m.epoch
 }
 
 // syncRecord renders a tombstone for a peer-sync exchange.
@@ -192,16 +201,17 @@ func (m *membership) export(now time.Time) []syncRecord {
 
 // merge folds one peer's records into the local membership and reports the
 // member-set changes it caused. The rules make every router converge on
-// the same member set regardless of delivery order:
+// the same member set regardless of delivery order, so anti-entropy alone
+// is enough:
 //
+//   - records about local seed members are ignored (config beats gossip);
 //   - higher transition version wins outright (a rejoin beats the leave it
 //     followed; a leave beats the join it followed);
-//   - equal versions with both sides leased merge by renewal recency
-//     (ages, so clock skew cancels) — same incarnation, later heartbeat;
+//   - equal versions of a live member merge by renewal recency (ages, so
+//     clock skew cancels) — same incarnation, later heartbeat (backend.adopt);
 //   - equal versions with a tombstone on either side resolve toward the
 //     tombstone (removal is safe: a live worker's next direct heartbeat
 //     re-registers above the tombstone within one interval);
-//   - records about local seed members are ignored (config beats gossip);
 //   - an unknown member whose gossiped lease already expired in transit is
 //     not adopted — peers exchange live state, not corpses.
 //
@@ -218,35 +228,25 @@ func (m *membership) merge(recs []syncRecord, now time.Time, defaultLease time.D
 			continue
 		}
 		var e *backend
-		idx := -1
-		for i, b := range m.members {
-			if b.name == name {
-				e, idx = b, i
-				break
+		var version uint64
+		var ttl time.Duration
+		idx := slices.IndexFunc(m.members, func(b *backend) bool { return b.name == name })
+		if idx >= 0 {
+			e = m.members[idx]
+			if version, ttl = e.lease(); ttl == 0 {
+				continue // seeds are config-owned
 			}
 		}
-		eventAt := now.Add(-time.Duration(rec.AgeMS) * time.Millisecond)
-		lease := time.Duration(rec.LeaseMS) * time.Millisecond
-		if lease <= 0 {
-			lease = defaultLease
-		}
-		if lease < minLease {
-			lease = minLease
-		}
-		if lease > maxLease {
-			lease = maxLease
-		}
+		// An age is a duration since an event, so it is never negative from
+		// a correct peer; a negative one would date the renewal in the future
+		// and let the lease outlive its TTL.
+		eventAt := now.Add(-time.Duration(max(rec.AgeMS, 0)) * time.Millisecond)
+		lease := clampLease(time.Duration(rec.LeaseMS)*time.Millisecond, defaultLease)
 		if rec.Gone {
 			if e != nil {
-				if !e.isLeased() {
-					continue // seeds are config-owned
-				}
-				if rec.Version >= e.getVersion() {
-					next := make([]*backend, 0, len(m.members)-1)
-					next = append(next, m.members[:idx]...)
-					next = append(next, m.members[idx+1:]...)
-					m.members = next
-					m.tomb[name] = &tombstone{version: rec.Version, at: eventAt, ttl: e.leaseTTL()}
+				if rec.Version >= version {
+					m.members = without(m.members, idx)
+					m.tomb[name] = &tombstone{version: rec.Version, at: eventAt, ttl: ttl}
 					leaves++
 					changed = true
 				}
@@ -259,15 +259,7 @@ func (m *membership) merge(recs []syncRecord, now time.Time, defaultLease time.D
 			continue // the remembered leave is at least as recent
 		}
 		if e != nil {
-			if !e.isLeased() {
-				continue // seeds are config-owned
-			}
-			switch v := e.getVersion(); {
-			case rec.Version > v:
-				e.adoptLease(rec.Version, lease, eventAt, now)
-			case rec.Version == v:
-				e.freshenLease(lease, eventAt, now)
-			}
+			e.adopt(rec.Version, lease, eventAt, now)
 			continue
 		}
 		if !eventAt.Add(lease).After(now) {
@@ -277,7 +269,7 @@ func (m *membership) merge(recs []syncRecord, now time.Time, defaultLease time.D
 		if err != nil {
 			continue
 		}
-		b.adoptLease(rec.Version, lease, eventAt, now)
+		b.adopt(rec.Version, lease, eventAt, now)
 		delete(m.tomb, name)
 		m.members = append(append([]*backend(nil), m.members...), b)
 		joins++
@@ -292,33 +284,21 @@ func (m *membership) merge(recs []syncRecord, now time.Time, defaultLease time.D
 // sweep advances every member's lease clock: newly expired leases eject
 // their member (exactly like a failed probe crossing the threshold), and
 // members lapsed past the forget horizon — with no probe reaching them
-// either — are removed from the ring. forgetAfter <= 0 selects the
-// default horizon of forgetFactor lease TTLs; the probe-reachability
-// guard means a live worker whose heartbeats broke degrades to
-// probe-governed health instead of being silently dropped mid-service.
-func (m *membership) sweep(now time.Time, forgetAfter time.Duration) (expired, forgotten int) {
+// either — are removed from the ring (backend.expireIfDue decides both).
+func (m *membership) sweep(now time.Time) (expired, forgotten int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var keep []*backend
-	for i, b := range m.members {
-		newly, lapsedFor := b.expireIfDue(now)
+	keep := make([]*backend, 0, len(m.members))
+	for _, b := range m.members {
+		newly, forget := b.expireIfDue(now)
 		if newly {
 			expired++
 		}
-		horizon := forgetAfter
-		if horizon <= 0 {
-			horizon = forgetFactor * b.leaseTTL()
-		}
-		if lapsedFor > horizon && !b.isHealthy() {
+		if forget {
 			forgotten++
-			if keep == nil {
-				keep = append(keep, m.members[:i]...)
-			}
 			continue
 		}
-		if keep != nil {
-			keep = append(keep, b)
-		}
+		keep = append(keep, b)
 	}
 	if forgotten > 0 {
 		m.members = keep
@@ -329,34 +309,22 @@ func (m *membership) sweep(now time.Time, forgetAfter time.Duration) (expired, f
 	// version-1 re-register after this point is indistinguishable from a
 	// brand-new member, which is exactly what it is by then.
 	for name, t := range m.tomb {
-		horizon := forgetAfter
-		if horizon <= 0 {
-			horizon = forgetFactor * t.ttl
-		}
-		if now.Sub(t.at) > horizon {
+		if now.Sub(t.at) > forgetFactor*t.ttl {
 			delete(m.tomb, name)
 		}
 	}
 	return expired, forgotten
 }
 
-// digest hashes the member set — sorted canonical URLs plus their
-// leased/seed class — into one comparable word. Because the ring is a pure
-// function of the member names, equal digests imply identical rings and
-// identical session placement: the "epoch-equivalent" check two routers
-// run against each other (epochs themselves are local rebuild counters and
-// legitimately differ across routers that converged along different event
-// orders).
+// digest hashes the member set — its sorted canonical URLs — into one
+// comparable word. Because the ring is a pure function of the member
+// names, equal digests mean identical rings and identical session
+// placement: the "epoch-equivalent" check two routers run against each
+// other (epochs themselves are local rebuild counters and legitimately
+// differ across routers that converged along different event orders).
 func (m *membership) digest() uint64 {
 	m.mu.RLock()
-	names := make([]string, 0, len(m.members))
-	for _, b := range m.members {
-		tag := "seed"
-		if b.isLeased() {
-			tag = "leased"
-		}
-		names = append(names, b.name+"|"+tag)
-	}
+	names := namesOf(m.members)
 	m.mu.RUnlock()
 	sort.Strings(names)
 	h := uint64(14695981039346656037)
@@ -369,13 +337,6 @@ func (m *membership) digest() uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// leaseTTL reads the member's granted TTL (0 for seed members).
-func (b *backend) leaseTTL() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ttl
 }
 
 // injectRegister evaluates the control-plane failpoint site shared by the
@@ -413,23 +374,10 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	lease := time.Duration(req.LeaseMS) * time.Millisecond
-	if lease == 0 {
-		lease = rt.cfg.DefaultLease
-	}
-	if lease < minLease {
-		lease = minLease
-	}
-	if lease > maxLease {
-		lease = maxLease
-	}
-	created, epoch, rec := rt.mem.register(b, lease, time.Now())
+	lease := clampLease(time.Duration(req.LeaseMS)*time.Millisecond, rt.cfg.DefaultLease)
+	created, epoch := rt.mem.register(b, lease, time.Now())
 	if created {
 		rt.nJoins.Add(1)
-		// A genuine join is worth a proactive relay so peers converge at
-		// relay speed instead of anti-entropy speed; renewals ride the
-		// periodic sync (peers recompute freshness from record ages).
-		rt.relayToPeers(rec)
 	}
 	writeJSON(w, http.StatusOK, httpapi.RegisterResponse{
 		Epoch: epoch, LeaseMS: lease.Milliseconds(), Created: created,
@@ -451,14 +399,9 @@ func (rt *Router) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "url required"})
 		return
 	}
-	removed, epoch, rec := rt.mem.deregister(strings.TrimSuffix(req.URL, "/"), time.Now())
+	removed, epoch := rt.mem.deregister(strings.TrimSuffix(req.URL, "/"), time.Now())
 	if removed {
 		rt.nLeaves.Add(1)
-		if rec.Gone {
-			// Relay the tombstone so peers drop the member now rather than
-			// at their own lease expiry.
-			rt.relayToPeers(rec)
-		}
 	}
 	writeJSON(w, http.StatusOK, httpapi.DeregisterResponse{Epoch: epoch, Removed: removed})
 }

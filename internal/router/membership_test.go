@@ -203,13 +203,12 @@ func TestDeregisterRemovesFromRing(t *testing.T) {
 }
 
 // TestForgetLapsedMember: a member that stays lapsed past the forget
-// horizon with probes failing too is removed from the ring entirely —
-// while a probe-reachable member is merely ejected, never forgotten.
+// horizon (forgetFactor TTLs: 200ms at the 20ms lease) with probes failing
+// too is removed from the ring entirely — while a probe-reachable member is
+// merely ejected, never forgotten.
 func TestForgetLapsedMember(t *testing.T) {
 	ws := startWorkers(t, 1, 2, nil)
-	rt, ts := newTestRouter(t, ws, func(c *Config) {
-		c.ForgetAfter = 60 * time.Millisecond
-	})
+	rt, ts := newTestRouter(t, ws, nil)
 	registerWorker(t, ts.URL, "http://127.0.0.1:1", 20)
 
 	waitFor(t, "lapsed unreachable member to be forgotten", func() bool {
@@ -225,13 +224,35 @@ func TestForgetLapsedMember(t *testing.T) {
 	// forgotten.
 	w2 := newFakeWorker(t, "w1", 2, nil)
 	registerWorker(t, ts.URL, w2.ts.URL, 20)
-	time.Sleep(150 * time.Millisecond) // many forget horizons past expiry
+	time.Sleep(500 * time.Millisecond) // more than two forget horizons past expiry
 	st = rt.Stats()
 	if st.Forgotten != 1 {
 		t.Fatalf("probe-reachable member was forgotten (forgotten=%d); only unreachable ones may be", st.Forgotten)
 	}
 	if b, ok := backendIn(st, w2.ts.URL); !ok || !b.Healthy {
 		t.Fatalf("probe-reachable lapsed member should stay a healthy member: %+v", st.Backends)
+	}
+}
+
+// TestSweepForgetsOnlyTheLapsed: forgetting a member keeps every other
+// member, whatever position the forgotten one held in the member list —
+// here the first.
+func TestSweepForgetsOnlyTheLapsed(t *testing.T) {
+	now := time.Now()
+	m := newMembership(nil)
+	gone, _ := newBackend("http://gone:1")
+	stay, _ := newBackend("http://stay:1")
+	m.register(gone, 20*time.Millisecond, now)
+	m.register(stay, time.Minute, now)
+	if expired, _ := m.sweep(now.Add(30 * time.Millisecond)); expired != 1 {
+		t.Fatalf("expired = %d after the short lease ran out, want 1", expired)
+	}
+	if _, forgotten := m.sweep(now.Add(time.Second)); forgotten != 1 {
+		t.Fatalf("forgotten = %d past ten lapsed TTLs, want 1", forgotten)
+	}
+	members, _ := m.snapshot()
+	if names := namesOf(members); len(names) != 1 || names[0] != stay.name {
+		t.Fatalf("members after forgetting %s = %v, want only %s", gone.name, names, stay.name)
 	}
 }
 
@@ -458,7 +479,7 @@ func TestDrainDeregisterRejoinRoundTrip(t *testing.T) {
 		hs = &http.Server{Handler: h}
 		go hs.Serve(ln)
 		joiner, err = httpapi.StartJoiner(httpapi.JoinConfig{
-			Router: front.URL, Self: base,
+			Routers: []string{front.URL}, Self: base,
 			Lease: 200 * time.Millisecond, Interval: 40 * time.Millisecond,
 		})
 		if err != nil {

@@ -6,20 +6,20 @@
 // same consistent-hash ring and the same session→worker placement, with no
 // coordination on the request path.
 //
-// Three channels keep peers converged, in decreasing order of latency
-// criticality:
+// Two channels keep peers converged:
 //
 //  1. Direct worker traffic. Workers register with and heartbeat EVERY
 //     router (httpapi.Joiner with multiple -join URLs), so each router's
 //     view is first-hand and a router that cold-starts with unreachable
 //     peers still rebuilds the whole fleet within one heartbeat interval.
-//  2. Relay-on-change. A join or leave accepted by one router is pushed to
-//     peers immediately, so membership transitions propagate at relay
-//     speed instead of waiting for a heartbeat or sync tick.
-//  3. Anti-entropy. Every SyncInterval each router push-pulls its full
+//     This is the fast path: a join or leave reaches every router the
+//     worker can reach at once.
+//  2. Anti-entropy. Every SyncInterval each router push-pulls its full
 //     record set (leased members + tombstones) with every peer, healing
-//     whatever relays and heartbeats missed — a router partitioned from a
-//     worker keeps that worker alive through a peer's gossiped renewals.
+//     whatever heartbeats missed — a join or leave heard by one router
+//     reaches the others within one interval, and a router partitioned
+//     from a worker keeps that worker alive through a peer's gossiped
+//     renewals.
 //
 // Convergence is per-member, ordered by a transition version (join and
 // leave events) with renewal recency — carried as an age so wall-clock
@@ -58,8 +58,7 @@ type syncRecord struct {
 	AgeMS   int64  `json:"age_ms"`
 }
 
-// syncRequest is the POST /v1/sync body: the sender's full record set (or,
-// on the relay-on-change path, just the changed record).
+// syncRequest is the POST /v1/sync body: the sender's full record set.
 type syncRequest struct {
 	Members []syncRecord `json:"members"`
 }
@@ -137,61 +136,46 @@ func (rt *Router) syncRound() {
 	rt.nSyncRounds.Add(1)
 }
 
-// syncTimeout bounds one peer exchange: the sync interval, clamped so very
-// short test intervals do not flake and long intervals do not let a
-// black-holed peer pin a relay goroutine.
-func (rt *Router) syncTimeout() time.Duration {
-	d := rt.cfg.SyncInterval
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
-}
-
 // syncWith runs one push-pull exchange: POST recs to p, merge whatever p
 // answers with. Failures are counted and otherwise dropped on the floor —
 // the next anti-entropy tick (or the peer's own) retries; direct worker
 // heartbeats keep this router serviceable meanwhile.
-func (rt *Router) syncWith(p *peer, recs []syncRecord) bool {
+func (rt *Router) syncWith(p *peer, recs []syncRecord) {
 	if err := failpoint.Inject(failpoint.RouterPeerSend); err != nil {
 		p.failures.Add(1)
-		return false
+		return
 	}
 	body, err := json.Marshal(syncRequest{Members: recs})
 	if err != nil {
 		p.failures.Add(1)
-		return false
+		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), rt.syncTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), exchangeTimeout(rt.cfg.SyncInterval))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+"/v1/sync", bytes.NewReader(body))
 	if err != nil {
 		p.failures.Add(1)
-		return false
+		return
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {
 		p.failures.Add(1)
-		return false
+		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		p.failures.Add(1)
-		return false
+		return
 	}
 	var out syncResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		p.failures.Add(1)
-		return false
+		return
 	}
 	rt.applyMerge(out.Members)
 	p.syncs.Add(1)
 	p.lastOK.Store(time.Now().UnixNano())
-	return true
 }
 
 // applyMerge folds peer records into local membership and charges the
@@ -204,20 +188,6 @@ func (rt *Router) applyMerge(recs []syncRecord) {
 	joins, leaves := rt.mem.merge(recs, time.Now(), rt.cfg.DefaultLease)
 	rt.nJoins.Add(uint64(joins))
 	rt.nLeaves.Add(uint64(leaves))
-}
-
-// relayToPeers pushes one changed record (a join or a tombstone) to every
-// peer asynchronously. Best-effort: a failed relay is healed by the next
-// anti-entropy round, so there is no retry here.
-func (rt *Router) relayToPeers(rec syncRecord) {
-	if len(rt.peers) == 0 || rec.URL == "" {
-		return
-	}
-	for _, p := range rt.peers {
-		go func(p *peer) {
-			rt.syncWith(p, []syncRecord{rec})
-		}(p)
-	}
 }
 
 // handleSync serves POST /v1/sync: merge the peer's records, answer with

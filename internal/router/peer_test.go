@@ -1,6 +1,6 @@
 // Router-HA peer sync tests: replicated routers converging on one
-// membership through relays, anti-entropy, and tombstones — plus the
-// readiness gate and the -race coherence storm.
+// membership through anti-entropy and tombstones — plus the readiness gate
+// and the -race coherence storm.
 
 package router
 
@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -229,6 +230,244 @@ func TestPeerTombstoneBlocksResurrection(t *testing.T) {
 	waitFor(t, "digests to reconverge", func() bool {
 		return rts[0].Stats().RingDigest == rts[1].Stats().RingDigest
 	})
+}
+
+// TestPeerNegativeAgeClamped: age_ms arrives from outside the program. A
+// negative one would date the renewal in the future, so the adopted lease
+// would outlive its TTL by |age|; it must run no longer than its TTL and
+// lapse like any other.
+func TestPeerNegativeAgeClamped(t *testing.T) {
+	ws := startWorkers(t, 1, 2, nil)
+	rt, ts := newTestRouter(t, ws, nil)
+	const name, leaseMS = "http://127.0.0.1:1", 50
+	postSync(t, ts.URL, []syncRecord{{URL: name, Version: 1, LeaseMS: leaseMS, AgeMS: -60_000}})
+	b, ok := backendIn(rt.Stats(), name)
+	if !ok {
+		t.Fatal("the peer record was not adopted")
+	}
+	if b.LeaseMS > leaseMS {
+		t.Fatalf("adopted lease has %dms left, more than its %dms TTL", b.LeaseMS, leaseMS)
+	}
+	waitFor(t, "the adopted lease to lapse", func() bool {
+		return rt.Stats().LeaseExpiries == 1
+	})
+}
+
+// aeOp is one step of an anti-entropy schedule over three membership
+// values: a worker registering (or renewing) or deregistering at router r,
+// a push-pull exchange between r and peer, or a record set merged at r —
+// given (recs), or one router r itself exported at an earlier step
+// (replay), which is what a lagging peer delivers.
+type aeOp struct {
+	kind    string // "reg", "dereg", "sync", "merge", "replay"
+	r, peer int
+	worker  string
+	lease   time.Duration
+	// drop loses part of a "sync": 1 the push (neither side merges), 2 the
+	// reply (only the peer merges).
+	drop int
+	recs []syncRecord
+	pick int // "replay": which earlier export, modulo how many there are
+}
+
+// versionAt is the transition version m holds for name, as a member or a
+// tombstone (0 when it holds neither).
+func versionAt(m *membership, name string) uint64 {
+	if t := m.tomb[name]; t != nil {
+		return t.version
+	}
+	for _, b := range m.members {
+		if b.name == name {
+			v, _ := b.lease()
+			return v
+		}
+	}
+	return 0
+}
+
+// runAntiEntropy plays ops against three routers that share one seed, one
+// virtual millisecond per op, then — with round set — runs one full round
+// of exchanges between every pair, and returns the routers. fresh maps
+// each worker whose latest registration created a member at a router that
+// already knew the worker's latest transition (its own version was the
+// highest any router held), with no deregistration of it anywhere since,
+// to the version created: a join or rejoin nothing has overtaken.
+func runAntiEntropy(ops []aeOp, round bool) (ms []*membership, fresh map[string]uint64) {
+	now := time.UnixMilli(1_700_000_000_000)
+	ms, fresh = make([]*membership, 3), map[string]uint64{}
+	for i := range ms {
+		seed, _ := newBackend("http://seed:1")
+		ms[i] = newMembership([]*backend{seed})
+	}
+	exchange := func(a, b, drop int) {
+		if drop == 1 {
+			return
+		}
+		ms[b].merge(ms[a].export(now), now, time.Second)
+		if drop == 2 {
+			return
+		}
+		ms[a].merge(ms[b].export(now), now, time.Second)
+	}
+	var history [][]syncRecord
+	for _, o := range ops {
+		now = now.Add(time.Millisecond)
+		switch o.kind {
+		case "reg":
+			own, highest := versionAt(ms[o.r], o.worker), uint64(0)
+			for _, m := range ms {
+				highest = max(highest, versionAt(m, o.worker))
+			}
+			b, _ := newBackend(o.worker)
+			if created, _ := ms[o.r].register(b, o.lease, now); created && own == highest {
+				fresh[o.worker] = b.version
+			}
+		case "dereg":
+			delete(fresh, o.worker)
+			ms[o.r].deregister(o.worker, now)
+		case "sync":
+			exchange(o.r, o.peer, o.drop)
+		case "merge":
+			ms[o.r].merge(o.recs, now, time.Second)
+		case "replay":
+			if len(history) > 0 {
+				ms[o.r].merge(history[o.pick%len(history)], now, time.Second)
+			}
+		}
+		history = append(history, ms[o.r].export(now))
+	}
+	if round {
+		now = now.Add(time.Millisecond)
+		exchange(0, 1, 0)
+		exchange(0, 2, 0)
+		exchange(1, 2, 0)
+	}
+	return ms, fresh
+}
+
+// joinOf is what the routers must converge on: per worker, the highest
+// transition version any of them holds, as a member version — or nothing
+// when that version is a tombstone's (a tie goes to the tombstone).
+func joinOf(ms []*membership) map[string]uint64 {
+	member, tomb := map[string]uint64{}, map[string]uint64{}
+	for _, m := range ms {
+		for _, b := range m.members {
+			if v, ttl := b.lease(); ttl > 0 {
+				member[b.name] = max(member[b.name], v)
+			}
+		}
+		for name, t := range m.tomb {
+			tomb[name] = max(tomb[name], t.version)
+		}
+	}
+	for name, v := range member {
+		if tomb[name] >= v {
+			delete(member, name)
+		}
+	}
+	return member
+}
+
+// randomAntiEntropy draws a schedule of registrations, renewals,
+// deregistrations and rejoins of four workers at random routers,
+// interleaved with exchanges (a quarter of them partly dropped) and
+// replays. Leases are seconds long against a schedule of milliseconds, so
+// no record expires in transit.
+func randomAntiEntropy(seed uint64) []aeOp {
+	rng := rand.New(rand.NewPCG(seed, 0))
+	ops := make([]aeOp, 60)
+	for i := range ops {
+		o := aeOp{r: rng.IntN(3), worker: fmt.Sprintf("http://w%d:1", rng.IntN(4))}
+		switch p := rng.IntN(20); {
+		case p < 8:
+			o.kind, o.lease = "reg", time.Duration(5+rng.IntN(25))*time.Second
+		case p < 12:
+			o.kind = "dereg"
+		case p < 18:
+			o.kind, o.peer = "sync", (o.r+1+rng.IntN(2))%3
+			if rng.IntN(4) == 0 {
+				o.drop = 1 + rng.IntN(2)
+			}
+		default:
+			o.kind, o.pick = "replay", rng.IntN(1<<16)
+		}
+		ops[i] = o
+	}
+	return ops
+}
+
+// TestAntiEntropyConverges: with no relay of individual changes, one full
+// round of push-pull exchanges between every pair of routers makes them
+// agree, whatever happened before — the join of all their states, per
+// member the highest transition version anywhere, a tombstone winning a
+// tie — and keeps every join or rejoin that no later leave overtook. The
+// fixed row is TestPeerTombstoneBlocksResurrection's stale version-1
+// replay, whose outcome is pinned: the rejoin (version 3) survives
+// everywhere.
+func TestAntiEntropyConverges(t *testing.T) {
+	const w = "http://w:1"
+	type row struct {
+		name string
+		ops  []aeOp
+		want map[string]uint64 // pinned member versions, when the row has them
+	}
+	rows := []row{{
+		name: "stale v1 replay after a leave, then a rejoin",
+		ops: []aeOp{
+			{kind: "reg", r: 0, worker: w, lease: time.Minute},
+			{kind: "sync", r: 0, peer: 1},
+			{kind: "dereg", r: 0, worker: w},
+			{kind: "sync", r: 0, peer: 1},
+			{kind: "merge", r: 1, recs: []syncRecord{{URL: w, Version: 1, LeaseMS: 60_000, AgeMS: 0}}},
+			{kind: "reg", r: 1, worker: w, lease: time.Minute},
+		},
+		want: map[string]uint64{w: 3},
+	}}
+	for seed := uint64(1); seed <= 50; seed++ {
+		rows = append(rows, row{name: fmt.Sprintf("seed %d", seed), ops: randomAntiEntropy(seed)})
+	}
+
+	rejoins := 0
+	for _, rw := range rows {
+		t.Run(rw.name, func(t *testing.T) {
+			want := rw.want
+			if want == nil {
+				before, _ := runAntiEntropy(rw.ops, false)
+				want = joinOf(before)
+			}
+			ms, fresh := runAntiEntropy(rw.ops, true)
+			for i, m := range ms {
+				if m.digest() != ms[0].digest() {
+					t.Fatalf("router %d digest %x != router 0 digest %x after a full round", i, m.digest(), ms[0].digest())
+				}
+				got := map[string]uint64{}
+				for _, b := range m.members {
+					if v, ttl := b.lease(); ttl > 0 {
+						got[b.name] = v
+					}
+					if m.tomb[b.name] != nil {
+						t.Fatalf("router %d holds %s as a member and a tombstone", i, b.name)
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("router %d members %v, want %v", i, got, want)
+				}
+				for name, v := range fresh {
+					if got[name] != v {
+						t.Fatalf("router %d holds %s at version %d; its registration at version %d was never overtaken", i, name, got[name], v)
+					}
+				}
+			}
+			for _, v := range fresh {
+				if v >= 3 && rw.want == nil {
+					rejoins++
+				}
+			}
+		})
+	}
+	if rejoins == 0 {
+		t.Fatal("no seeded schedule ended with a rejoin above a tombstone; the property proved nothing about them")
+	}
 }
 
 // TestPeerPartitionDivergesThenHeals: with peer sync severed (failpoints

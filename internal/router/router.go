@@ -7,13 +7,17 @@
 //   - Membership: the fleet is dynamic (membership.go). Workers join via
 //     POST /v1/register (base URL + lease TTL), renew by heartbeating the
 //     same endpoint, and leave explicitly via POST /v1/deregister; the
-//     -backends list survives as permanent seed membership. A lease that
-//     expires without renewal ejects its worker exactly like a failed
-//     probe; one lapsed long past its TTL is forgotten — removed from the
+//     -backends list survives as seed members, whose lease never expires.
+//     A lease that expires without renewal ejects its worker exactly like
+//     a failed probe; one lapsed ten TTLs is forgotten — removed from the
 //     ring. Every membership change rebuilds the consistent-hash ring
 //     under a new epoch (exposed on /v1/stats), and because placement is
 //     a pure function of the member set, each rebuild remaps only the
 //     sessions the joined/left worker claims or frees.
+//   - Replication: peer routers converge on one member set through the
+//     workers' heartbeats to every router and periodic push-pull
+//     anti-entropy (peer.go), so any router places a session where its
+//     peers would.
 //   - Placement: requests carrying a session key are routed by consistent
 //     hashing (ring.go), so a session's requests keep landing on the same
 //     worker — the placement KV/prefix reuse needs. Unkeyed requests go to
@@ -58,30 +62,29 @@ import (
 // Config assembles the routing tier. Zero values select the defaults.
 type Config struct {
 	// Backends is the seed worker fleet, as base URLs
-	// (e.g. http://127.0.0.1:8372). Seed members are permanent: they have
-	// no lease and are never forgotten. May be empty — a router can start
-	// with no members and grow its fleet entirely through /v1/register.
+	// (e.g. http://127.0.0.1:8372). Seed members are permanent: their
+	// lease never expires and they are never forgotten. May be empty — a
+	// router can start with no members and grow its fleet entirely through
+	// /v1/register.
 	Backends []string
 	// Peers lists the other llm-router instances fronting the same fleet,
 	// as base URLs. Peers replicate the lease-based membership state to
-	// one another (relay on join/leave + periodic anti-entropy over
-	// /v1/sync), so every router converges on the same member set and —
-	// placement being a pure function of membership — the same session
-	// placement. May be empty: a single router needs no peers.
+	// one another by periodic push-pull anti-entropy over /v1/sync, so
+	// every router converges on the same member set and — placement being
+	// a pure function of membership — the same session placement. May be
+	// empty: a single router needs no peers.
 	Peers []string
 	// SyncInterval is the anti-entropy period: how often the full record
-	// set is push-pulled with each peer (default 500ms). It should be well
-	// under the worker lease TTL, so a router partitioned from a worker
-	// keeps its lease fresh through a peer's gossiped renewals.
+	// set is push-pulled with each peer (default 500ms). A join or leave
+	// heard by one router reaches the others within one interval. It
+	// should be well under the worker lease TTL, so a router partitioned
+	// from a worker keeps its lease fresh through a peer's gossiped
+	// renewals.
 	SyncInterval time.Duration
 	// DefaultLease is the TTL granted to /v1/register calls that do not
 	// request one, and the lease scale behind the Retry-After hint on
 	// membership-flux rejections (default 15s).
 	DefaultLease time.Duration
-	// ForgetAfter is how long past expiry a lapsed, unreachable member is
-	// kept in the ring before being removed entirely (default: 10 lease
-	// TTLs; negative keeps lapsed members forever).
-	ForgetAfter time.Duration
 	// MaxInFlight is the global admission cap: requests beyond it are shed
 	// with 429 (default 256; negative disables).
 	MaxInFlight int
