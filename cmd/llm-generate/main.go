@@ -23,9 +23,9 @@
 //
 // -speculate k enables speculative decoding: an n-gram draft model is
 // distilled from the loaded model at startup, proposes blocks of k tokens,
-// and the target verifies each block in one pass. Greedy output is bitwise
-// identical to plain decoding; stochastic strategies keep their exact token
-// distribution. Acceptance statistics are printed to stderr at exit.
+// and the target verifies each block in one pass. Output is bitwise
+// identical to plain decoding for every strategy. Acceptance statistics are
+// printed to stderr at exit.
 //
 // -cpuprofile and -memprofile write pprof profiles (CPU sampling over the
 // whole run; heap snapshot at exit) so decoding performance work can be

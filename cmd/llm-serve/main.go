@@ -48,10 +48,12 @@
 // -speculate k enables speculative decoding (transformer backend only): an
 // n-gram draft model distilled from the served model at startup proposes
 // blocks of k tokens and each block is verified in its own pass, one round
-// per iteration round-robin, so draft work never starves in-flight decodes. Greedy
-// requests keep bitwise-identical output; stochastic requests keep their
-// exact token distribution. /v1/stats gains spec_rounds, spec_drafted,
-// spec_accepted, and the spec_accept_hist acceptance-length histogram.
+// per iteration round-robin, so draft work never starves in-flight decodes.
+// A draft is kept only where it equals the token plain decoding samples, so
+// every request — greedy, temp, topk or topp — gets bitwise the completion
+// a worker without -speculate returns for the same body. /v1/stats gains
+// spec_rounds, spec_drafted, spec_accepted, and the spec_accept_hist
+// acceptance-length histogram.
 //
 // The HTTP surface lives in internal/httpapi (shared with the test
 // harnesses and self-hosted benchmarks):

@@ -63,11 +63,16 @@ const preamble = "the old king greets the young queen near the castle " +
 // tails are the short per-index prompt endings.
 var tails = []string{"the king", "a queen sees", "alice greets the", "the old dog", "bob"}
 
+// strategies are the sampling modes driven requests cycle through, so the
+// bitwise checks cover stochastic decoding under speculation too.
+var strategies = []string{"greedy", "temp", "topk", "topp"}
+
 // Request returns driven request i: a pure function of i, so any two runs
 // drive the same set by construction.
 func Request(i int) httpapi.GenRequest {
 	req := httpapi.GenRequest{
 		Prompt: preamble + " " + tails[i%len(tails)], Tokens: Tokens, Seed: uint64(i + 1),
+		Strategy: strategies[i%len(strategies)],
 	}
 	if i%3 == 0 {
 		req.Session = fmt.Sprintf("sess-%d", i%7)

@@ -14,13 +14,14 @@ import (
 // block verification (lm.go dispatches here), plus the draft-model side —
 // Drafter adapters over the cheap §5 substrates and self-distillation, which
 // trains an n-gram proposal on text sampled from the target model itself, so
-// speculation needs nothing beyond the checkpoint being served.
+// speculation needs nothing beyond the checkpoint being served. Every round
+// keeps a draft only where it equals the token plain decoding samples, so
+// for every strategy the emitted stream is bitwise the plain loop's.
 
 // streamSpeculative continues StreamOptions after prefill: the first token
 // samples from the prefill logits exactly as the plain loop does, then each
 // Round drafts, verifies one chunk, and emits its accepted prefix plus one
-// target-sampled token. With a greedy (or ExactMatch) driver the emitted
-// stream is bitwise identical to the plain loop's.
+// target-sampled token — bitwise the plain loop's stream for any strategy.
 func streamSpeculative(ctx context.Context, m LanguageModel, tgt sample.SpecTarget, dec *sample.Decoder, pd *PieceDecoder, ids []int, logits []float64, onToken func(sample.Token) error, o sample.Options) (Result, error) {
 	sp := o.Speculative
 	deliver := func(tok int) error {
@@ -58,23 +59,25 @@ func streamSpeculative(ctx context.Context, m LanguageModel, tgt sample.SpecTarg
 }
 
 // NGramDrafter adapts a count-based n-gram model to the speculative draft
-// contract through the model's bulk DistInto path: longest-observed-order
-// backoff with add-k smoothing inside that order, one map probe per order
-// rather than per token — the proposal must be much cheaper than one
-// verification row to be worth drafting. The returned slice is reused
-// across calls.
+// contract: it proposes the argmax of the model's bulk DistInto path
+// (longest-observed-order backoff with add-k smoothing inside that order,
+// one map probe per order rather than per token — the proposal must be much
+// cheaper than one verification row to be worth drafting), ties going to
+// the lowest token id. Its distribution buffer is reused across calls, so a
+// drafter belongs to one goroutine.
 type NGramDrafter struct {
 	Model *ngram.Model
 	dist  []float64
 }
 
-// NextDist implements sample.Drafter.
-func (d *NGramDrafter) NextDist(ctx []int) []float64 {
+// Draft implements sample.Drafter.
+func (d *NGramDrafter) Draft(ctx []int) int {
 	if cap(d.dist) < d.Model.Vocab {
 		d.dist = make([]float64, d.Model.Vocab)
 	}
 	d.dist = d.dist[:d.Model.Vocab]
-	return d.Model.DistInto(d.dist, ctx)
+	tok, _ := mathx.ArgMax(d.Model.DistInto(d.dist, ctx))
+	return tok
 }
 
 // DistillNGram distills an order-N n-gram draft model from m itself: no
@@ -87,7 +90,9 @@ func (d *NGramDrafter) NextDist(ctx []int) []float64 {
 // any context the walk covered, the drafter's top token IS the teacher's
 // greedy pick, so greedy speculation accepts it. Windowed targets are
 // re-armed on a short overlapping tail whenever the context fills. The
-// returned model is add-k smoothed so its proposals are everywhere positive.
+// returned model is add-k smoothed for readers of its full distribution;
+// the drafter proposes only the argmax, which smoothing cannot move (it is
+// monotone in the counts, so equal counts stay tied and go to the lowest id).
 func DistillNGram(m LanguageModel, order, tokens int, seed uint64) *ngram.Model {
 	st := m.NewStepper()
 	w := m.ContextWindow()

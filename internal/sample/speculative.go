@@ -1,7 +1,5 @@
 package sample
 
-import "repro/internal/mathx"
-
 // This file is the speculative-decoding driver: a cheap draft model proposes
 // a block of k tokens, the target model scores the whole block in one
 // chunked verification pass (SpecTarget.ExtendAll), and the longest
@@ -9,22 +7,16 @@ import "repro/internal/mathx"
 // target's cache. Every accepted round replaces k+1 sequential target steps
 // with one matrix-matrix pass, which is where the tokens/s comes from.
 //
-// Two acceptance rules, chosen by the decoder's strategy:
-//
-//   - Exact match (greedy, and the fallback for strategies that expose no
-//     distribution): the decoder samples each verification row exactly as
-//     plain decoding would — same logits, same order, same RNG draws — and a
-//     draft token survives only if it equals the decoder's own pick. The
-//     emitted stream is therefore bitwise identical to plain decode for any
-//     strategy; drafting consumes no randomness.
-//   - Rejection sampling (Temperature/TopK/TopP): draft token d with
-//     proposal probability q(d) is accepted with probability min(1, p(d)/q(d))
-//     against the target distribution p; on rejection the correction token
-//     is sampled from the residual max(p−q, 0)/Σ, and when the whole block
-//     survives a bonus token is sampled from the target's next-position
-//     distribution. Token marginals equal plain decoding's exactly (the
-//     standard speculative-sampling identity); the chi-square test in
-//     speculative_test.go checks this empirically.
+// One acceptance rule serves every strategy, exact match: the decoder samples
+// each verification row exactly as plain decoding would — same logits, same
+// order, one RNG draw per emitted token — and a draft token survives only if
+// it equals the decoder's own pick. Drafting consumes no randomness, so a
+// request's draws depend on its own token index alone and the emitted stream
+// is bitwise plain decoding whatever the strategy, the draft depth, the
+// drafter, or which iterations of a serving loop gave the request a round.
+// (Rejection sampling, the usual rule for stochastic strategies, accepts
+// slightly more drafts but takes its draws per round, so its stream depends
+// on the schedule; EXPERIMENTS E32 measures the difference.)
 type Speculative struct {
 	// K is the draft depth: tokens proposed per round. Each round's actual
 	// depth is clamped to the decoder's remaining budget and the target's
@@ -33,11 +25,6 @@ type Speculative struct {
 	// Drafter proposes draft tokens. nil degrades every round to a plain
 	// single-token verification step (correct, never faster).
 	Drafter Drafter
-	// ExactMatch forces exact-match acceptance for stochastic strategies
-	// too: lower acceptance than rejection sampling, but the emitted stream
-	// stays bitwise identical to plain decode — the lever the parity tests
-	// pull to check stochastic strategies end to end.
-	ExactMatch bool
 
 	// Stats accumulates across rounds; callers read it between rounds (the
 	// driver is single-threaded).
@@ -47,18 +34,14 @@ type Speculative struct {
 	dctx    []int
 	chunk   []int
 	emitted []int
-	qd      [][]float64
-	pbuf    []float64
-	resid   []float64
-	sc      pickScratch
 }
 
-// Drafter is the draft-model contract: NextDist returns the normalized
-// next-token distribution given the full decoded context so far. The
-// returned slice may be the drafter's reusable scratch, valid until the next
-// NextDist call (Speculative copies what it must keep).
+// Drafter is the draft-model contract: Draft proposes the next token given
+// the full decoded context so far (prompt, emitted tokens, and this round's
+// earlier drafts). What it proposes decides only how many drafts survive,
+// never what is emitted. It must not retain ctx.
 type Drafter interface {
-	NextDist(ctx []int) []float64
+	Draft(ctx []int) int
 }
 
 // SpecTarget is the target-model surface speculative decoding needs beyond
@@ -95,95 +78,16 @@ type RoundResult struct {
 	Done     bool  // decoding finished (budget or stop token)
 }
 
-// distStrategy is implemented by strategies that can expose their full
-// normalized sampling distribution — what rejection sampling needs. dst must
-// have vocabulary length; the result is written there and returned.
-type distStrategy interface {
-	dist(dst, logits []float64, sc *pickScratch) []float64
-}
-
-// dist implements distStrategy: softmax(logits/T) over the full vocabulary.
-func (s Temperature) dist(dst, logits []float64, _ *pickScratch) []float64 {
-	if s.T <= 0 {
-		panic("sample: temperature must be positive (use Greedy for T→0)")
-	}
-	return mathx.SoftmaxInto(dst, logits, 1/s.T)
-}
-
-// dist implements distStrategy: the temperature softmax over the selected k,
-// zero elsewhere — exactly the per-token probabilities Pick samples from.
-func (s TopK) dist(dst, logits []float64, sc *pickScratch) []float64 {
-	k := s.K
-	if k <= 0 || k > len(logits) {
-		k = len(logits)
-	}
-	idx := selectTopK(logits, k, sc)
-	sub := sc.floats(&sc.sub, k)
-	for i, j := range idx {
-		sub[i] = logits[j]
-	}
-	t := s.T
-	if t <= 0 {
-		t = 1
-	}
-	mathx.SoftmaxInto(sub, sub, 1/t)
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, j := range idx {
-		dst[j] = sub[i]
-	}
-	return dst
-}
-
-// dist implements distStrategy: the nucleus probabilities renormalized over
-// the selected set, zero elsewhere.
-func (s TopP) dist(dst, logits []float64, sc *pickScratch) []float64 {
-	t := s.T
-	if t <= 0 {
-		t = 1
-	}
-	probs := mathx.SoftmaxInto(sc.floats(&sc.probs, len(logits)), logits, 1/t)
-	idx := selectNucleus(probs, s.P, sc)
-	mass := 0.0
-	for _, j := range idx {
-		mass += probs[j]
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, j := range idx {
-		dst[j] = probs[j] / mass
-	}
-	return dst
-}
-
-// accept records an externally sampled token on the decoder — the
-// rejection-sampling path, where the token came from the draft/residual
-// machinery rather than strat.Pick — and reports completion, applying the
-// same budget and stop-token bookkeeping as Next.
-func (d *Decoder) accept(tok int) bool {
-	if d.done {
-		panic("sample: Decoder accept after completion")
-	}
-	d.out = append(d.out, tok)
-	d.remaining--
-	if d.remaining <= 0 || (d.stop >= 0 && tok == d.stop) {
-		d.done = true
-	}
-	return d.done
-}
-
 // Round runs one draft/verify/rewind cycle. ctx is the full decoded context
 // so far — prompt plus every emitted token — whose final element is the
 // pending token the target has not ingested yet; room is the target's
 // remaining window capacity (use a large value for unbounded targets). Round
 // ingests the pending token plus up to K draft tokens through one
-// ExtendAll pass, emits the accepted prefix plus one token sampled from the
-// target (the correction on a rejection, the bonus when the whole draft
-// survives) through dec, and rewinds the target past whatever was rejected.
-// On return the target has ingested exactly the old context plus the
-// accepted tokens; the new pending token is the last element of
+// ExtendAll pass, emits the accepted prefix plus one token the decoder
+// sampled from the target (the correction at the first disagreement, the
+// bonus when the whole draft survives), and rewinds the target past whatever
+// was rejected. On return the target has ingested exactly the old context
+// plus the accepted tokens; the new pending token is the last element of
 // RoundResult.Emitted.
 func (sp *Speculative) Round(t SpecTarget, dec *Decoder, ctx []int, room int) RoundResult {
 	if dec.done {
@@ -195,9 +99,6 @@ func (sp *Speculative) Round(t SpecTarget, dec *Decoder, ctx []int, room int) Ro
 	if room < 1 {
 		panic("sample: Speculative.Round without window room")
 	}
-	_, greedy := dec.strat.(Greedy)
-	ds, hasDist := dec.strat.(distStrategy)
-	exact := greedy || sp.ExactMatch || !hasDist
 
 	// Clamp the draft depth: the round emits accepted+1 ≤ m+1 tokens against
 	// a budget of dec.remaining, and ingests m+1 positions against room.
@@ -212,89 +113,31 @@ func (sp *Speculative) Round(t SpecTarget, dec *Decoder, ctx []int, room int) Ro
 		m = 0
 	}
 
-	// Draft m tokens from the proposal model. Exact-match mode drafts by
-	// argmax so no RNG draws are consumed — the decoder's stream must stay
-	// aligned with plain decoding. Rejection mode samples the proposal and
-	// keeps a copy of each position's q (the drafter reuses its buffer).
+	// The verification block: the pending token, then m drafts, each drafted
+	// on the context grown by the ones before it.
 	sp.chunk = append(sp.chunk[:0], ctx[len(ctx)-1])
 	sp.dctx = append(sp.dctx[:0], ctx...)
 	for i := 0; i < m; i++ {
-		q := sp.Drafter.NextDist(sp.dctx)
-		var d int
-		if exact {
-			d, _ = mathx.ArgMax(q)
-		} else {
-			d = dec.rng.Categorical(q)
-			copy(sp.qrow(i, len(q)), q)
-		}
+		d := sp.Drafter.Draft(sp.dctx)
 		sp.chunk = append(sp.chunk, d)
 		sp.dctx = append(sp.dctx, d)
 	}
 
-	// One chunked verification pass: logits after every drafted position.
+	// One chunked verification pass: logits after every block position. The
+	// decoder samples row i exactly as plain decoding samples that token; the
+	// first pick that disagrees with draft i+1 is the correction, and when
+	// every draft agrees the last row gives the bonus.
 	L := t.ExtendAll(sp.chunk)
 	sp.emitted = sp.emitted[:0]
 	accepted, done := 0, false
-	if exact {
-		// The decoder samples each row exactly as plain decoding would; a
-		// draft token survives only if it equals the decoder's own pick, so
-		// the emitted stream is bitwise identical to plain decode. The first
-		// disagreement already emitted the correction; all-agree emits the
-		// bonus from the last row.
-		for i := 0; i <= m && !done; i++ {
-			tok, dd := dec.Next(L[i])
-			sp.emitted = append(sp.emitted, tok)
-			done = dd
-			if i < m && tok == sp.chunk[i+1] {
-				accepted++
-				continue
-			}
+	for i := 0; i <= m && !done; i++ {
+		tok, dd := dec.Next(L[i])
+		sp.emitted = append(sp.emitted, tok)
+		done = dd
+		if i == m || tok != sp.chunk[i+1] {
 			break
 		}
-	} else {
-		rejected := false
-		for i := 0; i < m && !done && !rejected; i++ {
-			p := ds.dist(sp.floats(&sp.pbuf, len(L[i])), L[i], &sp.sc)
-			d := sp.chunk[i+1]
-			// Accept with probability min(1, p/q): u·q < p, u ∈ [0,1).
-			if dec.rng.Float64()*sp.qd[i][d] < p[d] {
-				accepted++
-				sp.emitted = append(sp.emitted, d)
-				done = dec.accept(d)
-				continue
-			}
-			// Rejected: the correction comes from the residual max(p−q, 0),
-			// which together with the acceptance rule reproduces p exactly.
-			resid := sp.floats(&sp.resid, len(p))
-			total := 0.0
-			for j := range p {
-				r := p[j] - sp.qd[i][j]
-				if r > 0 {
-					resid[j] = r
-					total += r
-				} else {
-					resid[j] = 0
-				}
-			}
-			var tok int
-			if total > 0 {
-				tok = dec.rng.Categorical(resid)
-			} else {
-				// p ≤ q pointwise means p == q; the residual rule degenerates
-				// and any p-draw is correct.
-				tok = dec.rng.Categorical(p)
-			}
-			sp.emitted = append(sp.emitted, tok)
-			done = dec.accept(tok)
-			rejected = true
-		}
-		if !done && !rejected && accepted == m {
-			// Whole draft survived: the bonus token is a plain strategy draw
-			// from the next position's target logits.
-			tok, dd := dec.Next(L[m])
-			sp.emitted = append(sp.emitted, tok)
-			done = dd
-		}
+		accepted++
 	}
 
 	// Rewind the rejected suffix: the target ingested m+1 positions, the
@@ -315,24 +158,4 @@ func (sp *Speculative) Round(t SpecTarget, dec *Decoder, ctx []int, room int) Ro
 		sp.Stats.AcceptHist[b]++
 	}
 	return RoundResult{Emitted: sp.emitted, Drafted: m, Accepted: accepted, Done: done}
-}
-
-// qrow returns row i of the proposal-distribution scratch, sized to n.
-func (sp *Speculative) qrow(i, n int) []float64 {
-	for len(sp.qd) <= i {
-		sp.qd = append(sp.qd, nil)
-	}
-	if cap(sp.qd[i]) < n {
-		sp.qd[i] = make([]float64, n)
-	}
-	sp.qd[i] = sp.qd[i][:n]
-	return sp.qd[i]
-}
-
-func (sp *Speculative) floats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }

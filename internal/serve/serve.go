@@ -115,8 +115,10 @@ type Config struct {
 	// decode-phase request (round-robin, mirroring the prefill-chunk
 	// policy, so draft work never starves the other in-flight decodes)
 	// before the rest ride the iteration's pass. Requires Drafter;
-	// 0 disables. Greedy requests keep bitwise-identical output; stochastic
-	// requests keep their exact token distribution via rejection sampling.
+	// 0 disables. A draft survives only where it equals the token plain
+	// decoding samples, so every request, whatever its strategy and
+	// whatever it is batched with, gets bitwise the completion it would get
+	// without speculation.
 	Speculate int
 	// Drafter is the shared proposal model for Speculate (e.g.
 	// lm.DistillDrafter over the served checkpoint). The loop is its only
@@ -883,8 +885,8 @@ func (b *batch) sample(lr *liveReq, logits []float64) {
 
 // verify runs lr's speculative verification round: lr advances several
 // tokens at once and sits out this iteration's pass. The emitted tokens are
-// delivered and counted exactly as the pass's sampled tokens are, so greedy
-// requests keep bitwise-identical output and the stats stay coherent.
+// delivered and counted exactly as the pass's sampled tokens are, so the
+// request's output stays bitwise plain decoding and the stats stay coherent.
 func (b *batch) verify(lr *liveReq) {
 	var done bool
 	err := guard(failpoint.ServeVerify, func() {
@@ -898,7 +900,7 @@ func (b *batch) verify(lr *liveReq) {
 		for _, tok := range rr.Emitted {
 			b.emit(lr, tok)
 		}
-		b.countSpec(rr.Drafted, rr.Accepted, len(rr.Emitted))
+		b.countSpec(len(rr.Emitted))
 		done = rr.Done
 	})
 	if done || err != nil {
@@ -1057,22 +1059,14 @@ func (s *Server) count(f func(*Stats)) {
 	s.mu.Unlock()
 }
 
-// countSpec records one speculative verification round: the round itself,
-// the draft/accept split and acceptance-length histogram (drafting rounds
-// only, matching sample.SpecStats), and the emitted tokens under
-// DecodeTokens so token throughput spans both decode paths.
-func (s *Server) countSpec(drafted, accepted, emitted int) {
+// countSpec records a speculative verification round: the round counters
+// are the driver's own sample.SpecStats, copied, and the emitted tokens
+// count under DecodeTokens so token throughput spans both decode paths.
+func (s *Server) countSpec(emitted int) {
+	sp := &s.spec.Stats
 	s.mu.Lock()
-	s.stats.SpecRounds++
-	if drafted > 0 {
-		s.stats.SpecDrafted += uint64(drafted)
-		s.stats.SpecAccepted += uint64(accepted)
-		b := accepted
-		if b >= len(s.stats.SpecAcceptHist) {
-			b = len(s.stats.SpecAcceptHist) - 1
-		}
-		s.stats.SpecAcceptHist[b]++
-	}
+	s.stats.SpecRounds, s.stats.SpecDrafted, s.stats.SpecAccepted = sp.Rounds, sp.Drafted, sp.Accepted
+	s.stats.SpecAcceptHist = sp.AcceptHist
 	s.stats.DecodeTokens += uint64(emitted)
 	s.mu.Unlock()
 }

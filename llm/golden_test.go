@@ -126,27 +126,15 @@ func TestGenerationBitwiseGolden(t *testing.T) {
 // proposes a token cycling through the vocabulary, so almost every draft is
 // rejected and the speculative driver exercises its rewind/correction path
 // on nearly every round.
-type wrongDrafter struct {
-	vocab int
-	dist  []float64
-}
+type wrongDrafter struct{ vocab int }
 
-func (d *wrongDrafter) NextDist(ctx []int) []float64 {
-	if d.dist == nil {
-		d.dist = make([]float64, d.vocab)
-	}
-	for i := range d.dist {
-		d.dist[i] = 0
-	}
-	d.dist[(len(ctx)*5+1)%d.vocab] = 1
-	return d.dist
-}
+func (d *wrongDrafter) Draft(ctx []int) int { return (len(ctx)*5 + 1) % d.vocab }
 
 // TestSpeculativeBitwiseGolden pins the speculative-decoding acceptance
 // criterion against the recorded golden stream: greedy generation with
 // speculation enabled must reproduce the exact pre-fast-path tokens for
 // every draft depth, for a realistic distilled drafter and for an
-// adversarial one that forces rejection-heavy rounds — through the direct
+// adversarial one that forces mismatch-heavy rounds — through the direct
 // driver and through the batched server.
 func TestSpeculativeBitwiseGolden(t *testing.T) {
 	model, err := goldenModel()

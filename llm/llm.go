@@ -178,10 +178,10 @@ func WithStop() GenOption { return sample.WithStop() }
 // WithSpeculative enables speculative decoding on drivers whose backend
 // supports block verification (the transformer pipeline): sp drafts blocks
 // of tokens from a cheap proposal model and the target verifies each block
-// in one pass. Greedy generations are bitwise identical to plain decoding;
-// stochastic ones keep their exact token distribution. Backends without the
-// verification surface ignore the option. Read sp.Stats afterwards for
-// acceptance counters.
+// in one pass, keeping a draft only where it equals the token plain decoding
+// samples — so every generation, greedy or stochastic, is bitwise identical
+// to plain decoding. Backends without the verification surface ignore the
+// option. Read sp.Stats afterwards for acceptance counters.
 func WithSpeculative(sp *Speculative) GenOption { return sample.WithSpeculative(sp) }
 
 // ---- Speculative decoding ----
@@ -191,7 +191,9 @@ func WithSpeculative(sp *Speculative) GenOption { return sample.WithSpeculative(
 // acceptance counters.
 type Speculative = sample.Speculative
 
-// Drafter proposes draft-token distributions for speculative decoding.
+// Drafter proposes draft tokens for speculative decoding: Draft(ctx) returns
+// its guess at the token after ctx. Its guesses decide only how many drafts
+// are accepted, never what is generated.
 type Drafter = sample.Drafter
 
 // SpecStats counts speculative-decoding rounds, drafted and accepted tokens,
