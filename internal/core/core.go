@@ -126,8 +126,12 @@ func Train(lines []string, cfg Config) (*LLM, *train.Result, error) {
 	return &LLM{Tok: tok, Model: model, Cfg: cfg}, res, nil
 }
 
-// promptIDs encodes and window-truncates a prompt, reserving budget tokens.
-func (l *LLM) promptIDs(prompt string, budget int) ([]int, error) {
+// ---- lm.LanguageModel implementation ----
+
+// EncodePrompt implements lm.LanguageModel: tokenize and keep the last
+// Window − budget tokens (at least one), reserving budget tokens of
+// generation room.
+func (l *LLM) EncodePrompt(prompt string, budget int) ([]int, error) {
 	ids := l.Tok.Encode(prompt)
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("core: prompt %q encodes to no tokens", prompt)
@@ -142,23 +146,6 @@ func (l *LLM) promptIDs(prompt string, budget int) ([]int, error) {
 	return ids, nil
 }
 
-// PromptWindow encodes prompt and truncates it to the model window while
-// reserving budget tokens of generation room — the admission step shared by
-// the generation entry points and the batched serving front end.
-//
-// Deprecated: PromptWindow is the old name of EncodePrompt.
-func (l *LLM) PromptWindow(prompt string, budget int) ([]int, error) {
-	return l.promptIDs(prompt, budget)
-}
-
-// ---- lm.LanguageModel implementation ----
-
-// EncodePrompt implements lm.LanguageModel: tokenize and window-truncate,
-// reserving budget tokens of generation room.
-func (l *LLM) EncodePrompt(prompt string, budget int) ([]int, error) {
-	return l.promptIDs(prompt, budget)
-}
-
 // Decode implements lm.LanguageModel.
 func (l *LLM) Decode(ids []int) string { return l.Tok.Decode(ids) }
 
@@ -169,8 +156,7 @@ func (l *LLM) NewStepper() sample.Stepper { return l.Model.NewPredictor() }
 func (l *LLM) ContextWindow() int { return l.Model.Cfg.Window }
 
 // Gen extends prompt under the unified generation options (strategy, seed,
-// budget, stop behavior): the options-first replacement for the positional
-// Generate.
+// budget, stop behavior); it is lm.Gen over this model.
 func (l *LLM) Gen(prompt string, opts ...sample.Option) (lm.Result, error) {
 	return lm.Gen(l, prompt, opts...)
 }
@@ -190,43 +176,7 @@ func (l *LLM) Stream(ctx context.Context, prompt string, onToken func(sample.Tok
 // the end-of-sequence separator, and returns the decoded continuation.
 // It implements eval.Generator.
 func (l *LLM) Complete(prompt string, maxTokens int) string {
-	ids, err := l.promptIDs(prompt, maxTokens)
-	if err != nil {
-		return ""
-	}
-	rng := mathx.NewRNG(977)
-	out := sample.Generate(l.Model.NewPredictor(), ids, maxTokens, sample.Greedy{}, tokenizer.EOS, rng)
-	if len(out) > 0 && out[len(out)-1] == tokenizer.EOS {
-		out = out[:len(out)-1]
-	}
-	return l.Tok.Decode(out)
-}
-
-// GenerateTokens extends prompt by exactly n tokens with the given sampling
-// strategy, continuing across sentence separators (free-running generation;
-// use Complete for answer-style decoding that stops at EOS).
-//
-// Deprecated: use Gen with sample.WithMaxTokens/WithStrategy/WithSeed; the
-// output for the same parameters is identical.
-func (l *LLM) GenerateTokens(prompt string, n int, strat sample.Strategy, seed uint64) ([]int, error) {
-	ids, err := l.promptIDs(prompt, n)
-	if err != nil {
-		return nil, err
-	}
-	rng := mathx.NewRNG(seed + 977)
-	return sample.Generate(l.Model.NewPredictor(), ids, n, strat, -1, rng), nil
-}
-
-// Generate is GenerateTokens followed by decoding.
-//
-// Deprecated: use Gen, which takes the unified functional options and also
-// returns the sampled token ids.
-func (l *LLM) Generate(prompt string, n int, strat sample.Strategy, seed uint64) (string, error) {
-	out, err := l.GenerateTokens(prompt, n, strat, seed)
-	if err != nil {
-		return "", err
-	}
-	return l.Tok.Decode(out), nil
+	return lm.Completer{M: l}.Complete(prompt, maxTokens)
 }
 
 // CrossEntropy evaluates the Eq. 3 objective on held-out lines (teacher-

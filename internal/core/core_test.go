@@ -43,10 +43,11 @@ func TestTrainAndGenerate(t *testing.T) {
 	if res.FinalTrainLoss() >= res.Curve[0].TrainLoss {
 		t.Errorf("loss did not decrease: %v -> %v", res.Curve[0].TrainLoss, res.FinalTrainLoss())
 	}
-	ids, err := llm.GenerateTokens("the king", 8, sample.Greedy{}, 0)
+	gen, err := llm.Gen("the king", sample.WithMaxTokens(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids := gen.Tokens
 	if len(ids) != 8 {
 		t.Fatalf("generated %d tokens, want 8", len(ids))
 	}
@@ -110,7 +111,7 @@ func TestPromptTruncation(t *testing.T) {
 	}
 	// A prompt far longer than the window must not panic.
 	longPrompt := strings.Repeat("the king sees the queen ", 40)
-	if _, err := llm.Generate(longPrompt, 4, sample.Greedy{}, 0); err != nil {
+	if _, err := llm.Gen(longPrompt, sample.WithMaxTokens(4)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,7 +123,7 @@ func TestGenerateUnknownPrompt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unknown words map to UNK, still generate.
-	if _, err := llm.Generate("xylophone quantum", 3, sample.Greedy{}, 0); err != nil {
+	if _, err := llm.Gen("xylophone quantum", sample.WithMaxTokens(3)); err != nil {
 		t.Fatal(err)
 	}
 }

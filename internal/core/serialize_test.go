@@ -24,14 +24,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Identical generations from identical state.
-	a, err := llm.GenerateTokens("the king", 6, sample.Greedy{}, 0)
+	ra, err := llm.Gen("the king", sample.WithMaxTokens(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := restored.GenerateTokens("the king", 6, sample.Greedy{}, 0)
+	rb, err := restored.Gen("the king", sample.WithMaxTokens(6))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ra.Tokens, rb.Tokens
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

@@ -3,10 +3,10 @@ package eval
 import (
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/mathx"
 	"repro/internal/nn"
-	"repro/internal/sample"
 	"repro/internal/tokenizer"
 	"repro/internal/train"
 	"repro/internal/transformer"
@@ -86,16 +86,17 @@ func ChainOfThoughtExperiment(cfg CoTConfig) (CoTResult, error) {
 		}); err != nil {
 			return 0, err
 		}
+		gen := &core.LLM{Tok: tok, Model: model}
 		correct := 0
 		budget := 8
 		if withCoT {
 			budget = 30
 		}
 		for _, p := range testProbs {
-			ids := tok.Encode(p.Question)
-			out := sample.Generate(model.NewPredictor(), ids, budget, sample.Greedy{}, tokenizer.EOS, mathx.NewRNG(1))
-			completion := tok.Decode(out)
-			if ExtractAnswer(completion) == p.Answer {
+			// Cap the budget at the window's room so the question is never
+			// truncated.
+			room := model.Cfg.Window - len(tok.Encode(p.Question))
+			if ExtractAnswer(gen.Complete(p.Question, min(budget, room))) == p.Answer {
 				correct++
 			}
 		}

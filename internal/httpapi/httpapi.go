@@ -218,7 +218,7 @@ func parseRequest(r *http.Request) (serve.Request, error) {
 		return serve.Request{}, fmt.Errorf("timeout_ms %d must not be negative", req.TimeoutMS)
 	}
 	if req.Tokens == 0 {
-		req.Tokens = 12
+		req.Tokens = sample.DefaultMaxTokens
 	}
 	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
 	if hd := r.Header.Get(TimeoutHeader); hd != "" {

@@ -5,16 +5,21 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 	"repro/internal/lm"
 	"repro/internal/mathx"
+	"repro/internal/nn"
 	"repro/internal/sample"
 	"repro/internal/serve"
+	"repro/internal/tokenizer"
+	"repro/internal/transformer"
 )
 
 // testModel trains the fast n-gram backend — milliseconds, deterministic,
@@ -182,6 +187,41 @@ func TestBadRequestStatus(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unencodable streamed prompt status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestWindowBudgetOverHTTP: on a windowed model, POST /v1/generate accepts
+// a budget of the whole window and returns lm.Gen's completion; one token
+// more is a 400.
+func TestWindowBudgetOverHTTP(t *testing.T) {
+	tok := tokenizer.NewWord(corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7)))
+	m := &core.LLM{Tok: tok, Model: transformer.MustNew(transformer.Config{
+		Vocab: tok.VocabSize(), Dim: 16, Layers: 1, Heads: 2, Window: 16,
+		Pos: transformer.PosLearned, Act: nn.GELU,
+	}, mathx.NewRNG(2))}
+	ts, _ := newTestServer(t, m)
+	w := m.ContextWindow()
+	want, err := lm.Gen(m, "the king", sample.WithMaxTokens(w),
+		sample.WithStrategy(sample.Temperature{T: 0.8}), sample.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/generate", GenRequest{Prompt: "the king", Tokens: w, Strategy: "temp", Seed: 1})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tokens = window: status %d, want 200", resp.StatusCode)
+	}
+	var gen GenResponse
+	if err := json.NewDecoder(resp.Body).Decode(&gen); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gen.Tokens, want.Tokens) || gen.Completion != want.Text {
+		t.Errorf("tokens = window: served %v %q, lm.Gen %v %q", gen.Tokens, gen.Completion, want.Tokens, want.Text)
+	}
+	over := postJSON(t, ts.URL+"/v1/generate", GenRequest{Prompt: "the king", Tokens: w + 1})
+	over.Body.Close()
+	if over.StatusCode != http.StatusBadRequest {
+		t.Errorf("tokens = window+1: status %d, want 400", over.StatusCode)
 	}
 }
 

@@ -4,9 +4,10 @@
 // generation, streaming, serving, and evaluation machinery. core.LLM (the
 // transformer pipeline) satisfies it directly; the §5 ladder substrates —
 // n-gram, FFN-LM, RNN/LSTM — are adapted by pairing them with a tokenizer
-// (see adapters.go). The Gen and Stream drivers here are the reference
-// single-sequence decoding loop: for a fixed (model, prompt, options) they
-// produce output bitwise identical to the batched serving path.
+// (see adapters.go). Stream here is the repository's one single-sequence
+// decoding loop, and Gen (Stream without a callback) is its oracle: for a
+// fixed (model, prompt, options) the batched serving path, the benchmark and
+// the goldens all produce or check exactly Gen's tokens.
 package lm
 
 import (
@@ -20,7 +21,7 @@ import (
 )
 
 // LanguageModel is the encode/step/decode contract every generation entry
-// point (direct calls, llm.Server, the eval harness, the CLIs) accepts.
+// point (direct calls, serve.Server, the eval harness, the CLIs) accepts.
 type LanguageModel interface {
 	// EncodePrompt tokenizes prompt, reserving budget tokens of generation
 	// room within any finite context the model has. It errors when the
@@ -43,8 +44,8 @@ type Result struct {
 }
 
 // Gen runs one generation over any LanguageModel with the unified options.
-// With the same options and seed it reproduces core.LLM's classic Generate
-// exactly.
+// It is the repository's oracle: for the same model, prompt, options and
+// seed, every serving path returns exactly its tokens.
 func Gen(m LanguageModel, prompt string, opts ...sample.Option) (Result, error) {
 	return Stream(context.Background(), m, prompt, nil, opts...)
 }
@@ -58,27 +59,28 @@ func Gen(m LanguageModel, prompt string, opts ...sample.Option) (Result, error) 
 // ingest the whole prompt in one pass) and between tokens on the per-token
 // path — serving deployments needing bounded mid-prefill cancellation
 // latency chunk at the scheduling layer (serve.Config.PrefillChunk).
+//
+// Each iteration of the decode loop emits one token sampled from the latest
+// logits or, with Options.Speculative on a stepper that implements
+// sample.SpecTarget, one verification round's tokens — the same tokens
+// either way.
 func Stream(ctx context.Context, m LanguageModel, prompt string, onToken func(sample.Token) error, opts ...sample.Option) (Result, error) {
-	return StreamOptions(ctx, m, prompt, onToken, sample.BuildOptions(opts...))
-}
-
-// StreamOptions is Stream with an already-built options struct — the entry
-// point for callers (like the serving loops) that hold request state in
-// struct form.
-func StreamOptions(ctx context.Context, m LanguageModel, prompt string, onToken func(sample.Token) error, o sample.Options) (Result, error) {
-	if o.Strategy == nil {
-		o.Strategy = sample.Greedy{}
-	}
+	o := sample.BuildOptions(opts...)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if o.MaxTokens <= 0 {
 		return Result{}, fmt.Errorf("lm: MaxTokens %d must be positive", o.MaxTokens)
 	}
-	// A windowed model cannot hold even one prompt token plus the budget;
-	// reject rather than letting the stepper exhaust its window mid-run.
-	if w := m.ContextWindow(); w > 0 && o.MaxTokens >= w {
-		return Result{}, fmt.Errorf("lm: MaxTokens %d must be below the model window %d", o.MaxTokens, w)
+	// The last sampled token is never fed, so a windowed model holds one
+	// prompt token plus MaxTokens − 1 fed tokens at most: MaxTokens == window
+	// fits, anything larger would exhaust the stepper mid-run.
+	w := m.ContextWindow()
+	if w > 0 && o.MaxTokens > w {
+		return Result{}, fmt.Errorf("lm: MaxTokens %d exceeds the model window %d", o.MaxTokens, w)
+	}
+	if err := sample.ValidateStrategy(o.Strategy); err != nil {
+		return Result{}, fmt.Errorf("lm: %w", err)
 	}
 	ids, err := m.EncodePrompt(prompt, o.MaxTokens)
 	if err != nil {
@@ -88,10 +90,7 @@ func StreamOptions(ctx context.Context, m LanguageModel, prompt string, onToken 
 	var logits []float64
 	if ex, ok := st.(sample.Extender); ok {
 		// Chunked prefill: the whole prompt in one matrix-matrix pass,
-		// bitwise identical to the per-token loop below. Cancellation is
-		// checked once up front; serving deployments that need bounded
-		// cancellation latency chunk at the scheduling layer (see
-		// serve.Config.PrefillChunk).
+		// bitwise identical to the per-token loop below.
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
@@ -110,23 +109,40 @@ func StreamOptions(ctx context.Context, m LanguageModel, prompt string, onToken 
 	}
 	dec := sample.NewDecoder(o.Strategy, stop, o.MaxTokens, mathx.NewRNG(o.Seed+977))
 	pd := NewPieceDecoder(m.Decode)
-	if o.Speculative != nil {
-		if tgt, ok := st.(sample.SpecTarget); ok {
-			return streamSpeculative(ctx, m, tgt, dec, pd, ids, logits, onToken, o)
-		}
+	// Speculation needs the full decoded context, ending with the pending
+	// token the target has not ingested yet; spec stays nil without it.
+	tgt, _ := st.(sample.SpecTarget)
+	var spec []int
+	if o.Speculative != nil && tgt != nil {
+		spec = append(make([]int, 0, len(ids)+o.MaxTokens), ids...)
 	}
+	var one [1]int
 	for !dec.Done() {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		tok, done := dec.Next(logits)
+		toks := one[:]
+		if len(spec) > len(ids) {
+			room := 1 << 30
+			if w > 0 {
+				room = w - tgt.Len()
+			}
+			toks = o.Speculative.Round(tgt, dec, spec, room).Emitted
+		} else {
+			one[0], _ = dec.Next(logits)
+		}
 		if onToken != nil {
-			if err := onToken(pd.Next(tok)); err != nil {
-				return Result{}, err
+			for _, tok := range toks {
+				if err := onToken(pd.Next(tok)); err != nil {
+					return Result{}, err
+				}
 			}
 		}
-		if !done {
-			logits = st.Append(tok)
+		switch {
+		case spec != nil:
+			spec = append(spec, toks...)
+		case !dec.Done():
+			logits = st.Append(toks[0])
 		}
 	}
 	return Finish(m, dec.Tokens(), o), nil
@@ -174,8 +190,8 @@ func (d *PieceDecoder) Next(id int) sample.Token {
 }
 
 // Completer adapts a LanguageModel to the eval harness's Generator
-// interface: greedy, stop-at-EOS decoding with the harness's fixed seed —
-// the same contract core.LLM.Complete implements directly.
+// interface: greedy, stop-at-EOS decoding (core.LLM.Complete is this over
+// the transformer pipeline).
 type Completer struct{ M LanguageModel }
 
 // Complete implements eval.Generator.

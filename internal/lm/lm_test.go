@@ -56,42 +56,6 @@ func setup(t *testing.T) {
 	})
 }
 
-// TestGenMatchesLegacyGenerate pins the core acceptance criterion: the
-// unified driver reproduces the positional core.LLM.Generate bitwise for
-// every strategy.
-func TestGenMatchesLegacyGenerate(t *testing.T) {
-	setup(t)
-	strategies := []sample.Strategy{
-		sample.Greedy{},
-		sample.Temperature{T: 0.8},
-		sample.TopK{K: 5, T: 0.9},
-		sample.TopP{P: 0.9, T: 0.7},
-	}
-	for i, strat := range strategies {
-		seed := uint64(i)
-		want, err := tfModel.Generate("the king", 7, strat, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := lm.Gen(tfModel, "the king",
-			sample.WithMaxTokens(7), sample.WithStrategy(strat), sample.WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Text != want {
-			t.Errorf("strategy %T: Gen %q != Generate %q", strat, got.Text, want)
-		}
-		viaMethod, err := tfModel.Gen("the king",
-			sample.WithMaxTokens(7), sample.WithStrategy(strat), sample.WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if viaMethod.Text != want {
-			t.Errorf("strategy %T: LLM.Gen %q != Generate %q", strat, viaMethod.Text, want)
-		}
-	}
-}
-
 // TestStreamPiecesConcatenate asserts the streaming contract: pieces arrive
 // in order with consecutive indices and concatenate to exactly the final
 // text, for every backend.
@@ -224,20 +188,78 @@ func TestTrainBackendErrors(t *testing.T) {
 	}
 }
 
-// TestOverWindowBudgetErrors: a windowed model rejects budgets it cannot
-// decode (instead of panicking mid-generation in the stepper).
+// TestOverWindowBudgetErrors: a windowed model accepts every budget it can
+// decode — up to the window itself, since the last sampled token is never
+// fed — and rejects larger ones instead of panicking mid-generation in the
+// stepper.
 func TestOverWindowBudgetErrors(t *testing.T) {
 	setup(t)
 	w := tfModel.ContextWindow()
-	if _, err := lm.Gen(tfModel, "the king", sample.WithMaxTokens(w)); err == nil {
-		t.Errorf("MaxTokens = window %d accepted", w)
+	// Recorded from the positional core.LLM.Generate that lm.Gen replaced,
+	// which accepted this budget.
+	const want = "woman garden castle queen king the the rules princess the man royal"
+	res, err := lm.Gen(tfModel, "the king", sample.WithMaxTokens(w),
+		sample.WithStrategy(sample.Temperature{T: 0.8}), sample.WithSeed(1))
+	if err != nil {
+		t.Fatalf("MaxTokens = window %d rejected: %v", w, err)
 	}
-	if _, err := lm.Gen(tfModel, "the king", sample.WithMaxTokens(w+5)); err == nil {
-		t.Errorf("MaxTokens > window accepted")
+	if len(res.Tokens) != w || res.Text != want {
+		t.Errorf("MaxTokens = window: %d tokens %q, want %d tokens %q", len(res.Tokens), res.Text, w, want)
+	}
+	// Speculative rounds stay inside the window at that budget too.
+	sp := &sample.Speculative{K: 4, Drafter: lm.DistillDrafter(tfModel, 3, 300, 1)}
+	spec, err := lm.Gen(tfModel, "the king", sample.WithMaxTokens(w),
+		sample.WithStrategy(sample.Temperature{T: 0.8}), sample.WithSeed(1), sample.WithSpeculative(sp))
+	if err != nil || spec.Text != want {
+		t.Errorf("speculative MaxTokens = window: %q, %v; want %q", spec.Text, err, want)
+	}
+	if sp.Stats.Drafted == 0 {
+		t.Error("speculative MaxTokens = window drafted nothing")
+	}
+	if _, err := lm.Gen(tfModel, "the king", sample.WithMaxTokens(w+1)); err == nil {
+		t.Errorf("MaxTokens = window+1 accepted")
 	}
 	// Unbounded backends accept large budgets.
 	if _, err := lm.Gen(backends["ngram"], "the king", sample.WithMaxTokens(w+5)); err != nil {
 		t.Errorf("ngram rejected MaxTokens %d: %v", w+5, err)
+	}
+}
+
+// TestInvalidStrategyErrors: every strategy sample.ValidateStrategy rejects
+// is an error from lm.Gen, for every backend and with or without
+// speculation, never a panic inside the decode loop.
+func TestInvalidStrategyErrors(t *testing.T) {
+	setup(t)
+	bad := []sample.Strategy{
+		sample.Temperature{T: 0},
+		sample.Temperature{T: -1},
+		sample.TopK{K: -1, T: 1},
+		sample.TopK{K: 5, T: -0.5},
+		sample.TopP{P: -0.1, T: 1},
+		sample.TopP{P: 1.5, T: 1},
+		sample.TopP{P: 0.9, T: -1},
+	}
+	models := map[string]lm.LanguageModel{"transformer": tfModel}
+	for name, b := range backends {
+		models[name] = b
+	}
+	for name, m := range models {
+		for _, strat := range bad {
+			for _, sp := range []*sample.Speculative{nil, {K: 2}} {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s %+v speculative=%v: panic %v", name, strat, sp != nil, r)
+						}
+					}()
+					_, err := lm.Gen(m, "the king", sample.WithMaxTokens(4),
+						sample.WithStrategy(strat), sample.WithSpeculative(sp))
+					if err == nil {
+						t.Errorf("%s %+v speculative=%v: accepted", name, strat, sp != nil)
+					}
+				}()
+			}
+		}
 	}
 }
 

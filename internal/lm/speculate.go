@@ -1,62 +1,19 @@
 package lm
 
 import (
-	"context"
-
 	"repro/internal/mathx"
 	"repro/internal/ngram"
 	"repro/internal/sample"
 	"repro/internal/tokenizer"
 )
 
-// This file is the speculative-decoding arm of the unified generation
-// driver: the round loop over sample.Speculative for steppers that implement
-// block verification (lm.go dispatches here), plus the draft-model side —
-// Drafter adapters over the cheap §5 substrates and self-distillation, which
-// trains an n-gram proposal on text sampled from the target model itself, so
-// speculation needs nothing beyond the checkpoint being served. Every round
-// keeps a draft only where it equals the token plain decoding samples, so
-// for every strategy the emitted stream is bitwise the plain loop's.
-
-// streamSpeculative continues StreamOptions after prefill: the first token
-// samples from the prefill logits exactly as the plain loop does, then each
-// Round drafts, verifies one chunk, and emits its accepted prefix plus one
-// target-sampled token — bitwise the plain loop's stream for any strategy.
-func streamSpeculative(ctx context.Context, m LanguageModel, tgt sample.SpecTarget, dec *sample.Decoder, pd *PieceDecoder, ids []int, logits []float64, onToken func(sample.Token) error, o sample.Options) (Result, error) {
-	sp := o.Speculative
-	deliver := func(tok int) error {
-		if onToken == nil {
-			return nil
-		}
-		return onToken(pd.Next(tok))
-	}
-	tok, done := dec.Next(logits)
-	if err := deliver(tok); err != nil {
-		return Result{}, err
-	}
-	// cctx is the full decoded context, ending with the pending token the
-	// target has not ingested yet — the shape Round expects.
-	cctx := append(append(make([]int, 0, len(ids)+o.MaxTokens), ids...), tok)
-	w := m.ContextWindow()
-	for !done {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		room := 1 << 30
-		if w > 0 {
-			room = w - tgt.Len()
-		}
-		rr := sp.Round(tgt, dec, cctx, room)
-		for _, tk := range rr.Emitted {
-			if err := deliver(tk); err != nil {
-				return Result{}, err
-			}
-		}
-		cctx = append(cctx, rr.Emitted...)
-		done = rr.Done
-	}
-	return Finish(m, dec.Tokens(), o), nil
-}
+// This file is the draft-model side of speculative decoding (lm.Stream
+// drives the rounds): Drafter adapters over the cheap §5 substrates and
+// self-distillation, which trains an n-gram proposal on text sampled from the
+// target model itself, so speculation needs nothing beyond the checkpoint
+// being served. Every round keeps a draft only where it equals the token
+// plain decoding samples, so for every strategy the emitted stream is
+// bitwise the plain loop's.
 
 // NGramDrafter adapts a count-based n-gram model to the speculative draft
 // contract: it proposes the argmax of the model's bulk DistInto path

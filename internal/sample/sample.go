@@ -128,8 +128,8 @@ func (s TopP) pickScratch(logits []float64, rng *mathx.RNG, sc *pickScratch) int
 // strategy, its private RNG stream, a stop token, and a token budget. It
 // separates "pick the next token from these logits" from the question of
 // where the logits come from, so the same decoding logic drives both the
-// single-sequence Generate loop and the batched serving front end (where one
-// batched forward pass produces logits for many decoders at once).
+// single-sequence loop (lm.Stream) and the batched serving front end (where
+// one batched forward pass produces logits for many decoders at once).
 type Decoder struct {
 	strat     Strategy
 	rng       *mathx.RNG
@@ -175,35 +175,6 @@ func (d *Decoder) Done() bool { return d.done }
 
 // Tokens returns the tokens sampled so far (including a final stop token).
 func (d *Decoder) Tokens() []int { return d.out }
-
-// Generate feeds prompt into the stepper and then samples n further tokens
-// with the strategy, stopping early if stop (≥ 0) is produced. It returns
-// only the newly generated tokens.
-func Generate(s Stepper, prompt []int, n int, strat Strategy, stop int, rng *mathx.RNG) []int {
-	if len(prompt) == 0 {
-		panic("sample: empty prompt")
-	}
-	var logits []float64
-	if ex, ok := s.(Extender); ok {
-		logits = ex.Extend(prompt)
-	} else {
-		for _, id := range prompt {
-			logits = s.Append(id)
-		}
-	}
-	if n <= 0 {
-		return nil
-	}
-	d := NewDecoder(strat, stop, n, rng)
-	for {
-		tok, done := d.Next(logits)
-		if done {
-			break
-		}
-		logits = s.Append(tok)
-	}
-	return d.Tokens()
-}
 
 // Beam is one beam-search hypothesis.
 type Beam struct {

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/mathx"
-	"repro/internal/nn"
-	"repro/internal/transformer"
 )
 
 func TestGreedyPicksArgmax(t *testing.T) {
@@ -104,47 +102,6 @@ func TestTopPRestrictsSupport(t *testing.T) {
 	}
 }
 
-// cycleStepper deterministically predicts (last+1) mod vocab.
-type cycleStepper struct {
-	vocab int
-	last  int
-}
-
-func (c *cycleStepper) Append(id int) []float64 {
-	c.last = id
-	logits := make([]float64, c.vocab)
-	logits[(id+1)%c.vocab] = 10
-	return logits
-}
-
-func TestGenerateFollowsModel(t *testing.T) {
-	s := &cycleStepper{vocab: 4}
-	out := Generate(s, []int{0}, 5, Greedy{}, -1, mathx.NewRNG(5))
-	want := []int{1, 2, 3, 0, 1}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("generated %v, want %v", out, want)
-		}
-	}
-}
-
-func TestGenerateStopToken(t *testing.T) {
-	s := &cycleStepper{vocab: 4}
-	out := Generate(s, []int{0}, 10, Greedy{}, 2, mathx.NewRNG(6))
-	if len(out) != 2 || out[len(out)-1] != 2 {
-		t.Errorf("stop handling: %v", out)
-	}
-}
-
-func TestGenerateEmptyPromptPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Generate(&cycleStepper{vocab: 2}, nil, 1, Greedy{}, -1, mathx.NewRNG(1))
-}
-
 func TestBeamSearchFindsHighProbPath(t *testing.T) {
 	// Scorer: prefers token 0 at each step but gives token 1 a large bonus
 	// if the previous token was 1 — greedy takes 0s; a 2-beam search should
@@ -198,57 +155,6 @@ func TestStreamCrossEntropyPerfectPredictor(t *testing.T) {
 	uniform := func(prefix []int) []float64 { return make([]float64, vocab) }
 	if pp := Perplexity(uniform, stream); math.Abs(pp-5) > 1e-9 {
 		t.Errorf("uniform perplexity = %v, want 5", pp)
-	}
-}
-
-// TestGenerateWithTransformerPredictor wires the sampler to the real model's
-// KV-cache stepper.
-func TestGenerateWithTransformerPredictor(t *testing.T) {
-	cfg := transformer.Config{Vocab: 6, Dim: 8, Layers: 1, Heads: 2, Window: 16,
-		Pos: transformer.PosLearned, Act: nn.GELU}
-	m := transformer.MustNew(cfg, mathx.NewRNG(7))
-	out := Generate(m.NewPredictor(), []int{1, 2}, 6, Temperature{T: 1}, -1, mathx.NewRNG(8))
-	if len(out) != 6 {
-		t.Fatalf("generated %d tokens", len(out))
-	}
-	for _, tok := range out {
-		if tok < 0 || tok >= 6 {
-			t.Fatalf("token %d out of vocab", tok)
-		}
-	}
-}
-
-// TestDecoderMatchesGenerate drives a Decoder by hand against the classic
-// Generate loop: identical strategy, seed, and logits must yield identical
-// tokens (the serving loop depends on this equivalence).
-func TestDecoderMatchesGenerate(t *testing.T) {
-	cfg := transformer.Config{Vocab: 6, Dim: 8, Layers: 1, Heads: 2, Window: 16,
-		Pos: transformer.PosLearned, Act: nn.GELU}
-	m := transformer.MustNew(cfg, mathx.NewRNG(7))
-	prompt := []int{1, 2}
-	want := Generate(m.NewPredictor(), prompt, 6, Temperature{T: 1}, -1, mathx.NewRNG(8))
-
-	p := m.NewPredictor()
-	var logits []float64
-	for _, id := range prompt {
-		logits = p.Append(id)
-	}
-	d := NewDecoder(Temperature{T: 1}, -1, 6, mathx.NewRNG(8))
-	for {
-		tok, done := d.Next(logits)
-		if done {
-			break
-		}
-		logits = p.Append(tok)
-	}
-	got := d.Tokens()
-	if len(got) != len(want) {
-		t.Fatalf("decoder produced %d tokens, Generate %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("token %d: decoder %d != Generate %d", i, got[i], want[i])
-		}
 	}
 }
 

@@ -106,7 +106,7 @@ func specDecode(t *testing.T, logits func([]int) []float64, prompt []int, sp *Sp
 	return append([]int(nil), dec.Tokens()...)
 }
 
-// plainDecode is the reference loop (Generate's semantics over the same
+// plainDecode is the reference loop (lm.Stream's plain path over the same
 // fake model).
 func plainDecode(logits func([]int) []float64, prompt []int, strat Strategy, stop, maxTokens int, seed uint64) []int {
 	tgt := &fakeTarget{logits: logits}

@@ -62,14 +62,14 @@ func TestPanicIsolationBitwiseIntact(t *testing.T) {
 	}
 	want := make([]string, len(jobs))
 	for i, j := range jobs {
-		w, err := m.Generate(j.prompt, j.n, sample.Temperature{T: 0.8}, j.seed)
+		w, err := m.Gen(j.prompt, freeRun(j.n, sample.Temperature{T: 0.8}, j.seed)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = w
+		want[i] = w.Text
 	}
 
-	got := make([]string, len(jobs))
+	got := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var victimErr error
 	var wg sync.WaitGroup
@@ -84,7 +84,7 @@ func TestPanicIsolationBitwiseIntact(t *testing.T) {
 		wg.Add(1)
 		go func(i int, j job) {
 			defer wg.Done()
-			got[i], errs[i] = s.Generate(context.Background(), j.prompt, j.n, sample.Temperature{T: 0.8}, j.seed)
+			got[i], errs[i] = s.Gen(context.Background(), j.prompt, freeRun(j.n, sample.Temperature{T: 0.8}, j.seed)...)
 		}(i, j)
 	}
 	wg.Wait()
@@ -97,12 +97,12 @@ func TestPanicIsolationBitwiseIntact(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("bystander %d failed: %v", i, errs[i])
 		}
-		if got[i] != want[i] {
-			t.Errorf("bystander %d: batched %q != fault-free serial %q", i, got[i], want[i])
+		if got[i].Text != want[i] {
+			t.Errorf("bystander %d: batched %q != fault-free serial %q", i, got[i].Text, want[i])
 		}
 	}
 	// The worker survived: a fresh request completes normally.
-	if _, err := s.Generate(context.Background(), "the queen", 4, sample.Greedy{}, 9); err != nil {
+	if _, err := s.Gen(context.Background(), "the queen", freeRun(4, sample.Greedy{}, 9)...); err != nil {
 		t.Fatalf("server dead after panic: %v", err)
 	}
 	st := waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
@@ -137,7 +137,7 @@ func TestStepPanicFailsBatchAndRecovers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Generate(context.Background(), "the king sees", 5, sample.Greedy{}, uint64(i))
+			_, errs[i] = s.Gen(context.Background(), "the king sees", freeRun(5, sample.Greedy{}, uint64(i))...)
 		}(i)
 	}
 	wg.Wait()
@@ -158,16 +158,16 @@ func TestStepPanicFailsBatchAndRecovers(t *testing.T) {
 	failpoint.Disarm()
 
 	// Recovery: the rebuilt predictor decodes bitwise-correctly.
-	want, err := m.Generate("the queen", 5, sample.Greedy{}, 0)
+	want, err := m.Gen("the queen", freeRun(5, sample.Greedy{}, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Generate(context.Background(), "the queen", 5, sample.Greedy{}, 0)
+	got, err := s.Gen(context.Background(), "the queen", freeRun(5, sample.Greedy{}, 0)...)
 	if err != nil {
 		t.Fatalf("server did not recover from step panic: %v", err)
 	}
-	if got != want {
-		t.Errorf("post-recovery output %q != direct %q", got, want)
+	if got.Text != want.Text {
+		t.Errorf("post-recovery output %q != direct %q", got.Text, want.Text)
 	}
 	st := waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
 	if st.Panics != uint64(failed) {
@@ -401,15 +401,15 @@ func TestFailpointVerifySite(t *testing.T) {
 		t.Fatalf("err = %v, want the injected error", err)
 	}
 	failpoint.Disarm()
-	want, err := m.Generate("the queen", 5, sample.Greedy{}, 0)
+	want, err := m.Gen("the queen", freeRun(5, sample.Greedy{}, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Generate(context.Background(), "the queen", 5, sample.Greedy{}, 0)
+	got, err := s.Gen(context.Background(), "the queen", freeRun(5, sample.Greedy{}, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("post-fault speculative output %q != direct %q", got, want)
+	if got.Text != want.Text {
+		t.Errorf("post-fault speculative output %q != direct %q", got.Text, want.Text)
 	}
 }

@@ -1,5 +1,5 @@
 // Package serve is the batched generation front end: a request queue that
-// coalesces concurrent Generate calls into batched forward passes over the
+// coalesces concurrent requests into batched forward passes over the
 // model's incremental inference path (continuous batching). Each request
 // keeps its own sampling strategy, seed, and token budget, and is dropped
 // from the batch the moment its context is cancelled. One background loop
@@ -15,7 +15,8 @@
 //
 // Results stream: Stream delivers per-token events as each continuous-
 // batching step completes, and the final text is bitwise identical to the
-// unbatched lm.Gen / core.LLM.Generate result for the same request.
+// lm.Gen result for the same request: lm.Gen is the oracle every served
+// completion is checked against.
 //
 // Every lm.LanguageModel is served by that one loop: the transformer
 // pipeline (core.LLM) through transformer.BatchedPredictor, the other
@@ -95,7 +96,7 @@ type Config struct {
 	// (default 8).
 	MaxBatch int
 	// QueueDepth is the pending-request buffer; submissions beyond it
-	// block in Generate (default 64).
+	// block in Do/Stream (default 64).
 	QueueDepth int
 	// CoalesceWait is how long a freshly formed batch lingers for more
 	// requests to arrive before decoding starts (default 2ms). 0 keeps
@@ -157,7 +158,7 @@ func (c Config) withDefaults() Config {
 // options, with the prompt attached. Build it directly or with NewRequest.
 type Request struct {
 	Prompt    string
-	MaxTokens int             // tokens to generate; must be >= 1 (and below the window for windowed models)
+	MaxTokens int             // tokens to generate; must be >= 1 (and at most the window for windowed models)
 	Strategy  sample.Strategy // nil = greedy
 	Seed      uint64          // per-request sampling seed
 	StopAtEOS bool            // stop at the sentence separator and trim it
@@ -178,8 +179,8 @@ func NewRequest(prompt string, opts ...sample.Option) Request {
 	}
 }
 
-// Options converts the request back to the options struct shared with the
-// single-sequence decoding driver.
+// Options converts the request back to the options struct, for lm.Finish:
+// the loop trims and decodes a finished request exactly as lm.Stream does.
 func (r Request) Options() sample.Options {
 	return sample.Options{
 		MaxTokens: r.MaxTokens, Strategy: r.Strategy,
@@ -212,7 +213,7 @@ type Result = lm.Result
 // backends have no prefix cache — each admission is a PrefixLookups miss —
 // and ignore Config.Speculate.
 type Stats struct {
-	Requests  uint64 `json:"requests"`  // accepted by Do/Generate (past validation)
+	Requests  uint64 `json:"requests"`  // accepted by Do/Stream (past validation)
 	Completed uint64 `json:"completed"` // finished with a result
 	Cancelled uint64 `json:"cancelled"` // dropped by context cancellation
 	Failed    uint64 `json:"failed"`    // failed by the server: prompt errors, shutdown, panics, deadlines, stalls, failed passes
@@ -528,16 +529,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Generate enqueues a free-running generation (no stop token) and blocks
-// until it completes, mirroring core.LLM.Generate: for a given model,
-// prompt, strategy, and seed the text is identical to the unbatched call.
-//
-// Deprecated: use Gen with functional options, or Do with a Request.
-func (s *Server) Generate(ctx context.Context, prompt string, n int, strat sample.Strategy, seed uint64) (string, error) {
-	res, err := s.Do(ctx, Request{Prompt: prompt, MaxTokens: n, Strategy: strat, Seed: seed})
-	return res.Text, err
-}
-
 // Gen enqueues a generation built from the unified functional options and
 // blocks until it completes.
 func (s *Server) Gen(ctx context.Context, prompt string, opts ...sample.Option) (Result, error) {
@@ -553,13 +544,15 @@ const maxTokensCap = 4096
 // before enqueueing; prompt errors surface at admission, which encodes the
 // prompt anyway. Strategy parameters are validated here too, so a malformed
 // request (e.g. a non-positive temperature) is rejected with an error at
-// the door instead of tripping a panic guard inside the batching loop.
+// the door instead of tripping a panic guard inside the batching loop. The
+// window bound is lm.Stream's: the last sampled token is never fed, so a
+// budget equal to the window fits.
 func (s *Server) validateBudget(req Request) error {
 	if req.MaxTokens <= 0 {
 		return fmt.Errorf("serve: MaxTokens %d must be positive", req.MaxTokens)
 	}
-	if s.window > 0 && req.MaxTokens >= s.window {
-		return fmt.Errorf("serve: MaxTokens %d must be below the model window %d", req.MaxTokens, s.window)
+	if s.window > 0 && req.MaxTokens > s.window {
+		return fmt.Errorf("serve: MaxTokens %d exceeds the model window %d", req.MaxTokens, s.window)
 	}
 	if s.window == 0 && req.MaxTokens > maxTokensCap {
 		return fmt.Errorf("serve: MaxTokens %d exceeds the per-request cap %d", req.MaxTokens, maxTokensCap)
@@ -892,8 +885,9 @@ func (b *batch) verify(lr *liveReq) {
 	err := guard(failpoint.ServeVerify, func() {
 		room := 1 << 30
 		if b.window > 0 {
-			// Admission guarantees prompt+budget fit the window, so room
-			// covers the pending token and at least one draft.
+			// Admission guarantees the prompt and every fed token fit the
+			// window, so room covers the pending token and every draft the
+			// remaining budget allows.
 			room = b.window - b.bp.Len(lr.slot)
 		}
 		rr := b.spec.Round(slotTarget{b.bp, lr.slot}, lr.dec, lr.ctx, room)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
+	"repro/internal/lm"
 	"repro/internal/mathx"
 	"repro/internal/nn"
 	"repro/internal/sample"
@@ -45,9 +47,15 @@ func testLLM(t *testing.T) *core.LLM {
 	return model
 }
 
+// freeRun is the options of a free-running generation (no stop token): n
+// tokens sampled with strat from the seed's stream.
+func freeRun(n int, strat sample.Strategy, seed uint64) []sample.Option {
+	return []sample.Option{sample.WithMaxTokens(n), sample.WithStrategy(strat), sample.WithSeed(seed)}
+}
+
 // TestBatchedMatchesUnbatched fires concurrent requests with different
 // sampling strategies and seeds; every response must equal the serial
-// core.LLM.Generate result for the same parameters.
+// lm.Gen result for the same parameters.
 func TestBatchedMatchesUnbatched(t *testing.T) {
 	m := testLLM(t)
 	s := New(m, Config{MaxBatch: 4, CoalesceWait: 30 * time.Millisecond})
@@ -69,20 +77,20 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	}
 	want := make([]string, len(jobs))
 	for i, j := range jobs {
-		w, err := m.Generate(j.prompt, j.n, j.strat, j.seed)
+		w, err := m.Gen(j.prompt, freeRun(j.n, j.strat, j.seed)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = w
+		want[i] = w.Text
 	}
-	got := make([]string, len(jobs))
+	got := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		wg.Add(1)
 		go func(i int, j job) {
 			defer wg.Done()
-			got[i], errs[i] = s.Generate(context.Background(), j.prompt, j.n, j.strat, j.seed)
+			got[i], errs[i] = s.Gen(context.Background(), j.prompt, freeRun(j.n, j.strat, j.seed)...)
 		}(i, j)
 	}
 	wg.Wait()
@@ -90,8 +98,8 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("job %d: %v", i, errs[i])
 		}
-		if got[i] != want[i] {
-			t.Errorf("job %d: batched %q != serial %q", i, got[i], want[i])
+		if got[i].Text != want[i] {
+			t.Errorf("job %d: batched %q != serial %q", i, got[i].Text, want[i])
 		}
 	}
 }
@@ -107,7 +115,7 @@ func TestRequestsAreBatched(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Generate(context.Background(), "the king", 5, sample.Greedy{}, uint64(i)); err != nil {
+			if _, err := s.Gen(context.Background(), "the king", freeRun(5, sample.Greedy{}, uint64(i))...); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -150,12 +158,12 @@ func TestCancellationMidGeneration(t *testing.T) {
 		t.Fatal("cancelled request did not return")
 	}
 	// The server keeps working after a cancellation.
-	out, err := s.Generate(context.Background(), "the king", 3, sample.Greedy{}, 0)
+	out, err := s.Gen(context.Background(), "the king", freeRun(3, sample.Greedy{}, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := m.Generate("the king", 3, sample.Greedy{}, 0); out != want {
-		t.Fatalf("post-cancel result %q != %q", out, want)
+	if want, _ := m.Gen("the king", freeRun(3, sample.Greedy{}, 0)...); out.Text != want.Text {
+		t.Fatalf("post-cancel result %q != %q", out.Text, want.Text)
 	}
 }
 
@@ -181,9 +189,28 @@ func TestRequestValidation(t *testing.T) {
 	if _, err := s.Do(context.Background(), Request{Prompt: "x", MaxTokens: 0}); err == nil {
 		t.Error("MaxTokens=0 accepted")
 	}
+	// A budget of the whole window fits (the last token is never fed) and
+	// serves lm.Gen's completion; one more does not.
 	w := m.Model.Cfg.Window
-	if _, err := s.Do(context.Background(), Request{Prompt: "x", MaxTokens: w}); err == nil {
-		t.Error("MaxTokens=window accepted")
+	req := Request{Prompt: "the king", MaxTokens: w, Strategy: sample.Temperature{T: 0.8}, Seed: 1}
+	res, err := s.Do(context.Background(), req)
+	if err != nil {
+		t.Fatalf("MaxTokens=window rejected: %v", err)
+	}
+	want, err := m.Gen(req.Prompt, freeRun(w, req.Strategy, req.Seed)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Tokens, want.Tokens) || res.Text != want.Text {
+		t.Errorf("MaxTokens=window served %v %q, lm.Gen %v %q", res.Tokens, res.Text, want.Tokens, want.Text)
+	}
+	spec := New(m, Config{Speculate: 4, Drafter: lm.DistillDrafter(m, 3, 300, 1)})
+	defer spec.Close()
+	if res, err := spec.Do(context.Background(), req); err != nil || !slices.Equal(res.Tokens, want.Tokens) {
+		t.Errorf("speculative MaxTokens=window served %v, %v; lm.Gen %v", res.Tokens, err, want.Tokens)
+	}
+	if _, err := s.Do(context.Background(), Request{Prompt: "x", MaxTokens: w + 1}); err == nil {
+		t.Error("MaxTokens=window+1 accepted")
 	}
 	// A prompt that encodes to no tokens errors rather than hanging.
 	if _, err := s.Do(context.Background(), Request{Prompt: "", MaxTokens: 3}); err == nil ||
@@ -243,18 +270,18 @@ func TestManyConcurrentMixedRequests(t *testing.T) {
 			defer wg.Done()
 			budget := 2 + i%7
 			seed := uint64(i)
-			want, err := m.Generate("the king", budget, sample.Temperature{T: 0.9}, seed)
+			want, err := m.Gen("the king", freeRun(budget, sample.Temperature{T: 0.9}, seed)...)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			got, err := s.Generate(context.Background(), "the king", budget, sample.Temperature{T: 0.9}, seed)
+			got, err := s.Gen(context.Background(), "the king", freeRun(budget, sample.Temperature{T: 0.9}, seed)...)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if got != want {
-				t.Errorf("req %d: %q != %q", i, got, want)
+			if got.Text != want.Text {
+				t.Errorf("req %d: %q != %q", i, got.Text, want.Text)
 			}
 		}(i)
 	}
@@ -271,12 +298,12 @@ func TestGenerateUnknownPromptTokens(t *testing.T) {
 	defer s.Close()
 	// A prompt of known words mixed with punctuation the word tokenizer
 	// drops should still work through the window-truncation path.
-	out, err := s.Generate(context.Background(), "the king!", 3, sample.Greedy{}, 0)
+	out, err := s.Gen(context.Background(), "the king!", freeRun(3, sample.Greedy{}, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := m.Generate("the king!", 3, sample.Greedy{}, 0); out != want {
-		t.Fatalf("%q != %q", out, want)
+	if want, _ := m.Gen("the king!", freeRun(3, sample.Greedy{}, 0)...); out.Text != want.Text {
+		t.Fatalf("%q != %q", out.Text, want.Text)
 	}
 }
 
@@ -295,7 +322,7 @@ func TestStatsCountBeforeReply(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Generate(context.Background(), "the king", 1+i%3, sample.Greedy{}, uint64(i)); err != nil {
+			if _, err := s.Gen(context.Background(), "the king", freeRun(1+i%3, sample.Greedy{}, uint64(i))...); err != nil {
 				t.Error(err)
 			}
 			back := returned.Add(1)

@@ -206,8 +206,8 @@ func TestCancellationDuringPrefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := m.Generate("the king", 3, sample.Greedy{}, 0); out.Text != want {
-		t.Fatalf("post-cancel result %q != %q", out.Text, want)
+	if want, _ := m.Gen("the king", freeRun(3, sample.Greedy{}, 0)...); out.Text != want.Text {
+		t.Fatalf("post-cancel result %q != %q", out.Text, want.Text)
 	}
 }
 

@@ -6,53 +6,6 @@ import (
 	"repro/internal/mathx"
 )
 
-// TestMatMulIntoMatchesMatMul drives the panel-packed kernel across shapes
-// on both sides of the small-product threshold: results must be bitwise
-// identical to MatMul (same per-element accumulation order), and dst reuse
-// with stale contents must not leak into the output.
-func TestMatMulIntoMatchesMatMul(t *testing.T) {
-	rng := mathx.NewRNG(7)
-	shapes := [][3]int{
-		{1, 1, 1}, {3, 5, 2}, {16, 16, 16}, {7, 129, 65},
-		{64, 64, 70},   // crosses one panel boundary
-		{96, 128, 200}, // above the parallel/panel threshold
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a := New(m, k).RandNorm(rng, 1)
-		b := New(k, n).RandNorm(rng, 1)
-		a.Data[0] = 0 // exercise the zero-skip path
-		want := MatMul(a, b)
-		dst := New(m, n).Fill(42) // stale contents must be overwritten
-		got := MatMulInto(dst, a, b)
-		if got != dst {
-			t.Fatal("MatMulInto did not return dst")
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("shape %v elem %d: MatMulInto %v != MatMul %v", s, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-func TestMatMulIntoPanics(t *testing.T) {
-	a, b := New(2, 3), New(3, 4)
-	for name, f := range map[string]func(){
-		"inner mismatch": func() { MatMulInto(New(2, 2), a, New(2, 2)) },
-		"dst shape":      func() { MatMulInto(New(3, 4), a, b) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // TestTransposePackMatchesTranspose checks the tiled transpose across
 // shapes that cover partial edge tiles.
 func TestTransposePackMatchesTranspose(t *testing.T) {
@@ -67,27 +20,6 @@ func TestTransposePackMatchesTranspose(t *testing.T) {
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("shape %v elem %d differs", s, i)
-			}
-		}
-	}
-}
-
-// TestMatMulBatchStillMatchesMatMul re-pins the serving-path guarantee after
-// the MatMulInto rewrite: batched products stay bitwise identical to the
-// unbatched kernel, including above the fan-out threshold.
-func TestMatMulBatchStillMatchesMatMul(t *testing.T) {
-	rng := mathx.NewRNG(9)
-	a := New(48, 96).RandNorm(rng, 1)
-	var bs []*Tensor
-	for i := 0; i < 6; i++ {
-		bs = append(bs, New(96, 64+i).RandNorm(rng, 1))
-	}
-	got := MatMulBatch(a, bs)
-	for i, b := range bs {
-		want := MatMul(a, b)
-		for j := range want.Data {
-			if got[i].Data[j] != want.Data[j] {
-				t.Fatalf("product %d elem %d: batch %v != MatMul %v", i, j, got[i].Data[j], want.Data[j])
 			}
 		}
 	}

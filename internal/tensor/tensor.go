@@ -344,201 +344,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulInto computes the matrix product a·b into the preallocated dst
-// (which must be m×n and may contain stale data) and returns dst. Large
-// right operands are processed in packed column panels — each panel of b is
-// copied into a contiguous scratch buffer so the inner loops stream
-// sequentially — but the per-element accumulation order (k ascending, zero
-// a-elements skipped) is exactly MatMul's, so results are bitwise identical.
-// MatMulBatch routes through it; it is also the destination-reusing entry
-// point for callers that hold their own output scratch.
-func MatMulInto(dst, a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
-		panic("tensor: MatMulInto requires 2-D tensors")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulInto inner mismatch %v · %v", a.Shape, b.Shape))
-	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst %v, want [%d %d]", dst.Shape, m, n))
-	}
-	dst.Zero()
-	// Small products: the plain MatMul kernel; packing would cost more than
-	// it saves.
-	if m*n*k < parallelThreshold {
-		for i := 0; i < m; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := dst.Data[i*n : (i+1)*n]
-			for kk, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[kk*n : (kk+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-		return dst
-	}
-	// Pack every column panel of b once, up front (panel p occupies
-	// packed[p*k*panelCols:...], rows contiguous at the panel width); the
-	// row-parallel workers then share the packed copy read-only.
-	buf := packBuf.Get().(*[]float64)
-	defer packBuf.Put(buf)
-	if cap(*buf) < k*n {
-		*buf = make([]float64, k*n)
-	}
-	packed := (*buf)[:k*n]
-	np := 0
-	for j0 := 0; j0 < n; j0 += panelCols {
-		pw := n - j0
-		if pw > panelCols {
-			pw = panelCols
-		}
-		panel := packed[np : np+k*pw]
-		for kk := 0; kk < k; kk++ {
-			copy(panel[kk*pw:(kk+1)*pw], b.Data[kk*n+j0:kk*n+j0+pw])
-		}
-		np += k * pw
-	}
-	mulPanels := func(lo, hi int) {
-		off := 0
-		for j0 := 0; j0 < n; j0 += panelCols {
-			pw := n - j0
-			if pw > panelCols {
-				pw = panelCols
-			}
-			panel := packed[off : off+k*pw]
-			off += k * pw
-			for i := lo; i < hi; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				orow := dst.Data[i*n+j0 : i*n+j0+pw]
-				for kk, av := range arow {
-					if av == 0 {
-						continue
-					}
-					brow := panel[kk*pw : (kk+1)*pw]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	if workers < 2 {
-		mulPanels(0, m)
-		return dst
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulPanels(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return dst
-}
-
-// panelCols is the column-panel width of the packed MatMulInto kernel: 64
-// columns of float64 = one 512-byte stripe per k-row, small enough that a
-// panel row plus the dst stripe stay resident in L1 across the k loop.
-const panelCols = 64
-
-// packBuf pools panel-packing scratch so steady-state MatMulInto calls do
-// not allocate.
-var packBuf = sync.Pool{New: func() any { s := make([]float64, 0); return &s }}
-
-// MatMulBatch multiplies one shared left operand against many right
-// operands, returning MatMul(a, bs[i]) for each i — the general batched
-// entry point for one-input many-weights workloads. (The transformer's
-// serving path used it for batched Q/K/V projections until PR 3 moved that
-// path onto its own packed per-row kernels.) Independent products are
-// fanned out across goroutines when the combined work is large enough to
-// amortize scheduling; each product runs through the MatMulInto panel
-// kernel, which preserves MatMul's accumulation order, so results are
-// bitwise identical to the unbatched calls.
-func MatMulBatch(a *Tensor, bs []*Tensor) []*Tensor {
-	out := make([]*Tensor, len(bs))
-	work := 0
-	for _, b := range bs {
-		if len(b.Shape) == 2 {
-			work += a.Shape[0] * a.Shape[1] * b.Shape[1]
-		}
-	}
-	mulOne := func(i int) {
-		b := bs[i]
-		if len(b.Shape) != 2 {
-			out[i] = MatMul(a, b) // surface the shape panic of the plain kernel
-			return
-		}
-		out[i] = MatMulInto(New(a.Shape[0], b.Shape[1]), a, b)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || len(bs) < 2 || workers < 2 {
-		for i := range bs {
-			mulOne(i)
-		}
-		return out
-	}
-	// Cap the fan-out at GOMAXPROCS (each product may itself parallelize
-	// inside MatMulInto; an unbounded outer spawn would oversubscribe).
-	if workers > len(bs) {
-		workers = len(bs)
-	}
-	chunk := (len(bs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(bs) {
-			hi = len(bs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				mulOne(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
-}
-
-// GatherRows builds a new matrix from the listed rows of a 2-D tensor —
-// a batched embedding lookup (one row per listed id).
-func GatherRows(a *Tensor, ids []int) *Tensor {
-	if len(a.Shape) != 2 {
-		panic("tensor: GatherRows requires 2-D")
-	}
-	out := New(len(ids), a.Shape[1])
-	for i, id := range ids {
-		copy(out.Row(i), a.Row(id))
-	}
-	return out
-}
-
 // Transpose returns the transpose of a 2-D tensor.
 func Transpose(a *Tensor) *Tensor {
 	if len(a.Shape) != 2 {

@@ -258,61 +258,6 @@ func TestFillZero(t *testing.T) {
 	}
 }
 
-func TestGatherRows(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
-	g := GatherRows(a, []int{2, 0, 2})
-	want := []float64{5, 6, 1, 2, 5, 6}
-	for i, v := range want {
-		if g.Data[i] != v {
-			t.Fatalf("GatherRows data[%d] = %v, want %v", i, g.Data[i], v)
-		}
-	}
-	// The gathered rows are copies, not views.
-	g.Data[0] = 99
-	if a.Data[4] == 99 {
-		t.Fatal("GatherRows aliases source storage")
-	}
-}
-
-func TestMatMulBatchMatchesMatMul(t *testing.T) {
-	rng := mathx.NewRNG(9)
-	a := New(8, 16).RandNorm(rng, 1)
-	bs := make([]*Tensor, 5)
-	for i := range bs {
-		bs[i] = New(16, 4+i).RandNorm(rng, 1)
-	}
-	got := MatMulBatch(a, bs)
-	for i, b := range bs {
-		want := MatMul(a, b)
-		if !got[i].SameShape(want) {
-			t.Fatalf("product %d shape %v, want %v", i, got[i].Shape, want.Shape)
-		}
-		for k := range want.Data {
-			if got[i].Data[k] != want.Data[k] {
-				t.Fatalf("product %d differs from MatMul at %d", i, k)
-			}
-		}
-	}
-}
-
-func TestMatMulBatchLargeParallelPath(t *testing.T) {
-	rng := mathx.NewRNG(10)
-	a := New(64, 64).RandNorm(rng, 1)
-	bs := make([]*Tensor, 3)
-	for i := range bs {
-		bs[i] = New(64, 64).RandNorm(rng, 1)
-	}
-	got := MatMulBatch(a, bs) // above the parallel threshold
-	for i, b := range bs {
-		want := MatMul(a, b)
-		for k := range want.Data {
-			if got[i].Data[k] != want.Data[k] {
-				t.Fatalf("parallel product %d differs at %d", i, k)
-			}
-		}
-	}
-}
-
 func TestEnsureReusesAndGrows(t *testing.T) {
 	var s *Tensor
 	a := Ensure(&s, 4, 8)

@@ -10,7 +10,8 @@
 //     (internal/core), with data-parallel training via Config.Workers,
 //   - Model configuration (internal/transformer) and sampling strategies
 //     (internal/sample),
-//   - Server, the request-batching generation service (internal/serve),
+//   - Server, the request-batching generation service (an alias of
+//     internal/serve's Server),
 //   - The evaluation harness (internal/eval),
 //   - Experiment entry points for the paper's tables and figures
 //     (internal/scaling, internal/icl).
@@ -34,9 +35,10 @@
 //		return nil
 //	}, llm.WithMaxTokens(8))
 //
-// To serve concurrent traffic, wrap the model in a Server: requests are
-// coalesced into batched forward passes while preserving the exact output
-// of the unbatched calls:
+// Gen is the one single-sequence decoding loop and the oracle of every other
+// path. To serve concurrent traffic, wrap the model in a Server: requests are
+// coalesced into batched forward passes, and each completion is bitwise the
+// Gen result for the same options:
 //
 //	srv := llm.NewServer(model, llm.ServerConfig{})
 //	defer srv.Close()
@@ -250,11 +252,12 @@ func SyntheticCorpus(n int, seed uint64) []string {
 
 // ---- Serving ----
 
-// ServerConfig tunes the request-batching generation service; the zero
-// value selects sensible defaults (batch of 8, 2ms coalescing window,
-// 32-token prefill chunks). PrefillChunk bounds how many prompt rows of a new
-// request share each forward pass with the in-flight streams' decode rows,
-// so a long prompt never stalls them by more than one chunk.
+// ServerConfig tunes a Server (serve.Config); the zero value selects
+// sensible defaults (batch of 8, 2ms coalescing window, 32-token prefill
+// chunks). PrefillChunk bounds how many prompt rows of a new request share
+// each forward pass with the in-flight streams' decode rows, so a long
+// prompt never stalls them by more than one chunk. No field changes the
+// tokens a completed request gets, only when they are computed.
 type ServerConfig = serve.Config
 
 // GenRequest is one generation job for a Server, with per-request sampling
@@ -281,20 +284,20 @@ type ServerStats = serve.Stats
 // ErrServerClosed is returned for requests submitted to a closed Server.
 var ErrServerClosed = serve.ErrClosed
 
-// Server is a batched generation service over a trained model: concurrent
-// Generate calls are coalesced into batched forward passes that share each
-// decoding step's matrix work, while every request keeps its own sampling
-// parameters and context-cancellation path. Prompts are ingested through
-// the chunked prefill fast path (bounded chunks as matrix-matrix work,
-// riding the same forward pass as the decode rows). Results are identical
-// to the corresponding unbatched LLM.Generate call.
-type Server struct {
-	s *serve.Server
-}
+// Server is the batched generation service (serve.Server): concurrent
+// requests — Gen, Do, Stream — are coalesced into batched forward passes
+// that share each decoding step's matrix work, while every request keeps its
+// own sampling parameters and context-cancellation path. Prompts are
+// ingested in bounded chunks riding the same forward pass as the decode
+// rows. Every completion is bitwise the Gen result for the same request.
+// Validate checks a request without submitting it; Stats snapshots the
+// counters; Close stops the loop, failing pending requests with
+// ErrServerClosed.
+type Server = serve.Server
 
 // NewServer starts a generation server over model. Close it when done.
 func NewServer(model *LLM, cfg ServerConfig) *Server {
-	return &Server{s: serve.New(model, cfg)}
+	return serve.New(model, cfg)
 }
 
 // NewBackendServer starts a generation server over any LanguageModel: one
@@ -303,46 +306,8 @@ func NewServer(model *LLM, cfg ServerConfig) *Server {
 // in-flight sequences in one batched pass; any other backend steps one
 // sequence at a time within the same schedule.
 func NewBackendServer(m LanguageModel, cfg ServerConfig) *Server {
-	return &Server{s: serve.NewBackend(m, cfg)}
+	return serve.NewBackend(m, cfg)
 }
-
-// Generate batches a free-running generation of n tokens, equivalent to
-// LLM.Generate(prompt, n, strat, seed) but safe to call from any number of
-// goroutines concurrently.
-//
-// Deprecated: use Gen with functional options, or Do with a GenRequest.
-func (s *Server) Generate(ctx context.Context, prompt string, n int, strat Strategy, seed uint64) (string, error) {
-	return s.s.Generate(ctx, prompt, n, strat, seed)
-}
-
-// Gen submits a generation built from the unified functional options and
-// blocks until it completes.
-func (s *Server) Gen(ctx context.Context, prompt string, opts ...GenOption) (GenResult, error) {
-	return s.s.Gen(ctx, prompt, opts...)
-}
-
-// Do submits a fully specified generation request.
-func (s *Server) Do(ctx context.Context, req GenRequest) (GenResult, error) {
-	return s.s.Do(ctx, req)
-}
-
-// Validate reports whether req would be accepted by Do/Stream, without
-// submitting it — front ends use it to reject bad requests before
-// committing to a response (e.g. before writing streaming headers).
-func (s *Server) Validate(req GenRequest) error { return s.s.Validate(req) }
-
-// Stream is Do with per-token delivery: onToken receives every sampled
-// token as its decoding step completes; the final text is bitwise identical
-// to the unbatched path for the same request.
-func (s *Server) Stream(ctx context.Context, req GenRequest, onToken func(Token) error) (GenResult, error) {
-	return s.s.Stream(ctx, req, onToken)
-}
-
-// Stats returns a snapshot of the server counters.
-func (s *Server) Stats() ServerStats { return s.s.Stats() }
-
-// Close stops the batching loop; pending requests fail with ErrServerClosed.
-func (s *Server) Close() { s.s.Close() }
 
 // Generator is the model interface of the evaluation harness.
 type Generator = eval.Generator

@@ -29,20 +29,22 @@ func TestQuickstartFlow(t *testing.T) {
 	if losses[len(losses)-1] != curve.FinalLoss() {
 		t.Errorf("Losses[-1] = %v != FinalLoss %v", losses[len(losses)-1], curve.FinalLoss())
 	}
-	out, err := model.Generate("the king", 6, llm.Temperature(0.8), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = out // may be empty if EOS sampled; API contract is no error
-
-	// The unified options API reproduces the positional call bitwise.
+	// The text may be empty if EOS is sampled; the API contract is no error.
 	res, err := model.Gen("the king",
 		llm.WithMaxTokens(6), llm.WithStrategy(llm.Temperature(0.8)), llm.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Text != out {
-		t.Errorf("Gen %q != Generate %q", res.Text, out)
+	out := res.Text
+
+	// The package-level Gen over the LanguageModel interface is the same call.
+	viaIface, err := llm.Gen(model, "the king",
+		llm.WithMaxTokens(6), llm.WithStrategy(llm.Temperature(0.8)), llm.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaIface.Text != out {
+		t.Errorf("llm.Gen %q != model.Gen %q", viaIface.Text, out)
 	}
 
 	// Streaming delivers pieces that concatenate to the same final text.
