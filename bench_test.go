@@ -502,7 +502,7 @@ func BenchmarkStreamingFirstToken(b *testing.B) {
 	}
 	for _, load := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("load%d", load), func(b *testing.B) {
-			s := serve.New(model, serve.Config{MaxBatch: 8, CoalesceWait: time.Millisecond})
+			s := serve.New(model, serve.Config{MaxBatch: 8})
 			defer s.Close()
 			var mu sync.Mutex
 			var totalFirst time.Duration
@@ -819,9 +819,7 @@ func BenchmarkTTFTLongPrompt(b *testing.B) {
 					name += fmt.Sprintf("/chunk%d", chunk)
 				}
 				b.Run(name, func(b *testing.B) {
-					s := serve.New(model, serve.Config{
-						MaxBatch: 8, CoalesceWait: time.Millisecond, PrefillChunk: chunk,
-					})
+					s := serve.New(model, serve.Config{MaxBatch: 8, PrefillChunk: chunk})
 					defer s.Close()
 					var mu sync.Mutex
 					var totalFirst time.Duration

@@ -137,12 +137,14 @@ func runChaos(dir string, seed uint64) error {
 
 	// Probabilities are low enough that most requests survive (the bitwise
 	// invariant needs survivors) and high enough that every kind of fault
-	// fires at the pinned seed. Every 8th armed request carries a 1ms
-	// deadline budget, exercising the 504 path.
+	// fires at the pinned seed. The sampler rule's probability is the
+	// highest: a lone decoding request is verified rather than sampled in
+	// the pass, so serve/sample sees only ≈ 140 hits a run. Every 8th armed
+	// request carries a 1ms deadline budget, exercising the 504 path.
 	log.Print("phase 2: chaos run under the armed fault plan")
 	hits := f.PrefixHits()
 	if err := f.Arm(failpoint.Plan{Seed: seed, Rules: []failpoint.Rule{
-		{Site: failpoint.ServeSample, Kind: failpoint.KindPanic, Prob: 0.02},
+		{Site: failpoint.ServeSample, Kind: failpoint.KindPanic, Prob: 0.05},
 		{Site: failpoint.ServeStep, Kind: failpoint.KindError, After: 20, Count: 1},
 		{Site: failpoint.ServePrefill, Kind: failpoint.KindError, Prob: 0.03},
 		{Site: failpoint.ServeVerify, Kind: failpoint.KindError, Prob: 0.03},

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	llm-serve [-model model.json] [-backend transformer|ngram|ffn|rnn]
-//	          [-addr :8372] [-max-batch 8] [-coalesce 2ms] [-queue 64]
+//	          [-addr :8372] [-max-batch 8] [-queue 64]
 //	          [-prefill-chunk 32] [-synthetic 500] [-speculate 4]
 //	          [-drain-timeout 30s] [-request-timeout 0] [-stall-timeout 0]
 //	          [-join http://127.0.0.1:8371] [-advertise http://host:8372]
@@ -113,7 +113,6 @@ func main() {
 		synthetic    = flag.Int("synthetic", 500, "synthetic corpus size for the demo model")
 		addr         = flag.String("addr", ":8372", "listen address")
 		maxBatch     = flag.Int("max-batch", 8, "max sequences decoded per batched step")
-		coalesce     = flag.Duration("coalesce", 2*time.Millisecond, "linger for more requests before decoding a fresh batch")
 		queue        = flag.Int("queue", 64, "pending-request buffer depth")
 		prefill      = flag.Int("prefill-chunk", 32, "max prompt rows per forward pass, beside the decode rows (negative = whole prompt)")
 		speculate    = flag.Int("speculate", 0, "speculative draft depth; distills an n-gram drafter at startup (0 disables)")
@@ -138,7 +137,7 @@ func main() {
 		drafter = llm.DistillDrafter(model, 3, 4096, 42)
 	}
 	srv := serve.NewBackend(model, serve.Config{
-		MaxBatch: *maxBatch, CoalesceWait: *coalesce, QueueDepth: *queue,
+		MaxBatch: *maxBatch, QueueDepth: *queue,
 		PrefillChunk: *prefill, Speculate: *speculate, Drafter: drafter,
 		RequestTimeout: *reqTimeout, StallTimeout: *stallTimeout,
 	})

@@ -133,7 +133,7 @@ func NewTransformer(seed uint64) (*Fleet, error) {
 		return nil, err
 	}
 	f := New(model, serve.Config{
-		MaxBatch: 4, CoalesceWait: time.Millisecond, PrefillChunk: 4, Speculate: 2,
+		MaxBatch: 4, PrefillChunk: 4, Speculate: 2,
 	})
 	f.drafter = func() sample.Drafter { return lm.DistillDrafter(model, 3, 512, seed) }
 	return f, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/sample"
 )
@@ -20,7 +19,7 @@ import (
 // token.
 func TestServerDecodeStepAllocsBounded(t *testing.T) {
 	model := testLLM(t)
-	s := New(model, Config{MaxBatch: 4, CoalesceWait: -1})
+	s := New(model, Config{MaxBatch: 4})
 	defer s.Close()
 	const tokens = 12
 	req := Request{Prompt: "the king", MaxTokens: tokens, Strategy: sample.TopP{P: 0.9, T: 0.8}, Seed: 5}
@@ -46,7 +45,7 @@ func TestServerDecodeStepAllocsBounded(t *testing.T) {
 // width and is reused, so batching must not reintroduce per-row churn.
 func TestServerConcurrentDecodeAllocsBounded(t *testing.T) {
 	model := testLLM(t)
-	s := New(model, Config{MaxBatch: 8, CoalesceWait: 2 * time.Millisecond})
+	s := New(model, Config{MaxBatch: 8})
 	defer s.Close()
 	const load, tokens = 8, 10
 	burst := func() {
@@ -79,7 +78,7 @@ func TestServerConcurrentDecodeAllocsBounded(t *testing.T) {
 // with position): doubling MaxTokens must not double per-token allocations.
 func TestServerDecodeStepAllocsFlat(t *testing.T) {
 	model := testLLM(t)
-	s := New(model, Config{MaxBatch: 4, CoalesceWait: time.Millisecond})
+	s := New(model, Config{MaxBatch: 4})
 	defer s.Close()
 	perToken := func(n int) float64 {
 		req := Request{Prompt: "the king", MaxTokens: n, Strategy: sample.Temperature{T: 0.9}, Seed: 7}

@@ -10,17 +10,49 @@ import (
 	"repro/internal/transformer"
 )
 
-// blockingBatch pins requests in flight: every Pass waits on release, so a
-// test can hold a known request population inside the server while it
-// samples the InFlight/Queued gauges.
-type blockingBatch struct {
-	fakeBatch
+// gatedBatch wraps a loop predictor and holds its passes from the hold-th on
+// (1 = the first) until the test calls open; held is closed when the loop
+// enters the hold-th pass. A test pins a known request population inside the
+// server at a known point, say the first pass running and every later
+// request queued, without waiting on the clock.
+type gatedBatch struct {
+	batchPredictor
+	hold    int
+	passes  int // loop goroutine only
+	held    chan struct{}
 	release chan struct{}
+	once    sync.Once
 }
 
-func (b *blockingBatch) Pass(chunks []transformer.Chunk) [][]float64 {
-	<-b.release
-	return b.fakeBatch.Pass(chunks)
+func (g *gatedBatch) Pass(chunks []transformer.Chunk) [][]float64 {
+	if g.passes++; g.passes == g.hold {
+		close(g.held)
+	}
+	if g.passes >= g.hold {
+		<-g.release
+	}
+	return g.batchPredictor.Pass(chunks)
+}
+
+// open releases the held pass and every later one.
+func (g *gatedBatch) open() { g.once.Do(func() { close(g.release) }) }
+
+// gate wraps s's predictor in a gatedBatch holding from the hold-th pass and
+// starts the loop. A cleanup opens the gate and closes s, so a test that
+// fails while the loop is held still shuts the server down; such a test
+// must not also defer s.Close, which would wait on the held loop.
+func gate(t *testing.T, s *Server, hold int) *gatedBatch {
+	t.Helper()
+	g := &gatedBatch{batchPredictor: s.newBatch(), hold: hold,
+		held: make(chan struct{}), release: make(chan struct{})}
+	s.newBatch = func() batchPredictor { return g }
+	s.wg.Add(1)
+	go s.loop()
+	t.Cleanup(func() {
+		g.open()
+		s.Close()
+	})
+	return g
 }
 
 // waitStats polls Stats until cond accepts a snapshot or the deadline
@@ -36,20 +68,24 @@ func waitStats(s *Server, cond func(Stats) bool) Stats {
 	}
 }
 
+// waitQueued waits until n requests sit in s's submission queue, behind a
+// held pass.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	if st := waitStats(s, func(st Stats) bool { return st.Queued == n }); st.Queued != n {
+		t.Fatalf("Queued = %d behind the held pass, want %d", st.Queued, n)
+	}
+}
+
 // TestInFlightQueuedGauges pins the live-load gauges a routing tier polls:
 // with the batch full and decode blocked, InFlight counts every accepted
 // request and Queued the ones still waiting for admission; both return to
 // zero once the server drains.
 func TestInFlightQueuedGauges(t *testing.T) {
 	m := testLLM(t)
-	s := newServer(m, Config{MaxBatch: 2, CoalesceWait: -1})
-	fake := &blockingBatch{
-		fakeBatch: fakeBatch{vocab: m.Tok.VocabSize()},
-		release:   make(chan struct{}),
-	}
-	s.newBatch = func() batchPredictor { return fake }
-	s.wg.Add(1)
-	go s.loop()
+	s := newServer(m, Config{MaxBatch: 2})
+	s.newBatch = func() batchPredictor { return &fakeBatch{vocab: m.Tok.VocabSize()} }
+	g := gate(t, s, 1)
 
 	const n = 4
 	var wg sync.WaitGroup
@@ -62,9 +98,8 @@ func TestInFlightQueuedGauges(t *testing.T) {
 			}
 		}()
 	}
-	// With coalescing disabled the idle loop admits exactly one request and
-	// blocks in its first pass; the other 3 wait in the submission queue.
-	// All 4 are in flight.
+	// The idle loop admits exactly one request and blocks in its first pass;
+	// the other 3 wait in the submission queue. All 4 are in flight.
 	st := waitStats(s, func(st Stats) bool { return st.InFlight == n && st.Queued == n-1 })
 	if st.InFlight != n {
 		t.Errorf("InFlight = %d with %d requests held in the server, want %d", st.InFlight, n, n)
@@ -73,7 +108,7 @@ func TestInFlightQueuedGauges(t *testing.T) {
 		t.Errorf("Queued = %d with one request admitted and %d in flight, want %d", st.Queued, n, n-1)
 	}
 
-	close(fake.release)
+	g.open()
 	wg.Wait()
 	st = waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
 	if st.InFlight != 0 || st.Queued != 0 {
@@ -82,7 +117,6 @@ func TestInFlightQueuedGauges(t *testing.T) {
 	if st.Completed != n {
 		t.Errorf("Completed = %d, want %d", st.Completed, n)
 	}
-	s.Close()
 }
 
 // TestGaugesUnderConcurrentLoad hammers a real batched server with

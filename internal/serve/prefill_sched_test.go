@@ -325,8 +325,8 @@ func TestScheduling(t *testing.T) {
 		t.Fatalf("explicit PrefillChunk = %d, want 7", got)
 	}
 	vocab := testLLM(t).Tok.VocabSize()
-	chunk4 := Config{MaxBatch: 4, CoalesceWait: -1, PrefillChunk: 4}
-	spec3 := Config{MaxBatch: 4, CoalesceWait: -1, PrefillChunk: 4, Speculate: 3, Drafter: uniformDrafter{vocab}}
+	chunk4 := Config{MaxBatch: 4, PrefillChunk: 4}
+	spec3 := Config{MaxBatch: 4, PrefillChunk: 4, Speculate: 3, Drafter: uniformDrafter{vocab}}
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -370,7 +370,7 @@ func TestScheduling(t *testing.T) {
 	}, {
 		// A negative PrefillChunk removes the cap: the whole prompt in one
 		// pass, which samples the first token; the second rides the next.
-		name: "PrefillChunkConfigured", cfg: Config{CoalesceWait: -1, PrefillChunk: -1},
+		name: "PrefillChunkConfigured", cfg: Config{PrefillChunk: -1},
 		reqs: []schedReq{{words: 12, tokens: 2}},
 		want: schedResult{ops: "[P12] [S1]", outs: "ok", stats: Stats{
 			Requests: 1, Completed: 1, PrefixLookups: 1,
@@ -516,7 +516,7 @@ func TestSchedulingProperties(t *testing.T) {
 	var passes [3]int
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := mathx.NewRNG(seed)
-		cfg := Config{MaxBatch: 1 + rng.Intn(4), CoalesceWait: -1, PrefillChunk: 1 + rng.Intn(5)}
+		cfg := Config{MaxBatch: 1 + rng.Intn(4), PrefillChunk: 1 + rng.Intn(5)}
 		if rng.Intn(2) == 1 {
 			cfg.Speculate, cfg.Drafter = 1+rng.Intn(3), uniformDrafter{vocab}
 		}

@@ -116,7 +116,7 @@ func serveOne(t *testing.T, s *Server, m *core.LLM, i int, prompt string, opts [
 // every completion — greedy and top-k, streamed and not — equals lm.Gen's.
 func TestPrefixWarmVsColdCounts(t *testing.T) {
 	m, words := prefixLLM()
-	s := New(m, Config{CoalesceWait: -1})
+	s := New(m, Config{})
 	defer s.Close()
 	sys := sysPrompt(words, 0)
 	admitted := uint64(0)
@@ -211,7 +211,7 @@ func (g *gateStrategy) Pick(logits []float64, rng *mathx.RNG) int {
 func TestPrefixFaultPublishesNothing(t *testing.T) {
 	m, words := prefixLLM()
 	for _, kind := range []failpoint.Kind{failpoint.KindError, failpoint.KindPanic} {
-		s := New(m, Config{CoalesceWait: -1})
+		s := New(m, Config{})
 		sys := sysPrompt(words, 0)
 		serveOne(t, s, m, 0, sys+" "+suffix(words, 0, 20), genOpts(0, 4))
 
@@ -275,7 +275,7 @@ func TestPrefixFaultPublishesNothing(t *testing.T) {
 // and everything served afterwards is still bitwise lm.Gen's.
 func TestPrefixCacheDiscardedOnRebuild(t *testing.T) {
 	m, words := prefixLLM()
-	s := New(m, Config{CoalesceWait: -1})
+	s := New(m, Config{})
 	defer s.Close()
 	sys := sysPrompt(words, 1)
 	for i := 0; i < 3; i++ {

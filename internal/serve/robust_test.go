@@ -47,7 +47,7 @@ func checkInvariant(t *testing.T, st Stats) {
 // keeps serving afterwards.
 func TestPanicIsolationBitwiseIntact(t *testing.T) {
 	m := testLLM(t)
-	s := New(m, Config{MaxBatch: 4, CoalesceWait: 50 * time.Millisecond})
+	s := New(m, Config{MaxBatch: 4})
 	defer s.Close()
 
 	type job struct {
@@ -127,7 +127,7 @@ func TestStepPanicFailsBatchAndRecovers(t *testing.T) {
 	}
 	defer failpoint.Disarm()
 
-	s := New(m, Config{MaxBatch: 4, CoalesceWait: 50 * time.Millisecond})
+	s := New(m, Config{MaxBatch: 4})
 	defer s.Close()
 
 	const n = 3

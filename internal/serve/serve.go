@@ -6,12 +6,11 @@
 // owns the predictor; callers only ever touch channels, so the server is
 // safe for arbitrary concurrent use.
 //
-// The loop is two layers: Server.loop is everything that needs a channel or
-// a clock (idle wait, the CoalesceWait linger, queue top-up, shutdown), and
-// batch.iterate is one synchronous scheduling iteration over loop-owned
-// state, which tests drive with plain calls. Every call into a model or a
-// strategy runs behind one recovery boundary (guard), and a request leaves
-// the batch in one place (retire).
+// The loop is two layers: Server.loop is everything that needs a channel
+// (idle wait, queue top-up, shutdown), and batch.iterate is one synchronous
+// scheduling iteration over loop-owned state, which tests drive with plain
+// calls. Every call into a model or a strategy runs behind one recovery
+// boundary (guard), and a request leaves the batch in one place (retire).
 //
 // Results stream: Stream delivers per-token events as each continuous-
 // batching step completes, and the final text is bitwise identical to the
@@ -98,10 +97,6 @@ type Config struct {
 	// QueueDepth is the pending-request buffer; submissions beyond it
 	// block in Do/Stream (default 64).
 	QueueDepth int
-	// CoalesceWait is how long a freshly formed batch lingers for more
-	// requests to arrive before decoding starts (default 2ms). 0 keeps
-	// the default; negative disables lingering.
-	CoalesceWait time.Duration
 	// PrefillChunk caps how many prompt rows one forward pass carries
 	// (default 32). Each iteration's pass holds every decode-phase
 	// request's next token plus at most one prompt chunk, so this bounds
@@ -144,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.CoalesceWait == 0 {
-		c.CoalesceWait = 2 * time.Millisecond
 	}
 	if c.PrefillChunk == 0 {
 		c.PrefillChunk = 32
@@ -672,10 +664,12 @@ func (s *Server) Stream(ctx context.Context, req Request, onToken func(sample.To
 
 // ---- the serving loop: mechanism ----
 
-// loop is the half of the serving loop that needs channels and clocks: it
-// blocks while the batch is empty, lingers after one forms from idle, tops a
-// running batch up without waiting, and shuts down on quit. Between those it
-// calls batch.iterate, which holds the scheduling policy and touches neither.
+// loop is the half of the serving loop that needs channels: it blocks while
+// the batch is empty, runs a batch that forms from idle at once, tops a
+// running batch up without waiting, and shuts down on quit. A request that
+// arrives while a pass runs joins at the next iteration boundary. Between
+// those it calls batch.iterate, which holds the scheduling policy and never
+// blocks.
 func (s *Server) loop() {
 	defer s.wg.Done()
 	b := &batch{Server: s, bp: s.newBatch()}
@@ -684,7 +678,6 @@ func (s *Server) loop() {
 			select {
 			case p := <-s.queue:
 				b.admit(p)
-				s.linger(b)
 			case <-s.quit:
 			}
 		} else {
@@ -707,26 +700,6 @@ func (s *Server) loop() {
 		default:
 		}
 		b.iterate()
-	}
-}
-
-// linger holds a batch that just formed from idle open for CoalesceWait,
-// gathering more concurrent requests so they share the first decoding steps.
-func (s *Server) linger(b *batch) {
-	if s.cfg.CoalesceWait <= 0 {
-		return
-	}
-	timer := time.NewTimer(s.cfg.CoalesceWait)
-	defer timer.Stop()
-	for len(b.active) < s.cfg.MaxBatch {
-		select {
-		case p := <-s.queue:
-			b.admit(p)
-		case <-timer.C:
-			return
-		case <-s.quit:
-			return // the main loop observes quit next
-		}
 	}
 }
 

@@ -58,7 +58,7 @@ func freeRun(n int, strat sample.Strategy, seed uint64) []sample.Option {
 // lm.Gen result for the same parameters.
 func TestBatchedMatchesUnbatched(t *testing.T) {
 	m := testLLM(t)
-	s := New(m, Config{MaxBatch: 4, CoalesceWait: 30 * time.Millisecond})
+	s := New(m, Config{MaxBatch: 4})
 	defer s.Close()
 
 	type job struct {
@@ -104,12 +104,14 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// TestRequestsAreBatched asserts the engine actually coalesces concurrent
-// requests into shared steps rather than serializing them.
+// TestRequestsAreBatched asserts the engine actually batches concurrent
+// requests into shared steps rather than serializing them: while the first
+// request's pass runs the others queue, and the top-up admits them all at
+// the next iteration boundary.
 func TestRequestsAreBatched(t *testing.T) {
 	m := testLLM(t)
-	s := New(m, Config{MaxBatch: 8, CoalesceWait: 100 * time.Millisecond})
-	defer s.Close()
+	s := newServer(m, Config{MaxBatch: 8})
+	g := gate(t, s, 1)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -120,6 +122,8 @@ func TestRequestsAreBatched(t *testing.T) {
 			}
 		}(i)
 	}
+	waitQueued(t, s, 5)
+	g.open()
 	wg.Wait()
 	st := s.Stats()
 	if st.Completed != 6 {
@@ -136,18 +140,18 @@ func TestRequestsAreBatched(t *testing.T) {
 
 func TestCancellationMidGeneration(t *testing.T) {
 	m := testLLM(t)
-	// A long coalesce window keeps the lone request admitted-but-undecoded
-	// until well after the cancel below, so the cancellation sweep (not a
+	// Holding the lone request's first decode pass keeps it mid-generation
+	// until after the cancel below, so the cancellation sweep (not a
 	// finished result) must answer it.
-	s := New(m, Config{MaxBatch: 4, CoalesceWait: 300 * time.Millisecond})
-	defer s.Close()
+	s := newServer(m, Config{MaxBatch: 4})
+	g := gate(t, s, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.Do(ctx, Request{Prompt: "the king", MaxTokens: 15, Seed: 1})
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-g.held
 	cancel()
 	select {
 	case err := <-done:
@@ -156,6 +160,10 @@ func TestCancellationMidGeneration(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled request did not return")
+	}
+	g.open()
+	if st := waitStats(s, func(st Stats) bool { return st.Cancelled == 1 }); st.Cancelled != 1 || st.Completed != 0 {
+		t.Fatalf("Cancelled = %d, Completed = %d after the sweep, want 1, 0", st.Cancelled, st.Completed)
 	}
 	// The server keeps working after a cancellation.
 	out, err := s.Gen(context.Background(), "the king", freeRun(3, sample.Greedy{}, 0)...)
@@ -221,9 +229,10 @@ func TestRequestValidation(t *testing.T) {
 
 func TestCloseFailsPending(t *testing.T) {
 	m := testLLM(t)
-	// MaxBatch above the request count keeps the batch lingering in the
-	// coalesce window, so every request is still unanswered at Close.
-	s := New(m, Config{MaxBatch: 16, CoalesceWait: 300 * time.Millisecond})
+	// Holding the first pass, with the other requests queued behind it,
+	// keeps every request unanswered at Close.
+	s := newServer(m, Config{MaxBatch: 16})
+	g := gate(t, s, 1)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -236,9 +245,18 @@ func TestCloseFailsPending(t *testing.T) {
 			errCh <- err
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond)
-	s.Close()
+	waitQueued(t, s, 7)
+	// Close waits for the loop, so it runs aside: every caller observes the
+	// shutdown while the loop is still held, and the loop then fails its
+	// batch and queue on its way out.
+	shut := make(chan struct{})
+	go func() {
+		s.Close()
+		close(shut)
+	}()
 	wg.Wait()
+	g.open()
+	<-shut
 	close(errCh)
 	closed := 0
 	for err := range errCh {
@@ -260,7 +278,7 @@ func TestCloseFailsPending(t *testing.T) {
 // MaxBatch with mixed budgets, all answers checked against the serial path.
 func TestManyConcurrentMixedRequests(t *testing.T) {
 	m := testLLM(t)
-	s := New(m, Config{MaxBatch: 3, CoalesceWait: 10 * time.Millisecond, QueueDepth: 4})
+	s := New(m, Config{MaxBatch: 3, QueueDepth: 4})
 	defer s.Close()
 	const n = 20
 	var wg sync.WaitGroup
@@ -313,7 +331,7 @@ func TestGenerateUnknownPromptTokens(t *testing.T) {
 // that have returned.
 func TestStatsCountBeforeReply(t *testing.T) {
 	m := testLLM(t)
-	s := New(m, Config{MaxBatch: 4, CoalesceWait: time.Millisecond})
+	s := New(m, Config{MaxBatch: 4})
 	defer s.Close()
 	const n = 32
 	var returned atomic.Uint64

@@ -14,6 +14,7 @@ import (
 	"repro/internal/lm"
 	"repro/internal/mathx"
 	"repro/internal/sample"
+	"repro/internal/transformer"
 )
 
 // TestStreamMatchesUnbatched is the tentpole acceptance test: streamed
@@ -22,8 +23,8 @@ import (
 // strategies flowing through the continuous-batching loop.
 func TestStreamMatchesUnbatched(t *testing.T) {
 	m := testLLM(t)
-	s := New(m, Config{MaxBatch: 4, CoalesceWait: 30 * time.Millisecond})
-	defer s.Close()
+	s := newServer(m, Config{MaxBatch: 4})
+	g := gate(t, s, 1)
 
 	type job struct {
 		prompt string
@@ -70,6 +71,10 @@ func TestStreamMatchesUnbatched(t *testing.T) {
 			}
 		}(i, j)
 	}
+	// The first job's pass is held until the rest are queued, so the top-up
+	// admits them together at the next iteration boundary.
+	waitQueued(t, s, len(jobs)-1)
+	g.open()
 	wg.Wait()
 	// The streamed requests really did share batched steps.
 	if st := s.Stats(); st.MaxBatch < 2 {
@@ -158,12 +163,13 @@ func TestStreamCallbackErrorCancels(t *testing.T) {
 }
 
 // TestCancellationDuringPrefill cancels a request after admission but
-// before its first decode step (the long coalesce window guarantees no
-// step has run), exercising the prefill-phase cancellation path.
+// before its first decode step (its prompt spans several chunks and the
+// first chunk's pass is held), exercising the prefill-phase cancellation
+// path.
 func TestCancellationDuringPrefill(t *testing.T) {
 	m := testLLM(t)
-	s := New(m, Config{MaxBatch: 4, CoalesceWait: 400 * time.Millisecond})
-	defer s.Close()
+	s := newServer(m, Config{MaxBatch: 4, PrefillChunk: 2})
+	g := gate(t, s, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	events := 0
 	done := make(chan error, 1)
@@ -176,9 +182,9 @@ func TestCancellationDuringPrefill(t *testing.T) {
 			})
 		done <- err
 	}()
-	time.Sleep(30 * time.Millisecond) // admitted, still coalescing: prefill not started
+	<-g.held // admitted, first prompt chunk in the held pass
 	if st := s.Stats(); st.Steps != 0 {
-		t.Fatalf("decode already started (Steps=%d); coalesce window too short", st.Steps)
+		t.Fatalf("decode already started (Steps=%d)", st.Steps)
 	}
 	cancel()
 	select {
@@ -193,13 +199,15 @@ func TestCancellationDuringPrefill(t *testing.T) {
 		t.Fatalf("cancelled-before-decode request delivered %d token events", events)
 	}
 	// The caller returns on ctx.Done; the loop's cancellation sweep counts
-	// the drop when the coalesce window ends. Wait for it.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Cancelled != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("Cancelled = %d, want 1", s.Stats().Cancelled)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// the drop once the held pass ends, with the prompt only partly fed and
+	// no token sampled. Wait for it.
+	g.open()
+	st := waitStats(s, func(st Stats) bool { return st.Cancelled == 1 })
+	if st.Cancelled != 1 {
+		t.Fatalf("Cancelled = %d, want 1", st.Cancelled)
+	}
+	if st.Steps != 0 || st.DecodeTokens != 0 {
+		t.Fatalf("Steps = %d, DecodeTokens = %d: the request left prefill before the sweep", st.Steps, st.DecodeTokens)
 	}
 	// The loop recovered and the next request decodes normally.
 	out, err := s.Gen(context.Background(), "the king", sample.WithMaxTokens(3))
@@ -215,14 +223,14 @@ func TestCancellationDuringPrefill(t *testing.T) {
 // streamed, and cancelled requests in flight at once.
 func TestStatsUnderConcurrentLoad(t *testing.T) {
 	m := testLLM(t)
-	cfg := Config{MaxBatch: 3, CoalesceWait: 5 * time.Millisecond, QueueDepth: 4}
-	s := New(m, cfg)
-	defer s.Close()
+	cfg := Config{MaxBatch: 3, QueueDepth: 4}
+	s := newServer(m, cfg)
+	g := gate(t, s, 1)
 	const n = 18
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			opts := []sample.Option{
 				sample.WithMaxTokens(2 + i%5),
@@ -250,16 +258,28 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 					t.Error(err)
 				}
 			}
-		}(i)
+		}()
 	}
+	// Request 1 (budget 3) takes the held first pass. The other plain and
+	// streamed requests fill the queue behind it before the cancelled ones
+	// start, so the top-up admits two live requests while request 1 still
+	// decodes: they share a pass, and MaxBatch >= 2 does not depend on
+	// timing.
+	submit(1)
+	<-g.held
+	for i := 0; i < n; i++ {
+		if i != 1 && i%3 != 2 {
+			submit(i)
+		}
+	}
+	waitQueued(t, s, cfg.QueueDepth)
+	for i := 2; i < n; i += 3 {
+		submit(i)
+	}
+	g.open()
 	wg.Wait()
 	// Let the loop finish its final accounting sweep.
-	deadline := time.Now().Add(2 * time.Second)
-	st := s.Stats()
-	for st.Completed+st.Cancelled+st.Failed != st.Requests && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		st = s.Stats()
-	}
+	st := waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
 	if st.Requests != n {
 		t.Errorf("Requests = %d, want %d", st.Requests, n)
 	}
@@ -445,11 +465,15 @@ func TestBackendServerCancellation(t *testing.T) {
 }
 
 // TestNewBackendPrefersBatchedLoop: handing the transformer pipeline to
-// NewBackend selects the continuous-batching loop.
+// NewBackend (newServer plus the loop) selects the cross-sequence batched
+// predictor, and concurrent requests share its passes.
 func TestNewBackendPrefersBatchedLoop(t *testing.T) {
 	m := testLLM(t)
-	s := NewBackend(m, Config{MaxBatch: 4, CoalesceWait: 50 * time.Millisecond})
-	defer s.Close()
+	s := newServer(m, Config{MaxBatch: 4})
+	g := gate(t, s, 1)
+	if _, ok := g.batchPredictor.(*transformer.BatchedPredictor); !ok {
+		t.Fatalf("transformer backend got predictor %T, want *transformer.BatchedPredictor", g.batchPredictor)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -461,6 +485,8 @@ func TestNewBackendPrefersBatchedLoop(t *testing.T) {
 			}
 		}(i)
 	}
+	waitQueued(t, s, 3)
+	g.open()
 	wg.Wait()
 	if st := s.Stats(); st.MaxBatch < 2 {
 		t.Errorf("MaxBatch = %d: transformer backend was not batched", st.MaxBatch)
