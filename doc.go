@@ -16,14 +16,15 @@
 //     tensor, autograd, nn), the backend-agnostic model contract (lm), and
 //     the serving engine (serve).
 //   - cmd/ has the binaries: llm-train, llm-generate (any backend,
-//     streaming), llm-bench (the task-suite leaderboard, and the -chaos
-//     fault-injection scenarios), llm-serve (the HTTP generation service
-//     with SSE streaming), llm-router, scaling-laws, and bench-ab (A/B
-//     pairs on the benchmark of record in bench/).
+//     streaming), llm-bench (the task-suite leaderboard), llm-serve (the
+//     HTTP generation service with SSE streaming), llm-router,
+//     scaling-laws, and bench-ab (A/B pairs on the benchmark of record in
+//     bench/).
 //   - The root-level benchmarks regenerate every table and figure of the
 //     paper's evaluation and measure the training/serving hot paths.
 //
-// DESIGN.md maps each package and indexes the experiments E1-E27 (root
-// benchmarks, the llm-bench -chaos scenarios, and bench/); EXPERIMENTS.md explains how to run every binary and
-// benchmark and records measured results.
+// DESIGN.md maps each package and indexes the experiments E1-E35 (root
+// benchmarks, the chaos scenario tests in internal/fleettest, and bench/);
+// EXPERIMENTS.md explains how to run every binary and benchmark and records
+// measured results.
 package repro

@@ -3,11 +3,11 @@
 // probe loops, the continuous-batching loop) evaluate an installed fault
 // plan and, when a rule activates, inject a failure — an error return, added
 // latency, a panic, or a dropped connection — exactly where a real fault
-// would surface. The chaos harness (llm-bench -chaos) and the robustness
-// tests arm seeded plans and assert the stack's failure invariants: every
-// request reaches exactly one terminal outcome, a panicking request never
-// takes the worker down, and unaffected requests are bitwise identical to a
-// fault-free run.
+// would surface. The chaos scenarios (internal/fleettest's TestChaos,
+// TestChurn and TestRouterHA) and the robustness tests arm seeded plans and
+// assert the stack's failure invariants: every request reaches exactly one
+// terminal outcome, a panicking request never takes the worker down, and
+// unaffected requests are bitwise identical to a fault-free run.
 //
 // The registry is process-global (the production call sites must not thread
 // a handle through every layer) and disarmed by default. Disarmed, a site

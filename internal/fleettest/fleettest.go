@@ -4,8 +4,9 @@
 // process, with kill/restart handles that keep a node's address — its ring
 // identity — stable, a seeded request driver whose request i is a pure
 // function of i, and a bitwise comparison of two runs of that set. The
-// scenarios in cmd/llm-bench (E24–E26) are a fleet shape, a failpoint plan,
-// a director calling these handles, and a list of invariants on top.
+// scenarios (E24–E26: TestChaos, TestChurn and TestRouterHA in this
+// package's tests, each at seeds 1–3) are a fleet shape, a failpoint plan, a
+// director calling these handles, and a list of invariants on top.
 package fleettest
 
 import (
