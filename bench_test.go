@@ -22,7 +22,6 @@ import (
 	"repro/internal/grammar"
 	"repro/internal/icl"
 	"repro/internal/interp"
-	"repro/internal/lm"
 	"repro/internal/mathx"
 	"repro/internal/nn"
 	"repro/internal/probe"
@@ -667,74 +666,6 @@ func BenchmarkBatchedDecodeScaling(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tok/s")
-		})
-	}
-}
-
-// speculativeBenchModel trains the E22 fixture once per binary: the E17
-// serving shape on the low-entropy chronicle corpus — formulaic text whose
-// greedy continuations are mostly deterministic given short context, the
-// regime draft-and-verify decoding is built for.
-var speculativeBenchModel = sync.OnceValues(func() (*core.LLM, error) {
-	lines := corpus.PCFGText(grammar.Chronicle(), 400, 12, mathx.NewRNG(22))
-	model, _, err := core.Train(lines, core.Config{
-		Tokenizer: core.WordTok,
-		Model: transformer.Config{
-			Dim: 64, Layers: 2, Heads: 4, Window: 64,
-			Pos: transformer.PosLearned, Act: nn.GELU,
-		},
-		Steps: 200, BatchSize: 4, Seed: 22,
-	})
-	return model, err
-})
-
-// BenchmarkSpeculativeDecode is E22: end-to-end greedy generation
-// throughput with self-speculative decoding versus the plain decode loop,
-// on the E17 serving shape. An order-3 n-gram drafter distilled from the
-// served model proposes k-token blocks; one ExtendAll pass verifies each
-// block and the longest agreeing prefix is accepted, so the output stream
-// is bitwise identical to plain greedy decode (checked every iteration).
-// Reports tokens/s and the draft-acceptance rate per depth.
-func BenchmarkSpeculativeDecode(b *testing.B) {
-	model, err := speculativeBenchModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const prompt = "the royal king"
-	const genTokens = 56
-	opts := []sample.Option{sample.WithMaxTokens(genTokens), sample.WithSeed(1)}
-	plain, err := lm.Gen(model, prompt, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := lm.Gen(model, prompt, opts...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N*genTokens)/b.Elapsed().Seconds(), "tok/s")
-	})
-	drafter := lm.DistillDrafter(model, 3, 4096, 22)
-	for _, k := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("speculate%d", k), func(b *testing.B) {
-			sp := &sample.Speculative{K: k, Drafter: drafter}
-			sp.Stats = sample.SpecStats{}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := lm.Gen(model, prompt, append(append([]sample.Option(nil), opts...),
-					sample.WithSpeculative(sp))...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Text != plain.Text {
-					b.Fatalf("speculative output %q != plain %q", res.Text, plain.Text)
-				}
-			}
-			b.ReportMetric(float64(b.N*genTokens)/b.Elapsed().Seconds(), "tok/s")
-			if sp.Stats.Drafted > 0 {
-				b.ReportMetric(float64(sp.Stats.Accepted)/float64(sp.Stats.Drafted), "accept")
-			}
 		})
 	}
 }

@@ -11,7 +11,6 @@
 //	llm-generate -model model.json -prompt "the king" [-n 12]
 //	             [-strategy greedy|temp|topk|topp] [-temp 0.8] [-k 10]
 //	             [-p 0.9] [-seed 1] [-stream] [-prefill chunked|token]
-//	             [-speculate 4]
 //	llm-generate -backend ngram|ffn|rnn [-corpus lines.txt] [-synthetic 500]
 //	             -prompt "the king" [...]
 //
@@ -20,12 +19,6 @@
 // at-a-time path instead. The two are bitwise identical, so the flag exists
 // for verification and for measuring the fast path's speedup on real
 // checkpoints.
-//
-// -speculate k enables speculative decoding: an n-gram draft model is
-// distilled from the loaded model at startup, proposes blocks of k tokens,
-// and the target verifies each block in one pass. Output is bitwise
-// identical to plain decoding for every strategy. Acceptance statistics are
-// printed to stderr at exit.
 //
 // -cpuprofile and -memprofile write pprof profiles (CPU sampling over the
 // whole run; heap snapshot at exit) so decoding performance work can be
@@ -65,7 +58,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "sampling seed")
 		stream     = flag.Bool("stream", false, "print tokens as they are sampled")
 		prefill    = flag.String("prefill", "chunked", "prompt ingestion path: chunked (fast) or token (reference)")
-		speculate  = flag.Int("speculate", 0, "speculative draft depth (0 disables)")
 	)
 	flag.Parse()
 
@@ -93,18 +85,6 @@ func main() {
 	}
 	opts := []sample.Option{
 		sample.WithMaxTokens(*n), sample.WithStrategy(strat), sample.WithSeed(*seed),
-	}
-	if *speculate > 0 {
-		log.Printf("distilling n-gram draft model (depth %d)", *speculate)
-		sp := &sample.Speculative{K: *speculate, Drafter: lm.DistillDrafter(model, 3, 4096, 42)}
-		opts = append(opts, sample.WithSpeculative(sp))
-		defer func() {
-			st := sp.Stats
-			if st.Drafted > 0 {
-				log.Printf("speculate: %d rounds, %d/%d drafts accepted (%.0f%%)",
-					st.Rounds, st.Accepted, st.Drafted, 100*float64(st.Accepted)/float64(st.Drafted))
-			}
-		}()
 	}
 
 	if *stream {

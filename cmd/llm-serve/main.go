@@ -11,7 +11,7 @@
 //
 //	llm-serve [-model model.json] [-backend transformer|ngram|ffn|rnn]
 //	          [-addr :8372] [-max-batch 8] [-queue 64]
-//	          [-prefill-chunk 32] [-synthetic 500] [-speculate 4]
+//	          [-prefill-chunk 32] [-synthetic 500]
 //	          [-drain-timeout 30s] [-request-timeout 0] [-stall-timeout 0]
 //	          [-join http://127.0.0.1:8371] [-advertise http://host:8372]
 //	          [-lease 15s] [-heartbeat 5s]
@@ -44,16 +44,6 @@
 // histogram of chunk sizes and the batch_hist histogram of decode rows per
 // pass (how well concurrent traffic amortizes each pass's one-time weight
 // streaming).
-//
-// -speculate k enables speculative decoding (transformer backend only): an
-// n-gram draft model distilled from the served model at startup proposes
-// blocks of k tokens and each block is verified in its own pass, one round
-// per iteration round-robin, so draft work never starves in-flight decodes.
-// A draft is kept only where it equals the token plain decoding samples, so
-// every request — greedy, temp, topk or topp — gets bitwise the completion
-// a worker without -speculate returns for the same body. /v1/stats gains
-// spec_rounds, spec_drafted, spec_accepted, and the spec_accept_hist
-// acceptance-length histogram.
 //
 // The HTTP surface lives in internal/httpapi (shared with the test
 // harnesses and self-hosted benchmarks):
@@ -115,7 +105,6 @@ func main() {
 		maxBatch     = flag.Int("max-batch", 8, "max sequences decoded per batched step")
 		queue        = flag.Int("queue", 64, "pending-request buffer depth")
 		prefill      = flag.Int("prefill-chunk", 32, "max prompt rows per forward pass, beside the decode rows (negative = whole prompt)")
-		speculate    = flag.Int("speculate", 0, "speculative draft depth; distills an n-gram drafter at startup (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM or /v1/drain")
 		reqTimeout   = flag.Duration("request-timeout", 0, "default per-request deadline; requests without their own timeout_ms fail with 504 past it (0 disables)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "token-progress watchdog: streams making no progress for this long are failed (0 disables)")
@@ -131,14 +120,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var drafter llm.Drafter
-	if *speculate > 0 {
-		log.Printf("distilling n-gram draft model (depth %d)", *speculate)
-		drafter = llm.DistillDrafter(model, 3, 4096, 42)
-	}
 	srv := serve.NewBackend(model, serve.Config{
-		MaxBatch: *maxBatch, QueueDepth: *queue,
-		PrefillChunk: *prefill, Speculate: *speculate, Drafter: drafter,
+		MaxBatch: *maxBatch, QueueDepth: *queue, PrefillChunk: *prefill,
 		RequestTimeout: *reqTimeout, StallTimeout: *stallTimeout,
 	})
 	defer srv.Close()

@@ -86,9 +86,6 @@ const (
 	// batch fails and the loop rebuilds its predictor — the
 	// catastrophic-but-survivable path.
 	ServeStep = "serve/step"
-	// ServeVerify fires per speculative verification round, attributed to
-	// the round's request.
-	ServeVerify = "serve/verify"
 	// ServeSample fires per sampled token, attributed to the sampling
 	// request — the cheapest way to panic exactly one victim.
 	ServeSample = "serve/sample"
@@ -100,7 +97,7 @@ func Sites() []string {
 		HTTPGenerate, HTTPStreamPreSSE, HTTPStreamMid,
 		RouterRelay, RouterProbe, RouterRegister, JoinHeartbeat,
 		RouterPeerSend, RouterPeerRecv,
-		ServePrefill, ServeStep, ServeVerify, ServeSample,
+		ServePrefill, ServeStep, ServeSample,
 	}
 }
 

@@ -44,12 +44,15 @@ func BenchmarkDisarmedInject(b *testing.B) {
 	}
 }
 
-// TestArmRejectsBadRules: typos and out-of-range probabilities must not
-// silently install a no-op chaos schedule.
+// TestArmRejectsBadRules: typos, retired sites and out-of-range
+// probabilities must not silently install a no-op chaos schedule.
 func TestArmRejectsBadRules(t *testing.T) {
 	defer Disarm()
 	if err := Arm(Plan{Rules: []Rule{{Site: "serve/nope"}}}); err == nil {
 		t.Fatal("Arm accepted an unknown site")
+	}
+	if err := Arm(Plan{Rules: []Rule{{Site: "serve/verify"}}}); err == nil {
+		t.Fatal("Arm accepted the retired serve/verify site")
 	}
 	if err := Arm(Plan{Rules: []Rule{{Site: ServeStep, Prob: 1.5}}}); err == nil {
 		t.Fatal("Arm accepted probability 1.5")

@@ -30,7 +30,6 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/nn"
 	"repro/internal/router"
-	"repro/internal/sample"
 	"repro/internal/serve"
 	"repro/internal/transformer"
 )
@@ -65,7 +64,7 @@ const preamble = "the old king greets the young queen near the castle " +
 var tails = []string{"the king", "a queen sees", "alice greets the", "the old dog", "bob"}
 
 // strategies are the sampling modes driven requests cycle through, so the
-// bitwise checks cover stochastic decoding under speculation too.
+// bitwise checks cover stochastic decoding too.
 var strategies = []string{"greedy", "temp", "topk", "topp"}
 
 // Request returns driven request i: a pure function of i, so any two runs
@@ -92,11 +91,8 @@ type Fleet struct {
 	// Workers lists every worker added so far, killed ones included.
 	Workers []*Worker
 
-	model lm.LanguageModel
-	cfg   serve.Config
-	// drafter, when set, makes each starting worker its own proposal model:
-	// a Drafter reuses a scratch buffer and belongs to one serve loop.
-	drafter func() sample.Drafter
+	model   lm.LanguageModel
+	cfg     serve.Config
 	routers []*Router
 	fired   map[string]uint64
 }
@@ -116,10 +112,8 @@ func New(model lm.LanguageModel, cfg serve.Config) *Fleet {
 
 // NewTransformer trains the small transformer the chaos scenarios share,
 // and returns a fleet whose workers run the batched path with chunked
-// prefill and speculation on, so every serve-loop failpoint site (prefill,
-// step, verify, sample) sees traffic. Each worker distils the n-gram drafter
-// from the model as it starts, as an llm-serve process does at boot; the
-// distillation is seeded, so every worker drafts alike.
+// prefill, so every serve-loop failpoint site (prefill, step, sample) sees
+// traffic.
 func NewTransformer(seed uint64) (*Fleet, error) {
 	lines := corpus.PCFGText(grammar.TinyEnglish(), 200, 8, mathx.NewRNG(seed))
 	model, _, err := core.Train(lines, core.Config{
@@ -133,11 +127,7 @@ func NewTransformer(seed uint64) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := New(model, serve.Config{
-		MaxBatch: 4, PrefillChunk: 4, Speculate: 2,
-	})
-	f.drafter = func() sample.Drafter { return lm.DistillDrafter(model, 3, 512, seed) }
-	return f, nil
+	return New(model, serve.Config{MaxBatch: 4, PrefillChunk: 4}), nil
 }
 
 // Close disarms any armed plan and kills every node.
@@ -200,11 +190,7 @@ func (w *Worker) Restart() error {
 	}
 	w.addr = ln.Addr().String()
 	w.Base = "http://" + w.addr
-	cfg := w.f.cfg
-	if w.f.drafter != nil {
-		cfg.Drafter = w.f.drafter()
-	}
-	w.srv = serve.NewBackend(w.f.model, cfg)
+	w.srv = serve.NewBackend(w.f.model, w.f.cfg)
 	w.hs = serveOn(ln, httpapi.New(w.srv, nil))
 	if len(w.routers) > 0 {
 		w.joiner, err = httpapi.StartJoiner(httpapi.JoinConfig{

@@ -124,7 +124,7 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // TestChaos is the serving-path chaos scenario (E24): two static workers
 // behind one probing router, the request set driven fault-free and then
 // under a plan spanning every serving layer (sampler panics, a whole-batch
-// step fault, prefill and verify errors, relay faults, dropped connections,
+// step fault, prefill errors, relay faults, dropped connections,
 // starved deadlines). It asserts invariants rather than a golden fault log,
 // because concurrency reorders which request absorbs which fault:
 //
@@ -167,10 +167,10 @@ func chaosAt(t *testing.T, seed uint64) {
 	baseline := reference(t, f, doors)
 
 	// Probabilities are low enough that most requests survive (the bitwise
-	// invariant needs survivors). The sampler rule's probability is the
-	// highest: a lone decoding request is verified rather than sampled in
-	// the pass, so serve/sample sees only ≈ 60–110 hits a run. Every 8th
-	// armed request carries a 1ms deadline budget, exercising the 504 path.
+	// invariant needs survivors). serve/sample sees one hit per sampled
+	// token, the most of any site, so its rule's probability is kept low.
+	// Every 8th armed request carries a 1ms deadline budget, exercising the
+	// 504 path.
 	// The last two rules make sure their sites fire: the probabilistic
 	// rules' streams first activate past the hits a run sees at some seeds
 	// (relay at seed 1, prefill at seed 3), while every request that reaches
@@ -179,10 +179,9 @@ func chaosAt(t *testing.T, seed uint64) {
 	// inserted, because a rule's stream is seeded by its index.
 	hits := f.PrefixHits()
 	rules := []failpoint.Rule{
-		{Site: failpoint.ServeSample, Kind: failpoint.KindPanic, Prob: 0.05},
+		{Site: failpoint.ServeSample, Kind: failpoint.KindPanic, Prob: 0.02},
 		{Site: failpoint.ServeStep, Kind: failpoint.KindError, After: 20, Count: 1},
 		{Site: failpoint.ServePrefill, Kind: failpoint.KindError, Prob: 0.03},
-		{Site: failpoint.ServeVerify, Kind: failpoint.KindError, Prob: 0.03},
 		{Site: failpoint.HTTPGenerate, Kind: failpoint.KindDrop, Prob: 0.03},
 		{Site: failpoint.RouterRelay, Kind: failpoint.KindError, Prob: 0.05},
 		{Site: failpoint.ServePrefill, Kind: failpoint.KindError, After: 20, Count: 1},

@@ -555,29 +555,6 @@ func Arithmetic() *Grammar {
 	})
 }
 
-// Chronicle returns a low-entropy formulaic PCFG: long fixed phrase
-// templates with a handful of skewed binary branch points, in the style of
-// a court chronicle. Most tokens are deterministic given a short context,
-// so a well-trained model's greedy continuation is predictable from local
-// token context alone — the regime where draft-and-verify decoding pays
-// off, and the training distribution used by the speculative-decoding
-// benchmark (E22). Contrast with TinyEnglish, which carries real entropy
-// at nearly every position.
-func Chronicle() *Grammar {
-	return MustNew("S", []Rule{
-		{Lhs: "S", Rhs: []string{"Subj", "Deed"}, Prob: 1},
-		{Lhs: "Subj", Rhs: []string{"the", "Adj", "Noble", "of", "the", "Realm", "realm"}, Prob: 1},
-		{Lhs: "Adj", Rhs: []string{"royal"}, Prob: 0.7},
-		{Lhs: "Adj", Rhs: []string{"noble"}, Prob: 0.3},
-		{Lhs: "Noble", Rhs: []string{"king"}, Prob: 0.6},
-		{Lhs: "Noble", Rhs: []string{"queen"}, Prob: 0.4},
-		{Lhs: "Realm", Rhs: []string{"northern"}, Prob: 0.7},
-		{Lhs: "Realm", Rhs: []string{"southern"}, Prob: 0.3},
-		{Lhs: "Deed", Rhs: []string{"proclaimed", "a", "great", "feast", "in", "the", "hall", "of", "the", "ancient", "castle"}, Prob: 0.6},
-		{Lhs: "Deed", Rhs: []string{"summoned", "the", "council", "of", "elders", "to", "the", "high", "tower", "at", "dawn"}, Prob: 0.4},
-	})
-}
-
 // TinyEnglish returns a small English-like PCFG used as the "natural
 // language" training distribution for scaling-law and probe experiments.
 // Its vocabulary includes the royal/gender word families needed by the

@@ -288,27 +288,3 @@ func TestViterbiParseIsMostProbable(t *testing.T) {
 		t.Fatalf("leaves = %v", got)
 	}
 }
-
-func TestChronicleIsLowEntropy(t *testing.T) {
-	g := Chronicle()
-	cnf := g.ToCNF()
-	rng := mathx.NewRNG(5)
-	distinct := map[string]bool{}
-	for i := 0; i < 50; i++ {
-		s := g.GenerateSentence(rng, 12)
-		// Every derivation instantiates the single 18-token template: a
-		// 7-token subject and an 11-token deed.
-		if len(s) != 18 {
-			t.Fatalf("chronicle sentence has %d tokens, want 18: %v", len(s), s)
-		}
-		if !cnf.Recognize(s) {
-			t.Fatalf("sentence not in own language: %v", s)
-		}
-		distinct[strings.Join(s, " ")] = true
-	}
-	// Four independent binary branch points bound the language at 16
-	// sentences — the determinism the speculative-decoding bench relies on.
-	if len(distinct) > 16 {
-		t.Errorf("chronicle produced %d distinct sentences, want <= 16", len(distinct))
-	}
-}

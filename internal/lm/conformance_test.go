@@ -14,8 +14,8 @@ import (
 // checking the contract every generation entry point depends on:
 // encode→step→decode round-trips, deterministic re-runs, logit shape and
 // vocabulary invariants, the ContextWindow budget contract, and (where
-// implemented) the chunked-prefill and speculative-verification fast paths
-// against the one-token-at-a-time reference.
+// implemented) the chunked-prefill fast path against the one-token-at-a-time
+// reference.
 
 // conformanceModels returns every backend under test, keyed by name.
 func conformanceModels(t *testing.T) map[string]lm.LanguageModel {
@@ -122,30 +122,6 @@ func TestConformance(t *testing.T) {
 				}
 			}
 
-			// --- speculative verification surface (when implemented):
-			// per-position logits match Append, and Rewind+re-ingest is
-			// bitwise transparent ---
-			if tgt, ok := m.NewStepper().(sample.SpecTarget); ok {
-				rows := tgt.ExtendAll(ids)
-				if len(rows) != len(ids) {
-					t.Fatalf("ExtendAll returned %d rows for %d ids", len(rows), len(ids))
-				}
-				if !bitsEq(rows[len(rows)-1], logits) {
-					t.Fatal("ExtendAll final row diverges from per-token Append")
-				}
-				if got := tgt.Len(); got != len(ids) {
-					t.Fatalf("Len after ExtendAll = %d, want %d", got, len(ids))
-				}
-				tgt.Rewind(2)
-				if got := tgt.Len(); got != len(ids)-2 {
-					t.Fatalf("Len after Rewind(2) = %d, want %d", got, len(ids)-2)
-				}
-				re := tgt.ExtendAll(ids[len(ids)-2:])
-				if !bitsEq(re[len(re)-1], logits) {
-					t.Fatal("re-ingesting a rewound suffix diverges from the original logits")
-				}
-			}
-
 			// --- generation determinism across the strategy set ---
 			for _, strat := range []sample.Strategy{
 				sample.Greedy{},
@@ -175,34 +151,6 @@ func TestConformance(t *testing.T) {
 				if a.Text != b.Text {
 					t.Fatalf("%T: nondeterministic re-run: %q != %q", strat, a.Text, b.Text)
 				}
-			}
-		})
-	}
-}
-
-// TestConformanceSpeculative checks the speculative option across every
-// backend: targets that implement the verification surface produce bitwise
-// the plain greedy output; backends that don't silently ignore the option
-// (same output, no error) — so callers can set it unconditionally.
-func TestConformanceSpeculative(t *testing.T) {
-	for name, m := range conformanceModels(t) {
-		t.Run(name, func(t *testing.T) {
-			drafter := lm.DistillDrafter(m, 2, 150, 4)
-			plain, err := lm.Gen(m, "the king", sample.WithMaxTokens(6), sample.WithSeed(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp := &sample.Speculative{K: 3, Drafter: drafter}
-			spec, err := lm.Gen(m, "the king",
-				sample.WithMaxTokens(6), sample.WithSeed(2), sample.WithSpeculative(sp))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if spec.Text != plain.Text {
-				t.Fatalf("speculative greedy %q != plain %q", spec.Text, plain.Text)
-			}
-			if _, ok := m.NewStepper().(sample.SpecTarget); ok && sp.Stats.Rounds == 0 {
-				t.Fatal("speculative target ran no rounds")
 			}
 		})
 	}

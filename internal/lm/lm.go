@@ -59,11 +59,6 @@ func Gen(m LanguageModel, prompt string, opts ...sample.Option) (Result, error) 
 // ingest the whole prompt in one pass) and between tokens on the per-token
 // path — serving deployments needing bounded mid-prefill cancellation
 // latency chunk at the scheduling layer (serve.Config.PrefillChunk).
-//
-// Each iteration of the decode loop emits one token sampled from the latest
-// logits or, with Options.Speculative on a stepper that implements
-// sample.SpecTarget, one verification round's tokens — the same tokens
-// either way.
 func Stream(ctx context.Context, m LanguageModel, prompt string, onToken func(sample.Token) error, opts ...sample.Option) (Result, error) {
 	o := sample.BuildOptions(opts...)
 	if ctx == nil {
@@ -109,40 +104,18 @@ func Stream(ctx context.Context, m LanguageModel, prompt string, onToken func(sa
 	}
 	dec := sample.NewDecoder(o.Strategy, stop, o.MaxTokens, mathx.NewRNG(o.Seed+977))
 	pd := NewPieceDecoder(m.Decode)
-	// Speculation needs the full decoded context, ending with the pending
-	// token the target has not ingested yet; spec stays nil without it.
-	tgt, _ := st.(sample.SpecTarget)
-	var spec []int
-	if o.Speculative != nil && tgt != nil {
-		spec = append(make([]int, 0, len(ids)+o.MaxTokens), ids...)
-	}
-	var one [1]int
 	for !dec.Done() {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		toks := one[:]
-		if len(spec) > len(ids) {
-			room := 1 << 30
-			if w > 0 {
-				room = w - tgt.Len()
-			}
-			toks = o.Speculative.Round(tgt, dec, spec, room).Emitted
-		} else {
-			one[0], _ = dec.Next(logits)
-		}
+		tok, done := dec.Next(logits)
 		if onToken != nil {
-			for _, tok := range toks {
-				if err := onToken(pd.Next(tok)); err != nil {
-					return Result{}, err
-				}
+			if err := onToken(pd.Next(tok)); err != nil {
+				return Result{}, err
 			}
 		}
-		switch {
-		case spec != nil:
-			spec = append(spec, toks...)
-		case !dec.Done():
-			logits = st.Append(toks[0])
+		if !done {
+			logits = st.Append(tok)
 		}
 	}
 	return Finish(m, dec.Tokens(), o), nil

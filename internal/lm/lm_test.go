@@ -206,16 +206,6 @@ func TestOverWindowBudgetErrors(t *testing.T) {
 	if len(res.Tokens) != w || res.Text != want {
 		t.Errorf("MaxTokens = window: %d tokens %q, want %d tokens %q", len(res.Tokens), res.Text, w, want)
 	}
-	// Speculative rounds stay inside the window at that budget too.
-	sp := &sample.Speculative{K: 4, Drafter: lm.DistillDrafter(tfModel, 3, 300, 1)}
-	spec, err := lm.Gen(tfModel, "the king", sample.WithMaxTokens(w),
-		sample.WithStrategy(sample.Temperature{T: 0.8}), sample.WithSeed(1), sample.WithSpeculative(sp))
-	if err != nil || spec.Text != want {
-		t.Errorf("speculative MaxTokens = window: %q, %v; want %q", spec.Text, err, want)
-	}
-	if sp.Stats.Drafted == 0 {
-		t.Error("speculative MaxTokens = window drafted nothing")
-	}
 	if _, err := lm.Gen(tfModel, "the king", sample.WithMaxTokens(w+1)); err == nil {
 		t.Errorf("MaxTokens = window+1 accepted")
 	}
@@ -226,8 +216,8 @@ func TestOverWindowBudgetErrors(t *testing.T) {
 }
 
 // TestInvalidStrategyErrors: every strategy sample.ValidateStrategy rejects
-// is an error from lm.Gen, for every backend and with or without
-// speculation, never a panic inside the decode loop.
+// is an error from lm.Gen, for every backend, never a panic inside the
+// decode loop.
 func TestInvalidStrategyErrors(t *testing.T) {
 	setup(t)
 	bad := []sample.Strategy{
@@ -245,20 +235,17 @@ func TestInvalidStrategyErrors(t *testing.T) {
 	}
 	for name, m := range models {
 		for _, strat := range bad {
-			for _, sp := range []*sample.Speculative{nil, {K: 2}} {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Errorf("%s %+v speculative=%v: panic %v", name, strat, sp != nil, r)
-						}
-					}()
-					_, err := lm.Gen(m, "the king", sample.WithMaxTokens(4),
-						sample.WithStrategy(strat), sample.WithSpeculative(sp))
-					if err == nil {
-						t.Errorf("%s %+v speculative=%v: accepted", name, strat, sp != nil)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s %+v: panic %v", name, strat, r)
 					}
 				}()
-			}
+				_, err := lm.Gen(m, "the king", sample.WithMaxTokens(4), sample.WithStrategy(strat))
+				if err == nil {
+					t.Errorf("%s %+v: accepted", name, strat)
+				}
+			}()
 		}
 	}
 }

@@ -76,26 +76,6 @@ func (m *Model) Train(stream []int) {
 	}
 }
 
-// Observe adds one (context, next) observation at every order, as if the
-// pair had occurred in a Train stream — the incremental surface for
-// consumers that generate supervision pairs rather than a contiguous stream
-// (e.g. distilling a draft model from a teacher's per-context predictions).
-func (m *Model) Observe(ctx []int, next int) {
-	for order := 0; order < m.N; order++ {
-		if len(ctx) < order {
-			break
-		}
-		k := key(ctx[len(ctx)-order:])
-		nm := m.counts[order][k]
-		if nm == nil {
-			nm = map[int]int{}
-			m.counts[order][k] = nm
-		}
-		nm[next]++
-		m.totals[order][k]++
-	}
-}
-
 // probOrder returns P(next | ctx) using exactly the given order's counts
 // with add-k smoothing (k may be 0).
 func (m *Model) probOrder(order int, ctx []int, next int) (float64, bool) {
@@ -158,47 +138,6 @@ func (m *Model) Dist(ctx []int) []float64 {
 		d[t] = m.Prob(ctx, t)
 	}
 	return d
-}
-
-// DistInto fills dst (length Vocab) with a normalized next-token
-// distribution from the longest order whose context was actually observed,
-// applying add-k smoothing within that order, and returns dst. Unlike
-// Prob's per-token path — where any positive AddK makes the highest order
-// always answer, even for contexts never seen in training — DistInto backs
-// off past unobserved contexts to the order that has real counts, and it
-// builds each context key once per order rather than once per token. This
-// is the bulk-query surface for consumers that need the whole distribution
-// at once (the speculative-decoding drafter).
-func (m *Model) DistInto(dst []float64, ctx []int) []float64 {
-	if len(ctx) > m.N-1 {
-		ctx = ctx[len(ctx)-(m.N-1):]
-	}
-	for order := min(m.N-1, len(ctx)); order >= 0; order-- {
-		k := key(ctx[len(ctx)-order:])
-		total := m.totals[order][k]
-		if total == 0 && order > 0 {
-			continue
-		}
-		nm := m.counts[order][k]
-		denom := float64(total) + m.AddK*float64(m.Vocab)
-		if denom <= 0 {
-			break // untrained model: uniform fallback below
-		}
-		for t := range dst {
-			dst[t] = m.AddK / denom
-		}
-		for t, c := range nm {
-			if t < len(dst) {
-				dst[t] = (float64(c) + m.AddK) / denom
-			}
-		}
-		return dst
-	}
-	u := 1 / float64(m.Vocab)
-	for t := range dst {
-		dst[t] = u
-	}
-	return dst
 }
 
 // CrossEntropy evaluates Eq. 3 on the held-out stream: the mean negative

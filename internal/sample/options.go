@@ -20,12 +20,6 @@ type Options struct {
 	Seed      uint64   // per-request sampling seed
 	StopAtEOS bool     // stop at the sequence separator and trim it
 
-	// Speculative enables speculative decoding on drivers whose stepper
-	// implements SpecTarget (the transformer); other backends ignore it.
-	// The caller owns the driver and can read its accumulated Stats after
-	// the generation. nil decodes plainly.
-	Speculative *Speculative
-
 	// Timeout is the request's end-to-end deadline, measured from
 	// submission; 0 means no per-request deadline (the serving tier may
 	// still apply its own default). Only the batched server enforces it;
@@ -49,13 +43,6 @@ func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 // WithStop makes decoding stop at the end-of-sequence separator (answer-
 // style decoding); the separator is trimmed from the result.
 func WithStop() Option { return func(o *Options) { o.StopAtEOS = true } }
-
-// WithSpeculative runs the generation through the given speculative-decoding
-// driver (draft depth, draft model, and accumulated acceptance stats) when
-// the model supports block verification; see Options.Speculative.
-func WithSpeculative(sp *Speculative) Option {
-	return func(o *Options) { o.Speculative = sp }
-}
 
 // WithTimeout sets the request's end-to-end deadline; see Options.Timeout.
 func WithTimeout(d time.Duration) Option {

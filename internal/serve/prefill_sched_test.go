@@ -18,20 +18,19 @@ import (
 
 // fakeBatch records the loop's exact sequence of passes, so the scheduling
 // tests can assert the pass policy (one pass per iteration, at most one
-// bounded prompt chunk in it, at most one verification pass before it)
-// independent of model arithmetic. Zero logits make Greedy sample token 0
-// deterministically. Per-slot lengths track every pass and Rewind so the
-// speculative scheduling test can assert window accounting too; the prompt
-// length each slot was attached with tells a prompt chunk from a decode row.
+// bounded prompt chunk in it) independent of model arithmetic. Zero logits
+// make Greedy sample token 0 deterministically. Per-slot lengths track every
+// pass; against the prompt length each slot was attached with they tell a
+// prompt chunk from a decode row.
 type fakeBatch struct {
 	vocab  int
 	next   int
-	ops    []string    // "[S<rows> P<len>]" per pass — its decode rows and its prompt chunk — "[V<len>]" per verification pass, "R<n>" per Rewind
+	ops    []string    // "[S<rows> P<len>]" per pass: its decode rows and its prompt chunk
 	lens   map[int]int // ingested positions per live slot
 	prompt map[int]int // attached prompt length per live slot
 
 	tag  bool                 // suffix per-slot entries with the slot's letter: "P4b"
-	fail func(kind byte) bool // reports whether this call ('A' Attach, 'V' a verification pass, 'S' any other pass, 'R' Rewind) panics
+	fail func(kind byte) bool // reports whether this call ('A' Attach, 'S' a pass) panics
 }
 
 // name formats one per-slot entry of an op: "P4", or with tag "P4b".
@@ -77,45 +76,25 @@ func (f *fakeBatch) Attach(id int, ids []int) int {
 func (f *fakeBatch) PrefixBlocks() (int, uint64) { return 0, 0 }
 
 func (f *fakeBatch) Pass(chunks []transformer.Chunk) [][]float64 {
-	kind, rows, parts := byte('S'), 0, []string(nil)
+	rows, parts := 0, []string(nil)
 	for _, c := range chunks {
-		switch {
-		case c.All:
-			kind = 'V'
-			parts = append(parts, f.name('V', len(c.Tokens), c.ID))
-		case f.lens[c.ID] < f.prompt[c.ID]:
+		if f.lens[c.ID] < f.prompt[c.ID] {
 			parts = append(parts, f.name('P', len(c.Tokens), c.ID))
-		default:
+		} else {
 			rows++
 		}
 	}
 	if rows > 0 {
 		parts = append([]string{fmt.Sprintf("S%d", rows)}, parts...)
 	}
-	f.record(kind, "["+strings.Join(parts, " ")+"]")
+	f.record('S', "["+strings.Join(parts, " ")+"]")
 	var out [][]float64
 	for _, c := range chunks {
 		f.lens[c.ID] += len(c.Tokens)
-		n := 1
-		if c.All {
-			n = len(c.Tokens)
-		}
-		for range n {
-			out = append(out, make([]float64, f.vocab))
-		}
+		out = append(out, make([]float64, f.vocab))
 	}
 	return out
 }
-
-func (f *fakeBatch) Rewind(id, n int) {
-	f.record('R', f.name('R', n, id))
-	if n < 0 || n > f.lens[id] {
-		panic("fakeBatch: rewind out of range")
-	}
-	f.lens[id] -= n
-}
-
-func (f *fakeBatch) Len(id int) int { return f.lens[id] }
 
 // schedReq is one request of a scheduling case. Iterations are numbered from
 // zero; things scheduled "at" one happen just before that iterate call.
@@ -132,24 +111,21 @@ type schedResult struct {
 	outs  string // each request's terminal outcome, in request order
 	stats Stats
 
-	passes [3]int // iterations that made 0, 1 and 2 slot-advancing passes
+	passes [2]int // iterations that made 0 and 1 passes
 }
 
 // runSched drives reqs through admit and iterate on the loop state — no
 // goroutine, no clock: arrivals queue up and are admitted while the batch
 // has room, exactly as Server.loop tops it up. boom names the one predictor
-// call that panics ("V2": the second verification pass, "S2": the second
-// other pass; 'A' counts Attach calls). After every iterate it checks what
-// holds on any schedule:
+// call that panics ("S2": the second pass; 'A' counts Attach calls). After
+// every iterate it checks what holds on any schedule:
 //
-//   - the iteration made at most one verification pass (and its rewind),
-//     then at most one pass, in that order: one slot-advancing pass per
-//     iteration, two when a speculative round ran;
+//   - the iteration made at most one pass;
 //   - that pass carried at most MaxBatch decode rows and at most one prompt
 //     chunk, of at most PrefillChunk tokens;
 //   - every request that began the iteration past its prompt and did not
 //     fail gained at least one token — so whatever else the iteration ran
-//     delayed an in-flight decode by one bounded chunk and round at most;
+//     delayed an in-flight decode by one bounded chunk at most;
 //   - the predictor's live slots are exactly the active requests' slots;
 //   - no request received a second terminal outcome.
 //
@@ -175,7 +151,7 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 		return f
 	}
 	b := &batch{Server: s, bp: s.newBatch()}
-	var passes [3]int
+	var passes [2]int
 	ops := func() (all []string) {
 		for i, f := range fakes {
 			if i > 0 {
@@ -227,41 +203,31 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 
 		b.iterate()
 
-		kinds := ""
+		made := 0
 		for _, op := range ops()[before:] {
-			kind, chunks := op[0], 0
-			if kind == '[' {
-				kind = 'F'
-				for _, part := range strings.Fields(strings.Trim(op, "[]!")) {
-					var n int
-					fmt.Sscanf(part[1:], "%d", &n)
-					switch part[0] {
-					case 'V':
-						kind = 'V'
-					case 'S':
-						if n > s.cfg.MaxBatch {
-							t.Fatalf("iteration %d: pass %s has more decode rows than MaxBatch %d", it, op, s.cfg.MaxBatch)
-						}
-					case 'P':
-						if chunks++; chunks > 1 || s.cfg.PrefillChunk > 0 && n > s.cfg.PrefillChunk {
-							t.Fatalf("iteration %d: pass %s carries more than one chunk of at most PrefillChunk %d", it, op, s.cfg.PrefillChunk)
-						}
+			if op == "|" {
+				continue // the rebuild after a failed pass
+			}
+			if made++; made > 1 {
+				t.Fatalf("iteration %d ran %v: want at most one pass", it, ops()[before:])
+			}
+			chunks := 0
+			for _, part := range strings.Fields(strings.Trim(op, "[]!")) {
+				var n int
+				fmt.Sscanf(part[1:], "%d", &n)
+				switch part[0] {
+				case 'S':
+					if n > s.cfg.MaxBatch {
+						t.Fatalf("iteration %d: pass %s has more decode rows than MaxBatch %d", it, op, s.cfg.MaxBatch)
+					}
+				case 'P':
+					if chunks++; chunks > 1 || s.cfg.PrefillChunk > 0 && n > s.cfg.PrefillChunk {
+						t.Fatalf("iteration %d: pass %s carries more than one chunk of at most PrefillChunk %d", it, op, s.cfg.PrefillChunk)
 					}
 				}
 			}
-			kinds += string(kind)
 		}
-		// "VRF" in order, each at most once (R is a round's rewind, a
-		// trailing "|" the rebuild after a failed pass).
-		order := "VRF|"
-		for _, k := range kinds {
-			i := strings.IndexRune(order, k)
-			if i < 0 {
-				t.Fatalf("iteration %d ran %v: want at most one verification pass, then one pass", it, ops()[before:])
-			}
-			order = order[i+1:]
-		}
-		passes[strings.Count(kinds, "V")+strings.Count(kinds, "F")]++
+		passes[made]++
 		for i, p := range pend {
 			select {
 			case o := <-p.done:
@@ -314,9 +280,8 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 
 // TestScheduling pins the serving policy as plain data: requests and a
 // config in, the sequence of passes, the outcomes and the counters out. Each
-// "[...]" is one pass: "S<n>" its n decode rows, "P<n>" its prompt chunk,
-// "V<n>" a verification block; every expected sequence below is derived by
-// hand in its comment.
+// "[...]" is one pass: "S<n>" its n decode rows, "P<n>" its prompt chunk;
+// every expected sequence below is derived by hand in its comment.
 func TestScheduling(t *testing.T) {
 	if got := (Config{}).withDefaults().PrefillChunk; got != 32 {
 		t.Fatalf("default PrefillChunk = %d, want 32", got)
@@ -324,9 +289,7 @@ func TestScheduling(t *testing.T) {
 	if got := (Config{PrefillChunk: 7}).withDefaults().PrefillChunk; got != 7 {
 		t.Fatalf("explicit PrefillChunk = %d, want 7", got)
 	}
-	vocab := testLLM(t).Tok.VocabSize()
 	chunk4 := Config{MaxBatch: 4, PrefillChunk: 4}
-	spec3 := Config{MaxBatch: 4, PrefillChunk: 4, Speculate: 3, Drafter: uniformDrafter{vocab}}
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -376,23 +339,6 @@ func TestScheduling(t *testing.T) {
 			Requests: 1, Completed: 1, PrefixLookups: 1,
 			PromptTokens: 12, DecodeTokens: 2, Steps: 1, StepRows: 1, MaxBatch: 1,
 			PrefillChunkHist: [9]uint64{4: 1}, BatchHist: [9]uint64{0: 1},
-		}},
-	}, {
-		// At most one verification round per iteration, before the pass, and
-		// rounds interleave with (never block) another request's chunks;
-		// every round's depth respects the remaining budget. A prefills (it
-		// 0), then takes depth-3 rounds (V4 = pending + 3 drafts, all
-		// accepted by the uniform drafter, no rewind) at its 1-2 — done after
-		// 1+4+4 tokens — while B's three chunks ride the passes of its 1-3.
-		// B samples its first token at 3 and its own round (it 4) is
-		// budget-clamped to depth 1 (V2). No pass carried a decode row.
-		name: "SpeculativeScheduling", cfg: spec3,
-		reqs: []schedReq{{words: 2, tokens: 9}, {words: 12, tokens: 3, at: 1}},
-		want: schedResult{ops: "[P2] [V4] [P4] [V4] [P4] [P4] [V2]", outs: "ok ok", stats: Stats{
-			Requests: 2, Completed: 2, PrefixLookups: 2,
-			PromptTokens: 14, DecodeTokens: 12,
-			PrefillChunkHist: [9]uint64{1: 1, 2: 3},
-			SpecRounds:       3, SpecDrafted: 7, SpecAccepted: 7, SpecAcceptHist: [17]uint64{1: 1, 3: 2},
 		}},
 	}, {
 		// Three prompts ingesting together take their chunks strictly in
@@ -460,20 +406,6 @@ func TestScheduling(t *testing.T) {
 			PrefillChunkHist: [9]uint64{1: 1, 2: 1}, BatchHist: [9]uint64{0: 3},
 		}},
 	}, {
-		// A failed verification round fails its own request; the other keeps
-		// its rounds and finishes. a prefills (it 0); a's round (V4a) runs
-		// beside b's prompt (it 1); b's round (V3b, budget-clamped) panics,
-		// and a's row takes the pass (it 2); a's last round is clamped to its
-		// remaining budget (it 3).
-		name: "verify failure", cfg: spec3, tag: true, boom: "V2",
-		reqs: []schedReq{{words: 2, tokens: 9}, {words: 2, tokens: 4}},
-		want: schedResult{ops: "[P2a] [V4a] [P2b] [V3b]! [S1] [V3a]", outs: "ok panic(verify)", stats: Stats{
-			Requests: 2, Completed: 1, Failed: 1, Panics: 1, PrefixLookups: 2,
-			PromptTokens: 4, DecodeTokens: 10, Steps: 1, StepRows: 1, MaxBatch: 1,
-			PrefillChunkHist: [9]uint64{1: 2}, BatchHist: [9]uint64{0: 1},
-			SpecRounds: 2, SpecDrafted: 5, SpecAccepted: 5, SpecAcceptHist: [17]uint64{2: 1, 3: 1},
-		}},
-	}, {
 		// A failed pass cannot be pinned on one request: the whole batch
 		// fails — here the pass carrying a's decode row and b's prompt chunk,
 		// so b's chunk is lost with it — and the next arrival is served by a
@@ -509,17 +441,13 @@ func TestScheduling(t *testing.T) {
 }
 
 // TestSchedulingProperties runs seeded random traffic — arrivals,
-// cancellations, budgets, batch widths, chunk sizes, speculation on and off —
-// through runSched, whose per-iteration checks are the properties.
+// cancellations, budgets, batch widths, chunk sizes — through runSched,
+// whose per-iteration checks are the properties.
 func TestSchedulingProperties(t *testing.T) {
-	vocab := testLLM(t).Tok.VocabSize()
-	var passes [3]int
+	var passes [2]int
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := mathx.NewRNG(seed)
 		cfg := Config{MaxBatch: 1 + rng.Intn(4), PrefillChunk: 1 + rng.Intn(5)}
-		if rng.Intn(2) == 1 {
-			cfg.Speculate, cfg.Drafter = 1+rng.Intn(3), uniformDrafter{vocab}
-		}
 		reqs := make([]schedReq, 3+rng.Intn(8))
 		for i := range reqs {
 			reqs[i] = schedReq{words: 1 + rng.Intn(12), tokens: 1 + rng.Intn(8), at: rng.Intn(10)}
@@ -535,7 +463,7 @@ func TestSchedulingProperties(t *testing.T) {
 			passes[k] += n
 		}
 	}
-	t.Logf("iterations by slot-advancing passes made (0, 1, 2): %v", passes)
+	t.Logf("iterations by passes made (0, 1): %v", passes)
 }
 
 // TestServeOverlongPromptMatchesDirect pins the keep-last window truncation

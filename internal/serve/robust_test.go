@@ -383,33 +383,3 @@ func TestFailpointSitesInLoop(t *testing.T) {
 		})
 	}
 }
-
-// TestFailpointVerifySite: the serve/verify site fires inside the
-// speculative round and fails only its round's request.
-func TestFailpointVerifySite(t *testing.T) {
-	m := testLLM(t)
-	if err := failpoint.Arm(failpoint.Plan{Seed: 1, Rules: []failpoint.Rule{
-		{Site: failpoint.ServeVerify, Kind: failpoint.KindError, Count: 1},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disarm()
-	s := New(m, Config{Speculate: 3, Drafter: lm.DistillDrafter(m, 3, 300, 1)})
-	defer s.Close()
-	_, err := s.Do(context.Background(), Request{Prompt: "the king", MaxTokens: 6})
-	if !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("err = %v, want the injected error", err)
-	}
-	failpoint.Disarm()
-	want, err := m.Gen("the queen", freeRun(5, sample.Greedy{}, 0)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Gen(context.Background(), "the queen", freeRun(5, sample.Greedy{}, 0)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Text != want.Text {
-		t.Errorf("post-fault speculative output %q != direct %q", got.Text, want.Text)
-	}
-}

@@ -63,8 +63,8 @@ var ErrDeadline = errors.New("serve: request deadline exceeded")
 var ErrStalled = errors.New("serve: stream stalled: no token progress within the stall timeout")
 
 // PanicError wraps a panic recovered inside the serving loop. Site names the
-// loop operation that panicked: at admit, prefill, sample, verify or finish
-// the request it implicates fails alone; at step, the iteration's forward
+// loop operation that panicked: at admit, prefill, sample or finish the
+// request it implicates fails alone; at step, the iteration's forward
 // pass over every decode row and the prompt chunk, the whole active batch
 // fails and the loop rebuilds its predictor. The prefill site is evaluated
 // before the pass, so an injected prompt fault costs only its request; a
@@ -106,24 +106,10 @@ type Config struct {
 	// smaller chunks keep in-flight streams smoother. 0 keeps the
 	// default; negative removes the cap (whole prompts in one pass).
 	PrefillChunk int
-	// Speculate enables speculative decoding in the batched loop: each
-	// iteration runs one verification round of this draft depth for one
-	// decode-phase request (round-robin, mirroring the prefill-chunk
-	// policy, so draft work never starves the other in-flight decodes)
-	// before the rest ride the iteration's pass. Requires Drafter;
-	// 0 disables. A draft survives only where it equals the token plain
-	// decoding samples, so every request, whatever its strategy and
-	// whatever it is batched with, gets bitwise the completion it would get
-	// without speculation.
-	Speculate int
-	// Drafter is the shared proposal model for Speculate (e.g.
-	// lm.DistillDrafter over the served checkpoint). The loop is its only
-	// caller, so it needs no internal locking.
-	Drafter sample.Drafter
 	// RequestTimeout is the server-side default deadline applied to
 	// requests that do not carry their own Request.Timeout; 0 disables.
 	// Enforced between iterations, so a request can overrun by at most
-	// one pass (plus one verify round).
+	// one pass.
 	RequestTimeout time.Duration
 	// StallTimeout arms the token-progress watchdog: a request that makes
 	// no progress (no sampled token, no prefill chunk) for this long is
@@ -200,10 +186,9 @@ type Result = lm.Result
 //
 // The counting is the same for every backend: a request's first token is
 // sampled from the logits of the pass that carried its last prompt chunk, so
-// it counts toward DecodeTokens but occupies no decode row (without
-// speculation a request is a decode row in tokens − 1 passes). Non-transformer
-// backends have no prefix cache — each admission is a PrefixLookups miss —
-// and ignore Config.Speculate.
+// it counts toward DecodeTokens but occupies no decode row (a request is a
+// decode row in tokens − 1 passes). Non-transformer backends have no prefix
+// cache: each admission is a PrefixLookups miss.
 type Stats struct {
 	Requests  uint64 `json:"requests"`  // accepted by Do/Stream (past validation)
 	Completed uint64 `json:"completed"` // finished with a result
@@ -251,18 +236,6 @@ type Stats struct {
 	// sequences.
 	BatchHist [9]uint64 `json:"batch_hist"`
 
-	// Speculative-decoding counters (Config.Speculate). SpecAcceptHist is
-	// the acceptance-length histogram: bucket i counts verification rounds
-	// that accepted exactly i draft tokens (the last bucket collects deeper
-	// rounds), so mean accepted length and its spread are read directly off
-	// /v1/stats. SpecRounds counts every verification round; only rounds
-	// that actually drafted contribute to SpecDrafted/SpecAccepted and the
-	// histogram.
-	SpecRounds     uint64     `json:"spec_rounds"`
-	SpecDrafted    uint64     `json:"spec_drafted"`
-	SpecAccepted   uint64     `json:"spec_accepted"`
-	SpecAcceptHist [17]uint64 `json:"spec_accept_hist"`
-
 	// Failure-mode counters, each a subset of Failed: requests killed by a
 	// recovered panic (theirs or a whole-batch step failure), by their
 	// deadline, or by the stall watchdog. The panic counter in particular
@@ -296,10 +269,6 @@ type Server struct {
 	// newBatch builds the loop's predictor; a seam the scheduling tests
 	// replace to observe the exact sequence of passes.
 	newBatch func() batchPredictor
-
-	// spec is the speculative-decoding driver (Config.Speculate on a
-	// predictor that can verify); only the loop goroutine touches it.
-	spec *sample.Speculative
 
 	queue chan *pending
 	quit  chan struct{}
@@ -344,7 +313,6 @@ type liveReq struct {
 	slot   int    // predictor sequence handle; -1 until admission takes one
 	forced []int  // prompt tokens not yet fed (prefill)
 	last   [1]int // most recently sampled token (decode phase); an array so a pass's chunk can slice it
-	ctx    []int  // full decoded context incl. last (speculative mode only)
 	dec    *sample.Decoder
 	pd     *lm.PieceDecoder // non-nil when streaming
 }
@@ -371,18 +339,14 @@ func newServer(m lm.LanguageModel, cfg Config) *Server {
 		cfg:    cfg.withDefaults(),
 		quit:   make(chan struct{}),
 	}
-	// The transformer steps every sequence in one cross-sequence pass and can
-	// verify a draft block; any other backend gets one stepper per slot and
-	// ignores Speculate.
+	// The transformer steps every sequence in one cross-sequence pass; any
+	// other backend gets one stepper per slot.
 	llm, batched := m.(*core.LLM)
 	s.newBatch = func() batchPredictor {
 		if batched {
 			return llm.Model.NewBatchedPredictor()
 		}
 		return &stepperBatch{model: m, seqs: make(map[int]sample.Stepper)}
-	}
-	if batched && s.cfg.Speculate > 0 && s.cfg.Drafter != nil {
-		s.spec = &sample.Speculative{K: s.cfg.Speculate, Drafter: s.cfg.Drafter}
 	}
 	s.queue = make(chan *pending, s.cfg.QueueDepth)
 	if s.cfg.StallTimeout > 0 {
@@ -711,8 +675,8 @@ func (s *Server) loop() {
 type batch struct {
 	*Server
 	bp     batchPredictor
-	active []*liveReq // in admission order; the cursors index into it
-	rr, sr int        // round-robin cursors: next request to prefill, to verify
+	active []*liveReq // in admission order; rr indexes into it
+	rr     int        // round-robin cursor: the next request to prefill
 
 	// Pass buffers, reused across iterations: the loop allocates nothing per
 	// pass beyond what a request's own lifecycle requires.
@@ -722,21 +686,12 @@ type batch struct {
 	evicted uint64 // bp's prefix-eviction count as of the last countPass
 }
 
-// iterate is one scheduling iteration over the active batch:
-//
-//   - the cancellation sweep: client cancellations, deadline expiries
-//     (ErrDeadline cause) and watchdog kills (ErrStalled cause) all reclaim
-//     their batch slot here, between passes;
-//   - in speculative mode, at most ONE verification round (round-robin over
-//     the decode-phase requests) — the same bounded-intrusion policy as the
-//     prompt chunk, so draft blocks never starve the other in-flight decodes;
-//   - ONE forward pass over every other decode-phase request and at most one
-//     prompt chunk.
-//
-// So an iteration makes one pass that advances a slot, two when a round
-// runs. Every decode-phase request advances at least one token per
-// iteration — via its speculative round or via the pass — so speculation
-// changes scheduling only by letting one request advance several tokens.
+// iterate is one scheduling iteration over the active batch: the
+// cancellation sweep — client cancellations, deadline expiries (ErrDeadline
+// cause) and watchdog kills (ErrStalled cause) all reclaim their batch slot
+// here, between passes — then exactly one forward pass over every
+// decode-phase request and at most one prompt chunk. So every decode-phase
+// request advances one token per iteration.
 func (b *batch) iterate() {
 	for i := 0; i < len(b.active); {
 		if lr := b.active[i]; lr.p.ctx.Err() != nil {
@@ -745,24 +700,17 @@ func (b *batch) iterate() {
 			i++
 		}
 	}
-	var sped *liveReq
-	if b.spec != nil {
-		if sped = b.next(&b.sr, false); sped != nil {
-			b.verify(sped)
-		}
-	}
-	b.pass(sped)
+	b.pass()
 }
 
-// next is the round-robin pick both bounded-intrusion phases share: the
-// first request at or after *cur, wrapping, that is prefilling (or, with
-// prefilling false, decoding), leaving *cur just past it.
-func (b *batch) next(cur *int, prefilling bool) *liveReq {
+// next is the round-robin prefill pick: the first request at or after rr,
+// wrapping, that is still prefilling, leaving rr just past it.
+func (b *batch) next() *liveReq {
 	n := len(b.active)
 	for i := 0; i < n; i++ {
-		j := (*cur + i) % n
-		if lr := b.active[j]; (len(lr.forced) > 0) == prefilling {
-			*cur = (j + 1) % n
+		j := (b.rr + i) % n
+		if lr := b.active[j]; len(lr.forced) > 0 {
+			b.rr = (j + 1) % n
 			return lr
 		}
 	}
@@ -771,16 +719,15 @@ func (b *batch) next(cur *int, prefilling bool) *liveReq {
 
 // pass runs the iteration's forward pass: at most one prompt chunk of at most
 // PrefillChunk tokens, round-robin over the prefilling requests, and a decode
-// row for every decode-phase request but skip (this iteration's verified
-// request). A chunk that finishes its prompt is sampled first, so its
-// request's first token goes out ahead of the pass's other tokens; the
-// request is a decode row from the next pass on. serve/prefill is evaluated
-// for the chunk before the pass: an injected prompt fault retires only its
-// request, and the pass runs without the chunk.
-func (b *batch) pass(skip *liveReq) {
+// row for every decode-phase request. A chunk that finishes its prompt is
+// sampled first, so its request's first token goes out ahead of the pass's
+// other tokens; the request is a decode row from the next pass on.
+// serve/prefill is evaluated for the chunk before the pass: an injected
+// prompt fault retires only its request, and the pass runs without the chunk.
+func (b *batch) pass() {
 	b.chunks, b.decs = b.chunks[:0], b.decs[:0]
 	chunk := 0
-	if pre := b.next(&b.rr, true); pre != nil {
+	if pre := b.next(); pre != nil {
 		if err := guard(failpoint.ServePrefill, func() {}); err != nil {
 			b.retire(pre, false, err)
 		} else {
@@ -792,7 +739,7 @@ func (b *batch) pass(skip *liveReq) {
 		}
 	}
 	for _, lr := range b.active {
-		if len(lr.forced) == 0 && lr != skip {
+		if len(lr.forced) == 0 {
 			b.chunks = append(b.chunks, transformer.Chunk{ID: lr.slot, Tokens: lr.last[:]})
 			b.decs = append(b.decs, lr)
 		}
@@ -849,37 +796,11 @@ func (b *batch) sample(lr *liveReq, logits []float64) {
 	}
 }
 
-// verify runs lr's speculative verification round: lr advances several
-// tokens at once and sits out this iteration's pass. The emitted tokens are
-// delivered and counted exactly as the pass's sampled tokens are, so the
-// request's output stays bitwise plain decoding and the stats stay coherent.
-func (b *batch) verify(lr *liveReq) {
-	var done bool
-	err := guard(failpoint.ServeVerify, func() {
-		room := 1 << 30
-		if b.window > 0 {
-			// Admission guarantees the prompt and every fed token fit the
-			// window, so room covers the pending token and every draft the
-			// remaining budget allows.
-			room = b.window - b.bp.Len(lr.slot)
-		}
-		rr := b.spec.Round(slotTarget{b.bp, lr.slot}, lr.dec, lr.ctx, room)
-		for _, tok := range rr.Emitted {
-			b.emit(lr, tok)
-		}
-		b.countSpec(len(rr.Emitted))
-		done = rr.Done
-	})
-	if done || err != nil {
-		b.retire(lr, done, err)
-	}
-}
-
 // guard is the loop's one recovery boundary. The loop goroutine is the whole
 // worker: a panic reaching it — a strategy tripping a check in
 // internal/sample, a bug in the predictor or tokenizer, an injected fault —
 // would kill the process and every in-flight stream. So every call the loop
-// makes into a model, strategy or drafter runs as op here and comes back as
+// makes into a model or strategy runs as op here and comes back as
 // an error: the failpoint's, or a *PanicError. site is the failpoint.Serve*
 // site evaluated first, or a bare operation name where there is none (admit,
 // finish). op must not escape: callers' closures stay on their stacks.
@@ -897,7 +818,7 @@ func guard(site string, op func()) (err error) {
 }
 
 // retire is the one place a request leaves the batch: its slot is released,
-// it is removed with the cursors kept on the requests they pointed at, and
+// it is removed with the cursor kept on the request it pointed at, and
 // its terminal outcome is delivered — failed with err, finished (done), or,
 // with neither, settled by whatever ended its context.
 func (b *batch) retire(lr *liveReq, done bool, err error) {
@@ -910,16 +831,13 @@ func (b *batch) retire(lr *liveReq, done bool, err error) {
 			b.bp.Drop(lr.slot)
 		}()
 	}
-	// Order is preserved (the cursors and per-pass iteration depend on it);
+	// Order is preserved (the cursor and per-pass iteration depend on it);
 	// slices.Delete zeroes the vacated tail, so a finished request's buffers
 	// are not retained by the backing array while the server idles.
 	i := slices.Index(b.active, lr)
 	b.active = slices.Delete(b.active, i, i+1)
 	if i < b.rr {
 		b.rr--
-	}
-	if i < b.sr {
-		b.sr--
 	}
 	var res Result
 	if done && err == nil {
@@ -983,58 +901,23 @@ func (b *batch) open(lr *liveReq) error {
 	if lr.p.events != nil {
 		lr.pd = lm.NewPieceDecoder(b.model.Decode)
 	}
-	if b.spec != nil {
-		// Speculative rounds need the full decoded context (the drafter
-		// conditions on it); cloned so prefill's reslicing of forced cannot
-		// alias it.
-		lr.ctx = append([]int(nil), ids...)
-	}
 	return nil
 }
 
 // emit records tok as lr's newest token and delivers its stream event: the
-// moment its pass or round completes, never blocking (the channel is
-// pre-sized for the whole budget).
+// moment its pass completes, never blocking (the channel is pre-sized for
+// the whole budget).
 func (b *batch) emit(lr *liveReq, tok int) {
 	lr.last[0] = tok
-	if lr.ctx != nil {
-		lr.ctx = append(lr.ctx, tok)
-	}
 	b.stamp(lr.p)
 	if lr.p.events != nil {
 		lr.p.events <- lr.pd.Next(tok)
 	}
 }
 
-// slotTarget adapts one predictor sequence to the single-sequence
-// verification surface sample.Speculative drives: a verification block is a
-// pass of one all-rows chunk.
-type slotTarget struct {
-	bp   batchPredictor
-	slot int
-}
-
-func (t slotTarget) Rewind(n int) { t.bp.Rewind(t.slot, n) }
-func (t slotTarget) Len() int     { return t.bp.Len(t.slot) }
-func (t slotTarget) ExtendAll(ids []int) [][]float64 {
-	return t.bp.Pass([]transformer.Chunk{{ID: t.slot, Tokens: ids, All: true}})
-}
-
 func (s *Server) count(f func(*Stats)) {
 	s.mu.Lock()
 	f(&s.stats)
-	s.mu.Unlock()
-}
-
-// countSpec records a speculative verification round: the round counters
-// are the driver's own sample.SpecStats, copied, and the emitted tokens
-// count under DecodeTokens so token throughput spans both decode paths.
-func (s *Server) countSpec(emitted int) {
-	sp := &s.spec.Stats
-	s.mu.Lock()
-	s.stats.SpecRounds, s.stats.SpecDrafted, s.stats.SpecAccepted = sp.Rounds, sp.Drafted, sp.Accepted
-	s.stats.SpecAcceptHist = sp.AcceptHist
-	s.stats.DecodeTokens += uint64(emitted)
 	s.mu.Unlock()
 }
 
@@ -1070,26 +953,22 @@ func (b *batch) countPass(rows, chunk, sampled int) {
 // state and the one forward method that advances it, Pass, with the
 // contract of transformer.BatchedPredictor.Pass (implemented by it,
 // stepperBatch, or the scheduling tests' recording fake). The loop calls
-// Pass at most twice per iteration: a verification block (one all-rows
-// chunk) and the iteration's pass. A logits row stays valid until the next
-// Pass: the loop samples every row before it calls the predictor again.
+// Pass at most once per iteration and never sets Chunk.All. A logits row
+// stays valid until the next Pass: the loop samples every row before it
+// calls the predictor again.
 type batchPredictor interface {
 	Add() int
 	Attach(id int, ids []int) int
 	PrefixBlocks() (resident int, evicted uint64)
 	Drop(id int)
 	Pass(chunks []transformer.Chunk) [][]float64
-	Rewind(id int, n int)
-	Len(id int) int
 }
 
 // stepperBatch serves any LanguageModel with one sample.Stepper per slot: a
 // Pass feeds each chunk to its slot's stepper in turn, so requests share the
 // schedule (interleaving, chunked prefill, MaxBatch) though not the
 // arithmetic. Each stepper returns its own logits slice, so rows of one Pass
-// never alias. No prefix cache and nothing to verify with: newServer builds
-// no speculative driver over it, so no chunk asks for All and Rewind and Len
-// are unreachable.
+// never alias. No prefix cache.
 type stepperBatch struct {
 	model lm.LanguageModel
 	seqs  map[int]sample.Stepper
@@ -1126,6 +1005,3 @@ func (sb *stepperBatch) Pass(chunks []transformer.Chunk) [][]float64 {
 	}
 	return sb.rows
 }
-
-func (sb *stepperBatch) Rewind(int, int) { panic("serve: no verify surface") }
-func (sb *stepperBatch) Len(int) int     { panic("serve: no verify surface") }

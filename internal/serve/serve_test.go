@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
-	"repro/internal/lm"
 	"repro/internal/mathx"
 	"repro/internal/nn"
 	"repro/internal/sample"
@@ -101,6 +101,55 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 		if got[i].Text != want[i] {
 			t.Errorf("job %d: batched %q != serial %q", i, got[i].Text, want[i])
 		}
+	}
+}
+
+// TestServeParity is the schedule-independence property of serving on the
+// real model: every strategy over six prompts, at MaxBatch 1, 4 and 8, with
+// the requests arriving concurrently in a shuffled order, is served bitwise
+// the completion lm.Gen gives. Which requests share a pass must not matter.
+// Odd requests stream (serveOne checks the pieces concatenate to the
+// result), and every third stops at EOS.
+func TestServeParity(t *testing.T) {
+	m := testLLM(t)
+	prompts := []string{"the king", "a dragon sees the castle", "the old wizard",
+		"a queen sees", "alice greets the", "the old dog"}
+	strats := []sample.Strategy{
+		sample.Greedy{},
+		sample.Temperature{T: 0.9},
+		sample.TopK{K: 8, T: 0.8},
+		sample.TopP{P: 0.9, T: 0.8},
+	}
+	type request struct {
+		prompt string
+		opts   []sample.Option
+	}
+	var reqs []request
+	for _, strat := range strats {
+		for _, p := range prompts {
+			i := len(reqs)
+			opts := []sample.Option{sample.WithMaxTokens(8), sample.WithStrategy(strat), sample.WithSeed(uint64(i))}
+			if i%3 == 2 {
+				opts = append(opts, sample.WithStop())
+			}
+			reqs = append(reqs, request{p, opts})
+		}
+	}
+	for _, maxBatch := range []int{1, 4, 8} {
+		t.Run(fmt.Sprintf("MaxBatch%d", maxBatch), func(t *testing.T) {
+			s := New(m, Config{MaxBatch: maxBatch})
+			defer s.Close()
+			var wg sync.WaitGroup
+			for _, i := range mathx.NewRNG(uint64(maxBatch)).Perm(len(reqs)) {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					serveOne(t, s, m, i, reqs[i].prompt, reqs[i].opts)
+				}(i)
+			}
+			wg.Wait()
+			checkInvariant(t, waitStats(s, func(st Stats) bool { return st.InFlight == 0 }))
+		})
 	}
 }
 
@@ -211,11 +260,6 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if !slices.Equal(res.Tokens, want.Tokens) || res.Text != want.Text {
 		t.Errorf("MaxTokens=window served %v %q, lm.Gen %v %q", res.Tokens, res.Text, want.Tokens, want.Text)
-	}
-	spec := New(m, Config{Speculate: 4, Drafter: lm.DistillDrafter(m, 3, 300, 1)})
-	defer spec.Close()
-	if res, err := spec.Do(context.Background(), req); err != nil || !slices.Equal(res.Tokens, want.Tokens) {
-		t.Errorf("speculative MaxTokens=window served %v, %v; lm.Gen %v", res.Tokens, err, want.Tokens)
 	}
 	if _, err := s.Do(context.Background(), Request{Prompt: "x", MaxTokens: w + 1}); err == nil {
 		t.Error("MaxTokens=window+1 accepted")

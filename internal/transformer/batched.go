@@ -14,7 +14,7 @@ import (
 // the serving front end's continuous batching relies on.
 //
 // A Pass is the row-pass kernel (rowPass, prefill.go) over every row of the
-// chunks it is given — decode tokens, a prompt chunk, a verification block:
+// chunks it is given — decode tokens and a prompt chunk:
 // every dense projection runs as one packedMat.matMat sweep with the pass's
 // residual rows as the right-hand matrix, so each sixteen-row weight block
 // is streamed from memory exactly once per pass however many sequences ride
@@ -136,6 +136,38 @@ func (bp *BatchedPredictor) seq(id int) *batchSeq {
 // Len returns the number of positions processed for sequence id.
 func (bp *BatchedPredictor) Len(id int) int { return bp.seq(id).n }
 
+// Rewind discards the last n cached positions of sequence id, as if the
+// tokens that produced them had never been fed, and panics when n is
+// negative or exceeds the cached length. The next pass continues from the
+// truncated position with logits bitwise identical to a sequence that never
+// saw the discarded tokens; the benchmark's step timing relies on it to step
+// at a fixed context length.
+//
+// Rewind is a plain length decrement — no KV rows or interleaved key-pack
+// lanes are cleared — and is still bitwise-exact, because state beyond a
+// sequence's length is never read before it is overwritten. Every pass
+// (rowPass, prefill.go) appending rows at positions [start, start+R) of a
+// state first writes those rows of the key/value caches and their pack
+// lanes, position-addressed (kc.Row(pos), lane pos&15 of block pos>>4), so
+// re-ingesting position p lands exactly where the stale value sat. It then
+// scores each row over [0, pos] only: whole pack blocks below
+// nFull = (start+R)/16, every lane of which is a position < start+R the
+// state now holds, and the tail from position-major rows up to pos. A decode
+// step is the case R = 1, nFull = (pos+1)/16. A stale row or lane lives at a
+// position ≥ start+R and is skipped. Each sequence owns its KV cache and key
+// packs and the shared pass scratch holds no per-position state, so a rewind
+// leaves every other sequence untouched. rewind_test.go checks this bit for
+// bit against predictors rebuilt from scratch.
+//
+// Rewinding into an attached prompt also takes the discarded positions out
+// of what the sequence may publish to the prefix cache, until a pass writes
+// them from the prompt again.
+func (bp *BatchedPredictor) Rewind(id, n int) {
+	s := bp.seq(id)
+	s.rewind(n)
+	s.fed = min(s.fed, s.n)
+}
+
 // Scratch-retention policy: the pass arena tracks the largest pass seen,
 // which after a traffic burst can dwarf the steady pass. When live passes
 // have stayed at or below capacity/scratchShrinkFactor rows for
@@ -206,8 +238,9 @@ func rowParallel(n int, f func(i int)) {
 }
 
 // Chunk is one sequence's share of a Pass: Tokens to append to sequence ID
-// (a decode token, a prompt chunk or a draft block), with logits wanted after
-// every one of them (All) or only after the last.
+// (a decode token or a prompt chunk), with logits wanted after every one of
+// them (All) or only after the last. The serving loop wants only the last;
+// All is the per-position view the parity and rewind tests check rows by.
 type Chunk struct {
 	ID     int
 	Tokens []int

@@ -294,14 +294,6 @@ func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
 		for i := range junk {
 			junk[i] = (toks[a+i] + 1) % cfg.Vocab
 		}
-		fast = m.NewPredictor()
-		fast.Extend(toks[:a])
-		fast.ExtendAll(junk)
-		fast.Rewind(len(junk))
-		bitsEqual(t, tag("rewind/append"), fast.Append(toks[a]), want[a])
-		for r, row := range fast.ExtendAll(toks[a+1:]) {
-			bitsEqual(t, tag("rewind/extendall"), row, want[a+1+r])
-		}
 		bp.Rewind(id, cfg.Window-a)
 		bp.Pass([]Chunk{{ID: id, Tokens: junk, All: true}})
 		bp.Rewind(id, len(junk))

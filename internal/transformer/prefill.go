@@ -13,15 +13,14 @@ import (
 // the model over R residual rows, each tagged with the KV state it appends
 // to and whether its logits are wanted. Every entry point is a shape of it —
 // Append is 1 state × 1 row, Extend is 1 state × R rows with last-row
-// logits, ExtendAll the same with a logits row per position, and
-// BatchedPredictor.Pass any mix of those over many states in one pass (a
-// serving iteration's decode rows, its prompt chunk, or a verification
-// block). Each dense projection is one blocked matrix-matrix sweep over all
-// rows (packedMat.matMat: every weight block streamed once per pass),
-// attention scores run sixteen keys per interleaved kernel call against each
-// state's key pack, and only the rows whose logits are wanted are
-// final-normed and unembedded. Predictor's chunk passes take pooled scratch
-// (chunkPass); BatchedPredictor's share its one arena (see batched.go).
+// logits, and BatchedPredictor.Pass any mix of those over many states in one
+// pass (a serving iteration's decode rows and its prompt chunk). Each dense
+// projection is one blocked matrix-matrix sweep over all rows
+// (packedMat.matMat: every weight block streamed once per pass), attention
+// scores run sixteen keys per interleaved kernel call against each state's
+// key pack, and only the rows whose logits are wanted are final-normed and
+// unembedded. Predictor's chunk passes take pooled scratch
+// (Extend); BatchedPredictor's share its one arena (see batched.go).
 //
 // Correctness contract: a pass performs, row by row, the arithmetic of
 // feeding that state's tokens one at a time — same kernels or bitwise-equal
@@ -36,7 +35,7 @@ import (
 // nFull = (its state's length after the pass)/16, blocks in which every
 // lane is a position the state holds; the tail comes from the position-major
 // key rows up to the row's own position. Nothing past a state's length is
-// ever read, which is also why Rewind (speculate.go) and buffer recycling
+// ever read, which is also why Rewind (batched.go) and buffer recycling
 // (BatchedPredictor.Add) need clear nothing. legacy_test.go anchors every
 // entry point bitwise to the pre-compile reference; prefill_test.go,
 // batched_test.go and rewind_test.go fuzz the shapes against each other.
@@ -73,7 +72,7 @@ func newKVState(cfg Config) kvState {
 	return kv
 }
 
-// rewind discards the last n positions; see Predictor.Rewind.
+// rewind discards the last n positions; see BatchedPredictor.Rewind.
 func (kv *kvState) rewind(n int) {
 	if n < 0 || n > kv.n {
 		panic(fmt.Sprintf("transformer: Rewind(%d) outside cached length %d", n, kv.n))
@@ -365,31 +364,6 @@ func truncTail(ids []int, room int) []int {
 	return ids
 }
 
-// chunkPass appends a chunk of tokens to a Predictor's kv as one pass of 1
-// state × R rows and reports whether it ingested any: it feeds the keep-last
-// suffix that fits kv's window room, nothing when the window is full. out
-// receives the logits after the last position, or with all set after every
-// position. The pass runs in scratch pooled on the model (taken per call,
-// returned when the pass completes), so predictors created per request share
-// warm buffers instead of each paying a first-call allocation.
-func (m *Model) chunkPass(c *compiledModel, kv *kvState, ids []int, out *logitBuf, all bool) bool {
-	ids = truncTail(ids, m.Cfg.Window-kv.n)
-	if len(ids) == 0 {
-		return false
-	}
-	sc, _ := m.pfPool.Get().(*passScratch)
-	if sc == nil {
-		sc = &passScratch{}
-	}
-	defer m.pfPool.Put(sc)
-	sc.rows = sc.rows[:0]
-	for r, id := range ids {
-		sc.rows = append(sc.rows, passRow{kv: kv, tok: id, logits: all || r == len(ids)-1})
-	}
-	m.rowPass(c, sc, out)
-	return true
-}
-
 // Extend feeds a whole chunk of tokens and returns the logits for the
 // position after the last one — bitwise identical to calling Append on each
 // id in order and keeping the final result, at a fraction of the cost (the
@@ -404,8 +378,22 @@ func (m *Model) chunkPass(c *compiledModel, kv *kvState, ids []int, out *logitBu
 // no heap allocations once the pooled scratch has grown to the caller's
 // chunk size.
 func (p *Predictor) Extend(ids []int) []float64 {
-	if !p.m.chunkPass(p.c, &p.kvState, ids, &p.logits, false) {
+	ids = truncTail(ids, p.m.Cfg.Window-p.n)
+	if len(ids) == 0 {
 		return nil
 	}
+	// The pass runs in scratch pooled on the model (taken per call, returned
+	// when the pass completes), so predictors created per request share warm
+	// buffers instead of each paying a first-call allocation.
+	sc, _ := p.m.pfPool.Get().(*passScratch)
+	if sc == nil {
+		sc = &passScratch{}
+	}
+	defer p.m.pfPool.Put(sc)
+	sc.rows = sc.rows[:0]
+	for r, id := range ids {
+		sc.rows = append(sc.rows, passRow{kv: &p.kvState, tok: id, logits: r == len(ids)-1})
+	}
+	p.m.rowPass(p.c, sc, &p.logits)
 	return p.logits.rows[0]
 }

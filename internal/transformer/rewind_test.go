@@ -7,11 +7,10 @@ import (
 	"repro/internal/nn"
 )
 
-// This file fuzzes the speculative-decoding cache surface: Rewind must be
-// indistinguishable from never having fed the discarded tokens, and
-// ExtendAll's per-position logits must match token-by-token Append bitwise.
-// The shadow in every test is a predictor rebuilt by Append-only replay of
-// the surviving history — the reference semantics Rewind claims to preserve
+// This file fuzzes KV rewind: BatchedPredictor.Rewind must be
+// indistinguishable from never having fed the discarded tokens. The shadow
+// in every test is a predictor rebuilt by Append-only replay of the
+// surviving history — the reference semantics Rewind claims to preserve
 // without clearing any KV rows or key-pack lanes.
 
 // randRewindConfig draws a model shape for the rewind property tests,
@@ -38,81 +37,6 @@ func randRewindConfig(rng *mathx.RNG) Config {
 		cfg.SparseStride = 2 + rng.Intn(3)
 	}
 	return cfg
-}
-
-// TestRewindProperty drives one predictor through random interleavings of
-// Append, Extend, ExtendAll, and Rewind — crossing sixteen-row pack-block
-// boundaries in both directions — and checks every produced logit row
-// bitwise against a shadow predictor that replays the surviving token
-// history through Append alone. A Rewind that left readable stale state in
-// the KV cache or the interleaved key packs would surface as a bit
-// difference on the next op.
-func TestRewindProperty(t *testing.T) {
-	rng := mathx.NewRNG(1735)
-	for trial := 0; trial < 30; trial++ {
-		cfg := randRewindConfig(rng)
-		m := MustNew(cfg, mathx.NewRNG(uint64(trial)*17+3))
-		p := m.NewPredictor()
-		var hist []int
-		// rebuilt replays hist into a fresh predictor and returns the last
-		// logits row, the Append-only reference for the current state.
-		rebuilt := func() []float64 {
-			sh := m.NewPredictor()
-			var last []float64
-			for _, id := range hist {
-				last = sh.Append(id)
-			}
-			return last
-		}
-		for op := 0; op < 24; op++ {
-			room := cfg.Window - p.Len()
-			switch {
-			case rng.Intn(3) == 0 && p.Len() > 0:
-				n := 1 + rng.Intn(p.Len())
-				p.Rewind(n)
-				hist = hist[:len(hist)-n]
-				if p.Len() != len(hist) {
-					t.Fatalf("trial %d: Len %d after rewind, want %d", trial, p.Len(), len(hist))
-				}
-			case room == 0:
-				// Window full and this op did not rewind: truncate a lot so
-				// later ops cross the pack boundary downward.
-				n := 1 + rng.Intn(p.Len())
-				p.Rewind(n)
-				hist = hist[:len(hist)-n]
-			default:
-				n := 1 + rng.Intn(room)
-				ids := make([]int, n)
-				for i := range ids {
-					ids[i] = rng.Intn(cfg.Vocab)
-				}
-				switch rng.Intn(3) {
-				case 0:
-					for _, id := range ids {
-						got := p.Append(id)
-						hist = append(hist, id)
-						bitsEqual(t, "rewind/append", got, rebuilt())
-					}
-				case 1:
-					got := p.Extend(ids)
-					hist = append(hist, ids...)
-					bitsEqual(t, "rewind/extend", got, rebuilt())
-				default:
-					rows := p.ExtendAll(ids)
-					// Every verification row must match the Append-only
-					// shadow at its own prefix length.
-					sh := m.NewPredictor()
-					for _, id := range hist {
-						sh.Append(id)
-					}
-					for r, id := range ids {
-						bitsEqual(t, "rewind/extendall", rows[r], sh.Append(id))
-					}
-					hist = append(hist, ids...)
-				}
-			}
-		}
-	}
 }
 
 // TestBatchedRewindProperty is the BatchedPredictor form: two sequences
@@ -203,22 +127,6 @@ func TestBatchedRewindProperty(t *testing.T) {
 func TestRewindBounds(t *testing.T) {
 	cfg := Config{Vocab: 7, Dim: 8, Layers: 1, Heads: 2, Window: 18, Act: nn.GELU}
 	m := MustNew(cfg, mathx.NewRNG(1))
-	p := m.NewPredictor()
-	p.Extend([]int{1, 2, 3})
-	for _, n := range []int{-1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Rewind(%d) with 3 cached: no panic", n)
-				}
-			}()
-			p.Rewind(n)
-		}()
-	}
-	p.Rewind(3)
-	if p.Len() != 0 {
-		t.Fatalf("Len after full rewind = %d", p.Len())
-	}
 	bp := m.NewBatchedPredictor()
 	id := bp.Add()
 	bp.Prefill(id, []int{1, 2})

@@ -205,7 +205,7 @@ type Model struct {
 
 	// Predictor chunk-pass scratch (*passScratch), pooled per model so each
 	// fresh Predictor reuses a previous one's buffers instead of allocating
-	// them on its first Extend/ExtendAll.
+	// them on its first Extend.
 	pfPool sync.Pool
 
 	// KV buffers of dropped batch sequences (*batchSeq), reused by the next
@@ -509,7 +509,6 @@ type Predictor struct {
 
 	sc     passScratch // Append's one-row arena, sized by the first Append
 	logits logitBuf    // Append / Extend result
-	all    logitBuf    // ExtendAll result, one row per chunk position
 }
 
 // NewPredictor compiles m's weights into the packed inference layout and

@@ -28,14 +28,6 @@ var goldenModel = sync.OnceValues(func() (*llm.LLM, error) {
 	return model, err
 })
 
-// goldenGreedy is the pinned greedy stream for ("the king", 12 tokens,
-// seed 3) on the goldenModel checkpoint, recorded before the compiled
-// decode fast path landed (PR 3).
-var goldenGreedy = struct {
-	text   string
-	tokens []int
-}{"the royal the old the royal the royal the", []int{2, 4, 28, 2, 4, 18, 4, 28, 2, 4, 28, 4}}
-
 // TestGenerationBitwiseGolden pins the sampled token streams for a fixed
 // (checkpoint, seed, options) tuple to values recorded before the compiled
 // decode fast path landed (PR 3). Decode-path optimizations are layout and
@@ -118,64 +110,6 @@ func TestGenerationBitwiseGolden(t *testing.T) {
 		}
 		if sres.Text != g.text || strings.Join(pieces, "") != g.text {
 			t.Errorf("%s: Stream drifted: result %q, pieces %q", g.name, sres.Text, strings.Join(pieces, ""))
-		}
-	}
-}
-
-// wrongDrafter is an adversarial proposal model: it deterministically
-// proposes a token cycling through the vocabulary, so almost every draft is
-// rejected and the speculative driver exercises its rewind/correction path
-// on nearly every round.
-type wrongDrafter struct{ vocab int }
-
-func (d *wrongDrafter) Draft(ctx []int) int { return (len(ctx)*5 + 1) % d.vocab }
-
-// TestSpeculativeBitwiseGolden pins the speculative-decoding acceptance
-// criterion against the recorded golden stream: greedy generation with
-// speculation enabled must reproduce the exact pre-fast-path tokens for
-// every draft depth, for a realistic distilled drafter and for an
-// adversarial one that forces mismatch-heavy rounds — through the direct
-// driver and through the batched server.
-func TestSpeculativeBitwiseGolden(t *testing.T) {
-	model, err := goldenModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	drafters := map[string]func() llm.Drafter{
-		"distilled":   func() llm.Drafter { return llm.DistillDrafter(model, 3, 400, 9) },
-		"adversarial": func() llm.Drafter { return &wrongDrafter{vocab: model.Tok.VocabSize()} },
-	}
-	for dname, mk := range drafters {
-		for _, k := range []int{2, 4, 8} {
-			sp := &llm.Speculative{K: k, Drafter: mk()}
-			res, err := model.Gen("the king",
-				llm.WithMaxTokens(12), llm.WithSeed(3), llm.WithSpeculative(sp))
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", dname, k, err)
-			}
-			if res.Text != goldenGreedy.text || !reflect.DeepEqual(res.Tokens, goldenGreedy.tokens) {
-				t.Errorf("%s k=%d: speculative greedy drifted:\n got %q %v\nwant %q %v",
-					dname, k, res.Text, res.Tokens, goldenGreedy.text, goldenGreedy.tokens)
-			}
-			if sp.Stats.Rounds == 0 {
-				t.Errorf("%s k=%d: no speculative rounds ran", dname, k)
-			}
-			if dname == "adversarial" && sp.Stats.Accepted == sp.Stats.Drafted && sp.Stats.Drafted > 0 {
-				t.Errorf("adversarial drafter was never rejected (%d/%d)",
-					sp.Stats.Accepted, sp.Stats.Drafted)
-			}
-
-			srv := llm.NewServer(model, llm.ServerConfig{Speculate: k, Drafter: mk()})
-			sres, err := srv.Do(context.Background(), llm.NewGenRequest("the king",
-				llm.WithMaxTokens(12), llm.WithSeed(3)))
-			srv.Close()
-			if err != nil {
-				t.Fatalf("%s k=%d served: %v", dname, k, err)
-			}
-			if sres.Text != goldenGreedy.text || !reflect.DeepEqual(sres.Tokens, goldenGreedy.tokens) {
-				t.Errorf("%s k=%d: served speculative greedy drifted:\n got %q %v\nwant %q %v",
-					dname, k, sres.Text, sres.Tokens, goldenGreedy.text, goldenGreedy.tokens)
-			}
 		}
 	}
 }

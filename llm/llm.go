@@ -177,38 +177,6 @@ func WithSeed(seed uint64) GenOption { return sample.WithSeed(seed) }
 // WithStop stops decoding at the end-of-sequence separator and trims it.
 func WithStop() GenOption { return sample.WithStop() }
 
-// WithSpeculative enables speculative decoding on drivers whose backend
-// supports block verification (the transformer pipeline): sp drafts blocks
-// of tokens from a cheap proposal model and the target verifies each block
-// in one pass, keeping a draft only where it equals the token plain decoding
-// samples — so every generation, greedy or stochastic, is bitwise identical
-// to plain decoding. Backends without the verification surface ignore the
-// option. Read sp.Stats afterwards for acceptance counters.
-func WithSpeculative(sp *Speculative) GenOption { return sample.WithSpeculative(sp) }
-
-// ---- Speculative decoding ----
-
-// Speculative is the speculative-decoding driver: K is the draft depth,
-// Drafter the proposal model (see DistillDrafter), Stats the accumulated
-// acceptance counters.
-type Speculative = sample.Speculative
-
-// Drafter proposes draft tokens for speculative decoding: Draft(ctx) returns
-// its guess at the token after ctx. Its guesses decide only how many drafts
-// are accepted, never what is generated.
-type Drafter = sample.Drafter
-
-// SpecStats counts speculative-decoding rounds, drafted and accepted tokens,
-// and the acceptance-length histogram.
-type SpecStats = sample.SpecStats
-
-// DistillDrafter trains an order-N n-gram proposal model on text sampled
-// from m itself (self-speculation: no corpus needed beyond the checkpoint)
-// and returns it as a Drafter for WithSpeculative or ServerConfig.Drafter.
-func DistillDrafter(m LanguageModel, order, tokens int, seed uint64) Drafter {
-	return lm.DistillDrafter(m, order, tokens, seed)
-}
-
 // Token is one streamed generation event: the index-th sampled token, its
 // vocabulary id, and the decoded text piece it contributes. Concatenating
 // the pieces of a generation yields exactly the final text.
@@ -276,10 +244,9 @@ func NewGenRequest(prompt string, opts ...GenOption) GenRequest {
 type GenResult = serve.Result
 
 // ServerStats is a snapshot of Server throughput counters, including the
-// prompt/decode split (PromptTokens vs DecodeTokens), the histogram of
-// prefill chunk sizes, and — when ServerConfig.Speculate is set — the
-// speculative acceptance counters and acceptance-length histogram, so
-// prompt-ingestion, generation, and speculation are separately observable.
+// prompt/decode split (PromptTokens vs DecodeTokens) and the histograms of
+// prefill chunk sizes and decode batch widths, so prompt ingestion and
+// generation are separately observable.
 type ServerStats = serve.Stats
 
 // ErrServerClosed is returned for requests submitted to a closed Server.
