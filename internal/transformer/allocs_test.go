@@ -2,6 +2,7 @@ package transformer
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/mathx"
@@ -13,6 +14,8 @@ import (
 // compiled weights, the preallocated KV cache, and the scratch arena cover
 // every intermediate. A regression here silently reintroduces GC pressure
 // on the hottest loop in the repository, so it fails rather than warns.
+// testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures, so this never
+// reaches a fanned-out branch; TestFanOutAllocs covers Append there.
 func TestAppendZeroAllocsSteadyState(t *testing.T) {
 	for _, cfg := range []Config{
 		{Vocab: 33, Dim: 32, Layers: 2, Heads: 2, Window: 512, Pos: PosLearned, Act: nn.GELU},
@@ -75,7 +78,9 @@ func TestCompiledCacheSharedAndInvalidated(t *testing.T) {
 // scratch arena has grown to the pass, the map clear, the chunk list and the
 // tensor views are all reused. Each shape gets a fresh predictor so the
 // shrink policy (constant pass ⇒ capacity == rows ⇒ no trim) never fires
-// mid-measure.
+// mid-measure. testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures,
+// so these are the serial branches only; TestFanOutAllocs measures the
+// fanned-out ones.
 func TestBatchedStepAllocsBounded(t *testing.T) {
 	cfg := Config{Vocab: 33, Dim: 32, Layers: 2, Heads: 2, Window: 600, Pos: PosLearned, Act: nn.GELU}
 	m := MustNew(cfg, mathx.NewRNG(5))
@@ -166,4 +171,66 @@ func TestBatchedScratchShrinksAfterBurst(t *testing.T) {
 	if cap(bp2.rows) != scratchMinRows {
 		t.Errorf("steady batch of %d saw its scratch resized to %d rows", scratchMinRows, cap(bp2.rows))
 	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin: the
+// fewest heap objects one call of f allocated over runs calls, and the mean
+// (rounded down, as AllocsPerRun does), at the caller's GOMAXPROCS, after as
+// many warm-up calls (which fill the runtime's goroutine caches).
+func mallocsPerRun(runs int, f func()) (lo, mean uint64) {
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	lo = ^uint64(0)
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		n := after.Mallocs - before.Mallocs
+		lo, mean = min(lo, n), mean+n
+	}
+	return lo, mean / uint64(runs)
+}
+
+// TestFanOutAllocs is the allocation pin at GOMAXPROCS 2, where the fan-outs
+// (matMat's and blockRows' attention across heads) can run: a one-row Append
+// whose attention work is past rowParallelWork stays serial and allocates
+// nothing, and a fanned-out pass allocates a fixed number of objects — the
+// workers and their closures — whatever its row count. The pass's floor is
+// compared, not its mean: a goroutine start or a WaitGroup wait now and then
+// refills a runtime cache, which the row count does not drive.
+func TestFanOutAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Config{Vocab: 33, Dim: 64, Layers: 1, Heads: 4, Window: 2304, Pos: PosLearned, Act: nn.GELU}
+	m := MustNew(cfg, mathx.NewRNG(8))
+	rng := mathx.NewRNG(9)
+
+	p := m.NewPredictor()
+	p.Extend(randTokens(rng, 2100, cfg.Vocab))
+	if _, allocs := mallocsPerRun(100, func() { p.Append(rng.Intn(cfg.Vocab)) }); allocs != 0 {
+		t.Errorf("Append at context %d allocates %d per token, want 0", p.Len(), allocs)
+	}
+	if p.sc.attn < rowParallelWork {
+		t.Fatalf("Append's attention work %d is below rowParallelWork %d: the check proves nothing", p.sc.attn, rowParallelWork)
+	}
+
+	per := map[int]uint64{}
+	for _, rows := range []int{64, 128, 256} {
+		bp := m.NewBatchedPredictor()
+		id := bp.Add()
+		bp.Prefill(id, randTokens(rng, 64, cfg.Vocab))
+		chunk := []Chunk{{ID: id, Tokens: randTokens(rng, rows, cfg.Vocab)}}
+		per[rows], _ = mallocsPerRun(20, func() {
+			bp.Pass(chunk)
+			bp.Rewind(id, rows)
+		})
+		if !parallelRows(cfg.Heads, bp.attn) {
+			t.Fatalf("%d-row pass: attention work %d does not open the fan-out", rows, bp.attn)
+		}
+	}
+	if per[64] == 0 || per[128] != per[64] || per[256] != per[64] {
+		t.Errorf("fanned-out pass allocations by row count %v, want one positive constant", per)
+	}
+	t.Logf("fanned-out pass allocations by row count: %v", per)
 }

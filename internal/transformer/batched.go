@@ -20,9 +20,12 @@ import (
 // is streamed from memory exactly once per pass however many sequences ride
 // it (four rows per stream through the fused mathx.DotInterleaved16X4
 // kernel), and each row's attention reads its own sequence's interleaved key
-// pack, sixteen keys per kernel call. Step and Prefill are shapes of Pass,
-// and Predictor.Append is the same kernel at 1 × 1, so the logits for a
-// sequence are bitwise identical to running it alone through a Predictor.
+// pack, sixteen keys per kernel call. Both fan out across GOMAXPROCS when
+// the pass is large enough — the projections by row group or weight block,
+// attention by head — with bitwise the same result at any worker count.
+// Step and Prefill are shapes of Pass, and Predictor.Append is the same
+// kernel at 1 × 1, so the logits for a sequence are bitwise identical to
+// running it alone through a Predictor.
 //
 // Like Predictor, the batched path avoids per-pass churn: each sequence's
 // KV cache is preallocated to the window (Add recycles the buffers of

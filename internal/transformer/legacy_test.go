@@ -221,7 +221,9 @@ func actScalar(a nn.Activation, x float64) float64 {
 // The last two configs have sixteen-wide heads (the DotInterleaved16 value
 // sum) and windows that cross full key-pack blocks plus a partial tail; the
 // last is the serving benchmark's shape, whose 32- and 64-row chunks take
-// matMat's block-parallel and quad-parallel branches (run it under -race).
+// matMat's block-parallel and quad-parallel branches and, once their
+// attention work reaches rowParallelWork, the attention fan-out across heads
+// (run it under -race).
 func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // matMat fans out only with ≥ 2 workers
@@ -325,6 +327,59 @@ func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
 		}
 		if r != len(rows) {
 			t.Fatalf("%s: mixed pass returned %d rows, want %d", tag("pass/mixed"), len(rows), r)
+		}
+	}
+}
+
+// TestAttentionFanOutBitwise aims at blockRows' fan-out across heads: one
+// pass at the serving benchmark's shape mixing eight decode rows at context
+// ≥ 200 with a 32-row prompt chunk — enough attention work to open the gate
+// — must leave logits bitwise equal to the legacy reference and every K/V
+// row and key-pack lane bitwise equal to a solo Predictor's, at GOMAXPROCS
+// 1 (serial), 2 and 8 (more workers than heads: rowParallel's cap).
+func TestAttentionFanOutBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosSinusoidal, Act: nn.GELU}
+	m := MustNew(cfg, mathx.NewRNG(31))
+	rng := mathx.NewRNG(32)
+	// Sequence i < 8 decodes one row after a 200+i-token history; sequence 8
+	// takes a 32-row chunk after 170 tokens, crossing two key-pack blocks.
+	hists := make([][]int, 9)
+	feed := make([]int, 9) // tokens of each history that go into the mixed pass
+	want := make([][][]float64, 9)
+	for i := range hists {
+		n, k := 201+i, 1
+		if i == 8 {
+			n, k = 202, 32
+		}
+		hists[i], feed[i] = randTokens(rng, n, cfg.Vocab), k
+		slow := newLegacyPredictor(m)
+		for _, tok := range hists[i] {
+			want[i] = append(want[i], slow.Append(tok))
+		}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		tag := func(s string) string { return fmt.Sprintf("GOMAXPROCS %d: %s", procs, s) }
+		bp := m.NewBatchedPredictor()
+		chunks := make([]Chunk, len(hists))
+		for i, h := range hists {
+			id := bp.Add()
+			bp.Prefill(id, h[:len(h)-feed[i]])
+			chunks[i] = Chunk{ID: id, Tokens: h[len(h)-feed[i]:], All: true}
+		}
+		rows := bp.Pass(chunks)
+		if bp.attn < rowParallelWork {
+			t.Fatalf("%s: pass attention work %d below rowParallelWork %d: the fan-out never runs", tag("gate"), bp.attn, rowParallelWork)
+		}
+		r := 0
+		for i, h := range hists {
+			for j := len(h) - feed[i]; j < len(h); j++ {
+				bitsEqual(t, tag("logits"), rows[r], want[i][j])
+				r++
+			}
+			solo, _ := replay(m, h)
+			kvEqual(t, tag(fmt.Sprintf("sequence %d KV", i)), bp.seq(chunks[i].ID), solo)
 		}
 	}
 }

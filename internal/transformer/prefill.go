@@ -19,7 +19,10 @@ import (
 // (packedMat.matMat: every weight block streamed once per pass), attention
 // scores run sixteen keys per interleaved kernel call against each state's
 // key pack, and only the rows whose logits are wanted are final-normed and
-// unembedded. Predictor's chunk passes take pooled scratch
+// unembedded. Both halves of a block use the cores: matMat fans out by row
+// group or weight block, and attention by head once the pass's attention
+// work reaches the same threshold (rowParallelWork); a one-row pass runs
+// serially. Predictor's chunk passes take pooled scratch
 // (Extend); BatchedPredictor's share its one arena (see batched.go).
 //
 // Correctness contract: a pass performs, row by row, the arithmetic of
@@ -102,9 +105,10 @@ type passScratch struct {
 	concat  *tensor.Tensor // concatenated head outputs (rows×Dim)
 	att     *tensor.Tensor // attention / FFN output (rows×Dim)
 	hidden  *tensor.Tensor // FFN hidden (rows×Hidden)
-	scores  []float64      // one row's attention scores (Window)
-	scores2 []float64      // second score row for the paired-query kernel
-	smax    []float64      // softmax scratch (Window)
+	attn    int            // the pass's attention work: Σ over rows of 2·(pos+1)·Dim
+	scores  []float64      // one row's attention scores, one Window-long slot per head
+	scores2 []float64      // second score row for the paired-query kernel, per head
+	smax    []float64      // softmax scratch, per head
 }
 
 func (sc *passScratch) ensure(cfg Config, rows int) {
@@ -116,10 +120,10 @@ func (sc *passScratch) ensure(cfg Config, rows int) {
 	tensor.Ensure(&sc.concat, rows, cfg.Dim)
 	tensor.Ensure(&sc.att, rows, cfg.Dim)
 	tensor.Ensure(&sc.hidden, rows, cfg.Hidden)
-	if len(sc.scores) < cfg.Window {
-		sc.scores = make([]float64, cfg.Window)
-		sc.scores2 = make([]float64, cfg.Window)
-		sc.smax = make([]float64, cfg.Window)
+	if n := cfg.Heads * cfg.Window; len(sc.scores) < n {
+		sc.scores = make([]float64, n)
+		sc.scores2 = make([]float64, n)
+		sc.smax = make([]float64, n)
 	}
 }
 
@@ -155,6 +159,7 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, out *logitBuf) {
 	cfg := m.Cfg
 	rows := sc.rows
 	n := len(rows)
+	sc.attn = 0
 	for r := 0; r < n; {
 		kv, e := rows[r].kv, r+1
 		for e < n && rows[e].kv == kv {
@@ -162,6 +167,7 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, out *logitBuf) {
 		}
 		for i := r; i < e; i++ {
 			rows[i].pos, rows[i].end = kv.n+i-r, kv.n+e-r
+			sc.attn += 2 * (rows[i].pos + 1) * cfg.Dim
 		}
 		r = e
 	}
@@ -216,9 +222,14 @@ func blockRows(cfg Config, cl *compiledLayer, sc *passScratch, li int, b *Block)
 	cl.wq.matMat(sc.q, attnIn)
 	cl.wk.matMat(sc.k, attnIn)
 	cl.wv.matMat(sc.v, attnIn)
-	hd := cfg.Dim / cfg.Heads
-	for hi := 0; hi < cfg.Heads; hi++ {
-		sc.attendHead(li, hi, hd, cfg.SparseStride)
+	// Heads share no outputs, so a pass with enough attention work runs them
+	// across workers; a one-row pass (Append) stays serial, allocation-free.
+	if len(sc.rows) > 1 && parallelRows(cfg.Heads, sc.attn) {
+		rowParallel(cfg.Heads, func(hi int) { sc.attendHead(cfg, li, hi) })
+	} else {
+		for hi := 0; hi < cfg.Heads; hi++ {
+			sc.attendHead(cfg, li, hi)
+		}
 	}
 	cl.wo.matMat(sc.att, sc.concat)
 	addRows(x, sc.att)
@@ -246,10 +257,16 @@ func blockRows(cfg Config, cl *compiledLayer, sc *passScratch, li int, b *Block)
 // leaves the weighted value sum in sc.concat. Two adjacent rows of one state
 // share each key block through the fused two-query kernel; a row whose
 // neighbour belongs to another state is scored alone. Loop order over rows
-// is free: every kernel's per-lane arithmetic is the same.
-func (sc *passScratch) attendHead(li, hi, hd, stride int) {
+// is free: every kernel's per-lane arithmetic is the same. Heads may run
+// concurrently (blockRows): head hi writes only its own K/V rows and pack
+// lanes, the concat columns [hi·hd, (hi+1)·hd) and score slot hi, and reads
+// nothing another head writes.
+func (sc *passScratch) attendHead(cfg Config, li, hi int) {
 	rows := sc.rows
+	hd, stride := cfg.Dim/cfg.Heads, cfg.SparseStride
 	lo, up := hi*hd, (hi+1)*hd
+	w := hi * cfg.Window
+	scores, scores2, smax := sc.scores[w:w+cfg.Window], sc.scores2[w:w+cfg.Window], sc.smax[w:w+cfg.Window]
 	for r, row := range rows {
 		krow := sc.k.Row(r)[lo:up]
 		copy(row.kv.keys[li][hi].Row(row.pos), krow)
@@ -262,8 +279,8 @@ func (sc *passScratch) attendHead(li, hi, hd, stride int) {
 		kc, vc, kp := row.kv.keys[li][hi], row.kv.vals[li][hi], row.kv.kpacks[li][hi]
 		q0 := sc.q.Row(r)[lo:up]
 		if stride > 0 {
-			maskedAttnScores(sc.scores, q0, kc, row.pos, stride)
-			attnOut(sc.concat.Row(r)[lo:up], sc.scores, sc.smax, vc, row.pos, scale)
+			maskedAttnScores(scores, q0, kc, row.pos, stride)
+			attnOut(sc.concat.Row(r)[lo:up], scores, smax, vc, row.pos, scale)
 			continue
 		}
 		nFull := row.end / 16
@@ -275,17 +292,17 @@ func (sc *passScratch) attendHead(li, hi, hd, stride int) {
 			shared = min((row.pos+16)/16, nFull)
 			for bk := 0; bk < shared; bk++ {
 				mathx.DotInterleaved16X2(
-					(*[16]float64)(sc.scores[bk*16:bk*16+16]),
-					(*[16]float64)(sc.scores2[bk*16:bk*16+16]),
+					(*[16]float64)(scores[bk*16:bk*16+16]),
+					(*[16]float64)(scores2[bk*16:bk*16+16]),
 					kp[bk*16*hd:(bk+1)*16*hd], q0, q1)
 			}
 		}
-		packedAttnScores(sc.scores, q0, kp, kc, shared, row.pos, nFull)
-		attnOut(sc.concat.Row(r)[lo:up], sc.scores, sc.smax, vc, row.pos, scale)
+		packedAttnScores(scores, q0, kp, kc, shared, row.pos, nFull)
+		attnOut(sc.concat.Row(r)[lo:up], scores, smax, vc, row.pos, scale)
 		if pair {
 			r++
-			packedAttnScores(sc.scores2, q1, kp, kc, shared, row.pos+1, nFull)
-			attnOut(sc.concat.Row(r)[lo:up], sc.scores2, sc.smax, vc, row.pos+1, scale)
+			packedAttnScores(scores2, q1, kp, kc, shared, row.pos+1, nFull)
+			attnOut(sc.concat.Row(r)[lo:up], scores2, smax, vc, row.pos+1, scale)
 		}
 	}
 }
