@@ -4,21 +4,16 @@
 // the unified generation API: the transformer checkpoint written by
 // llm-train (default), or a §5 ladder substrate (n-gram, FFN-LM, LSTM)
 // trained at startup. With -stream each token is printed the moment it is
-// sampled.
+// sampled. The text is lm.Gen's, so for a checkpoint it is the completion
+// llm-serve -model returns for the same request.
 //
 // Usage:
 //
 //	llm-generate -model model.json -prompt "the king" [-n 12]
 //	             [-strategy greedy|temp|topk|topp] [-temp 0.8] [-k 10]
-//	             [-p 0.9] [-seed 1] [-stream] [-prefill chunked|token]
+//	             [-p 0.9] [-seed 1] [-stream]
 //	llm-generate -backend ngram|ffn|rnn [-corpus lines.txt] [-synthetic 500]
 //	             -prompt "the king" [...]
-//
-// Prompt ingestion defaults to the chunked prefill fast path (the whole
-// prompt as one matrix-matrix pass); -prefill token forces the one-token-
-// at-a-time path instead. The two are bitwise identical, so the flag exists
-// for verification and for measuring the fast path's speedup on real
-// checkpoints.
 //
 // -cpuprofile and -memprofile write pprof profiles (CPU sampling over the
 // whole run; heap snapshot at exit) so decoding performance work can be
@@ -57,7 +52,6 @@ func main() {
 		p          = flag.Float64("p", 0.9, "nucleus mass")
 		seed       = flag.Uint64("seed", 1, "sampling seed")
 		stream     = flag.Bool("stream", false, "print tokens as they are sampled")
-		prefill    = flag.String("prefill", "chunked", "prompt ingestion path: chunked (fast) or token (reference)")
 	)
 	flag.Parse()
 
@@ -70,13 +64,6 @@ func main() {
 	model, err := loadBackend(*backend, *modelPath, *corpusPath, *synthetic)
 	if err != nil {
 		log.Fatal(err)
-	}
-	switch *prefill {
-	case "chunked": // the default fast path
-	case "token":
-		model = tokenPrefill{model}
-	default:
-		log.Fatalf("unknown -prefill %q (want chunked or token)", *prefill)
 	}
 
 	strat, err := sample.ParseStrategy(*strategy, *temp, *p, *k)
@@ -104,15 +91,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s %s\n", *prompt, res.Text)
-}
-
-// tokenPrefill hides the stepper's chunked Extend method, forcing the
-// generation driver onto the token-by-token prefill path. Outputs are
-// bitwise identical either way; this is the -prefill token reference.
-type tokenPrefill struct{ lm.LanguageModel }
-
-func (t tokenPrefill) NewStepper() sample.Stepper {
-	return sample.StepperFunc(t.LanguageModel.NewStepper().Append)
 }
 
 // loadBackend resolves the -backend flag: the transformer loads its

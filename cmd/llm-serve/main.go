@@ -1,15 +1,15 @@
 // Command llm-serve exposes a trained language model as an HTTP generation
 // service backed by the request-batching engine of package llm: concurrent
 // requests are coalesced into batched forward passes over the KV-cache
-// inference path, each with its own sampling parameters. Without -model it
-// trains a small model on the synthetic PCFG corpus at startup so the
-// service can be tried end to end with no checkpoint; -backend swaps in a
-// §5 ladder substrate (n-gram, FFN-LM, LSTM) served by the same loop and
-// API.
+// inference path, each with its own sampling parameters. The served model
+// is a transformer: the -model checkpoint, or without one a small model
+// trained on the synthetic PCFG corpus at startup so the service can be
+// tried end to end. The §5 ladder substrates run through llm-generate
+// -backend, not through a server.
 //
 // Usage:
 //
-//	llm-serve [-model model.json] [-backend transformer|ngram|ffn|rnn]
+//	llm-serve [-model model.json]
 //	          [-addr :8372] [-max-batch 8] [-queue 64]
 //	          [-prefill-chunk 32] [-synthetic 500]
 //	          [-drain-timeout 30s] [-request-timeout 0] [-stall-timeout 0]
@@ -79,7 +79,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -99,7 +98,6 @@ func main() {
 	log.SetPrefix("llm-serve: ")
 	var (
 		modelPath    = flag.String("model", "", "checkpoint written by llm-train; empty = train a synthetic demo model")
-		backend      = flag.String("backend", "transformer", "model backend: transformer, ngram, ffn or rnn")
 		synthetic    = flag.Int("synthetic", 500, "synthetic corpus size for the demo model")
 		addr         = flag.String("addr", ":8372", "listen address")
 		maxBatch     = flag.Int("max-batch", 8, "max sequences decoded per batched step")
@@ -115,12 +113,12 @@ func main() {
 	)
 	flag.Parse()
 
-	model, err := loadBackend(*backend, *modelPath, *synthetic)
+	model, err := loadModel(*modelPath, *synthetic)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	srv := serve.NewBackend(model, serve.Config{
+	srv := serve.New(model, serve.Config{
 		MaxBatch: *maxBatch, QueueDepth: *queue, PrefillChunk: *prefill,
 		RequestTimeout: *reqTimeout, StallTimeout: *stallTimeout,
 	})
@@ -202,26 +200,26 @@ func advertisedURL(addr string) string {
 	return "http://" + addr
 }
 
-// loadBackend opens a transformer checkpoint, or trains the selected demo
-// backend on the synthetic corpus when no checkpoint is given.
-func loadBackend(backend, path string, synthetic int) (llm.LanguageModel, error) {
-	if path != "" {
-		if backend != "transformer" {
-			return nil, fmt.Errorf("-model requires -backend transformer (got %q)", backend)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		model, err := core.Load(f)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("model ready: vocab=%d params=%d window=%d",
-			model.Tok.VocabSize(), model.Model.NumParameters(), model.Model.Cfg.Window)
-		return model, nil
+// loadModel opens a transformer checkpoint, or trains the demo model on the
+// synthetic corpus when no checkpoint is given.
+func loadModel(path string, synthetic int) (*llm.LLM, error) {
+	if path == "" {
+		log.Printf("no -model: training a demo model on %d synthetic sentences", synthetic)
+		cfg := llm.DefaultConfig()
+		cfg.Seed = 42
+		model, _, err := llm.Train(llm.SyntheticCorpus(synthetic, 42), cfg)
+		return model, err
 	}
-	log.Printf("no -model: training a demo %s backend on %d synthetic sentences", backend, synthetic)
-	return llm.TrainBackend(backend, llm.SyntheticCorpus(synthetic, 42), 42)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	model, err := core.Load(f)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("model ready: vocab=%d params=%d window=%d",
+		model.Tok.VocabSize(), model.Model.NumParameters(), model.Model.Cfg.Window)
+	return model, nil
 }

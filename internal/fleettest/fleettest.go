@@ -26,7 +26,6 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/grammar"
 	"repro/internal/httpapi"
-	"repro/internal/lm"
 	"repro/internal/mathx"
 	"repro/internal/nn"
 	"repro/internal/router"
@@ -91,7 +90,7 @@ type Fleet struct {
 	// Workers lists every worker added so far, killed ones included.
 	Workers []*Worker
 
-	model   lm.LanguageModel
+	model   *core.LLM
 	cfg     serve.Config
 	routers []*Router
 	fired   map[string]uint64
@@ -99,7 +98,7 @@ type Fleet struct {
 
 // New returns an empty fleet whose workers serve model under cfg. Any plan
 // left armed is disarmed first: a fleet starts fault-free.
-func New(model lm.LanguageModel, cfg serve.Config) *Fleet {
+func New(model *core.LLM, cfg serve.Config) *Fleet {
 	failpoint.Disarm()
 	return &Fleet{
 		Client: &http.Client{
@@ -190,7 +189,7 @@ func (w *Worker) Restart() error {
 	}
 	w.addr = ln.Addr().String()
 	w.Base = "http://" + w.addr
-	w.srv = serve.NewBackend(w.f.model, w.f.cfg)
+	w.srv = serve.New(w.f.model, w.f.cfg)
 	w.hs = serveOn(ln, httpapi.New(w.srv, nil))
 	if len(w.routers) > 0 {
 		w.joiner, err = httpapi.StartJoiner(httpapi.JoinConfig{

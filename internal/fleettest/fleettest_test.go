@@ -12,7 +12,6 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/grammar"
 	"repro/internal/httpapi"
-	"repro/internal/lm"
 	"repro/internal/mathx"
 	"repro/internal/nn"
 	"repro/internal/router"
@@ -21,14 +20,20 @@ import (
 	"repro/internal/transformer"
 )
 
-// testFleet starts 2 static n-gram workers behind one router.
+// untrained is a TinyEnglish transformer at the fleet's window. Serving
+// does not depend on weight values, so nothing is trained.
+func untrained() *core.LLM {
+	tok := tokenizer.NewWord(corpus.PCFGText(grammar.TinyEnglish(), 200, 8, mathx.NewRNG(1)))
+	return &core.LLM{Tok: tok, Model: transformer.MustNew(transformer.Config{
+		Vocab: tok.VocabSize(), Dim: 16, Layers: 1, Heads: 2, Window: window,
+		Pos: transformer.PosLearned, Act: nn.GELU,
+	}, mathx.NewRNG(1))}
+}
+
+// testFleet starts 2 static transformer workers behind one router.
 func testFleet(t *testing.T) (*Fleet, *Router) {
 	t.Helper()
-	m, err := lm.TrainBackend("ngram", corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7)), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := New(m, serve.Config{})
+	f := New(untrained(), serve.Config{})
 	t.Cleanup(f.Close)
 	var bases []string
 	for i := 0; i < 2; i++ {
@@ -181,11 +186,7 @@ func TestDrivePace(t *testing.T) {
 // start empty, workers enrolling through the real join loop, a graceful
 // leave, and a router restart that relearns the fleet.
 func TestJoinedWorkersAndPeers(t *testing.T) {
-	m, err := lm.TrainBackend("ngram", corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7)), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := New(m, serve.Config{})
+	f := New(untrained(), serve.Config{})
 	t.Cleanup(f.Close)
 	rts, err := f.StartRouters(2, router.Config{
 		HealthInterval: 10 * time.Millisecond, DefaultLease: Lease, SyncInterval: 20 * time.Millisecond,
@@ -245,14 +246,9 @@ func TestFiredBanksAcrossPlans(t *testing.T) {
 
 // TestDrivenPromptsReachPrefixCache: on a transformer with the fleet's window
 // the driven prompts share two cache blocks, so a worker restores them from
-// the second sighting on, and a restart does not lose the count. Serving
-// does not depend on weight values, so nothing is trained.
+// the second sighting on, and a restart does not lose the count.
 func TestDrivenPromptsReachPrefixCache(t *testing.T) {
-	tok := tokenizer.NewWord(corpus.PCFGText(grammar.TinyEnglish(), 200, 8, mathx.NewRNG(1)))
-	f := New(&core.LLM{Tok: tok, Model: transformer.MustNew(transformer.Config{
-		Vocab: tok.VocabSize(), Dim: 16, Layers: 1, Heads: 2, Window: window,
-		Pos: transformer.PosLearned, Act: nn.GELU,
-	}, mathx.NewRNG(1))}, serve.Config{PrefillChunk: 4})
+	f := New(untrained(), serve.Config{PrefillChunk: 4})
 	t.Cleanup(f.Close)
 	w, err := f.AddWorker()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,56 +23,45 @@ import (
 	"repro/internal/transformer"
 )
 
-// testModel trains the fast n-gram backend — milliseconds, deterministic,
-// and served through the same loop the worker binary uses for it.
-func testModel(t *testing.T) lm.LanguageModel {
-	t.Helper()
-	lines := corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7))
-	m, err := lm.TrainBackend("ngram", lines, 7)
-	if err != nil {
-		t.Fatal(err)
+// testModel is an untrained TinyEnglish transformer. Serving does not
+// depend on weight values, so nothing is trained. The window fits the
+// 30-token budgets of the deadline tests.
+func testModel() *core.LLM {
+	tok := tokenizer.NewWord(corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7)))
+	return &core.LLM{Tok: tok, Model: transformer.MustNew(transformer.Config{
+		Vocab: tok.VocabSize(), Dim: 16, Layers: 1, Heads: 2, Window: 32,
+		Pos: transformer.PosLearned, Act: nn.GELU,
+	}, mathx.NewRNG(2))}
+}
+
+// slowModel returns m over a tokenizer whose Decode blocks on a gate
+// receive after its first call, holding requests in flight for as long as
+// the test wants — the slow-worker seam the drain test hangs a real SSE
+// stream on. A streamed token is decoded the moment it is sampled, so token
+// 1 goes out and the loop then blocks on token 2. Closing the gate releases
+// everything.
+func slowModel(m *core.LLM, gate chan struct{}) *core.LLM {
+	slow := *m
+	slow.Tok = &slowTok{Tokenizer: m.Tok, gate: gate}
+	return &slow
+}
+
+type slowTok struct {
+	tokenizer.Tokenizer
+	gate  chan struct{}
+	calls atomic.Int64
+}
+
+func (s *slowTok) Decode(ids []int) string {
+	if s.calls.Add(1) > 1 {
+		<-s.gate
 	}
-	return m
+	return s.Tokenizer.Decode(ids)
 }
 
-// slowModel gates decode steps on a channel receive, holding requests in
-// flight for as long as the test wants — the fake slow backend seam the
-// drain test hangs a real SSE stream on. The first free Append calls pass
-// ungated so prompt ingestion (which also steps the model, one Append per
-// prompt token) is not counted; after that, token k+1's step blocks
-// until a permit arrives (token 1 samples straight off the prompt logits,
-// so it needs none). Closing the gate releases everything.
-type slowModel struct {
-	lm.LanguageModel
-	gate chan struct{}
-	free int
-}
-
-func (s slowModel) NewStepper() sample.Stepper {
-	inner := s.LanguageModel.NewStepper()
-	n := 0
-	return sample.StepperFunc(func(id int) []float64 {
-		n++
-		if n > s.free {
-			<-s.gate
-		}
-		return inner.Append(id)
-	})
-}
-
-// promptLen returns how many tokens prompt encodes to for m.
-func promptLen(t *testing.T, m lm.LanguageModel, prompt string, budget int) int {
+func newTestServer(t *testing.T, m *core.LLM) (*httptest.Server, *Handler) {
 	t.Helper()
-	ids, err := m.EncodePrompt(prompt, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(ids)
-}
-
-func newTestServer(t *testing.T, m lm.LanguageModel) (*httptest.Server, *Handler) {
-	t.Helper()
-	srv := serve.NewBackend(m, serve.Config{})
+	srv := serve.New(m, serve.Config{})
 	t.Cleanup(srv.Close)
 	h := New(srv, nil)
 	ts := httptest.NewServer(h)
@@ -138,7 +128,7 @@ func sseEvents(t *testing.T, r *bufio.Reader) (pieces []string, done StreamDone)
 // /v1/stream return the same completion for the same request, and the
 // streamed pieces concatenate to exactly the final text.
 func TestGenerateStreamParity(t *testing.T) {
-	ts, _ := newTestServer(t, testModel(t))
+	ts, _ := newTestServer(t, testModel())
 	req := GenRequest{Prompt: "the king", Tokens: 8, Seed: 3}
 
 	resp := postJSON(t, ts.URL+"/v1/generate", req)
@@ -172,7 +162,7 @@ func TestGenerateStreamParity(t *testing.T) {
 }
 
 func TestBadRequestStatus(t *testing.T) {
-	ts, _ := newTestServer(t, testModel(t))
+	ts, _ := newTestServer(t, testModel())
 	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -194,11 +184,7 @@ func TestBadRequestStatus(t *testing.T) {
 // a budget of the whole window and returns lm.Gen's completion; one token
 // more is a 400.
 func TestWindowBudgetOverHTTP(t *testing.T) {
-	tok := tokenizer.NewWord(corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7)))
-	m := &core.LLM{Tok: tok, Model: transformer.MustNew(transformer.Config{
-		Vocab: tok.VocabSize(), Dim: 16, Layers: 1, Heads: 2, Window: 16,
-		Pos: transformer.PosLearned, Act: nn.GELU,
-	}, mathx.NewRNG(2))}
+	m := testModel()
 	ts, _ := newTestServer(t, m)
 	w := m.ContextWindow()
 	want, err := lm.Gen(m, "the king", sample.WithMaxTokens(w),
@@ -229,7 +215,7 @@ func TestWindowBudgetOverHTTP(t *testing.T) {
 // and the prefix-cache counters, whose invariant holds on the wire:
 // prompt_tokens + prefix_hit_tokens is the prompt tokens admitted.
 func TestStatsGauges(t *testing.T) {
-	ts, _ := newTestServer(t, testModel(t))
+	ts, _ := newTestServer(t, testModel())
 	postJSON(t, ts.URL+"/v1/generate", GenRequest{Prompt: "the king", Tokens: 4}).Body.Close()
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -268,7 +254,7 @@ func TestStatsGauges(t *testing.T) {
 // fires exactly once.
 func TestDrainReadinessAndRejection(t *testing.T) {
 	fired := make(chan struct{}, 2)
-	srv := serve.NewBackend(testModel(t), serve.Config{})
+	srv := serve.New(testModel(), serve.Config{})
 	t.Cleanup(srv.Close)
 	h := New(srv, func() { fired <- struct{}{} })
 	ts := httptest.NewServer(h)
@@ -332,9 +318,8 @@ func TestDrainReadinessAndRejection(t *testing.T) {
 func TestDrainCompletesInFlightStream(t *testing.T) {
 	const tokens = 4
 	const prompt = "the king"
-	m := testModel(t)
 	gate := make(chan struct{})
-	ts, h := newTestServer(t, slowModel{m, gate, promptLen(t, m, prompt, tokens)})
+	ts, h := newTestServer(t, slowModel(testModel(), gate))
 
 	resp := postJSON(t, ts.URL+"/v1/stream", GenRequest{Prompt: prompt, Tokens: tokens})
 	defer resp.Body.Close()
@@ -369,9 +354,7 @@ func TestDrainCompletesInFlightStream(t *testing.T) {
 func TestStreamClientDisconnect(t *testing.T) {
 	const prompt = "the king"
 	gate := make(chan struct{})
-	inner := testModel(t)
-	m := slowModel{inner, gate, promptLen(t, inner, prompt, 8)}
-	srv := serve.NewBackend(m, serve.Config{})
+	srv := serve.New(slowModel(testModel(), gate), serve.Config{})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(New(srv, nil))
 	t.Cleanup(ts.Close)

@@ -16,7 +16,7 @@ import (
 // TestValidationRejectsMalformedBodies: out-of-range knobs get a 400 at the
 // door instead of reaching the sampling panic guards from inside the loop.
 func TestValidationRejectsMalformedBodies(t *testing.T) {
-	ts, _ := newTestServer(t, testModel(t))
+	ts, _ := newTestServer(t, testModel())
 	bad := []GenRequest{
 		{Prompt: "the king", Tokens: -1},
 		{Prompt: "the king", Strategy: "temp", Temperature: -0.5},
@@ -39,7 +39,7 @@ func TestValidationRejectsMalformedBodies(t *testing.T) {
 // TestTimeoutHeaderValidation: a malformed budget header is a 400, not a
 // silently ignored deadline.
 func TestTimeoutHeaderValidation(t *testing.T) {
-	ts, _ := newTestServer(t, testModel(t))
+	ts, _ := newTestServer(t, testModel())
 	body, _ := json.Marshal(GenRequest{Prompt: "the king", Tokens: 4})
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/generate", strings.NewReader(string(body)))
 	req.Header.Set(TimeoutHeader, "soon")
@@ -64,7 +64,7 @@ func TestDeadlineMapsTo504(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer failpoint.Disarm()
-	ts, _ := newTestServer(t, testModel(t))
+	ts, _ := newTestServer(t, testModel())
 
 	resp := postJSON(t, ts.URL+"/v1/generate", GenRequest{
 		Prompt: "the king", Tokens: 30, TimeoutMS: 40,
@@ -102,7 +102,7 @@ func TestHandlerPanicBecomes500(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer failpoint.Disarm()
-	ts, _ := newTestServer(t, testModel(t))
+	ts, _ := newTestServer(t, testModel())
 
 	resp := postJSON(t, ts.URL+"/v1/generate", GenRequest{Prompt: "the king", Tokens: 3})
 	resp.Body.Close()
@@ -126,7 +126,7 @@ func TestMidStreamErrorFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer failpoint.Disarm()
-	ts, h := newTestServer(t, testModel(t))
+	ts, h := newTestServer(t, testModel())
 
 	resp := postJSON(t, ts.URL+"/v1/stream", GenRequest{Prompt: "the king", Tokens: 8})
 	defer resp.Body.Close()
@@ -166,7 +166,7 @@ func TestMidStreamDropSeversConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer failpoint.Disarm()
-	ts, h := newTestServer(t, testModel(t))
+	ts, h := newTestServer(t, testModel())
 
 	resp := postJSON(t, ts.URL+"/v1/stream", GenRequest{Prompt: "the king", Tokens: 8})
 	defer resp.Body.Close()

@@ -1,10 +1,10 @@
 // Package lm defines the backend-agnostic language-model contract behind
 // the unified generation API: any model that can encode a prompt, step one
 // token at a time, and decode ids back to text plugs into the same
-// generation, streaming, serving, and evaluation machinery. core.LLM (the
-// transformer pipeline) satisfies it directly; the §5 ladder substrates —
-// n-gram, FFN-LM, RNN/LSTM — are adapted by pairing them with a tokenizer
-// (see adapters.go). Stream here is the repository's one single-sequence
+// generation, streaming and evaluation machinery. core.LLM (the transformer
+// pipeline, the one model serve batches) satisfies it directly; the §5
+// ladder substrates — n-gram, FFN-LM, RNN/LSTM — are adapted by pairing
+// them with a tokenizer (see adapters.go). Stream here is the repository's one single-sequence
 // decoding loop, and Gen (Stream without a callback) is its oracle: for a
 // fixed (model, prompt, options) the batched serving path, the benchmark and
 // the goldens all produce or check exactly Gen's tokens.
@@ -20,8 +20,9 @@ import (
 	"repro/internal/tokenizer"
 )
 
-// LanguageModel is the encode/step/decode contract every generation entry
-// point (direct calls, serve.Server, the eval harness, the CLIs) accepts.
+// LanguageModel is the encode/step/decode contract every single-sequence
+// generation entry point (direct calls, the eval harness, llm-generate)
+// accepts.
 type LanguageModel interface {
 	// EncodePrompt tokenizes prompt, reserving budget tokens of generation
 	// room within any finite context the model has. It errors when the

@@ -10,13 +10,26 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/grammar"
 	"repro/internal/httpapi"
-	"repro/internal/lm"
 	"repro/internal/mathx"
+	"repro/internal/nn"
 	"repro/internal/serve"
+	"repro/internal/tokenizer"
+	"repro/internal/transformer"
 )
+
+// workerModel is an untrained TinyEnglish transformer for the real worker
+// stacks. Serving does not depend on weight values, so nothing is trained.
+func workerModel() *core.LLM {
+	tok := tokenizer.NewWord(corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7)))
+	return &core.LLM{Tok: tok, Model: transformer.MustNew(transformer.Config{
+		Vocab: tok.VocabSize(), Dim: 16, Layers: 1, Heads: 2, Window: 16,
+		Pos: transformer.PosLearned, Act: nn.GELU,
+	}, mathx.NewRNG(2))}
+}
 
 // TestRouterOverRealWorkers runs the whole tier for real: two llm-serve
 // worker stacks (serve.Server + httpapi.Handler) behind one router, mixed
@@ -25,17 +38,13 @@ import (
 // for the same request, and each session's traffic lands wholly on its ring
 // owner (checked against the workers' own request counters).
 func TestRouterOverRealWorkers(t *testing.T) {
-	lines := corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7))
-	m, err := lm.TrainBackend("ngram", lines, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := workerModel()
 
 	const nWorkers = 2
 	srvs := make([]*serve.Server, nWorkers)
 	urls := make([]string, nWorkers)
 	for i := range srvs {
-		srvs[i] = serve.NewBackend(m, serve.Config{})
+		srvs[i] = serve.New(m, serve.Config{})
 		t.Cleanup(srvs[i].Close)
 		ts := httptest.NewServer(httpapi.New(srvs[i], nil))
 		t.Cleanup(ts.Close)

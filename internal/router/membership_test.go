@@ -12,11 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/corpus"
-	"repro/internal/grammar"
 	"repro/internal/httpapi"
-	"repro/internal/lm"
-	"repro/internal/mathx"
 	"repro/internal/serve"
 )
 
@@ -444,11 +440,7 @@ func TestMembershipRace(t *testing.T) {
 // SAME address as a brand-new member — with routed traffic working at
 // every step.
 func TestDrainDeregisterRejoinRoundTrip(t *testing.T) {
-	lines := corpus.PCFGText(grammar.TinyEnglish(), 80, 8, mathx.NewRNG(7))
-	m, err := lm.TrainBackend("ngram", lines, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := workerModel()
 
 	rt, err := New(Config{RetryBackoff: time.Millisecond, HealthInterval: 20 * time.Millisecond}, nil)
 	if err != nil {
@@ -466,7 +458,7 @@ func TestDrainDeregisterRejoinRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := serve.NewBackend(m, serve.Config{})
+		srv := serve.New(m, serve.Config{})
 		base = "http://" + ln.Addr().String()
 		var joiner *httpapi.Joiner
 		h := httpapi.New(srv, func() {

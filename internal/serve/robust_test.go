@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
-	"repro/internal/lm"
 	"repro/internal/mathx"
 	"repro/internal/sample"
+	"repro/internal/tokenizer"
 )
 
 // bombStrategy picks greedily until its fuse runs out, then panics — the
@@ -295,33 +295,9 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 }
 
-// TestBackendPanicIsolation: a non-transformer backend survives a panicking
-// request the same way the transformer does.
-func TestBackendPanicIsolation(t *testing.T) {
-	b := testBackend(t)
-	s := NewBackend(b, Config{})
-	defer s.Close()
-
-	_, err := s.Do(context.Background(), Request{
-		Prompt: "the king", MaxTokens: 6, Strategy: &bombStrategy{fuse: 2},
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if _, err := s.Do(context.Background(), Request{Prompt: "the king", MaxTokens: 4}); err != nil {
-		t.Fatalf("loop dead after panic: %v", err)
-	}
-	st := waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
-	if st.Panics != 1 || st.Completed != 1 {
-		t.Errorf("Panics = %d, Completed = %d, want 1, 1", st.Panics, st.Completed)
-	}
-	checkInvariant(t, st)
-}
-
-// decodeBomb is a backend whose Decode panics once.
+// decodeBomb is a tokenizer whose Decode panics once.
 type decodeBomb struct {
-	lm.LanguageModel
+	tokenizer.Tokenizer
 	armed *atomic.Bool
 }
 
@@ -329,7 +305,7 @@ func (d decodeBomb) Decode(ids []int) string {
 	if d.armed.Swap(false) {
 		panic("decodeBomb: detonated")
 	}
-	return d.LanguageModel.Decode(ids)
+	return d.Tokenizer.Decode(ids)
 }
 
 // TestFinishPanicIsolation: a panic while decoding a finished request's text
@@ -337,7 +313,9 @@ func (d decodeBomb) Decode(ids []int) string {
 func TestFinishPanicIsolation(t *testing.T) {
 	armed := new(atomic.Bool)
 	armed.Store(true)
-	s := NewBackend(decodeBomb{testBackend(t), armed}, Config{})
+	m := *testLLM(t)
+	m.Tok = decodeBomb{m.Tok, armed}
+	s := New(&m, Config{})
 	defer s.Close()
 
 	_, err := s.Do(context.Background(), Request{Prompt: "the king", MaxTokens: 3})

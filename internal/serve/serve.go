@@ -17,10 +17,9 @@
 // lm.Gen result for the same request: lm.Gen is the oracle every served
 // completion is checked against.
 //
-// Every lm.LanguageModel is served by that one loop: the transformer
-// pipeline (core.LLM) through transformer.BatchedPredictor, the other
-// substrates (n-gram, FFN-LM, RNN) through one sample.Stepper per sequence
-// behind the same seam (stepperBatch).
+// The served model is the transformer pipeline (core.LLM), stepped through
+// transformer.BatchedPredictor. The §5 ladder substrates (n-gram, FFN-LM,
+// RNN) run through lm.Gen and lm.Stream, not through a server.
 package serve
 
 import (
@@ -136,7 +135,7 @@ func (c Config) withDefaults() Config {
 // options, with the prompt attached. Build it directly or with NewRequest.
 type Request struct {
 	Prompt    string
-	MaxTokens int             // tokens to generate; must be >= 1 (and at most the window for windowed models)
+	MaxTokens int             // tokens to generate; must be in [1, model window]
 	Strategy  sample.Strategy // nil = greedy
 	Seed      uint64          // per-request sampling seed
 	StopAtEOS bool            // stop at the sentence separator and trim it
@@ -184,11 +183,9 @@ type Result = lm.Result
 // mid-prompt (cancelled, failed or evicted before its first token),
 // PromptTokens + PrefixHitTokens equals the total prompt tokens admitted.
 //
-// The counting is the same for every backend: a request's first token is
-// sampled from the logits of the pass that carried its last prompt chunk, so
-// it counts toward DecodeTokens but occupies no decode row (a request is a
-// decode row in tokens − 1 passes). Non-transformer backends have no prefix
-// cache: each admission is a PrefixLookups miss.
+// A request's first token is sampled from the logits of the pass that
+// carried its last prompt chunk, so it counts toward DecodeTokens but
+// occupies no decode row (a request is a decode row in tokens − 1 passes).
 type Stats struct {
 	Requests  uint64 `json:"requests"`  // accepted by Do/Stream (past validation)
 	Completed uint64 `json:"completed"` // finished with a result
@@ -262,9 +259,8 @@ func histBucket(n, buckets int) int {
 
 // Server owns one model and the serving loop that decodes for it.
 type Server struct {
-	model  lm.LanguageModel
-	window int // 0 = unbounded
-	cfg    Config
+	model *core.LLM
+	cfg   Config
 
 	// newBatch builds the loop's predictor; a seam the scheduling tests
 	// replace to observe the exact sequence of passes.
@@ -319,35 +315,20 @@ type liveReq struct {
 
 // New starts a server over the transformer pipeline. Callers must Close it
 // to stop the background loop.
-func New(model *core.LLM, cfg Config) *Server { return NewBackend(model, cfg) }
-
-// NewBackend starts a server over any LanguageModel: one continuous-batching
-// loop with identical request semantics (queue, per-request options, chunked
-// prefill, streaming, cancellation, stats) whatever the substrate. Only how a
-// step is computed differs — see batchPredictor.
-func NewBackend(m lm.LanguageModel, cfg Config) *Server {
-	s := newServer(m, cfg)
+func New(model *core.LLM, cfg Config) *Server {
+	s := newServer(model, cfg)
 	s.wg.Add(1)
 	go s.loop()
 	return s
 }
 
-func newServer(m lm.LanguageModel, cfg Config) *Server {
+func newServer(m *core.LLM, cfg Config) *Server {
 	s := &Server{
-		model:  m,
-		window: m.ContextWindow(),
-		cfg:    cfg.withDefaults(),
-		quit:   make(chan struct{}),
+		model: m,
+		cfg:   cfg.withDefaults(),
+		quit:  make(chan struct{}),
 	}
-	// The transformer steps every sequence in one cross-sequence pass; any
-	// other backend gets one stepper per slot.
-	llm, batched := m.(*core.LLM)
-	s.newBatch = func() batchPredictor {
-		if batched {
-			return llm.Model.NewBatchedPredictor()
-		}
-		return &stepperBatch{model: m, seqs: make(map[int]sample.Stepper)}
-	}
+	s.newBatch = func() batchPredictor { return m.Model.NewBatchedPredictor() }
 	s.queue = make(chan *pending, s.cfg.QueueDepth)
 	if s.cfg.StallTimeout > 0 {
 		s.watch = make(map[*pending]struct{})
@@ -491,11 +472,6 @@ func (s *Server) Gen(ctx context.Context, prompt string, opts ...sample.Option) 
 	return s.Do(ctx, NewRequest(prompt, opts...))
 }
 
-// maxTokensCap bounds per-request generation budgets for backends with no
-// finite context window (n-gram, recurrent), so a single request cannot
-// pin the loop or pre-allocate an absurd event buffer.
-const maxTokensCap = 4096
-
 // validateBudget is the cheap admission precondition Do and Stream check
 // before enqueueing; prompt errors surface at admission, which encodes the
 // prompt anyway. Strategy parameters are validated here too, so a malformed
@@ -507,11 +483,8 @@ func (s *Server) validateBudget(req Request) error {
 	if req.MaxTokens <= 0 {
 		return fmt.Errorf("serve: MaxTokens %d must be positive", req.MaxTokens)
 	}
-	if s.window > 0 && req.MaxTokens > s.window {
-		return fmt.Errorf("serve: MaxTokens %d exceeds the model window %d", req.MaxTokens, s.window)
-	}
-	if s.window == 0 && req.MaxTokens > maxTokensCap {
-		return fmt.Errorf("serve: MaxTokens %d exceeds the per-request cap %d", req.MaxTokens, maxTokensCap)
+	if w := s.model.ContextWindow(); req.MaxTokens > w {
+		return fmt.Errorf("serve: MaxTokens %d exceeds the model window %d", req.MaxTokens, w)
 	}
 	if req.Timeout < 0 {
 		return fmt.Errorf("serve: Timeout %v must not be negative", req.Timeout)
@@ -951,8 +924,8 @@ func (b *batch) countPass(rows, chunk, sampled int) {
 
 // batchPredictor is what the loop needs from a model: per-slot incremental
 // state and the one forward method that advances it, Pass, with the
-// contract of transformer.BatchedPredictor.Pass (implemented by it,
-// stepperBatch, or the scheduling tests' recording fake). The loop calls
+// contract of transformer.BatchedPredictor.Pass (implemented by it, or the
+// scheduling tests' recording fake). The loop calls
 // Pass at most once per iteration and never sets Chunk.All. A logits row
 // stays valid until the next Pass: the loop samples every row before it
 // calls the predictor again.
@@ -962,46 +935,4 @@ type batchPredictor interface {
 	PrefixBlocks() (resident int, evicted uint64)
 	Drop(id int)
 	Pass(chunks []transformer.Chunk) [][]float64
-}
-
-// stepperBatch serves any LanguageModel with one sample.Stepper per slot: a
-// Pass feeds each chunk to its slot's stepper in turn, so requests share the
-// schedule (interleaving, chunked prefill, MaxBatch) though not the
-// arithmetic. Each stepper returns its own logits slice, so rows of one Pass
-// never alias. No prefix cache.
-type stepperBatch struct {
-	model lm.LanguageModel
-	seqs  map[int]sample.Stepper
-	next  int
-	rows  [][]float64 // Pass's result, reused
-}
-
-func (sb *stepperBatch) Add() int {
-	id := sb.next
-	sb.next++
-	sb.seqs[id] = sb.model.NewStepper()
-	return id
-}
-
-func (sb *stepperBatch) Drop(id int)                 { delete(sb.seqs, id) }
-func (sb *stepperBatch) Attach(int, []int) int       { return 0 }
-func (sb *stepperBatch) PrefixBlocks() (int, uint64) { return 0, 0 }
-
-// Pass returns each chunk's logits after its last token, through Extend
-// where the stepper has it.
-func (sb *stepperBatch) Pass(chunks []transformer.Chunk) [][]float64 {
-	sb.rows = sb.rows[:0]
-	for _, c := range chunks {
-		st := sb.seqs[c.ID]
-		var logits []float64
-		if ex, ok := st.(sample.Extender); ok {
-			logits = ex.Extend(c.Tokens)
-		} else {
-			for _, tok := range c.Tokens {
-				logits = st.Append(tok)
-			}
-		}
-		sb.rows = append(sb.rows, logits)
-	}
-	return sb.rows
 }

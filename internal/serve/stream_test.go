@@ -3,18 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/corpus"
-	"repro/internal/grammar"
 	"repro/internal/lm"
-	"repro/internal/mathx"
 	"repro/internal/sample"
-	"repro/internal/transformer"
 )
 
 // TestStreamMatchesUnbatched is the tentpole acceptance test: streamed
@@ -330,165 +325,5 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	}
 	if st.StepRows < rowsLo || st.StepRows > rowsHi {
 		t.Errorf("StepRows = %d outside BatchHist bounds [%d, %d]", st.StepRows, rowsLo, rowsHi)
-	}
-}
-
-// ---- non-transformer backends ----
-
-var (
-	backendOnce sync.Once
-	backend     lm.LanguageModel
-)
-
-// testBackend trains one small non-transformer backend per test binary.
-func testBackend(t *testing.T) lm.LanguageModel {
-	t.Helper()
-	backendOnce.Do(func() {
-		lines := corpus.PCFGText(grammar.TinyEnglish(), 120, 10, mathx.NewRNG(11))
-		b, err := lm.TrainBackend("rnn", lines, 5)
-		if err != nil {
-			panic(err)
-		}
-		backend = b
-	})
-	return backend
-}
-
-// TestBackendServerMatchesDirect: a non-transformer backend returns exactly
-// the direct lm.Gen output, for both Do and Stream.
-func TestBackendServerMatchesDirect(t *testing.T) {
-	b := testBackend(t)
-	s := NewBackend(b, Config{})
-	defer s.Close()
-	opts := []sample.Option{
-		sample.WithMaxTokens(6), sample.WithStrategy(sample.Temperature{T: 0.9}), sample.WithSeed(3),
-	}
-	want, err := lm.Gen(b, "the king", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Gen(context.Background(), "the king", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Text != want.Text {
-		t.Fatalf("served %q != direct %q", got.Text, want.Text)
-	}
-	var pieces []string
-	streamed, err := s.Stream(context.Background(), NewRequest("the king", opts...),
-		func(tok sample.Token) error {
-			pieces = append(pieces, tok.Text)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed.Text != want.Text {
-		t.Fatalf("streamed %q != direct %q", streamed.Text, want.Text)
-	}
-	if joined := strings.Join(pieces, ""); joined != want.Text {
-		t.Fatalf("pieces %q != direct %q", joined, want.Text)
-	}
-	st := s.Stats()
-	if st.Completed != 2 || st.MaxBatch != 1 || st.Steps != st.StepRows {
-		t.Errorf("sequential-traffic stats inconsistent: %+v", st)
-	}
-}
-
-// TestBackendServerConcurrent: concurrent requests to each non-transformer
-// backend share the loop's decode steps — they are queued before the loop
-// starts, so the first batch holds all of them — and every result is still
-// bitwise the direct lm.Gen output.
-func TestBackendServerConcurrent(t *testing.T) {
-	lines := corpus.PCFGText(grammar.TinyEnglish(), 120, 10, mathx.NewRNG(11))
-	for _, name := range []string{"rnn", "ngram", "ffn"} {
-		b := testBackend(t)
-		if name != "rnn" {
-			var err error
-			if b, err = lm.TrainBackend(name, lines, 5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s := newServer(b, Config{})
-		const n = 8
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				opts := []sample.Option{sample.WithMaxTokens(3 + i%3), sample.WithSeed(uint64(i))}
-				if i%2 == 1 {
-					opts = append(opts, sample.WithStrategy(sample.Temperature{T: 0.9}))
-				}
-				want, err := lm.Gen(b, "the king", opts...)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got, err := s.Gen(context.Background(), "the king", opts...)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got.Text != want.Text || !slices.Equal(got.Tokens, want.Tokens) {
-					t.Errorf("%s req %d: %q != %q", name, i, got.Text, want.Text)
-				}
-			}(i)
-		}
-		waitStats(s, func(st Stats) bool { return st.Queued == n })
-		s.wg.Add(1)
-		go s.loop()
-		wg.Wait()
-		st := s.Stats()
-		s.Close()
-		if st.Completed != n || st.MaxBatch < 2 {
-			t.Errorf("%s: Completed = %d, MaxBatch = %d; want %d requests sharing steps", name, st.Completed, st.MaxBatch, n)
-		}
-		checkInvariant(t, st)
-	}
-}
-
-// TestBackendServerCancellation: a queued request cancelled before the
-// loop reaches it reports context.Canceled, and the loop keeps serving.
-func TestBackendServerCancellation(t *testing.T) {
-	b := testBackend(t)
-	s := NewBackend(b, Config{})
-	defer s.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.Gen(ctx, "the king", sample.WithMaxTokens(4)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := s.Gen(context.Background(), "the king", sample.WithMaxTokens(3)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestNewBackendPrefersBatchedLoop: handing the transformer pipeline to
-// NewBackend (newServer plus the loop) selects the cross-sequence batched
-// predictor, and concurrent requests share its passes.
-func TestNewBackendPrefersBatchedLoop(t *testing.T) {
-	m := testLLM(t)
-	s := newServer(m, Config{MaxBatch: 4})
-	g := gate(t, s, 1)
-	if _, ok := g.batchPredictor.(*transformer.BatchedPredictor); !ok {
-		t.Fatalf("transformer backend got predictor %T, want *transformer.BatchedPredictor", g.batchPredictor)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := s.Gen(context.Background(), "the king",
-				sample.WithMaxTokens(5), sample.WithSeed(uint64(i))); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	waitQueued(t, s, 3)
-	g.open()
-	wg.Wait()
-	if st := s.Stats(); st.MaxBatch < 2 {
-		t.Errorf("MaxBatch = %d: transformer backend was not batched", st.MaxBatch)
 	}
 }

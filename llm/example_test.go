@@ -107,26 +107,3 @@ func ExampleServer() {
 	// Output:
 	// matches the direct call: true
 }
-
-// ExampleNewBackendServer serves a non-transformer rung of the §5 model
-// ladder through the same Server API: the backend is trained behind the
-// LanguageModel interface and served by the same continuous-batching loop.
-func ExampleNewBackendServer() {
-	backend, err := llm.TrainBackend("ngram", llm.SyntheticCorpus(200, 42), 1)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	srv := llm.NewBackendServer(backend, llm.ServerConfig{})
-	defer srv.Close()
-
-	res, err := srv.Gen(context.Background(), "the king", llm.WithMaxTokens(5), llm.WithSeed(2))
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	direct, _ := llm.Gen(backend, "the king", llm.WithMaxTokens(5), llm.WithSeed(2))
-	fmt.Println("served ngram matches direct:", res.Text == direct.Text)
-	// Output:
-	// served ngram matches direct: true
-}

@@ -184,8 +184,8 @@ type Token = sample.Token
 
 // LanguageModel is the backend-agnostic encode/step/decode contract of the
 // generation API: the trained transformer pipeline (*LLM) satisfies it, as
-// do the §5 ladder substrates trained via TrainBackend, so evaluation,
-// serving, and the CLIs accept any backend.
+// do the §5 ladder substrates trained via TrainBackend, so Gen, Stream and
+// evaluation accept any backend. A Server serves the transformer only.
 type LanguageModel = lm.LanguageModel
 
 // Gen runs one generation over any backend with the unified options; for a
@@ -199,16 +199,10 @@ func Stream(ctx context.Context, m LanguageModel, prompt string, onToken func(To
 	return lm.Stream(ctx, m, prompt, onToken, opts...)
 }
 
-// TrainBackend trains one rung of the §5 model ladder on lines and returns
-// it behind the LanguageModel interface. Recognized names: "ngram", "ffn",
-// "rnn", and "transformer" (the full pipeline with cfg defaults).
+// TrainBackend trains one non-transformer rung of the §5 model ladder on
+// lines and returns it behind the LanguageModel interface. Recognized
+// names: "ngram", "ffn" and "rnn"; Train builds the transformer.
 func TrainBackend(name string, lines []string, seed uint64) (LanguageModel, error) {
-	if name == "transformer" {
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		model, _, err := Train(lines, cfg)
-		return model, err
-	}
 	return lm.TrainBackend(name, lines, seed)
 }
 
@@ -266,15 +260,6 @@ type Server = serve.Server
 // NewServer starts a generation server over model. Close it when done.
 func NewServer(model *LLM, cfg ServerConfig) *Server {
 	return serve.New(model, cfg)
-}
-
-// NewBackendServer starts a generation server over any LanguageModel: one
-// continuous-batching loop with the same request, streaming, cancellation,
-// and stats semantics for every backend. The transformer pipeline steps all
-// in-flight sequences in one batched pass; any other backend steps one
-// sequence at a time within the same schedule.
-func NewBackendServer(m LanguageModel, cfg ServerConfig) *Server {
-	return serve.NewBackend(m, cfg)
 }
 
 // Generator is the model interface of the evaluation harness.
