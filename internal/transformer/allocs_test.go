@@ -193,13 +193,14 @@ func mallocsPerRun(runs int, f func()) (lo, mean uint64) {
 	return lo, mean / uint64(runs)
 }
 
-// TestFanOutAllocs is the allocation pin at GOMAXPROCS 2, where the fan-outs
-// (matMat's and blockRows' attention across heads) can run: a one-row Append
-// whose attention work is past rowParallelWork stays serial and allocates
-// nothing, and a fanned-out pass allocates a fixed number of objects — the
-// workers and their closures — whatever its row count. The pass's floor is
-// compared, not its mean: a goroutine start or a WaitGroup wait now and then
-// refills a runtime cache, which the row count does not drive.
+// TestFanOutAllocs is the allocation pin at GOMAXPROCS 2, where blockRows'
+// fan-outs (its row phases by row group, attention by head) can run: a
+// one-row Append whose attention work is past rowParallelWork stays serial
+// and allocates nothing, and a fanned-out pass allocates a fixed number of
+// objects — a closure and a WaitGroup per rowParallel call, three calls per
+// layer — whatever its row count. The pass's floor is compared, not its
+// mean: a WaitGroup wait now and then refills a runtime cache, which the row
+// count does not drive.
 func TestFanOutAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := Config{Vocab: 33, Dim: 64, Layers: 1, Heads: 4, Window: 2304, Pos: PosLearned, Act: nn.GELU}
@@ -233,4 +234,42 @@ func TestFanOutAllocs(t *testing.T) {
 		t.Errorf("fanned-out pass allocations by row count %v, want one positive constant", per)
 	}
 	t.Logf("fanned-out pass allocations by row count: %v", per)
+}
+
+// TestFanOutGateKeepsDecodeSerial pins that decode passes stay serial at the
+// serving benchmark's shape on two cores: a batch of eight one-token rows at
+// contexts 8 to 72 leaves both of blockRows' gates closed and allocates
+// nothing, and so does Append.
+func TestFanOutGateKeepsDecodeSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosLearned, Act: nn.GELU}
+	m := MustNew(cfg, mathx.NewRNG(12))
+	rng := mathx.NewRNG(13)
+	bp := m.NewBatchedPredictor()
+	ids, toks := make([]int, 8), make([]int, 8)
+	for i := range ids {
+		ids[i] = bp.Add()
+		bp.Prefill(ids[i], randTokens(rng, 8, cfg.Vocab))
+	}
+	if _, allocs := mallocsPerRun(32, func() {
+		for i := range toks {
+			toks[i] = rng.Intn(cfg.Vocab)
+		}
+		bp.Step(ids, toks)
+	}); allocs != 0 {
+		t.Errorf("8-row decode pass allocates %d, want 0", allocs)
+	}
+	if n := bp.Len(ids[0]); n != 72 {
+		t.Fatalf("decode passes ended at context %d, want 72", n)
+	}
+	if rowFanOut(m.Cfg, len(ids)) || parallelRows(cfg.Heads, bp.attn) {
+		t.Errorf("8-row decode pass at context 72 opens a fan-out: row phases %v, heads %v",
+			rowFanOut(m.Cfg, len(ids)), parallelRows(cfg.Heads, bp.attn))
+	}
+
+	p := m.NewPredictor()
+	p.Extend(randTokens(rng, 40, cfg.Vocab))
+	if _, allocs := mallocsPerRun(32, func() { p.Append(rng.Intn(cfg.Vocab)) }); allocs != 0 {
+		t.Errorf("Append allocates %d per token, want 0", allocs)
+	}
 }

@@ -15,14 +15,16 @@ import (
 //
 // A Pass is the row-pass kernel (rowPass, prefill.go) over every row of the
 // chunks it is given — decode tokens and a prompt chunk:
-// every dense projection runs as one packedMat.matMat sweep with the pass's
+// every dense projection runs as packedMat.matMat sweeps with the pass's
 // residual rows as the right-hand matrix, so each sixteen-row weight block
-// is streamed from memory exactly once per pass however many sequences ride
-// it (four rows per stream through the fused mathx.DotInterleaved16X4
-// kernel), and each row's attention reads its own sequence's interleaved key
-// pack, sixteen keys per kernel call. Both fan out across GOMAXPROCS when
-// the pass is large enough — the projections by row group or weight block,
-// attention by head — with bitwise the same result at any worker count.
+// is streamed from memory once per four rows however many sequences ride
+// them (the fused mathx.DotInterleaved16X4 kernel), and each row's attention
+// reads its own sequence's interleaved key pack, sixteen keys per kernel
+// call. A large pass fans out across GOMAXPROCS — the position-wise work
+// (layer norms, projections, bias, activation, residual adds) by four-row
+// group, attention by head — with bitwise the same result at any worker
+// count; a batch of decode rows at the serving benchmark's shape stays
+// serial.
 // Step and Prefill are shapes of Pass, and Predictor.Append is the same
 // kernel at 1 × 1, so the logits for a sequence are bitwise identical to
 // running it alone through a Predictor.
@@ -100,8 +102,9 @@ func (m *Model) NewBatchedPredictor() *BatchedPredictor {
 // Add registers a new empty sequence and returns its handle. Its KV buffers
 // come from the model's pool of dropped sequences when one is waiting, and
 // are reused as they are: rows and pack lanes at or beyond a sequence's
-// length are overwritten before they are read (the argument Rewind rests on,
-// see prefill.go), so what an earlier sequence left there is never seen.
+// length are overwritten before they reach a result (the argument Rewind
+// rests on, see prefill.go), so what an earlier sequence left there is never
+// seen.
 func (bp *BatchedPredictor) Add() int {
 	s, _ := bp.m.seqPool.Get().(*batchSeq)
 	if s == nil {
@@ -148,19 +151,19 @@ func (bp *BatchedPredictor) Len(id int) int { return bp.seq(id).n }
 //
 // Rewind is a plain length decrement — no KV rows or interleaved key-pack
 // lanes are cleared — and is still bitwise-exact, because state beyond a
-// sequence's length is never read before it is overwritten. Every pass
-// (rowPass, prefill.go) appending rows at positions [start, start+R) of a
+// sequence's length never reaches a result before it is overwritten. Every
+// pass (rowPass, prefill.go) appending rows at positions [start, start+R) of a
 // state first writes those rows of the key/value caches and their pack
 // lanes, position-addressed (kc.Row(pos), lane pos&15 of block pos>>4), so
 // re-ingesting position p lands exactly where the stale value sat. It then
-// scores each row over [0, pos] only: whole pack blocks below
-// nFull = (start+R)/16, every lane of which is a position < start+R the
-// state now holds, and the tail from position-major rows up to pos. A decode
-// step is the case R = 1, nFull = (pos+1)/16. A stale row or lane lives at a
-// position ≥ start+R and is skipped. Each sequence owns its KV cache and key
-// packs and the shared pass scratch holds no per-position state, so a rewind
-// leaves every other sequence untouched. rewind_test.go checks this bit for
-// bit against predictors rebuilt from scratch.
+// scores each row through the pack block holding its position pos. Lanes
+// of that block past pos — a later row of the pass, or a stale lane at a
+// position ≥ start+R — are computed but never read: the softmax and the
+// value sum read the scores and value rows of [0, pos] only. Each sequence
+// owns its KV cache and key packs and the shared pass scratch holds no
+// per-position state, so a rewind leaves every other sequence untouched.
+// rewind_test.go checks this bit for bit against predictors rebuilt from
+// scratch.
 //
 // Rewinding into an attached prompt also takes the discarded positions out
 // of what the sequence may publish to the prefix cache, until a pass writes
@@ -210,34 +213,61 @@ func parallelRows(n, work int) bool {
 	return runtime.GOMAXPROCS(0) >= 2 && n >= 2 && work >= rowParallelWork
 }
 
-// rowParallel runs f(i) for every row i in [0, n) across GOMAXPROCS
-// goroutines; callers gate on parallelRows. Each row writes only its own
-// outputs, so the result is identical to the serial loop at any worker
-// count.
+// rowParallel runs f(i) for every row i in [0, n), split into one
+// contiguous share per worker, min(GOMAXPROCS, n) workers, and returns when
+// every share is done; callers gate on parallelRows. Each row writes only
+// its own outputs, so the result is identical to the serial loop at any
+// worker count. The caller hands every share to long-lived workers and
+// waits, rather than running one itself: its core then takes the last share
+// handed out at once, while idle cores take the others (a share run by the
+// caller measured slower on two cores). f must not call rowParallel: a
+// nested call would wait for a worker that is busy running f.
 func rowParallel(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	fanWorkers(workers)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
+		fanShares <- fanShare{f, lo, min(lo+chunk, n), &wg}
 	}
 	wg.Wait()
+}
+
+// rowParallel's workers live as long as the process, grown to the largest
+// worker count asked for and parked on fanShares between calls, so a pass
+// starts no goroutine. A goroutine per share would allocate a fresh
+// goroutine descriptor whenever the runtime's cache of exited ones runs dry
+// on the calling core while another core's fills, which a loaded machine
+// makes common. Passes running at once in one process queue for the same
+// workers; an idle worker costs a parked goroutine.
+var (
+	fanShares  = make(chan fanShare)
+	fanMu      sync.Mutex
+	fanStarted int // workers receiving on fanShares
+)
+
+// fanShare is rows [lo, hi) of one rowParallel call.
+type fanShare struct {
+	f      func(i int)
+	lo, hi int
+	wg     *sync.WaitGroup
+}
+
+// fanWorkers starts workers until at least n receive on fanShares.
+func fanWorkers(n int) {
+	fanMu.Lock()
+	defer fanMu.Unlock()
+	for ; fanStarted < n; fanStarted++ {
+		go func() {
+			for sh := range fanShares {
+				for i := sh.lo; i < sh.hi; i++ {
+					sh.f(i)
+				}
+				sh.wg.Done()
+			}
+		}()
+	}
 }
 
 // Chunk is one sequence's share of a Pass: Tokens to append to sequence ID

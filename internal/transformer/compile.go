@@ -43,50 +43,28 @@ func packMat(wT *tensor.Tensor) *packedMat {
 	return pm
 }
 
-// matMat writes wT·x_r into row r of dst for every row of xs (dst is
-// rows×pm.rows, xs is rows×pm.cols), sixteen outputs per kernel call. Weight
-// blocks form the outer loop and rows the inner loop, so each packed block
-// is streamed from memory once per four-row group instead of once per row —
-// the locality that makes chunked prefill and the cross-sequence decode step
-// matrix-matrix operations. Rows are processed four per weight stream
-// through the fused X4 kernel (then two, then one for the remainder). Per
-// row and lane the arithmetic is one ascending accumulation whatever the
-// grouping, so results are bitwise identical at any row count.
-//
-// Large products fan out across GOMAXPROCS along whichever axis offers
-// more parallelism while preserving the fused streaming: four-row groups
-// (each worker streams every block once for its group — wide prefill
-// chunks) when there are at least as many groups as blocks, weight blocks
-// (each owns a disjoint sixteen-column stripe of dst, streamed exactly
-// once — tall projections over small batches) otherwise. Workers never
-// share outputs either way. A single row — Predictor.Append, whose
-// steady state must not allocate the fan-out's closure — always runs
-// serially.
-func (pm *packedMat) matMat(dst, xs *tensor.Tensor) {
-	rows := xs.Shape[0]
+// matMat writes wT·x_r into row r of dst for every row r in [lo, hi) of xs
+// (dst has pm.rows columns, xs has pm.cols), sixteen outputs per kernel
+// call. Weight blocks form the outer loop and rows the inner loop, so each
+// packed block is streamed from memory once per four-row group instead of
+// once per row — the locality that makes chunked prefill and the
+// cross-sequence decode step matrix-matrix operations. Rows are processed
+// four per weight stream through the fused X4 kernel (then two, then one
+// for the remainder). Per row and lane the arithmetic is one ascending
+// accumulation whatever the grouping, so results are bitwise identical at
+// any row range. The sweep is serial: a large pass fans out one level up,
+// by four-row group across a block's row phases (blockRows), and writes
+// only rows [lo, hi) of dst.
+func (pm *packedMat) matMat(dst, xs *tensor.Tensor, lo, hi int) {
 	nb := pm.rows / 16
-	quads := (rows + 3) / 4
-	work := rows * pm.rows * pm.cols
-	switch {
-	case quads >= nb && parallelRows(quads, work):
-		rowParallel(quads, func(g int) {
-			lo := g * 4
-			for b := 0; b < nb; b++ {
-				pm.matMatBlock(b, dst, xs, lo, min(lo+4, rows))
-			}
-		})
-	case rows > 1 && parallelRows(nb, work):
-		rowParallel(nb, func(b int) { pm.matMatBlock(b, dst, xs, 0, rows) })
-	default:
-		for b := 0; b < nb; b++ {
-			pm.matMatBlock(b, dst, xs, 0, rows)
-		}
+	for b := 0; b < nb; b++ {
+		pm.matMatBlock(b, dst, xs, lo, hi)
 	}
 	if pm.tail != nil {
 		base := nb * 16
 		for tr := 0; tr < pm.tail.Shape[0]; tr++ {
 			trow := pm.tail.Row(tr)
-			for r := 0; r < rows; r++ {
+			for r := lo; r < hi; r++ {
 				dst.Row(r)[base+tr] = mathx.Dot(trow, xs.Row(r))
 			}
 		}

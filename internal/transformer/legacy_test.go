@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/mathx"
@@ -380,6 +381,122 @@ func TestAttentionFanOutBitwise(t *testing.T) {
 			}
 			solo, _ := replay(m, h)
 			kvEqual(t, tag(fmt.Sprintf("sequence %d KV", i)), bp.seq(chunks[i].ID), solo)
+		}
+	}
+}
+
+// TestBlockFanOutBitwise aims at blockRows' phase split: passes whose row
+// phases fan out by four-row group must leave logits bitwise equal to the
+// legacy reference and every K/V row and key-pack lane bitwise equal to a
+// solo Predictor's, at GOMAXPROCS 1 (serial), 2 and 8. The passes are eight
+// decode rows plus an 8-token prompt chunk at the serving benchmark's shape
+// (16 rows, exactly at the row-phase gate, with the heads serial); a 30-row
+// chunk at context 0, whose last row group is partial; and post-norm blocks
+// with ReLU and Tanh, whose layer norms and activation run on row ranges,
+// over a window whose last key block is partial. The heads stay serial in
+// every pass; TestAttentionFanOutBitwise fans them out too.
+func TestBlockFanOutBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	bench := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosLearned, Act: nn.GELU}
+	post := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 50, Pos: PosSinusoidal, PostNorm: true}
+	relu, tanh := post, post
+	relu.Act, tanh.Act = nn.ReLU, nn.Tanh
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		hists [][2]int // per sequence: history length, of which the last k go into the pass
+	}{
+		{"8 decode rows + an 8-token chunk", bench, [][2]int{{9, 1}, {14, 1}, {17, 1}, {23, 1}, {30, 1}, {33, 1}, {40, 1}, {41, 1}, {8, 8}}},
+		{"30-row chunk at context 0", bench, [][2]int{{30, 30}}},
+		{"post-norm ReLU", relu, [][2]int{{47, 1}, {50, 30}}},
+		{"post-norm Tanh", tanh, [][2]int{{16, 1}, {49, 3}, {50, 29}}},
+	} {
+		m := MustNew(tc.cfg, mathx.NewRNG(41))
+		rng := mathx.NewRNG(42)
+		hists := make([][]int, len(tc.hists))
+		want := make([][][]float64, len(tc.hists))
+		for i, h := range tc.hists {
+			hists[i] = randTokens(rng, h[0], tc.cfg.Vocab)
+			slow := newLegacyPredictor(m)
+			for _, tok := range hists[i] {
+				want[i] = append(want[i], slow.Append(tok))
+			}
+		}
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			tag := func(s string) string { return fmt.Sprintf("%s, GOMAXPROCS %d: %s", tc.name, procs, s) }
+			bp := m.NewBatchedPredictor()
+			chunks := make([]Chunk, len(hists))
+			for i, h := range hists {
+				id := bp.Add()
+				if k := tc.hists[i][1]; k < len(h) {
+					bp.Prefill(id, h[:len(h)-k])
+				}
+				chunks[i] = Chunk{ID: id, Tokens: h[len(h)-tc.hists[i][1]:], All: true}
+			}
+			got := bp.Pass(chunks)
+			if procs > 1 && (!rowFanOut(m.Cfg, len(bp.rows)) || parallelRows(m.Cfg.Heads, bp.attn)) {
+				t.Fatalf("%s: row-phase gate %v, head gate %v", tag("gates"), rowFanOut(m.Cfg, len(bp.rows)), parallelRows(m.Cfg.Heads, bp.attn))
+			}
+			r := 0
+			for i, h := range hists {
+				for j := len(h) - tc.hists[i][1]; j < len(h); j++ {
+					bitsEqual(t, tag("logits"), got[r], want[i][j])
+					r++
+				}
+				solo, _ := replay(m, h)
+				kvEqual(t, tag(fmt.Sprintf("sequence %d KV", i)), bp.seq(chunks[i].ID), solo)
+			}
+		}
+	}
+}
+
+// TestConcurrentPassesFanOutBitwise runs fanned-out passes on two
+// BatchedPredictors at once, as a worker process's serve loops do, so both
+// queue for rowParallel's shared workers: each 40-row chunk opens the row
+// phases and the head phase, and each sequence must still end with logits
+// and every K/V row and key-pack lane bitwise equal to a solo Predictor's,
+// at GOMAXPROCS 2 and 8.
+func TestConcurrentPassesFanOutBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosLearned, Act: nn.GELU}
+	m := MustNew(cfg, mathx.NewRNG(51))
+	rng := mathx.NewRNG(52)
+	hists := make([][]int, 2)
+	solos := make([]*Predictor, len(hists))
+	want := make([][]float64, len(hists))
+	for i := range hists {
+		hists[i] = randTokens(rng, 240, cfg.Vocab)
+		solos[i], want[i] = replay(m, hists[i])
+	}
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		bps := make([]*BatchedPredictor, len(hists))
+		ids := make([]int, len(hists))
+		got := make([][]float64, len(hists))
+		for i := range bps {
+			bps[i] = m.NewBatchedPredictor()
+			ids[i] = bps[i].Add()
+			bps[i].Prefill(ids[i], hists[i][:120])
+		}
+		var wg sync.WaitGroup
+		for i := range bps {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for at := 120; at < 240; at += 40 {
+					got[i] = bps[i].Prefill(ids[i], hists[i][at:at+40])
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, bp := range bps {
+			tag := fmt.Sprintf("GOMAXPROCS %d, sequence %d", procs, i)
+			if !rowFanOut(m.Cfg, len(bp.rows)) || !parallelRows(cfg.Heads, bp.attn) {
+				t.Fatalf("%s: a 40-row chunk at context 200 does not open both fan-outs", tag)
+			}
+			bitsEqual(t, tag+": logits", got[i], want[i])
+			kvEqual(t, tag+": KV", bp.seq(ids[i]), solos[i])
 		}
 	}
 }

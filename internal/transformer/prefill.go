@@ -15,15 +15,17 @@ import (
 // Append is 1 state × 1 row, Extend is 1 state × R rows with last-row
 // logits, and BatchedPredictor.Pass any mix of those over many states in one
 // pass (a serving iteration's decode rows and its prompt chunk). Each dense
-// projection is one blocked matrix-matrix sweep over all rows
-// (packedMat.matMat: every weight block streamed once per pass), attention
-// scores run sixteen keys per interleaved kernel call against each state's
-// key pack, and only the rows whose logits are wanted are final-normed and
-// unembedded. Both halves of a block use the cores: matMat fans out by row
-// group or weight block, and attention by head once the pass's attention
-// work reaches the same threshold (rowParallelWork); a one-row pass runs
-// serially. Predictor's chunk passes take pooled scratch
-// (Extend); BatchedPredictor's share its one arena (see batched.go).
+// projection is a blocked matrix-matrix sweep over the rows
+// (packedMat.matMat: every weight block streamed once per four-row group),
+// attention scores run sixteen keys per interleaved kernel call against each
+// state's key pack, and only the rows whose logits are wanted are
+// final-normed and unembedded. A block runs in three phases (blockRows): the
+// position-wise work before and after attention fans out by four-row group
+// once the pass's widest product, n·Hidden·Dim, reaches rowParallelWork, and
+// attention between them by head once the pass's attention work reaches the
+// same threshold; a decode-sized pass runs serially. Predictor's chunk
+// passes take pooled scratch (Extend); BatchedPredictor's share its one
+// arena (see batched.go).
 //
 // Correctness contract: a pass performs, row by row, the arithmetic of
 // feeding that state's tokens one at a time — same kernels or bitwise-equal
@@ -34,14 +36,15 @@ import (
 // position p reads keys/values of positions ≤ p only, and those are fully
 // determined by the layer's input rows, so a pass writes the K/V rows and
 // pack lanes of all its rows — positions [start, start+R) of each state —
-// before scoring any of them. A row reads whole pack blocks only below
-// nFull = (its state's length after the pass)/16, blocks in which every
-// lane is a position the state holds; the tail comes from the position-major
-// key rows up to the row's own position. Nothing past a state's length is
-// ever read, which is also why Rewind (batched.go) and buffer recycling
-// (BatchedPredictor.Add) need clear nothing. legacy_test.go anchors every
-// entry point bitwise to the pre-compile reference; prefill_test.go,
-// batched_test.go and rewind_test.go fuzz the shapes against each other.
+// before scoring any of them. A row scores whole pack blocks through the
+// one holding its own position; lanes past that position — keys a later row
+// of the pass wrote, or stale ones past the state's length — are computed
+// but never read, because the softmax reads only the scores of positions
+// [0, pos]. So nothing past a state's length reaches a result, which is also
+// why Rewind (batched.go) and buffer recycling (BatchedPredictor.Add) need
+// clear nothing. legacy_test.go anchors every entry point bitwise to the
+// pre-compile reference; prefill_test.go, batched_test.go and rewind_test.go
+// fuzz the shapes against each other.
 
 // kvState is one sequence's KV cache: per layer and head, position-major
 // key and value rows preallocated to the window, of which rows [0, n) are
@@ -106,7 +109,7 @@ type passScratch struct {
 	att     *tensor.Tensor // attention / FFN output (rows×Dim)
 	hidden  *tensor.Tensor // FFN hidden (rows×Hidden)
 	attn    int            // the pass's attention work: Σ over rows of 2·(pos+1)·Dim
-	scores  []float64      // one row's attention scores, one Window-long slot per head
+	scores  []float64      // one row's attention scores, one slot of keyBlocks·16 per head
 	scores2 []float64      // second score row for the paired-query kernel, per head
 	smax    []float64      // softmax scratch, per head
 }
@@ -120,7 +123,7 @@ func (sc *passScratch) ensure(cfg Config, rows int) {
 	tensor.Ensure(&sc.concat, rows, cfg.Dim)
 	tensor.Ensure(&sc.att, rows, cfg.Dim)
 	tensor.Ensure(&sc.hidden, rows, cfg.Hidden)
-	if n := cfg.Heads * cfg.Window; len(sc.scores) < n {
+	if n := cfg.Heads * cfg.keyBlocks() * 16; len(sc.scores) < n {
 		sc.scores = make([]float64, n)
 		sc.scores2 = make([]float64, n)
 		sc.smax = make([]float64, n)
@@ -202,8 +205,8 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, out *logitBuf) {
 	}
 	norm := tensor.Ensure(&sc.norm, want, cfg.Dim)
 	logits := out.ensure(want, cfg.Vocab)
-	c.out.matMat(logits, norm)
-	addBias(logits, c.outB)
+	c.out.matMat(logits, norm, 0, want)
+	addBias(logits, c.outB, 0, want)
 	for r := range rows {
 		rows[r].kv.n = rows[r].end
 	}
@@ -211,43 +214,83 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, out *logitBuf) {
 
 // blockRows advances one transformer block over the pass's residual rows in
 // sc.x, in place: LN → Q/K/V → causal attention (Eq. 13) → output
-// projection → FFN, with the residual adds.
+// projection → FFN, with the residual adds. Attention is the only step that
+// mixes positions, so the block runs in three phases with a barrier between
+// each: a row phase (qkvRows), the head phase (attendHead per head) and a
+// second row phase (ffnRows). Every phase writes disjoint outputs per unit —
+// a row phase only its own rows, a head only its own K/V rows, pack lanes
+// and concat columns — so a large pass runs each across workers, with
+// bitwise the same result at any worker count. The row phases fan out by
+// four-row group, which keeps the fused X4 kernel in every worker, when
+// rowFanOut holds; attention fans out by head when the pass's attention work
+// reaches rowParallelWork. A decode-sized pass (Append, a batch of one-token
+// rows) stays serial and allocation-free.
 func blockRows(cfg Config, cl *compiledLayer, sc *passScratch, li int, b *Block) {
-	x := sc.x
-	attnIn := x
-	if !b.postNorm {
-		attnIn = layerNormRowsInto(sc.norm, x, b.LN1)
+	n := len(sc.rows)
+	groups, fan := (n+3)/4, rowFanOut(cfg, n)
+	if fan {
+		rowParallel(groups, func(g int) { sc.qkvRows(cl, b, g*4, min(g*4+4, n)) })
+	} else {
+		sc.qkvRows(cl, b, 0, n)
 	}
-	// Q/K/V for every row and head: three blocked matrix-matrix sweeps.
-	cl.wq.matMat(sc.q, attnIn)
-	cl.wk.matMat(sc.k, attnIn)
-	cl.wv.matMat(sc.v, attnIn)
-	// Heads share no outputs, so a pass with enough attention work runs them
-	// across workers; a one-row pass (Append) stays serial, allocation-free.
-	if len(sc.rows) > 1 && parallelRows(cfg.Heads, sc.attn) {
+	if n > 1 && parallelRows(cfg.Heads, sc.attn) {
 		rowParallel(cfg.Heads, func(hi int) { sc.attendHead(cfg, li, hi) })
 	} else {
 		for hi := 0; hi < cfg.Heads; hi++ {
 			sc.attendHead(cfg, li, hi)
 		}
 	}
-	cl.wo.matMat(sc.att, sc.concat)
-	addRows(x, sc.att)
+	if fan {
+		rowParallel(groups, func(g int) { sc.ffnRows(cl, b, g*4, min(g*4+4, n)) })
+	} else {
+		sc.ffnRows(cl, b, 0, n)
+	}
+}
+
+// rowFanOut reports whether a pass of n rows runs its row phases by
+// four-row group across workers: once the pass's widest product, the FFN's
+// n·Hidden·Dim, reaches rowParallelWork. At the serving benchmark's shape
+// that is 16 rows, so a batch of eight decode rows stays serial.
+func rowFanOut(cfg Config, n int) bool {
+	return parallelRows((n+3)/4, n*cfg.Hidden*cfg.Dim)
+}
+
+// qkvRows is a block's first row phase over rows [lo, hi): the pre-norm
+// LN1, then every head's queries, keys and values.
+func (sc *passScratch) qkvRows(cl *compiledLayer, b *Block, lo, hi int) {
+	attnIn := sc.x
+	if !b.postNorm {
+		attnIn = layerNormRowsInto(sc.norm, sc.x, b.LN1, lo, hi)
+	}
+	cl.wq.matMat(sc.q, attnIn, lo, hi)
+	cl.wk.matMat(sc.k, attnIn, lo, hi)
+	cl.wv.matMat(sc.v, attnIn, lo, hi)
+}
+
+// ffnRows is a block's second row phase over rows [lo, hi): output
+// projection of the concatenated heads and its residual add, then the FFN
+// (norm, input map and bias, activation, output map and bias) and its
+// residual add. A post-norm block takes both of its layer norms here.
+func (sc *passScratch) ffnRows(cl *compiledLayer, b *Block, lo, hi int) {
+	x := sc.x
+	cl.wo.matMat(sc.att, sc.concat, lo, hi)
+	addRows(x, sc.att, lo, hi)
 	if b.postNorm {
-		layerNormRowsInto(x, x, b.LN1)
+		layerNormRowsInto(x, x, b.LN1, lo, hi)
 	}
 	ffnIn := x
 	if !b.postNorm {
-		ffnIn = layerNormRowsInto(sc.norm, x, b.LN2)
+		ffnIn = layerNormRowsInto(sc.norm, x, b.LN2, lo, hi)
 	}
-	cl.ffnIn.matMat(sc.hidden, ffnIn)
-	addBias(sc.hidden, cl.ffnInB)
-	actInto(b.FFN.Act, sc.hidden.Data)
-	cl.ffnOut.matMat(sc.att, sc.hidden)
-	addBias(sc.att, cl.ffnOutB)
-	addRows(x, sc.att)
+	cl.ffnIn.matMat(sc.hidden, ffnIn, lo, hi)
+	addBias(sc.hidden, cl.ffnInB, lo, hi)
+	w := sc.hidden.Shape[1]
+	actInto(b.FFN.Act, sc.hidden.Data[lo*w:hi*w])
+	cl.ffnOut.matMat(sc.att, sc.hidden, lo, hi)
+	addBias(sc.att, cl.ffnOutB, lo, hi)
+	addRows(x, sc.att, lo, hi)
 	if b.postNorm {
-		layerNormRowsInto(x, x, b.LN2)
+		layerNormRowsInto(x, x, b.LN2, lo, hi)
 	}
 }
 
@@ -257,16 +300,19 @@ func blockRows(cfg Config, cl *compiledLayer, sc *passScratch, li int, b *Block)
 // leaves the weighted value sum in sc.concat. Two adjacent rows of one state
 // share each key block through the fused two-query kernel; a row whose
 // neighbour belongs to another state is scored alone. Loop order over rows
-// is free: every kernel's per-lane arithmetic is the same. Heads may run
-// concurrently (blockRows): head hi writes only its own K/V rows and pack
-// lanes, the concat columns [hi·hd, (hi+1)·hd) and score slot hi, and reads
-// nothing another head writes.
+// is free: every kernel's per-lane arithmetic is the same. It is blockRows'
+// head phase, between its two row phases: it reads the rows' q, k and v,
+// which the first row phase completed for every row, and the second reads
+// its concat columns. Heads may run concurrently: head hi writes only its
+// own K/V rows and pack lanes, the concat columns [hi·hd, (hi+1)·hd) and
+// score slot hi, and reads nothing another head writes.
 func (sc *passScratch) attendHead(cfg Config, li, hi int) {
 	rows := sc.rows
 	hd, stride := cfg.Dim/cfg.Heads, cfg.SparseStride
 	lo, up := hi*hd, (hi+1)*hd
-	w := hi * cfg.Window
-	scores, scores2, smax := sc.scores[w:w+cfg.Window], sc.scores2[w:w+cfg.Window], sc.smax[w:w+cfg.Window]
+	slot := cfg.keyBlocks() * 16
+	w := hi * slot
+	scores, scores2, smax := sc.scores[w:w+slot], sc.scores2[w:w+slot], sc.smax[w:w+slot]
 	for r, row := range rows {
 		krow := sc.k.Row(r)[lo:up]
 		copy(row.kv.keys[li][hi].Row(row.pos), krow)
@@ -283,13 +329,12 @@ func (sc *passScratch) attendHead(cfg Config, li, hi int) {
 			attnOut(sc.concat.Row(r)[lo:up], scores, smax, vc, row.pos, scale)
 			continue
 		}
-		nFull := row.end / 16
 		pair := r+1 < len(rows) && rows[r+1].kv == row.kv
 		var q1 []float64
 		shared := 0 // leading blocks the pair scores together
 		if pair {
 			q1 = sc.q.Row(r + 1)[lo:up]
-			shared = min((row.pos+16)/16, nFull)
+			shared = (row.pos + 16) / 16
 			for bk := 0; bk < shared; bk++ {
 				mathx.DotInterleaved16X2(
 					(*[16]float64)(scores[bk*16:bk*16+16]),
@@ -297,11 +342,11 @@ func (sc *passScratch) attendHead(cfg Config, li, hi int) {
 					kp[bk*16*hd:(bk+1)*16*hd], q0, q1)
 			}
 		}
-		packedAttnScores(scores, q0, kp, kc, shared, row.pos, nFull)
+		packedAttnScores(scores, q0, kp, shared, row.pos)
 		attnOut(sc.concat.Row(r)[lo:up], scores, smax, vc, row.pos, scale)
 		if pair {
 			r++
-			packedAttnScores(scores2, q1, kp, kc, shared, row.pos+1, nFull)
+			packedAttnScores(scores2, q1, kp, shared, row.pos+1)
 			attnOut(sc.concat.Row(r)[lo:up], scores2, smax, vc, row.pos+1, scale)
 		}
 	}
@@ -319,27 +364,29 @@ func attnOut(out, scores, smax []float64, vc *tensor.Tensor, pos int, scale floa
 	weightedValueSum(out, vc, w, pos)
 }
 
-// layerNormRowsInto applies layerNormInto row by row into dst (which may
-// alias x).
-func layerNormRowsInto(dst, x *tensor.Tensor, ln *nn.LayerNorm) *tensor.Tensor {
-	for i := 0; i < x.Shape[0]; i++ {
+// layerNormRowsInto applies layerNormInto to rows [lo, hi) of x, into dst
+// (which may alias x).
+func layerNormRowsInto(dst, x *tensor.Tensor, ln *nn.LayerNorm, lo, hi int) *tensor.Tensor {
+	for i := lo; i < hi; i++ {
 		layerNormInto(dst.Row(i), x.Row(i), ln)
 	}
 	return dst
 }
 
-// addRows accumulates src into dst elementwise (two pass-scratch matrices of
-// one shape, so the sum runs over the flat contiguous storage).
-func addRows(dst, src *tensor.Tensor) {
-	d := dst.Data[:len(src.Data)]
-	for i, v := range src.Data {
+// addRows accumulates rows [lo, hi) of src into dst elementwise (two
+// pass-scratch matrices of one shape, so the sum runs over the flat
+// contiguous storage).
+func addRows(dst, src *tensor.Tensor, lo, hi int) {
+	w := src.Shape[1]
+	d := dst.Data[lo*w : hi*w]
+	for i, v := range src.Data[lo*w : hi*w] {
 		d[i] += v
 	}
 }
 
-// addBias adds b to every row of t.
-func addBias(t *tensor.Tensor, b []float64) {
-	for r := 0; r < t.Shape[0]; r++ {
+// addBias adds b to rows [lo, hi) of t.
+func addBias(t *tensor.Tensor, b []float64, lo, hi int) {
+	for r := lo; r < hi; r++ {
 		row := t.Row(r)
 		for j, bv := range b {
 			row[j] += bv

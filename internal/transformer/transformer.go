@@ -519,16 +519,20 @@ func (m *Model) NewPredictor() *Predictor {
 	return &Predictor{m: m, c: m.compile(), kvState: newKVState(m.Cfg)}
 }
 
-// keyPackLen is the per-head interleaved key-pack size: the window's full
-// sixteen-row blocks. Sparse-stride attention always scores through the
-// masked per-row path and never reads a pack, so those configs keep the
-// packs empty (packKeyRow on an empty pack is a no-op) rather than
-// doubling key-cache memory for nothing.
+// keyBlocks is the window in sixteen-row key blocks, the last one partial
+// when Window is not a multiple of sixteen.
+func (c Config) keyBlocks() int { return (c.Window + 15) / 16 }
+
+// keyPackLen is the per-head interleaved key-pack size: the window rounded
+// up to whole sixteen-row blocks, so every position has a lane. Sparse-stride
+// attention always scores through the masked per-row path and never reads a
+// pack, so those configs keep the packs empty (packKeyRow on an empty pack
+// is a no-op) rather than doubling key-cache memory for nothing.
 func (c Config) keyPackLen(hd int) int {
 	if c.SparseStride > 0 {
 		return 0
 	}
-	return (c.Window / 16) * 16 * hd
+	return c.keyBlocks() * 16 * hd
 }
 
 // Len returns the number of cached positions.
@@ -577,47 +581,34 @@ func weightedValueSum(out []float64, vc *tensor.Tensor, w []float64, pos int) {
 
 // packKeyRow scatters one head's new key row into its interleaved prefix
 // pack: lane pos%16 of block pos/16 (element i of all sixteen positions in
-// a block is contiguous, the layout mathx.DotInterleaved16 consumes). The
-// pack holds only the window's full sixteen-row blocks; a position in the
-// final partial block has no pack slot and is scored straight from the
-// position-major cache. Every pass maintains the pack incrementally as it
-// writes each key, so scoring reads ready-packed blocks and nothing ever
-// re-packs the prefix.
+// a block is contiguous, the layout mathx.DotInterleaved16 consumes). Every
+// pass maintains the pack incrementally as it writes each key, so scoring
+// reads ready-packed blocks and nothing ever re-packs the prefix.
 func packKeyRow(kp, row []float64, pos int) {
-	hd := len(row)
-	blk := pos >> 4
-	if (blk+1)*16*hd > len(kp) {
+	if len(kp) == 0 {
 		return
 	}
-	seg := kp[blk*16*hd:]
+	hd := len(row)
+	seg := kp[(pos>>4)*16*hd:]
 	lane := pos & 15
 	for i, v := range row {
 		seg[i*16+lane] = v
 	}
 }
 
-// packedAttnScores fills scores[j] = q · key row j for j from block `from`
-// through position pos: sixteen keys per interleaved kernel call over the
-// key pack's blocks below nFull (the caller's count of blocks whose every
-// lane the pass has written), then a scalar tail over the position-major
-// cache rows past the last such block. A query whose causal frontier ends
-// inside a full block lets the kernel compute the whole block — the
-// out-of-frontier lanes land beyond scores[:pos+1] and are never read. Each
-// score accumulates its products in the same ascending element order as a
-// plain mathx.Dot, so results are bitwise identical to the per-row loop.
-// Sparse-stride attention takes maskedAttnScores instead.
-func packedAttnScores(scores, q, kp []float64, keys *tensor.Tensor, from, pos, nFull int) {
-	hd := keys.Shape[1]
-	if len(q) != hd {
-		panic("transformer: packedAttnScores length mismatch")
-	}
-	nb := min((pos+16)/16, nFull)
-	for bk := from; bk < nb; bk++ {
+// packedAttnScores fills scores[j] = q · key row j for the key pack's
+// blocks from block `from` through the one holding position pos, sixteen
+// keys per interleaved kernel call. The lanes of that last block past pos
+// are computed too, from keys the row may not see (a later row of the pass,
+// or stale past the state's length); they land beyond scores[:pos+1] and are
+// never read. Each score accumulates its products in the same ascending
+// element order as a plain mathx.Dot, so results are bitwise identical to
+// the per-row loop. Sparse-stride attention takes maskedAttnScores instead.
+func packedAttnScores(scores, q, kp []float64, from, pos int) {
+	hd := len(q)
+	for bk := from; bk < (pos+16)/16; bk++ {
 		mathx.DotInterleaved16((*[16]float64)(scores[bk*16:bk*16+16]),
 			kp[bk*16*hd:(bk+1)*16*hd], q)
-	}
-	for j := nb * 16; j <= pos; j++ {
-		scores[j] = mathx.Dot(keys.Row(j), q)
 	}
 }
 
