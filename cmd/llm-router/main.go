@@ -47,8 +47,10 @@
 // Health: every -health-interval the router probes each worker's /healthz
 // and refreshes its load gauges from /v1/stats; failed proxy attempts count
 // against the same per-worker failure streak (passive detection). A worker
-// at -fail-threshold consecutive failures is ejected and routed around
-// until a probe succeeds again. Failed idempotent requests — generate
+// at -fail-threshold consecutive failures, or whose lease lapses, is
+// ejected and routed around until this router hears from it first-hand
+// again: a successful probe or relay, or its heartbeat. A peer router's
+// gossip renews a lease but never readmits a worker. Failed idempotent requests — generate
 // always, streams before the first byte — retry against the session's next
 // ring replica with exponential backoff, up to -attempts placements.
 // Non-streaming relays are bounded by -relay-timeout per attempt, so a

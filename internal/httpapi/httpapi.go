@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -82,6 +83,16 @@ func New(srv *serve.Server, onDrain func()) *Handler {
 }
 
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	Guard(w, r, h.mux, nil)
+}
+
+// Guard serves r through next behind the panic guard the worker and the
+// router share. http.ErrAbortHandler (the deliberate sever, also the drop
+// fault kind) is re-raised for net/http. Any other panic is answered: a 500
+// before the response is committed, an in-band SSE error frame after it,
+// so a stream ends in a terminal event rather than silent truncation.
+// onPanic, when non-nil, runs once per answered panic.
+func Guard(w http.ResponseWriter, r *http.Request, next http.Handler, onPanic func()) {
 	gw := &guardWriter{ResponseWriter: w}
 	defer func() {
 		v := recover()
@@ -89,30 +100,28 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if v == http.ErrAbortHandler {
-			// The deliberate sever-the-connection panic (also how the drop
-			// fault kind manifests): let net/http abort the response.
 			panic(v)
 		}
-		// Anything else is a handler bug (or an injected panic): the worker
-		// answers it instead of dying. Before the response is committed a
-		// proper 500 goes out; mid-SSE the best remaining option is an
-		// in-band error frame so the client sees a terminal event rather
-		// than a silently truncated stream.
+		if onPanic != nil {
+			onPanic()
+		}
 		msg := map[string]string{"error": fmt.Sprintf("internal error: %v", v)}
 		if !gw.wrote {
 			WriteJSON(gw, http.StatusInternalServerError, msg)
 			return
 		}
-		WriteEvent(gw, msg)
+		writeEvent(gw, msg)
 		gw.Flush()
 	}()
-	h.mux.ServeHTTP(gw, r)
+	next.ServeHTTP(gw, r)
 }
 
 // guardWriter tracks whether the response has been committed, so the panic
 // recovery layer knows whether a real 500 status is still possible. It
 // always implements http.Flusher (flushing is a no-op when the underlying
-// writer cannot), keeping the SSE handler's capability check working.
+// writer cannot), keeping the SSE handlers' capability checks working, and
+// passes io.ReaderFrom through, so a relay's io.Copy keeps net/http's
+// pooled copy buffer instead of allocating one per call.
 type guardWriter struct {
 	http.ResponseWriter
 	wrote bool
@@ -126,6 +135,14 @@ func (g *guardWriter) WriteHeader(code int) {
 func (g *guardWriter) Write(b []byte) (int, error) {
 	g.wrote = true
 	return g.ResponseWriter.Write(b)
+}
+
+func (g *guardWriter) ReadFrom(src io.Reader) (int64, error) {
+	g.wrote = true
+	if rf, ok := g.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(src)
+	}
+	return io.Copy(g.ResponseWriter, src)
 }
 
 func (g *guardWriter) Flush() {
@@ -220,13 +237,9 @@ func parseRequest(r *http.Request) (serve.Request, error) {
 	if req.Tokens == 0 {
 		req.Tokens = sample.DefaultMaxTokens
 	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if hd := r.Header.Get(TimeoutHeader); hd != "" {
-		ms, err := strconv.ParseInt(hd, 10, 64)
-		if err != nil || ms < 0 {
-			return serve.Request{}, fmt.Errorf("bad %s %q", TimeoutHeader, hd)
-		}
-		timeout = time.Duration(ms) * time.Millisecond
+	timeout, err := HeaderTimeout(r, time.Duration(req.TimeoutMS)*time.Millisecond)
+	if err != nil {
+		return serve.Request{}, err
 	}
 	strat, err := sample.ParseStrategy(req.Strategy, req.Temperature, req.TopP, req.TopK)
 	if err != nil {
@@ -241,11 +254,26 @@ func parseRequest(r *http.Request) (serve.Request, error) {
 	}, nil
 }
 
-// injectHTTP evaluates an HTTP-layer failpoint site: a drop fault becomes
-// the sever-the-connection panic (caught and re-raised by ServeHTTP), any
-// other fault is answered with a 500. Reports whether the handler should
-// stop.
-func injectHTTP(w http.ResponseWriter, site string) bool {
+// HeaderTimeout is the request's deadline budget: the TimeoutHeader's when
+// present, else body (the body's timeout_ms). A malformed or negative
+// header is an error — a deadline must not be silently dropped.
+func HeaderTimeout(r *http.Request, body time.Duration) (time.Duration, error) {
+	hd := r.Header.Get(TimeoutHeader)
+	if hd == "" {
+		return body, nil
+	}
+	ms, err := strconv.ParseInt(hd, 10, 64)
+	if err != nil || ms < 0 {
+		return 0, fmt.Errorf("bad %s %q", TimeoutHeader, hd)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
+// Inject evaluates an HTTP-layer failpoint site of the worker or the
+// router: a drop fault becomes the sever-the-connection panic (re-raised by
+// Guard), any other fault is answered with a 500. Reports whether the
+// handler should stop.
+func Inject(w http.ResponseWriter, site string) bool {
 	err := failpoint.Inject(site)
 	if err == nil {
 		return false
@@ -261,7 +289,7 @@ func (h *Handler) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if h.rejectDraining(w) {
 		return
 	}
-	if injectHTTP(w, failpoint.HTTPGenerate) {
+	if Inject(w, failpoint.HTTPGenerate) {
 		return
 	}
 	req, err := parseRequest(r)
@@ -288,7 +316,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	if h.rejectDraining(w) {
 		return
 	}
-	if injectHTTP(w, failpoint.HTTPStreamPreSSE) {
+	if Inject(w, failpoint.HTTPStreamPreSSE) {
 		return
 	}
 	req, err := parseRequest(r)
@@ -315,7 +343,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 		if err := failpoint.Inject(failpoint.HTTPStreamMid); err != nil {
 			return err
 		}
-		if err := WriteEvent(w, t); err != nil {
+		if err := writeEvent(w, t); err != nil {
 			return err
 		}
 		flusher.Flush()
@@ -329,16 +357,16 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 			panic(http.ErrAbortHandler)
 		}
 		// Headers are sent; report the failure in-band and end the stream.
-		WriteEvent(w, map[string]string{"error": err.Error()})
+		writeEvent(w, map[string]string{"error": err.Error()})
 		flusher.Flush()
 		return
 	}
-	WriteEvent(w, StreamDone{Done: true, Completion: res.Text, DurationMS: sinceMS(start)})
+	writeEvent(w, StreamDone{Done: true, Completion: res.Text, DurationMS: sinceMS(start)})
 	flusher.Flush()
 }
 
-// WriteEvent emits one SSE data frame.
-func WriteEvent(w http.ResponseWriter, v any) error {
+// writeEvent emits one SSE data frame.
+func writeEvent(w http.ResponseWriter, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err

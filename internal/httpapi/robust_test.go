@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +114,36 @@ func TestHandlerPanicBecomes500(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("worker did not survive the panic: status %d", resp.StatusCode)
+	}
+}
+
+// readFromRecorder is a ResponseWriter that, like net/http's own, copies a
+// body in through ReadFrom; it counts the calls.
+type readFromRecorder struct {
+	*httptest.ResponseRecorder
+	calls int
+}
+
+func (r *readFromRecorder) ReadFrom(src io.Reader) (int64, error) {
+	r.calls++
+	return io.Copy(r.ResponseRecorder, src)
+}
+
+// TestGuardPassesReaderFrom: a relay's io.Copy through the panic guard
+// reaches the underlying writer's ReadFrom (net/http's pooled copy buffer)
+// instead of allocating a 32 KiB buffer per call.
+func TestGuardPassesReaderFrom(t *testing.T) {
+	rec := &readFromRecorder{ResponseRecorder: httptest.NewRecorder()}
+	relay := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		io.Copy(w, struct{ io.Reader }{strings.NewReader("relayed body")})
+	})
+	Guard(rec, httptest.NewRequest(http.MethodPost, "/v1/generate", nil), relay, nil)
+	if rec.calls != 1 {
+		t.Fatalf("ReadFrom called %d times, want 1", rec.calls)
+	}
+	if got := rec.Body.String(); got != "relayed body" {
+		t.Fatalf("body %q, want the relayed one", got)
 	}
 }
 

@@ -65,18 +65,8 @@ func Stream(ctx context.Context, m LanguageModel, prompt string, onToken func(sa
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if o.MaxTokens <= 0 {
-		return Result{}, fmt.Errorf("lm: MaxTokens %d must be positive", o.MaxTokens)
-	}
-	// The last sampled token is never fed, so a windowed model holds one
-	// prompt token plus MaxTokens − 1 fed tokens at most: MaxTokens == window
-	// fits, anything larger would exhaust the stepper mid-run.
-	w := m.ContextWindow()
-	if w > 0 && o.MaxTokens > w {
-		return Result{}, fmt.Errorf("lm: MaxTokens %d exceeds the model window %d", o.MaxTokens, w)
-	}
-	if err := sample.ValidateStrategy(o.Strategy); err != nil {
-		return Result{}, fmt.Errorf("lm: %w", err)
+	if err := Check(o, m.ContextWindow()); err != nil {
+		return Result{}, err
 	}
 	ids, err := m.EncodePrompt(prompt, o.MaxTokens)
 	if err != nil {
@@ -99,11 +89,7 @@ func Stream(ctx context.Context, m LanguageModel, prompt string, onToken func(sa
 			logits = st.Append(id)
 		}
 	}
-	stop := -1
-	if o.StopAtEOS {
-		stop = tokenizer.EOS
-	}
-	dec := sample.NewDecoder(o.Strategy, stop, o.MaxTokens, mathx.NewRNG(o.Seed+977))
+	dec := NewDecoder(o)
 	pd := NewPieceDecoder(m.Decode)
 	for !dec.Done() {
 		if err := ctx.Err(); err != nil {
@@ -120,6 +106,38 @@ func Stream(ctx context.Context, m LanguageModel, prompt string, onToken func(sa
 		}
 	}
 	return Finish(m, dec.Tokens(), o), nil
+}
+
+// Check is the request rule of every decoding loop, this one and the
+// batched server's admission: a budget in [1, window] (0 = unbounded) and
+// a valid strategy. The last sampled token is never fed, so a budget equal
+// to the window fits.
+func Check(o sample.Options, window int) error {
+	if o.MaxTokens <= 0 {
+		return fmt.Errorf("lm: MaxTokens %d must be positive", o.MaxTokens)
+	}
+	if window > 0 && o.MaxTokens > window {
+		return fmt.Errorf("lm: MaxTokens %d exceeds the model window %d", o.MaxTokens, window)
+	}
+	if err := sample.ValidateStrategy(o.Strategy); err != nil {
+		return fmt.Errorf("lm: %w", err)
+	}
+	return nil
+}
+
+// NewDecoder is the sampler of every decoding loop, this one and the
+// batched server's: greedy for a nil strategy, stopping at EOS when asked,
+// its RNG seeded from Seed+977.
+func NewDecoder(o sample.Options) *sample.Decoder {
+	strat := o.Strategy
+	if strat == nil {
+		strat = sample.Greedy{}
+	}
+	stop := -1
+	if o.StopAtEOS {
+		stop = tokenizer.EOS
+	}
+	return sample.NewDecoder(strat, stop, o.MaxTokens, mathx.NewRNG(o.Seed+977))
 }
 
 // Finish applies the options' post-processing (EOS trimming) and decodes

@@ -12,14 +12,15 @@ import (
 // backend is one llm-serve worker behind the router: its address, the
 // router's own view of load on it, and its health state machine.
 //
-// Health is two signals folded into one counter. Passive detection: every
-// failed proxy attempt (connect error, 5xx) counts a failure, every
-// successful one clears the count — so a dying worker is noticed at traffic
-// speed, between health ticks. Active probing: the health loop's /healthz
-// result feeds the same counter, which is also the only readmission path a
-// worker ejected while idle has. FailThreshold consecutive failures eject
-// the backend (routing walks past it); the next successful probe or proxy
-// readmits it.
+// Health has one rule each way. A backend leaves routing on failure
+// evidence, through eject: FailThreshold consecutive failures (failed
+// proxy attempts, 5xx replies and failed /healthz probes feed the same
+// counter, so a dying worker is noticed at traffic speed, between health
+// ticks), or a lease that lapses without renewal. It returns only on
+// first-hand liveness, through readmit: a successful probe, a successful
+// proxy attempt, or a heartbeat from the worker itself. A peer router's
+// record of the lease (adopt) moves the lease clock and never the health
+// state — second-hand freshness is not evidence the worker answers here.
 type backend struct {
 	name string   // canonical URL string, the ring identity
 	base *url.URL // parsed base for building worker endpoints
@@ -35,9 +36,8 @@ type backend struct {
 
 	mu      sync.Mutex
 	healthy bool
-	fails   int  // consecutive failures since the last success
-	load    int  // last polled worker gauge: in_flight + queued
-	polled  bool // load has been populated at least once
+	fails   int // consecutive failures since the last success
+	load    int // last polled worker gauge: in_flight + queued
 
 	// Lease state. A worker that registered via /v1/register must renew
 	// within ttl of its last heartbeat; past expires the sweep ejects it
@@ -78,6 +78,20 @@ func newBackend(raw string) (*backend, error) {
 // endpoint returns the worker URL for path (e.g. "/v1/generate").
 func (b *backend) endpoint(path string) string { return b.name + path }
 
+// ejectLocked takes the backend out of routing on failure evidence.
+func (b *backend) ejectLocked() {
+	if b.healthy {
+		b.healthy = false
+		b.ejections.Add(1)
+	}
+}
+
+// readmitLocked puts the backend back into routing on first-hand liveness.
+func (b *backend) readmitLocked() {
+	b.fails = 0
+	b.healthy = true
+}
+
 // markFailure records one failed attempt or probe against the backend and
 // ejects it once threshold consecutive failures accumulate.
 func (b *backend) markFailure(threshold int) {
@@ -85,18 +99,16 @@ func (b *backend) markFailure(threshold int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
-	if b.healthy && b.fails >= threshold {
-		b.healthy = false
-		b.ejections.Add(1)
+	if b.fails >= threshold {
+		b.ejectLocked()
 	}
 }
 
-// markSuccess clears the failure streak and readmits an ejected backend.
+// markSuccess readmits the backend after a successful probe or relay.
 func (b *backend) markSuccess() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.fails = 0
-	b.healthy = true
+	b.readmitLocked()
 }
 
 func (b *backend) isHealthy() bool {
@@ -106,29 +118,27 @@ func (b *backend) isHealthy() bool {
 }
 
 // renew grants or renews the backend's registration lease from a
-// first-hand heartbeat. A heartbeat is an affirmative liveness signal from
-// the worker process, so it always applies, clears the failure streak and
-// readmits an ejected backend the same way a successful probe does — which
-// is also what bounds a rejoining worker's readmission time to one
-// register round-trip.
+// first-hand heartbeat. A heartbeat is the worker's own liveness signal, so
+// it always applies and readmits an ejected backend the same way a
+// successful probe does — which is also what bounds a rejoining worker's
+// readmission time to one register round-trip.
 func (b *backend) renew(ttl time.Duration, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.ttl, b.expires, b.lapsed, b.renewedAt = ttl, now.Add(ttl), false, now
-	b.fails = 0
-	b.healthy = true
+	b.readmitLocked()
 }
 
 // adopt applies a peer router's record of this member's lease. It takes
 // effect only if the record is newer than the one on the books: a higher
 // transition version, or the same version renewed strictly later (both
-// routers heard the same incarnation; the later heartbeat wins, and an
-// equal record never readmits a probe-ejected member). The expiry is
-// computed from the renewal instant at the ORIGIN router (eventAt = the
-// peer's age translated into this router's clock, so skew cancels). Only a
-// lease still running on arrival readmits the backend — second-hand
-// staleness is not liveness evidence — an expired one just updates the
-// books and lets the sweep eject as usual.
+// routers heard the same incarnation; the later heartbeat wins). The
+// expiry is computed from the renewal instant at the ORIGIN router
+// (eventAt = the peer's age translated into this router's clock, so skew
+// cancels). A record moves the lease clock only: a lease still running on
+// arrival clears lapsed, so the next expiry is swept and counted again, but
+// health is never touched — an ejected member stays ejected until a probe,
+// a relay or its own heartbeat readmits it here.
 func (b *backend) adopt(version uint64, ttl time.Duration, eventAt, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -138,8 +148,6 @@ func (b *backend) adopt(version uint64, ttl time.Duration, eventAt, now time.Tim
 	b.version, b.ttl, b.expires, b.renewedAt = version, ttl, eventAt.Add(ttl), eventAt
 	if b.expires.After(now) {
 		b.lapsed = false
-		b.fails = 0
-		b.healthy = true
 	}
 }
 
@@ -183,10 +191,7 @@ func (b *backend) expireIfDue(now time.Time) (newly, forget bool) {
 	if !b.lapsed {
 		b.lapsed = true
 		newly = true
-		if b.healthy {
-			b.healthy = false
-			b.ejections.Add(1)
-		}
+		b.ejectLocked()
 	}
 	return newly, now.Sub(b.expires) > forgetFactor*b.ttl && !b.healthy
 }
@@ -206,7 +211,6 @@ func (b *backend) setLoad(load int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.load = load
-	b.polled = true
 }
 
 // score is the routing load signal: the router's own in-flight count plus

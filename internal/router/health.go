@@ -116,7 +116,7 @@ type Stats struct {
 	Retries  uint64 `json:"retries"`   // extra placement attempts
 	Shed     uint64 `json:"shed"`      // 429 admission/backpressure rejections
 	Rejected uint64 `json:"rejected"`  // 503 drain/no-backend rejections
-	Errors   uint64 `json:"errors"`    // exhausted retries + broken streams
+	Errors   uint64 `json:"errors"`    // exhausted retries, broken streams, panics
 	InFlight int    `json:"in_flight"` // live gauge
 	Draining bool   `json:"draining"`
 

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -208,7 +207,8 @@ func (m *membership) export(now time.Time) []syncRecord {
 //   - higher transition version wins outright (a rejoin beats the leave it
 //     followed; a leave beats the join it followed);
 //   - equal versions of a live member merge by renewal recency (ages, so
-//     clock skew cancels) — same incarnation, later heartbeat (backend.adopt);
+//     clock skew cancels) — same incarnation, later heartbeat (backend.adopt,
+//     which moves the lease clock and never readmits an ejected member);
 //   - equal versions with a tombstone on either side resolve toward the
 //     tombstone (removal is safe: a live worker's next direct heartbeat
 //     re-registers above the tombstone within one interval);
@@ -216,8 +216,10 @@ func (m *membership) export(now time.Time) []syncRecord {
 //     not adopted — peers exchange live state, not corpses.
 //
 // Lease adoption computes expiry from the origin's renewal instant, so a
-// member kept alive by heartbeats to SOME router stays alive on every
-// router that syncs with it, within one sync interval.
+// member kept alive by heartbeats to SOME router keeps its lease running on
+// every router that syncs with it, within one sync interval. A member a
+// router has ejected stays ejected there until that router's own probe,
+// relay or heartbeat readmits it.
 func (m *membership) merge(recs []syncRecord, now time.Time, defaultLease time.Duration) (joins, leaves int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -339,26 +341,12 @@ func (m *membership) digest() uint64 {
 	return h
 }
 
-// injectRegister evaluates the control-plane failpoint site shared by the
-// register and deregister handlers. Reports whether the handler must stop.
-func injectRegister(w http.ResponseWriter) bool {
-	err := failpoint.Inject(failpoint.RouterRegister)
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, failpoint.ErrDrop) {
-		panic(http.ErrAbortHandler)
-	}
-	writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-	return true
-}
-
 // handleRegister serves POST /v1/register: a worker joining the fleet or
 // renewing its lease (the two are the same call — a register of an
 // existing member is a heartbeat). The granted lease is the requested one
 // clamped to [minLease, maxLease], defaulting to Config.DefaultLease.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if injectRegister(w) {
+	if httpapi.Inject(w, failpoint.RouterRegister) {
 		return
 	}
 	var req httpapi.RegisterRequest
@@ -366,12 +354,12 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.LeaseMS < 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("lease_ms %d must not be negative", req.LeaseMS)})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("lease_ms %d must not be negative", req.LeaseMS)})
 		return
 	}
 	b, err := newBackend(req.URL)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	lease := clampLease(time.Duration(req.LeaseMS)*time.Millisecond, rt.cfg.DefaultLease)
@@ -379,7 +367,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if created {
 		rt.nJoins.Add(1)
 	}
-	writeJSON(w, http.StatusOK, httpapi.RegisterResponse{
+	httpapi.WriteJSON(w, http.StatusOK, httpapi.RegisterResponse{
 		Epoch: epoch, LeaseMS: lease.Milliseconds(), Created: created,
 	})
 }
@@ -388,7 +376,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 // the fleet explicitly, ahead of its lease. Idempotent — deregistering a
 // name that is not a member reports removed=false with a 200.
 func (rt *Router) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	if injectRegister(w) {
+	if httpapi.Inject(w, failpoint.RouterRegister) {
 		return
 	}
 	var req httpapi.DeregisterRequest
@@ -396,12 +384,12 @@ func (rt *Router) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.URL == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "url required"})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "url required"})
 		return
 	}
 	removed, epoch := rt.mem.deregister(strings.TrimSuffix(req.URL, "/"), time.Now())
 	if removed {
 		rt.nLeaves.Add(1)
 	}
-	writeJSON(w, http.StatusOK, httpapi.DeregisterResponse{Epoch: epoch, Removed: removed})
+	httpapi.WriteJSON(w, http.StatusOK, httpapi.DeregisterResponse{Epoch: epoch, Removed: removed})
 }

@@ -230,6 +230,69 @@ func TestForgetLapsedMember(t *testing.T) {
 	}
 }
 
+// TestOnlyFirstHandLivenessReadmits: a peer's record moves the lease clock
+// and never health. A member ejected by FailThreshold failures stays
+// ejected after a newer record with a running lease; a successful probe or
+// relay (markSuccess) and a heartbeat (renew) each readmit it. A lapsed
+// member that such a record revives has lapsed cleared, so its next expiry
+// is swept and counted again.
+func TestOnlyFirstHandLivenessReadmits(t *testing.T) {
+	const threshold = 3
+	now := time.Now()
+	m := newMembership(nil)
+	b, _ := newBackend("http://w:1")
+	m.register(b, time.Second, now)
+	// A peer's record of a renewal it heard at the merge instant.
+	rec := func() []syncRecord {
+		version, _ := b.lease()
+		return []syncRecord{{URL: b.name, Version: version, LeaseMS: 1000}}
+	}
+	eject := func() {
+		for range threshold {
+			b.markFailure(threshold)
+		}
+		if b.isHealthy() {
+			t.Fatalf("%d failures did not eject the member", threshold)
+		}
+	}
+
+	eject()
+	m.merge(rec(), now.Add(100*time.Millisecond), time.Second)
+	if _, ms := b.leaseInfo(now); ms != 1100 {
+		t.Fatalf("lease ends %dms from the start after a newer record, want 1100", ms)
+	}
+	if b.isHealthy() {
+		t.Fatal("a peer record readmitted a failure-ejected member")
+	}
+	b.markSuccess()
+	if !b.isHealthy() {
+		t.Fatal("a successful probe or relay did not readmit the member")
+	}
+	eject()
+	b.renew(time.Second, now.Add(200*time.Millisecond))
+	if !b.isHealthy() {
+		t.Fatal("a heartbeat did not readmit the member")
+	}
+
+	lapse := now.Add(1300 * time.Millisecond)
+	if expired, _ := m.sweep(lapse); expired != 1 || b.isHealthy() {
+		t.Fatalf("expired = %d, healthy = %v after the lease ran out; want 1, false", expired, b.isHealthy())
+	}
+	m.merge(rec(), lapse, time.Second)
+	if b.isHealthy() {
+		t.Fatal("a peer record readmitted a lapsed member")
+	}
+	if expired, _ := m.sweep(lapse.Add(500 * time.Millisecond)); expired != 0 {
+		t.Fatalf("expired = %d while the adopted lease runs, want 0", expired)
+	}
+	if expired, _ := m.sweep(lapse.Add(1100 * time.Millisecond)); expired != 1 {
+		t.Fatalf("expired = %d after the adopted lease ran out, want 1: lapsed was not cleared", expired)
+	}
+	if n := b.ejections.Load(); n != 3 {
+		t.Fatalf("ejections = %d, want 3 (two failure streaks, one lapse)", n)
+	}
+}
+
 // TestSweepForgetsOnlyTheLapsed: forgetting a member keeps every other
 // member, whatever position the forgotten one held in the member list —
 // here the first.

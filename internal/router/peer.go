@@ -25,7 +25,10 @@
 // leave events) with renewal recency — carried as an age so wall-clock
 // skew between routers cancels — breaking ties within a version; see
 // membership.merge for the exact rules. Tombstones stop a lagging gossip
-// of an old lease from resurrecting a deregistered worker.
+// of an old lease from resurrecting a deregistered worker. Gossip moves
+// member sets and lease clocks, never health: whether a worker answers is
+// first-hand knowledge each router gets from its own probes, relays and
+// the worker's heartbeats (backend.go).
 
 package router
 
@@ -33,7 +36,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -43,6 +45,7 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/httpapi"
 )
 
 // syncRecord is one member's replicated state on the peer-sync wire: the
@@ -193,11 +196,7 @@ func (rt *Router) applyMerge(recs []syncRecord) {
 // handleSync serves POST /v1/sync: merge the peer's records, answer with
 // the full local record set (the pull half of push-pull).
 func (rt *Router) handleSync(w http.ResponseWriter, r *http.Request) {
-	if err := failpoint.Inject(failpoint.RouterPeerRecv); err != nil {
-		if errors.Is(err, failpoint.ErrDrop) {
-			panic(http.ErrAbortHandler)
-		}
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+	if httpapi.Inject(w, failpoint.RouterPeerRecv) {
 		return
 	}
 	var req syncRequest
@@ -206,7 +205,7 @@ func (rt *Router) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.nSyncsIn.Add(1)
 	rt.applyMerge(req.Members)
-	writeJSON(w, http.StatusOK, syncResponse{Members: rt.mem.export(time.Now())})
+	httpapi.WriteJSON(w, http.StatusOK, syncResponse{Members: rt.mem.export(time.Now())})
 }
 
 // ready is the router's readiness predicate: the initial peer-sync round

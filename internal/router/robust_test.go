@@ -1,10 +1,15 @@
 package router
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -200,5 +205,83 @@ func TestRouterPanicBecomes500(t *testing.T) {
 	}
 	if status, _, _ := generate(t, ts.URL, "", nil); status != http.StatusOK {
 		t.Fatalf("router did not survive the panic: status %d", status)
+	}
+}
+
+// lockedLog is an http.Server error log the test can read while the
+// server's goroutines write it.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// TestRouterPanicAfterSSEHeaders: a panic after a stream's headers and
+// first frame are out ends the stream with an in-band SSE error frame — the
+// worker's own contract — rather than a bare JSON line and a second
+// WriteHeader, and it counts as one router error.
+func TestRouterPanicAfterSSEHeaders(t *testing.T) {
+	ws := startWorkers(t, 1, 4, nil)
+	rt, _ := newTestRouter(t, ws, nil)
+	rt.mux.HandleFunc("POST /v1/boom", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprint(w, "data: {\"index\":0,\"id\":1,\"text\":\"a\"}\n\n")
+		w.(http.Flusher).Flush()
+		panic("router bug mid-stream")
+	})
+	var errLog lockedLog
+	ts := httptest.NewUnstartedServer(rt)
+	ts.Config.ErrorLog = log.New(&errLog, "", 0)
+	ts.Start()
+	defer ts.Close()
+
+	before := rt.Stats().Errors
+	resp, err := http.Post(ts.URL+"/v1/boom", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want the stream's 200", resp.StatusCode)
+	}
+	var frames []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" {
+			continue
+		}
+		frame, ok := strings.CutPrefix(line, "data: ")
+		if !ok {
+			t.Fatalf("line %q is not an SSE data frame; body:\n%s", line, body)
+		}
+		frames = append(frames, frame)
+	}
+	if len(frames) != 2 {
+		t.Fatalf("%d frames, want the token and one error frame; body:\n%s", len(frames), body)
+	}
+	var last map[string]string
+	if err := json.Unmarshal([]byte(frames[1]), &last); err != nil || !strings.Contains(last["error"], "router bug mid-stream") {
+		t.Fatalf("last frame %q is not the panic's error frame (%v)", frames[1], err)
+	}
+	if got := rt.Stats().Errors - before; got != 1 {
+		t.Errorf("errors rose by %d, want 1", got)
+	}
+	if l := errLog.String(); strings.Contains(l, "superfluous") {
+		t.Errorf("the guard wrote a second status line: %s", l)
 	}
 }

@@ -23,10 +23,12 @@
 //     worker — the placement KV/prefix reuse needs. Unkeyed requests go to
 //     the least-loaded healthy worker, scored by the router's own in-flight
 //     count plus the worker's polled in_flight+queued gauges.
-//   - Health: an active /healthz probe loop plus passive per-attempt
-//     failure detection feed one state machine per backend (backend.go);
-//     ejected workers are routed around and readmitted on probe success
-//     (or, for leased members, on their next heartbeat).
+//   - Health: one state machine per backend (backend.go), one rule each
+//     way. Failure evidence ejects — FailThreshold consecutive failed
+//     probes or relays, or a lapsed lease — and ejected workers are routed
+//     around. Only first-hand liveness readmits: a successful probe, a
+//     successful relay, or the worker's own heartbeat. A peer router's
+//     record moves a lease clock, never health.
 //   - Retries: idempotent work (generate always; streams before the first
 //     byte reaches the client) fails over to the next ring replica with
 //     exponential backoff. A stream that breaks after bytes were written
@@ -192,7 +194,7 @@ type Router struct {
 	nRetries    atomic.Uint64 // extra placement attempts
 	nShed       atomic.Uint64 // 429 admission/backpressure rejections
 	nRejected   atomic.Uint64 // 503 drain/no-backend rejections
-	nErrors     atomic.Uint64 // exhausted retries or broke mid-stream
+	nErrors     atomic.Uint64 // exhausted retries, broken streams, answered panics
 	nJoins      atomic.Uint64 // new members admitted (register or peer sync)
 	nLeaves     atomic.Uint64 // members removed (deregister or peer sync)
 	nExpiries   atomic.Uint64 // leases that lapsed without renewal
@@ -239,7 +241,7 @@ func New(cfg Config, onDrain func()) (*Router, error) {
 		rt.handle(w, r, "/v1/stream", true)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, rt.Stats())
+		httpapi.WriteJSON(w, http.StatusOK, rt.Stats())
 	})
 	// /healthz mirrors the worker readiness contract: 200 only when this
 	// router can actually serve — it has finished its cold-start peer sync
@@ -261,7 +263,7 @@ func New(cfg Config, onDrain func()) (*Router, error) {
 	})
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
 		rt.StartDrain()
-		writeJSON(w, http.StatusAccepted, map[string]bool{"draining": true})
+		httpapi.WriteJSON(w, http.StatusAccepted, map[string]bool{"draining": true})
 	})
 	mux.HandleFunc("POST /v1/register", rt.handleRegister)
 	mux.HandleFunc("POST /v1/deregister", rt.handleDeregister)
@@ -277,24 +279,12 @@ func New(cfg Config, onDrain func()) (*Router, error) {
 	return rt, nil
 }
 
+// ServeHTTP serves the router's mux behind httpapi's panic guard: a handler
+// bug answers its request (a 500, or an in-band SSE error frame once
+// headers are out) and counts in Stats.Errors instead of killing the
+// goroutine silently, and the router keeps serving.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		if v == http.ErrAbortHandler {
-			panic(v)
-		}
-		// A handler bug must not take the whole routing tier down with it:
-		// answer this request (best-effort once headers are out) and keep
-		// serving. net/http would only have killed the goroutine, but an
-		// unrecovered panic here means no status, no error frame, and no
-		// counter — this path keeps the failure observable.
-		rt.nErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": fmt.Sprintf("internal error: %v", v)})
-	}()
-	rt.mux.ServeHTTP(w, r)
+	httpapi.Guard(w, r, rt.mux, func() { rt.nErrors.Add(1) })
 }
 
 // Close stops the health loop. It does not wait for in-flight requests —
@@ -374,7 +364,7 @@ func ceilSecs(d time.Duration) string {
 func (rt *Router) reject(w http.ResponseWriter, why string) {
 	rt.nRejected.Add(1)
 	w.Header().Set("Retry-After", rt.retryAfterMembership())
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": why})
+	httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": why})
 }
 
 // admit gates one generation request. It returns false after writing the
@@ -405,32 +395,23 @@ func (rt *Router) admit(w http.ResponseWriter) (release func(), ok bool) {
 func (rt *Router) shed(w http.ResponseWriter, why string) {
 	rt.nShed.Add(1)
 	w.Header().Set("Retry-After", rt.retryAfterLoad())
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": why})
+	httpapi.WriteJSON(w, http.StatusTooManyRequests, map[string]string{"error": why})
 }
 
 // maxBody bounds buffered request bodies; generation requests are a few
 // hundred bytes, so 1MB is generous.
 const maxBody = 1 << 20
 
-// requestBudget extracts the request's end-to-end deadline budget: the
-// httpapi.TimeoutHeader wins (a malformed one is an error — a deadline must
-// not be silently dropped), else the body's timeout_ms field. 0 means no
-// budget; negative body values are left for the worker's validation.
+// requestBudget extracts the request's end-to-end deadline budget by the
+// worker's own rule (httpapi.HeaderTimeout): the header wins, else the
+// body's timeout_ms field. 0 means no budget; negative body values are
+// left for the worker's validation.
 func requestBudget(r *http.Request, body []byte) (time.Duration, error) {
-	if hd := r.Header.Get(httpapi.TimeoutHeader); hd != "" {
-		ms, err := strconv.ParseInt(hd, 10, 64)
-		if err != nil || ms < 0 {
-			return 0, fmt.Errorf("bad %s %q", httpapi.TimeoutHeader, hd)
-		}
-		return time.Duration(ms) * time.Millisecond, nil
-	}
 	var probe struct {
 		TimeoutMS int64 `json:"timeout_ms"`
 	}
-	if err := json.Unmarshal(body, &probe); err == nil && probe.TimeoutMS > 0 {
-		return time.Duration(probe.TimeoutMS) * time.Millisecond, nil
-	}
-	return 0, nil
+	_ = json.Unmarshal(body, &probe) // malformed JSON: no body budget, and the worker owns the 400
+	return httpapi.HeaderTimeout(r, time.Duration(max(probe.TimeoutMS, 0))*time.Millisecond)
 }
 
 // sessionOf extracts the affinity key: the X-Session-Key header wins, else
@@ -490,12 +471,12 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "body read: " + err.Error()})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "body read: " + err.Error()})
 		return
 	}
 	budget, err := requestBudget(r, body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	var deadline time.Time
@@ -543,7 +524,7 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 			remaining = time.Until(deadline)
 			if remaining <= 0 {
 				rt.nErrors.Add(1)
-				writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": "request deadline budget exhausted"})
+				httpapi.WriteJSON(w, http.StatusGatewayTimeout, map[string]string{"error": "request deadline budget exhausted"})
 				return
 			}
 		}
@@ -553,7 +534,7 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 	}
 	rt.nErrors.Add(1)
 	w.Header().Set("Retry-After", rt.retryAfterMembership())
-	writeJSON(w, http.StatusBadGateway, map[string]string{"error": "all backends failed"})
+	httpapi.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": "all backends failed"})
 }
 
 // jitteredBackoff spreads a nominal backoff uniformly over [d/2, d]. Pure
@@ -703,13 +684,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 		err = json.Unmarshal(body, v)
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 	}
 	return err
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

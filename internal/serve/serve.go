@@ -36,9 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/failpoint"
 	"repro/internal/lm"
-	"repro/internal/mathx"
 	"repro/internal/sample"
-	"repro/internal/tokenizer"
 	"repro/internal/transformer"
 )
 
@@ -474,23 +472,17 @@ func (s *Server) Gen(ctx context.Context, prompt string, opts ...sample.Option) 
 
 // validateBudget is the cheap admission precondition Do and Stream check
 // before enqueueing; prompt errors surface at admission, which encodes the
-// prompt anyway. Strategy parameters are validated here too, so a malformed
-// request (e.g. a non-positive temperature) is rejected with an error at
-// the door instead of tripping a panic guard inside the batching loop. The
-// window bound is lm.Stream's: the last sampled token is never fed, so a
-// budget equal to the window fits.
+// prompt anyway. The budget and strategy rule is lm.Check, lm.Stream's own,
+// so a malformed request (e.g. a non-positive temperature) is rejected at
+// the door instead of tripping a panic guard inside the batching loop, and
+// the server accepts exactly the requests the oracle does. Only the
+// deadline is the server's own.
 func (s *Server) validateBudget(req Request) error {
-	if req.MaxTokens <= 0 {
-		return fmt.Errorf("serve: MaxTokens %d must be positive", req.MaxTokens)
-	}
-	if w := s.model.ContextWindow(); req.MaxTokens > w {
-		return fmt.Errorf("serve: MaxTokens %d exceeds the model window %d", req.MaxTokens, w)
+	if err := lm.Check(req.Options(), s.model.ContextWindow()); err != nil {
+		return err
 	}
 	if req.Timeout < 0 {
 		return fmt.Errorf("serve: Timeout %v must not be negative", req.Timeout)
-	}
-	if err := sample.ValidateStrategy(req.Strategy); err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }
@@ -862,15 +854,7 @@ func (b *batch) open(lr *liveReq) error {
 		}
 	})
 	lr.forced = ids[hit:]
-	strat := req.Strategy
-	if strat == nil {
-		strat = sample.Greedy{}
-	}
-	stop := -1
-	if req.StopAtEOS {
-		stop = tokenizer.EOS
-	}
-	lr.dec = sample.NewDecoder(strat, stop, req.MaxTokens, mathx.NewRNG(req.Seed+977))
+	lr.dec = lm.NewDecoder(req.Options())
 	if lr.p.events != nil {
 		lr.pd = lm.NewPieceDecoder(b.model.Decode)
 	}

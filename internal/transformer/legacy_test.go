@@ -222,9 +222,9 @@ func actScalar(a nn.Activation, x float64) float64 {
 // The last two configs have sixteen-wide heads (the DotInterleaved16 value
 // sum) and windows that cross full key-pack blocks plus a partial tail; the
 // last is the serving benchmark's shape, whose 32- and 64-row chunks take
-// matMat's block-parallel and quad-parallel branches and, once their
-// attention work reaches rowParallelWork, the attention fan-out across heads
-// (run it under -race).
+// blockRows' row-phase fan-out (rowFanOut) and, once their attention work
+// reaches rowParallelWork, the attention fan-out across heads (run it under
+// -race).
 func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // matMat fans out only with ≥ 2 workers
