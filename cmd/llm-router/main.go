@@ -61,7 +61,8 @@
 //
 // Admission control: more than -max-inflight concurrent requests, or a
 // preferred worker already -backend-queue deep, sheds with 429 +
-// Retry-After instead of queueing without bound.
+// Retry-After instead of queueing without bound. Every count and duration
+// flag selects its default at 0 or below.
 //
 // Endpoints mirror a worker: POST /v1/generate, POST /v1/stream (SSE
 // passthrough), GET /v1/stats (router + per-backend counters), GET
@@ -94,8 +95,8 @@ func main() {
 		defaultLease = flag.Duration("default-lease", 0, "lease TTL granted to registrations that do not request one (0 = default 15s)")
 		peersFlag    = flag.String("peers", "", "comma-separated base URLs of peer routers (replicated membership)")
 		syncEvery    = flag.Duration("sync-interval", 0, "peer anti-entropy period (0 = default 500ms)")
-		maxInflight  = flag.Int("max-inflight", 0, "global in-flight admission cap (0 = default 256, negative = unlimited)")
-		backendQueue = flag.Int("backend-queue", 0, "per-backend queue-depth shed limit (0 = default 32, negative = unlimited)")
+		maxInflight  = flag.Int("max-inflight", 0, "global in-flight admission cap (0 = default 256)")
+		backendQueue = flag.Int("backend-queue", 0, "per-backend queue-depth shed limit (0 = default 32)")
 		attempts     = flag.Int("attempts", 0, "max placement attempts per request (0 = default 3)")
 		retryBackoff = flag.Duration("retry-backoff", 0, "sleep before the first retry, doubling per attempt (0 = default 10ms)")
 		healthEvery  = flag.Duration("health-interval", 0, "active health-probe and gauge-poll period (0 = default 250ms)")
@@ -121,6 +122,7 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
+	drained := make(chan struct{})
 	rt, err := router.New(router.Config{
 		Backends:       fleet,
 		DefaultLease:   *defaultLease,
@@ -136,6 +138,7 @@ func main() {
 	}, func() {
 		// Drain mode entered (via /v1/drain or signal): stop the listener
 		// once in-flight requests — streams included — have finished.
+		defer close(drained)
 		log.Printf("draining: waiting up to %s for in-flight requests", *drainTimeout)
 		shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
@@ -159,5 +162,8 @@ func main() {
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+	// ListenAndServe returns as soon as Shutdown closes the listener; the
+	// in-flight requests are done only when the drain hook's Shutdown is.
+	<-drained
 	log.Print("shut down")
 }

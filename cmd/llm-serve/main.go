@@ -37,8 +37,9 @@
 //
 // Each loop iteration is one forward pass: every in-flight stream's next
 // token plus at most one chunk of at most -prefill-chunk prompt rows, so a
-// long prompt rides the running streams' passes a bounded chunk at a time
-// (negative = whole prompts in one pass). /v1/stats reports prompt_tokens
+// long prompt rides the running streams' passes a bounded chunk at a time,
+// and no pass is wider than -max-batch + -prefill-chunk rows (0 or below
+// selects each flag's default). /v1/stats reports prompt_tokens
 // and decode_tokens separately, the in_flight and queued live gauges an
 // llm-router polls for load-aware placement, plus the prefill_chunk_hist
 // histogram of chunk sizes and the batch_hist histogram of decode rows per
@@ -102,7 +103,7 @@ func main() {
 		addr         = flag.String("addr", ":8372", "listen address")
 		maxBatch     = flag.Int("max-batch", 8, "max sequences decoded per batched step")
 		queue        = flag.Int("queue", 64, "pending-request buffer depth")
-		prefill      = flag.Int("prefill-chunk", 32, "max prompt rows per forward pass, beside the decode rows (negative = whole prompt)")
+		prefill      = flag.Int("prefill-chunk", 32, "max prompt rows per forward pass, beside the decode rows")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM or /v1/drain")
 		reqTimeout   = flag.Duration("request-timeout", 0, "default per-request deadline; requests without their own timeout_ms fail with 504 past it (0 disables)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "token-progress watchdog: streams making no progress for this long are failed (0 disables)")
@@ -132,12 +133,14 @@ func main() {
 	// The joiner keeps this worker registered with a router; it is started
 	// after the listener below and torn down first on drain.
 	var joiner *httpapi.Joiner
+	drained := make(chan struct{})
 
 	// Drain (via /v1/drain or a signal) stops admission in the handler;
 	// Shutdown then waits for in-flight requests — SSE streams included —
 	// before ListenAndServe returns. A joined worker deregisters first so
 	// the router stops sending fresh work while in-flight requests finish.
 	h := httpapi.New(srv, func() {
+		defer close(drained)
 		if joiner != nil {
 			leaveCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			if err := joiner.Leave(leaveCtx); err != nil {
@@ -187,6 +190,9 @@ func main() {
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+	// ListenAndServe returns as soon as Shutdown closes the listener; the
+	// in-flight requests are done only when the drain hook's Shutdown is.
+	<-drained
 	log.Print("shut down")
 }
 

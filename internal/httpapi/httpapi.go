@@ -45,6 +45,11 @@ import (
 // the body's timeout_ms field.
 const TimeoutHeader = "X-Request-Timeout-Ms"
 
+// MaxBody bounds the request bodies the worker and the router read, in
+// bytes: generation requests are a few hundred bytes, so 1 MiB is generous.
+// A longer body is answered 400 once its first MaxBody bytes are read.
+const MaxBody = 1 << 20
+
 // Handler is the HTTP front end over one serve.Server.
 type Handler struct {
 	srv      *serve.Server
@@ -165,9 +170,6 @@ func (h *Handler) Drain() {
 	})
 }
 
-// Draining reports whether drain mode has been entered.
-func (h *Handler) Draining() bool { return h.draining.Load() }
-
 // rejectDraining answers a generation request arriving after Drain.
 func (h *Handler) rejectDraining(w http.ResponseWriter) bool {
 	if !h.draining.Load() {
@@ -212,14 +214,15 @@ type StreamDone struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
-// parseRequest decodes and validates a request body into a serve.Request.
-// Out-of-range knobs are rejected here with an error (a 400 at the call
-// sites) — before this check a negative temperature rode through
-// ParseStrategy's unset-value defaulting or reached the panic guards in
-// internal/sample from the middle of the batch loop.
-func parseRequest(r *http.Request) (serve.Request, error) {
+// parseRequest decodes and validates a request body of at most MaxBody
+// bytes into a serve.Request. Out-of-range knobs are rejected here with an
+// error (a 400 at the call sites) — before this check a negative
+// temperature rode through ParseStrategy's unset-value defaulting or
+// reached the panic guards in internal/sample from the middle of the batch
+// loop.
+func parseRequest(w http.ResponseWriter, r *http.Request) (serve.Request, error) {
 	var req GenRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&req); err != nil {
 		return serve.Request{}, fmt.Errorf("bad json: %w", err)
 	}
 	switch {
@@ -292,7 +295,7 @@ func (h *Handler) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if Inject(w, failpoint.HTTPGenerate) {
 		return
 	}
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
@@ -319,7 +322,7 @@ func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
 	if Inject(w, failpoint.HTTPStreamPreSSE) {
 		return
 	}
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return

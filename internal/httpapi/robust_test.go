@@ -54,6 +54,25 @@ func TestTimeoutHeaderValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a body longer than MaxBody gets a 4xx on both
+// generation routes and never reaches the serving loop — the worker holds
+// the bound the router does, so a client that reaches it directly cannot
+// make it buffer more.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts, h := newTestServer(t, testModel())
+	big := GenRequest{Prompt: strings.Repeat("the ", MaxBody/4+1), Tokens: 4}
+	for _, path := range []string{"/v1/generate", "/v1/stream"} {
+		resp := postJSON(t, ts.URL+path, big)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s with a %d-byte prompt: status %d, want 4xx", path, len(big.Prompt), resp.StatusCode)
+		}
+	}
+	if st := h.srv.Stats(); st.Requests != 0 {
+		t.Errorf("oversized bodies reached the server: %d requests", st.Requests)
+	}
+}
+
 // TestDeadlineMapsTo504: a request that exhausts its timeout budget fails
 // with 504 Gateway Timeout (not 400 or 499), whether the budget came from
 // the body's timeout_ms or from the router's header — and the header wins

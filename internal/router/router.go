@@ -37,9 +37,10 @@
 //     queue-depth limit shed excess load early with 429 + Retry-After,
 //     keeping worker queues bounded instead of letting every client time
 //     out slowly.
-//   - Drain: StartDrain/Drain stop admitting (503, /healthz not-ready),
-//     let in-flight requests — including SSE streams — finish, then return,
-//     so SIGTERM rolls the tier without dropping a token.
+//   - Drain: StartDrain stops admitting (503, /healthz not-ready) and runs
+//     the onDrain hook, where the binary's http.Server.Shutdown waits for
+//     in-flight requests — including SSE streams — to finish, so SIGTERM
+//     rolls the tier without dropping a token.
 package router
 
 import (
@@ -61,7 +62,8 @@ import (
 	"repro/internal/httpapi"
 )
 
-// Config assembles the routing tier. Zero values select the defaults.
+// Config assembles the routing tier. Every count and duration below
+// selects its default when it is zero or less.
 type Config struct {
 	// Backends is the seed worker fleet, as base URLs
 	// (e.g. http://127.0.0.1:8372). Seed members are permanent: their
@@ -88,12 +90,11 @@ type Config struct {
 	// membership-flux rejections (default 15s).
 	DefaultLease time.Duration
 	// MaxInFlight is the global admission cap: requests beyond it are shed
-	// with 429 (default 256; negative disables).
+	// with 429 (default 256).
 	MaxInFlight int
 	// BackendQueue is the per-backend load limit: when the chosen worker's
 	// score (router in-flight + polled worker gauge) reaches it, the
-	// request is shed with 429 rather than queued ever deeper (default 32;
-	// negative disables).
+	// request is shed with 429 rather than queued ever deeper (default 32).
 	BackendQueue int
 	// MaxAttempts bounds placement attempts per request, the first try
 	// included (default 3, always capped at the fleet size).
@@ -101,8 +102,7 @@ type Config struct {
 	// RetryBackoff is the nominal sleep before the first retry, doubling
 	// per attempt; each sleep is jittered to [1/2, 1] of nominal so a
 	// burst of requests orphaned by one worker ejection does not hammer
-	// the surviving replicas in lockstep (default 10ms; negative disables
-	// the sleep).
+	// the surviving replicas in lockstep (default 10ms).
 	RetryBackoff time.Duration
 	// HealthInterval is the active probe + gauge poll period (default
 	// 250ms).
@@ -113,9 +113,9 @@ type Config struct {
 	// RelayTimeout bounds one non-streaming relay attempt — connect through
 	// full response — so a black-holed worker fails the attempt over to the
 	// next replica instead of hanging the relay past the retry logic
-	// (default 30s; negative disables). Streaming relays are not bounded
-	// here (generation length is unbounded); they rely on the propagated
-	// deadline budget and the worker's own watchdog.
+	// (default 30s). Streaming relays are not bounded here (a stream's
+	// length is the client's token budget, not the router's); they rely on
+	// the propagated deadline budget and the worker's own watchdog.
 	RelayTimeout time.Duration
 	// Client issues the proxied requests and health probes (default: a
 	// dedicated client with sane connection pooling and no global timeout —
@@ -125,19 +125,19 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInFlight == 0 {
+	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 256
 	}
 	if c.DefaultLease <= 0 {
 		c.DefaultLease = 15 * time.Second
 	}
-	if c.BackendQueue == 0 {
+	if c.BackendQueue <= 0 {
 		c.BackendQueue = 32
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.RetryBackoff == 0 {
+	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 10 * time.Millisecond
 	}
 	if c.HealthInterval <= 0 {
@@ -146,7 +146,7 @@ func (c Config) withDefaults() Config {
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
 	}
-	if c.RelayTimeout == 0 {
+	if c.RelayTimeout <= 0 {
 		c.RelayTimeout = 30 * time.Second
 	}
 	if c.SyncInterval <= 0 {
@@ -178,8 +178,6 @@ type Router struct {
 
 	inflight atomic.Int64
 	draining atomic.Bool
-	admitMu  sync.Mutex     // orders admission against StartDrain
-	reqs     sync.WaitGroup // admitted (non-rejected) requests in flight
 
 	quit chan struct{}
 	once sync.Once
@@ -288,7 +286,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Close stops the health loop. It does not wait for in-flight requests —
-// use Drain for that.
+// the http.Server's Shutdown does that.
 func (rt *Router) Close() {
 	rt.once.Do(func() { close(rt.quit) })
 	rt.hwg.Wait()
@@ -297,33 +295,16 @@ func (rt *Router) Close() {
 // StartDrain flips the router to not-admitting: new generation requests get
 // 503 + Retry-After and /healthz turns not-ready, while requests already
 // admitted (including SSE streams) run on. The onDrain hook fires once,
-// asynchronously.
+// asynchronously — synchronously it would deadlock with an
+// http.Server.Shutdown that waits for the very /v1/drain request that
+// triggered it.
 func (rt *Router) StartDrain() {
-	rt.admitMu.Lock()
 	rt.draining.Store(true)
-	rt.admitMu.Unlock()
 	rt.drainOnce.Do(func() {
 		if rt.onDrain != nil {
 			go rt.onDrain()
 		}
 	})
-}
-
-// Drain is the graceful-shutdown entry point: stop admitting, then wait for
-// every admitted request to finish or for ctx to expire.
-func (rt *Router) Drain(ctx context.Context) error {
-	rt.StartDrain()
-	done := make(chan struct{})
-	go func() {
-		rt.reqs.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // retryAfterLoad is the Retry-After hint on load-shedding 429s: queue
@@ -371,24 +352,16 @@ func (rt *Router) reject(w http.ResponseWriter, why string) {
 // rejection when the router is draining or the global cap is hit; on true,
 // the caller must call the returned release exactly once.
 func (rt *Router) admit(w http.ResponseWriter) (release func(), ok bool) {
-	rt.admitMu.Lock()
 	if rt.draining.Load() {
-		rt.admitMu.Unlock()
 		rt.reject(w, "draining")
 		return nil, false
 	}
-	rt.reqs.Add(1)
-	rt.admitMu.Unlock()
-	if cap := rt.cfg.MaxInFlight; cap > 0 && rt.inflight.Add(1) > int64(cap) {
+	if rt.inflight.Add(1) > int64(rt.cfg.MaxInFlight) {
 		rt.inflight.Add(-1)
-		rt.reqs.Done()
 		rt.shed(w, "router at capacity")
 		return nil, false
 	}
-	return func() {
-		rt.inflight.Add(-1)
-		rt.reqs.Done()
-	}, true
+	return func() { rt.inflight.Add(-1) }, true
 }
 
 // shed writes the 429 load-shedding reply.
@@ -398,36 +371,27 @@ func (rt *Router) shed(w http.ResponseWriter, why string) {
 	httpapi.WriteJSON(w, http.StatusTooManyRequests, map[string]string{"error": why})
 }
 
-// maxBody bounds buffered request bodies; generation requests are a few
-// hundred bytes, so 1MB is generous.
-const maxBody = 1 << 20
-
-// requestBudget extracts the request's end-to-end deadline budget by the
-// worker's own rule (httpapi.HeaderTimeout): the header wins, else the
-// body's timeout_ms field. 0 means no budget; negative body values are
-// left for the worker's validation.
-func requestBudget(r *http.Request, body []byte) (time.Duration, error) {
+// routing reads, in one parse of the body, the two things the router takes
+// from a generation request: its affinity key and its end-to-end deadline
+// budget. The X-Session-Key header wins over the body's "session" field,
+// and the budget follows the worker's own rule (httpapi.HeaderTimeout): the
+// header wins, else the body's timeout_ms. A body that is not valid JSON
+// yields no key and no budget — the request still forwards, and the worker
+// owns the 400. A budget of 0 means none; negative body values are left for
+// the worker's validation.
+func routing(r *http.Request, body []byte) (session string, budget time.Duration, err error) {
 	var probe struct {
-		TimeoutMS int64 `json:"timeout_ms"`
+		Session   string `json:"session"`
+		TimeoutMS int64  `json:"timeout_ms"`
 	}
-	_ = json.Unmarshal(body, &probe) // malformed JSON: no body budget, and the worker owns the 400
-	return httpapi.HeaderTimeout(r, time.Duration(max(probe.TimeoutMS, 0))*time.Millisecond)
-}
-
-// sessionOf extracts the affinity key: the X-Session-Key header wins, else
-// the body's "session" field. Malformed JSON yields no key — the request
-// still forwards, and the worker owns the 400.
-func sessionOf(r *http.Request, body []byte) string {
+	if json.Unmarshal(body, &probe) != nil {
+		probe.Session, probe.TimeoutMS = "", 0
+	}
 	if k := r.Header.Get("X-Session-Key"); k != "" {
-		return k
+		probe.Session = k
 	}
-	var probe struct {
-		Session string `json:"session"`
-	}
-	if err := json.Unmarshal(body, &probe); err == nil {
-		return probe.Session
-	}
-	return ""
+	budget, err = httpapi.HeaderTimeout(r, time.Duration(max(probe.TimeoutMS, 0))*time.Millisecond)
+	return probe.Session, budget, err
 }
 
 // candidates returns the placement order for one request: the session's
@@ -469,12 +433,12 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 	}
 	defer release()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBody))
 	if err != nil {
 		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "body read: " + err.Error()})
 		return
 	}
-	budget, err := requestBudget(r, body)
+	session, budget, err := routing(r, body)
 	if err != nil {
 		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
@@ -483,7 +447,6 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
-	session := sessionOf(r, body)
 	cands := rt.candidates(session)
 	if len(cands) == 0 || !cands[0].isHealthy() {
 		rt.reject(w, "no healthy backend")
@@ -494,7 +457,7 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 	// is already at its queue limit. Shedding here, rather than piling on,
 	// keeps worker queues bounded and, for keyed traffic, keeps the
 	// session's KV affinity instead of scattering it under overload.
-	if lim := rt.cfg.BackendQueue; lim > 0 && cands[0].score() >= lim {
+	if cands[0].score() >= rt.cfg.BackendQueue {
 		rt.shed(w, "backend queue full")
 		return
 	}
@@ -510,10 +473,8 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 		}
 		if i > 0 {
 			rt.nRetries.Add(1)
-			if backoff > 0 {
-				time.Sleep(jitteredBackoff(backoff))
-				backoff *= 2
-			}
+			time.Sleep(jitteredBackoff(backoff))
+			backoff *= 2
 		}
 		// The deadline budget shrinks across attempts: each relay forwards
 		// only what remains, and when retries (or a slow worker) have eaten
@@ -580,14 +541,11 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *backend,
 	// fails this attempt over to the next replica instead of hanging the
 	// relay. The request's remaining deadline budget tightens it further.
 	ctx := r.Context()
-	attempt := time.Duration(0)
-	if !stream && rt.cfg.RelayTimeout > 0 {
-		attempt = rt.cfg.RelayTimeout
-	}
-	if remaining >= 0 && (attempt == 0 || remaining < attempt) {
-		attempt = remaining
-	}
-	if !stream && attempt > 0 {
+	if !stream {
+		attempt := rt.cfg.RelayTimeout
+		if remaining >= 0 {
+			attempt = min(attempt, remaining)
+		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, attempt)
 		defer cancel()
@@ -679,7 +637,7 @@ func (rt *Router) relayStream(ctx context.Context, w http.ResponseWriter, upstre
 // decodeBody parses a bounded JSON request body into v, writing the 400
 // itself on failure so handlers can just return on error.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBody))
 	if err == nil {
 		err = json.Unmarshal(body, v)
 	}

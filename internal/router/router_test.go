@@ -413,9 +413,10 @@ func TestEjectionAndReadmission(t *testing.T) {
 	})
 }
 
-// TestGracefulDrain: draining rejects new work with 503 and flips
-// /healthz, the in-flight SSE stream completes with its done frame, and
-// Drain returns only once it has.
+// TestGracefulDrain drains the way llm-router does: StartDrain rejects new
+// work with 503 and flips /healthz, then the http.Server's Shutdown waits
+// for the in-flight SSE stream, which completes with its done frame, and
+// returns only once it has.
 func TestGracefulDrain(t *testing.T) {
 	gate := make(chan struct{})
 	ws := startWorkers(t, 2, 3, gate)
@@ -448,10 +449,10 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("draining healthz %d, want 503", hresp.StatusCode)
 	}
 
-	// The held stream keeps Drain from completing.
+	// The held stream keeps Shutdown from completing.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	if err := rt.Drain(ctx); err == nil {
-		t.Fatal("Drain returned while a stream was in flight")
+	if err := ts.Config.Shutdown(ctx); err == nil {
+		t.Fatal("Shutdown returned while a stream was in flight")
 	}
 	cancel()
 
@@ -471,8 +472,8 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
-	if err := rt.Drain(ctx2); err != nil {
-		t.Fatalf("Drain after stream completion: %v", err)
+	if err := ts.Config.Shutdown(ctx2); err != nil {
+		t.Fatalf("Shutdown after stream completion: %v", err)
 	}
 	if st := rt.Stats(); !st.Draining || st.Rejected == 0 {
 		t.Errorf("drain stats: %+v", st)
@@ -498,5 +499,35 @@ func TestRouterStatsEndpoint(t *testing.T) {
 	}
 	if st.Requests != 1 || st.Proxied != 1 || len(st.Backends) != 2 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestConfigDefaults: zero and negative values both select a bounded
+// field's default, and a positive value is kept.
+func TestConfigDefaults(t *testing.T) {
+	checkDefault(t, "SyncInterval", func(c *Config) *time.Duration { return &c.SyncInterval }, 500*time.Millisecond)
+	checkDefault(t, "DefaultLease", func(c *Config) *time.Duration { return &c.DefaultLease }, 15*time.Second)
+	checkDefault(t, "MaxInFlight", func(c *Config) *int { return &c.MaxInFlight }, 256)
+	checkDefault(t, "BackendQueue", func(c *Config) *int { return &c.BackendQueue }, 32)
+	checkDefault(t, "MaxAttempts", func(c *Config) *int { return &c.MaxAttempts }, 3)
+	checkDefault(t, "RetryBackoff", func(c *Config) *time.Duration { return &c.RetryBackoff }, 10*time.Millisecond)
+	checkDefault(t, "HealthInterval", func(c *Config) *time.Duration { return &c.HealthInterval }, 250*time.Millisecond)
+	checkDefault(t, "FailThreshold", func(c *Config) *int { return &c.FailThreshold }, 3)
+	checkDefault(t, "RelayTimeout", func(c *Config) *time.Duration { return &c.RelayTimeout }, 30*time.Second)
+}
+
+func checkDefault[T int | time.Duration](t *testing.T, name string, field func(*Config) *T, def T) {
+	t.Helper()
+	for _, v := range []T{0, -1, 7} {
+		var c Config
+		*field(&c) = v
+		d := c.withDefaults()
+		want := def
+		if v > 0 {
+			want = v
+		}
+		if got := *field(&d); got != want {
+			t.Errorf("%s %v: withDefaults gives %v, want %v", name, v, got, want)
+		}
 	}
 }

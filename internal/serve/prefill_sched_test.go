@@ -221,7 +221,7 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 						t.Fatalf("iteration %d: pass %s has more decode rows than MaxBatch %d", it, op, s.cfg.MaxBatch)
 					}
 				case 'P':
-					if chunks++; chunks > 1 || s.cfg.PrefillChunk > 0 && n > s.cfg.PrefillChunk {
+					if chunks++; chunks > 1 || n > s.cfg.PrefillChunk {
 						t.Fatalf("iteration %d: pass %s carries more than one chunk of at most PrefillChunk %d", it, op, s.cfg.PrefillChunk)
 					}
 				}
@@ -278,17 +278,38 @@ func runSched(t *testing.T, cfg Config, reqs []schedReq, boom string, tag bool) 
 	return res
 }
 
+// TestConfigDefaults: zero and negative values both select a bounded
+// field's default, and a positive value is kept.
+func TestConfigDefaults(t *testing.T) {
+	for _, f := range []struct {
+		name  string
+		field func(*Config) *int
+		def   int
+	}{
+		{"MaxBatch", func(c *Config) *int { return &c.MaxBatch }, 8},
+		{"QueueDepth", func(c *Config) *int { return &c.QueueDepth }, 64},
+		{"PrefillChunk", func(c *Config) *int { return &c.PrefillChunk }, 32},
+	} {
+		for _, v := range []int{0, -1, 7} {
+			var c Config
+			*f.field(&c) = v
+			d := c.withDefaults()
+			want := f.def
+			if v > 0 {
+				want = v
+			}
+			if got := *f.field(&d); got != want {
+				t.Errorf("%s %d: withDefaults gives %d, want %d", f.name, v, got, want)
+			}
+		}
+	}
+}
+
 // TestScheduling pins the serving policy as plain data: requests and a
 // config in, the sequence of passes, the outcomes and the counters out. Each
 // "[...]" is one pass: "S<n>" its n decode rows, "P<n>" its prompt chunk;
 // every expected sequence below is derived by hand in its comment.
 func TestScheduling(t *testing.T) {
-	if got := (Config{}).withDefaults().PrefillChunk; got != 32 {
-		t.Fatalf("default PrefillChunk = %d, want 32", got)
-	}
-	if got := (Config{PrefillChunk: 7}).withDefaults().PrefillChunk; got != 7 {
-		t.Fatalf("explicit PrefillChunk = %d, want 7", got)
-	}
 	chunk4 := Config{MaxBatch: 4, PrefillChunk: 4}
 	cases := []struct {
 		name  string
@@ -331,9 +352,10 @@ func TestScheduling(t *testing.T) {
 			PrefillChunkHist: [9]uint64{0: 1, 1: 2, 2: 2}, BatchHist: [9]uint64{0: 3, 1: 2},
 		}},
 	}, {
-		// A negative PrefillChunk removes the cap: the whole prompt in one
-		// pass, which samples the first token; the second rides the next.
-		name: "PrefillChunkConfigured", cfg: Config{PrefillChunk: -1},
+		// A PrefillChunk at least as long as the prompt takes the whole
+		// prompt in one pass, which samples the first token; the second
+		// rides the next.
+		name: "PrefillChunkConfigured", cfg: Config{PrefillChunk: 16},
 		reqs: []schedReq{{words: 12, tokens: 2}},
 		want: schedResult{ops: "[P12] [S1]", outs: "ok", stats: Stats{
 			Requests: 1, Completed: 1, PrefixLookups: 1,

@@ -86,7 +86,8 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// Config tunes the batching loop. The zero value selects the defaults.
+// Config tunes the batching loop. A MaxBatch, QueueDepth or PrefillChunk
+// of zero or less selects that field's default.
 type Config struct {
 	// MaxBatch is the largest number of sequences decoded per step
 	// (default 8).
@@ -98,10 +99,11 @@ type Config struct {
 	// (default 32). Each iteration's pass holds every decode-phase
 	// request's next token plus at most one prompt chunk, so this bounds
 	// the extra work a mid-decode request's token shares its pass with:
-	// one chunk's rows, regardless of prompt length. Larger chunks ingest
-	// prompts faster (better time-to-first-token for the new request);
-	// smaller chunks keep in-flight streams smoother. 0 keeps the
-	// default; negative removes the cap (whole prompts in one pass).
+	// one chunk's rows, regardless of prompt length, and a pass is never
+	// wider than MaxBatch + PrefillChunk rows, the width the predictor's
+	// pass arena keeps. Larger chunks ingest prompts faster (better
+	// time-to-first-token for the new request); smaller chunks keep
+	// in-flight streams smoother.
 	PrefillChunk int
 	// RequestTimeout is the server-side default deadline applied to
 	// requests that do not carry their own Request.Timeout; 0 disables.
@@ -123,7 +125,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.PrefillChunk == 0 {
+	if c.PrefillChunk <= 0 {
 		c.PrefillChunk = 32
 	}
 	return c
@@ -696,9 +698,7 @@ func (b *batch) pass() {
 		if err := guard(failpoint.ServePrefill, func() {}); err != nil {
 			b.retire(pre, false, err)
 		} else {
-			if chunk = len(pre.forced); b.cfg.PrefillChunk > 0 {
-				chunk = min(chunk, b.cfg.PrefillChunk)
-			}
+			chunk = min(len(pre.forced), b.cfg.PrefillChunk)
 			b.chunks = append(b.chunks, transformer.Chunk{ID: pre.slot, Tokens: pre.forced[:chunk]})
 			b.decs = append(b.decs, pre)
 		}

@@ -124,55 +124,6 @@ func TestBatchedStepAllocsBounded(t *testing.T) {
 	})
 }
 
-// TestBatchedScratchShrinksAfterBurst pins the scratch-retention policy: a
-// burst of wide steps grows the arena to the burst size, and once the live
-// batch stays well below that capacity for scratchShrinkAfter consecutive
-// steps, the arena is released and regrown at the live size — a server that
-// once saw a 32-wide burst must not pin 32-row scratch while decoding one
-// stream. Equal or near-capacity batches must never trigger a trim (the
-// steady-state zero-alloc guarantee depends on it).
-func TestBatchedScratchShrinksAfterBurst(t *testing.T) {
-	cfg := Config{Vocab: 33, Dim: 32, Layers: 2, Heads: 2, Window: 2*scratchShrinkAfter + 40, Pos: PosLearned, Act: nn.GELU}
-	m := MustNew(cfg, mathx.NewRNG(7))
-	bp := m.NewBatchedPredictor()
-	const burst = 32
-	ids := make([]int, burst)
-	toks := make([]int, burst)
-	for i := range ids {
-		ids[i] = bp.Add()
-	}
-	for s := 0; s < 3; s++ {
-		bp.Step(ids, toks[:burst])
-	}
-	if cap(bp.rows) < burst {
-		t.Fatalf("scratch capacity %d after a %d-wide burst", cap(bp.rows), burst)
-	}
-	grown := cap(bp.x.Data)
-	// The burst ends; one sequence keeps decoding.
-	for s := 0; s < scratchShrinkAfter+1; s++ {
-		bp.Step(ids[:1], toks[:1])
-	}
-	if cap(bp.rows) != 1 {
-		t.Errorf("scratch holds %d rows after %d single-row steps, want 1", cap(bp.rows), scratchShrinkAfter+1)
-	}
-	if cap(bp.x.Data) >= grown {
-		t.Errorf("residual scratch kept its burst capacity (%d floats)", cap(bp.x.Data))
-	}
-	// A batch at (or near) the live capacity never trims: capacities stay
-	// put across far more than scratchShrinkAfter steps.
-	bp2 := m.NewBatchedPredictor()
-	ids2 := make([]int, scratchMinRows)
-	for i := range ids2 {
-		ids2[i] = bp2.Add()
-	}
-	for s := 0; s < scratchShrinkAfter+5; s++ {
-		bp2.Step(ids2, toks[:len(ids2)])
-	}
-	if cap(bp2.rows) != scratchMinRows {
-		t.Errorf("steady batch of %d saw its scratch resized to %d rows", scratchMinRows, cap(bp2.rows))
-	}
-}
-
 // mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin: the
 // fewest heap objects one call of f allocated over runs calls, and the mean
 // (rounded down, as AllocsPerRun does), at the caller's GOMAXPROCS, after as

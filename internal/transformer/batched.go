@@ -33,13 +33,11 @@ import (
 // KV cache is preallocated to the window (Add recycles the buffers of
 // dropped sequences through a per-model pool), and all pass intermediates
 // (projections, residuals, logits) live in one scratch arena reused across
-// passes. The arena grows to the largest pass — in the serving loop at most
-// MaxBatch decode rows plus one prompt chunk — and is released again when
-// passes stay well below that high-water mark (see trimScratch), so a burst
-// does not pin its peak footprint forever. Prompt chunks no longer take
-// pooled scratch to stay out of that hysteresis: a chunk that shares its
-// pass with decode rows shares their arena, and the trim bounds what it
-// leaves behind.
+// passes. The arena grows to the widest pass and keeps that width, so its
+// footprint is bounded by the caller's widest pass, not by traffic: in the
+// serving loop at most MaxBatch decode rows plus one PrefillChunk-row prompt
+// chunk, both declared in serve.Config. A prompt chunk that shares its pass
+// with decode rows shares their arena.
 //
 // A sequence that is told its whole prompt up front (Attach) restores the
 // longest prefix of it that the predictor's prefix cache holds instead of
@@ -55,14 +53,12 @@ type BatchedPredictor struct {
 	next   int
 	prefix *prefixCache
 
-	// Pass arena (rows and intermediates) and result, grown to the largest
-	// pass seen and reused; overCap counts consecutive passes far below
-	// capacity (the shrink hysteresis).
+	// Pass arena (rows and intermediates) and result, grown to the widest
+	// pass seen and reused.
 	passScratch
-	logits  logitBuf
-	seen    map[int]bool
-	overCap int
-	steps   []Chunk // Step's chunk list, reused
+	logits logitBuf
+	seen   map[int]bool
+	steps  []Chunk // Step's chunk list, reused
 }
 
 // batchSeq is one sequence's decoding state: its KV cache and what the
@@ -174,33 +170,6 @@ func (bp *BatchedPredictor) Rewind(id, n int) {
 	s.fed = min(s.fed, s.n)
 }
 
-// Scratch-retention policy: the pass arena tracks the largest pass seen,
-// which after a traffic burst can dwarf the steady pass. When live passes
-// have stayed at or below capacity/scratchShrinkFactor rows for
-// scratchShrinkAfter consecutive passes, the arena is released and regrown
-// at the live size; tiny arenas (≤ scratchMinRows rows) are never worth
-// reclaiming. The hysteresis keeps an oscillating load from thrashing
-// between shrink and regrowth.
-const (
-	scratchShrinkFactor = 4
-	scratchShrinkAfter  = 64
-	scratchMinRows      = 8
-)
-
-// trimScratch applies the retention policy above to the last pass, before
-// the next one, which then regrows the arena at its own size.
-func (bp *BatchedPredictor) trimScratch() {
-	if cap(bp.rows) <= scratchMinRows || len(bp.rows)*scratchShrinkFactor > cap(bp.rows) {
-		bp.overCap = 0
-		return
-	}
-	if bp.overCap++; bp.overCap < scratchShrinkAfter {
-		return
-	}
-	bp.overCap = 0
-	bp.passScratch, bp.logits = passScratch{}, logitBuf{}
-}
-
 // rowParallelWork is the per-call flop count above which a per-row sweep
 // fans out across goroutines (matches tensor.MatMul's threshold scale).
 const rowParallelWork = 64 * 64 * 64
@@ -294,7 +263,6 @@ func (bp *BatchedPredictor) Pass(chunks []Chunk) [][]float64 {
 	if len(chunks) == 0 {
 		return nil
 	}
-	bp.trimScratch()
 	bp.rows = bp.rows[:0]
 	clear(bp.seen)
 	for _, c := range chunks {
