@@ -11,7 +11,8 @@
 // metrics, bounds and the run length come from BENCHMARK.json in the working
 // directory, which must be the root of the repository. A run that exits
 // non-zero (a completion differing from lm.Gen included) aborts the
-// comparison.
+// comparison. Each pair's log line gives both runs' machine_speed note, the
+// calibrated speed of the machine while each ran.
 //
 // Verdicts: "better" — over at least ten pairs the change won nine tenths
 // of them (ties count for neither side) and the medians differ, in the
@@ -132,17 +133,25 @@ func checkout(rev, dir string) error {
 }
 
 // runOnce runs one workload in the checkout at dir and returns the metrics
-// of its final JSON line.
-func runOnce(dir, workload string, seed uint64, seconds int) (map[string]float64, error) {
+// of its final JSON line, and the machine_speed its notes print (0 if
+// none): the calibrated speed of the machine during that run, which tells a
+// slow pair from a slow change.
+func runOnce(dir, workload string, seed uint64, seconds int) (map[string]float64, float64, error) {
 	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
 		"--seed", strconv.FormatUint(seed, 10), "--seconds", strconv.Itoa(seconds), "--trace", "0")
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("%s in %s: %w\n%s", workload, dir, err, out)
+		return nil, 0, fmt.Errorf("%s in %s: %w\n%s", workload, dir, err, out)
 	}
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	var speed float64
+	for _, l := range lines {
+		if f := bytes.Fields(l); len(f) > 1 && string(f[0]) == "machine_speed" {
+			speed, _ = strconv.ParseFloat(string(f[1]), 64)
+		}
+	}
 	var res struct {
 		Correct bool `json:"correct"`
 		Metrics map[string]struct {
@@ -150,16 +159,16 @@ func runOnce(dir, workload string, seed uint64, seconds int) (map[string]float64
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
-		return nil, fmt.Errorf("%s in %s: last output line is not the result: %w", workload, dir, err)
+		return nil, 0, fmt.Errorf("%s in %s: last output line is not the result: %w", workload, dir, err)
 	}
 	if !res.Correct {
-		return nil, fmt.Errorf("%s in %s: completions differ from lm.Gen", workload, dir)
+		return nil, 0, fmt.Errorf("%s in %s: completions differ from lm.Gen", workload, dir)
 	}
 	m := make(map[string]float64, len(res.Metrics))
 	for name, v := range res.Metrics {
 		m[name] = v.Value
 	}
-	return m, nil
+	return m, speed, nil
 }
 
 func main() {
@@ -211,16 +220,18 @@ func run(parentRev, changeRev, workload string, pairs int, seed uint64) error {
 	for _, w := range workloads {
 		runs := [2]map[string][]float64{{}, {}} // 0 parent, 1 change
 		for k := 0; k < pairs; k++ {
+			var speed [2]float64
 			for _, side := range []int{k % 2, 1 - k%2} { // alternate who goes first
-				m, err := runOnce(dirs[side], w, seed, sp.RunSeconds)
+				m, s, err := runOnce(dirs[side], w, seed, sp.RunSeconds)
 				if err != nil {
 					return err
 				}
 				for name, v := range m {
 					runs[side][name] = append(runs[side][name], v)
 				}
+				speed[side] = s
 			}
-			log.Printf("%s: pair %d/%d done", w, k+1, pairs)
+			log.Printf("%s: pair %d/%d done (machine_speed: parent %.3f, change %.3f)", w, k+1, pairs, speed[0], speed[1])
 		}
 		fmt.Printf("\n%-14s %-12s %12s %25s %12s %6s  %s\n", "workload", "metric", "parent", "[q1, q3]", "change", "wins", "verdict")
 		for _, ms := range sp.EndToEnd {

@@ -76,9 +76,9 @@ func TestCompiledCacheSharedAndInvalidated(t *testing.T) {
 // a serving iteration's mixed pass (eight decode rows plus a 32-row prompt
 // chunk, rewound after each pass so the window never runs out): once the
 // scratch arena has grown to the pass, the map clear, the chunk list and the
-// tensor views are all reused. Each shape gets a fresh predictor so the
-// shrink policy (constant pass ⇒ capacity == rows ⇒ no trim) never fires
-// mid-measure. testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures,
+// tensor views are all reused. Each shape gets a fresh predictor, so each
+// measures an arena grown to its own pass rather than to the widest shape
+// before it. testing.AllocsPerRun pins GOMAXPROCS to 1 while it measures,
 // so these are the serial branches only; TestFanOutAllocs measures the
 // fanned-out ones.
 func TestBatchedStepAllocsBounded(t *testing.T) {
@@ -144,14 +144,14 @@ func mallocsPerRun(runs int, f func()) (lo, mean uint64) {
 	return lo, mean / uint64(runs)
 }
 
-// TestFanOutAllocs is the allocation pin at GOMAXPROCS 2, where blockRows'
-// fan-outs (its row phases by row group, attention by head) can run: a
-// one-row Append whose attention work is past rowParallelWork stays serial
-// and allocates nothing, and a fanned-out pass allocates a fixed number of
-// objects — a closure and a WaitGroup per rowParallel call, three calls per
-// layer — whatever its row count. The pass's floor is compared, not its
-// mean: a WaitGroup wait now and then refills a runtime cache, which the row
-// count does not drive.
+// TestFanOutAllocs is the allocation pin at GOMAXPROCS 2, where a pass's
+// phases can fan out by row group: a one-row Append whose attention work is
+// past rowParallelWork stays serial and allocates nothing, and a fanned-out
+// pass allocates a fixed number of objects — the phase closure and the
+// layer index it shares, and one call record per rowParallel call, one call
+// per layer plus one — whatever its row count. The pass's floor is
+// compared, not its mean: a hand-off now and then refills a runtime cache,
+// which the row count does not drive.
 func TestFanOutAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := Config{Vocab: 33, Dim: 64, Layers: 1, Heads: 4, Window: 2304, Pos: PosLearned, Act: nn.GELU}
@@ -189,8 +189,8 @@ func TestFanOutAllocs(t *testing.T) {
 
 // TestFanOutGateKeepsDecodeSerial pins that decode passes stay serial at the
 // serving benchmark's shape on two cores: a batch of eight one-token rows at
-// contexts 8 to 72 leaves both of blockRows' gates closed and allocates
-// nothing, and so does Append.
+// contexts 8 to 72 leaves both fan-out gates (the widest product and the
+// attention work) closed and allocates nothing, and so does Append.
 func TestFanOutGateKeepsDecodeSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosLearned, Act: nn.GELU}

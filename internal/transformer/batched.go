@@ -3,7 +3,10 @@ package transformer
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // BatchedPredictor performs autoregressive inference for many sequences at
@@ -20,11 +23,11 @@ import (
 // is streamed from memory once per four rows however many sequences ride
 // them (the fused mathx.DotInterleaved16X4 kernel), and each row's attention
 // reads its own sequence's interleaved key pack, sixteen keys per kernel
-// call. A large pass fans out across GOMAXPROCS — the position-wise work
-// (layer norms, projections, bias, activation, residual adds) by four-row
-// group, attention by head — with bitwise the same result at any worker
-// count; a batch of decode rows at the serving benchmark's shape stays
-// serial.
+// call. A large pass fans out across GOMAXPROCS by four-row group, one
+// hand-off per layer (each phase runs a layer's attention, output
+// projection and FFN and the next layer's Q/K/V for the group), with
+// bitwise the same result at any worker count; a batch of decode rows at
+// the serving benchmark's shape stays serial.
 // Step and Prefill are shapes of Pass, and Predictor.Append is the same
 // kernel at 1 × 1, so the logits for a sequence are bitwise identical to
 // running it alone through a Predictor.
@@ -182,60 +185,128 @@ func parallelRows(n, work int) bool {
 	return runtime.GOMAXPROCS(0) >= 2 && n >= 2 && work >= rowParallelWork
 }
 
-// rowParallel runs f(i) for every row i in [0, n), split into one
-// contiguous share per worker, min(GOMAXPROCS, n) workers, and returns when
-// every share is done; callers gate on parallelRows. Each row writes only
-// its own outputs, so the result is identical to the serial loop at any
-// worker count. The caller hands every share to long-lived workers and
-// waits, rather than running one itself: its core then takes the last share
-// handed out at once, while idle cores take the others (a share run by the
-// caller measured slower on two cores). f must not call rowParallel: a
-// nested call would wait for a worker that is busy running f.
+// rowParallel runs f(i) for every i in [0, n) on up to min(GOMAXPROCS, n)
+// goroutines and returns when every i is done; callers gate on
+// parallelRows. Each i writes only its own outputs, so the result is
+// identical to the serial loop at any worker count. The caller publishes
+// the call, wakes parked helpers, and then claims items one at a time
+// alongside the helpers that are awake, so no item waits for a helper to
+// start: a helper that comes late finds fewer items left, and the caller
+// runs the rest.
 func rowParallel(n int, f func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	fanWorkers(workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		wg.Add(1)
-		fanShares <- fanShare{f, lo, min(lo+chunk, n), &wg}
+	c := &fanCall{f: f, n: int64(n)}
+	fanOpen(c, min(runtime.GOMAXPROCS(0), n)-1)
+	c.work()
+	fanClose(c)
+	for c.done.Load() < c.n {
+		runtime.Gosched()
 	}
-	wg.Wait()
 }
 
-// rowParallel's workers live as long as the process, grown to the largest
-// worker count asked for and parked on fanShares between calls, so a pass
-// starts no goroutine. A goroutine per share would allocate a fresh
-// goroutine descriptor whenever the runtime's cache of exited ones runs dry
-// on the calling core while another core's fills, which a loaded machine
-// makes common. Passes running at once in one process queue for the same
-// workers; an idle worker costs a parked goroutine.
-var (
-	fanShares  = make(chan fanShare)
-	fanMu      sync.Mutex
-	fanStarted int // workers receiving on fanShares
-)
+// fanIdle is how long a helper with no call to join stays awake before it
+// parks. Waking a parked helper cost ≈ 33 µs on a 2-vCPU VM (a call over 8
+// items of ≈ 34 µs took 164–174 µs against an ideal 135 µs; with the helper
+// awake, 1.2 µs). Under the serving benchmark's prefill_heavy load every
+// gap between the calls of one pass was under 5 µs, and 87 % of the gaps
+// between passes were under 50 µs (EXPERIMENTS E42), so a helper joins
+// those calls awake, and a pass after a longer gap pays one wake-up, not
+// one per phase. Waiting yields the core, and an idle process's helpers
+// are parked this long after their last call.
+const fanIdle = 50 * time.Microsecond
 
-// fanShare is rows [lo, hi) of one rowParallel call.
-type fanShare struct {
-	f      func(i int)
-	lo, hi int
-	wg     *sync.WaitGroup
+// rowParallel's helpers live as long as the process, one fewer than the
+// most goroutines a call has asked for, so a pass starts no goroutine. A
+// helper joins any open call with an unclaimed item; with none, it waits awake
+// for fanIdle and then parks, and only parked helpers are woken. Calls made
+// at once — one per serve loop of a worker process — are all open to every
+// helper, and each completes even if no helper joins it.
+var fan struct {
+	sync.Mutex
+	calls   []*fanCall      // open calls
+	parked  []chan struct{} // the wake channel of each parked helper
+	helpers int             // helpers started
+	open    atomic.Int32    // len(calls), for helpers to poll without the lock
 }
 
-// fanWorkers starts workers until at least n receive on fanShares.
-func fanWorkers(n int) {
-	fanMu.Lock()
-	defer fanMu.Unlock()
-	for ; fanStarted < n; fanStarted++ {
-		go func() {
-			for sh := range fanShares {
-				for i := sh.lo; i < sh.hi; i++ {
-					sh.f(i)
-				}
-				sh.wg.Done()
+// fanCall is one rowParallel call: f over [0, n), claimed in order from
+// next; done counts the items that have run.
+type fanCall struct {
+	f          func(i int)
+	n          int64
+	next, done atomic.Int64
+}
+
+// work claims and runs c's items until none is left.
+func (c *fanCall) work() {
+	for i := c.next.Add(1) - 1; i < c.n; i = c.next.Add(1) - 1 {
+		c.f(int(i))
+		c.done.Add(1)
+	}
+}
+
+// fanOpen publishes c to the helpers, starting helpers until there are
+// want, and waking up to want parked ones.
+func fanOpen(c *fanCall, want int) {
+	fan.Lock()
+	defer fan.Unlock()
+	for ; fan.helpers < want; fan.helpers++ {
+		go fanHelper()
+	}
+	fan.calls = append(fan.calls, c)
+	fan.open.Add(1)
+	for k := min(len(fan.parked), want); k > 0; k-- {
+		last := len(fan.parked) - 1
+		fan.parked[last] <- struct{}{} // one token per park into a buffer of one: never blocks
+		fan.parked = fan.parked[:last]
+	}
+}
+
+// fanClose withdraws c, whose items are all claimed.
+func fanClose(c *fanCall) {
+	fan.Lock()
+	defer fan.Unlock()
+	fan.calls = slices.DeleteFunc(fan.calls, func(o *fanCall) bool { return o == c })
+	fan.open.Add(-1)
+}
+
+// fanJoinable returns an open call with an unclaimed item, or nil; the
+// caller holds fan's lock.
+func fanJoinable() *fanCall {
+	for _, c := range fan.calls {
+		if c.next.Load() < c.n {
+			return c
+		}
+	}
+	return nil
+}
+
+// fanHelper is one helper's life: join open calls, wait awake for fanIdle
+// when there is none, then park until a call wakes it. It rechecks for an
+// open call under the lock before it parks: a call published after its
+// last look would otherwise find it not yet parked and not wake it.
+func fanHelper() {
+	wake := make(chan struct{}, 1)
+	for {
+		for idle := time.Now(); time.Since(idle) < fanIdle; runtime.Gosched() {
+			if fan.open.Load() == 0 {
+				continue
 			}
-		}()
+			fan.Lock()
+			c := fanJoinable()
+			fan.Unlock()
+			if c != nil {
+				c.work()
+				idle = time.Now()
+			}
+		}
+		fan.Lock()
+		if fanJoinable() != nil {
+			fan.Unlock()
+			continue
+		}
+		fan.parked = append(fan.parked, wake)
+		fan.Unlock()
+		<-wake
 	}
 }
 

@@ -10,35 +10,29 @@ import (
 // transposed to output-major and then packed sixteen output rows at a time
 // into the element-interleaved layout mathx.DotInterleaved16 consumes
 // (block b stores rows 16b..16b+15; within a block, element i of all
-// sixteen rows is contiguous). Leftover rows (rows % 16) stay in plain
-// transposed row-major form and are reduced with sequential mathx.Dot
-// calls. Both paths accumulate every output in ascending input order, so a
-// packed product is bitwise identical to the training-layout loop it
-// replaces.
+// sixteen rows is contiguous). When rows is not a multiple of sixteen, the
+// last block's missing rows are zeros, and their lanes are computed and
+// dropped. Every output accumulates in ascending input order, so a packed
+// product is bitwise identical to the training-layout loop it replaces.
 type packedMat struct {
 	rows, cols int
-	blocks     []float64      // (rows/16)·cols·16 interleaved elements
-	tail       *tensor.Tensor // (rows%16)×cols transposed remainder, or nil
+	blocks     []float64 // ⌈rows/16⌉·cols·16 interleaved elements
 }
 
 // packMat compiles wT (an output-major, i.e. already transposed, weight
 // matrix) into the interleaved block layout.
 func packMat(wT *tensor.Tensor) *packedMat {
 	rows, cols := wT.Shape[0], wT.Shape[1]
-	nb := rows / 16
+	nb := (rows + 15) / 16
 	pm := &packedMat{rows: rows, cols: cols, blocks: make([]float64, nb*cols*16)}
 	for b := 0; b < nb; b++ {
 		seg := pm.blocks[b*cols*16 : (b+1)*cols*16]
-		for k := 0; k < 16; k++ {
+		for k := 0; k < 16 && b*16+k < rows; k++ {
 			row := wT.Row(b*16 + k)
 			for i, v := range row {
 				seg[i*16+k] = v
 			}
 		}
-	}
-	if rem := rows % 16; rem > 0 {
-		pm.tail = tensor.New(rem, cols)
-		copy(pm.tail.Data, wT.Data[nb*16*cols:])
 	}
 	return pm
 }
@@ -53,45 +47,48 @@ func packMat(wT *tensor.Tensor) *packedMat {
 // for the remainder). Per row and lane the arithmetic is one ascending
 // accumulation whatever the grouping, so results are bitwise identical at
 // any row range. The sweep is serial: a large pass fans out one level up,
-// by four-row group across a block's row phases (blockRows), and writes
+// by four-row group across the phases of a pass (layerRows), and writes
 // only rows [lo, hi) of dst.
 func (pm *packedMat) matMat(dst, xs *tensor.Tensor, lo, hi int) {
-	nb := pm.rows / 16
-	for b := 0; b < nb; b++ {
-		pm.matMatBlock(b, dst, xs, lo, hi)
-	}
-	if pm.tail != nil {
-		base := nb * 16
-		for tr := 0; tr < pm.tail.Shape[0]; tr++ {
-			trow := pm.tail.Row(tr)
-			for r := lo; r < hi; r++ {
-				dst.Row(r)[base+tr] = mathx.Dot(trow, xs.Row(r))
-			}
-		}
+	var tmp [4][16]float64
+	for b := 0; b*16 < pm.rows; b++ {
+		pm.matMatBlock(b, dst, xs, lo, hi, &tmp)
 	}
 }
 
 // matMatBlock runs one packed weight block over rows [lo, hi) of xs, four
-// rows per weight stream, then two, then one.
-func (pm *packedMat) matMatBlock(b int, dst, xs *tensor.Tensor, lo, hi int) {
+// rows per weight stream, then two, then one. A full block's kernels write
+// straight into dst; the last, partial block's write sixteen lanes into
+// tmp, whose live lanes are copied out.
+func (pm *packedMat) matMatBlock(b int, dst, xs *tensor.Tensor, lo, hi int, tmp *[4][16]float64) {
 	blk := pm.blocks[b*pm.cols*16 : (b+1)*pm.cols*16]
+	c0, c1 := b*16, min(b*16+16, pm.rows)
+	out := func(k, r int) *[16]float64 {
+		if c1-c0 < 16 {
+			return &tmp[k]
+		}
+		return (*[16]float64)(dst.Row(r)[c0:c1])
+	}
+	flush := func(r, rows int) {
+		if c1-c0 < 16 {
+			for k := 0; k < rows; k++ {
+				copy(dst.Row(r + k)[c0:c1], tmp[k][:])
+			}
+		}
+	}
 	r := lo
 	for ; r+4 <= hi; r += 4 {
-		mathx.DotInterleaved16X4(
-			(*[16]float64)(dst.Row(r)[b*16:b*16+16]),
-			(*[16]float64)(dst.Row(r + 1)[b*16:b*16+16]),
-			(*[16]float64)(dst.Row(r + 2)[b*16:b*16+16]),
-			(*[16]float64)(dst.Row(r + 3)[b*16:b*16+16]),
+		mathx.DotInterleaved16X4(out(0, r), out(1, r+1), out(2, r+2), out(3, r+3),
 			blk, xs.Row(r), xs.Row(r+1), xs.Row(r+2), xs.Row(r+3))
+		flush(r, 4)
 	}
 	for ; r+2 <= hi; r += 2 {
-		mathx.DotInterleaved16X2(
-			(*[16]float64)(dst.Row(r)[b*16:b*16+16]),
-			(*[16]float64)(dst.Row(r + 1)[b*16:b*16+16]),
-			blk, xs.Row(r), xs.Row(r+1))
+		mathx.DotInterleaved16X2(out(0, r), out(1, r+1), blk, xs.Row(r), xs.Row(r+1))
+		flush(r, 2)
 	}
 	for ; r < hi; r++ {
-		mathx.DotInterleaved16((*[16]float64)(dst.Row(r)[b*16:b*16+16]), blk, xs.Row(r))
+		mathx.DotInterleaved16(out(0, r), blk, xs.Row(r))
+		flush(r, 1)
 	}
 }
 

@@ -221,9 +221,8 @@ func actScalar(a nn.Activation, x float64) float64 {
 // with itself; this table is where every entry point meets the reference.
 // The last two configs have sixteen-wide heads (the DotInterleaved16 value
 // sum) and windows that cross full key-pack blocks plus a partial tail; the
-// last is the serving benchmark's shape, whose 32- and 64-row chunks take
-// blockRows' row-phase fan-out (rowFanOut) and, once their attention work
-// reaches rowParallelWork, the attention fan-out across heads (run it under
+// last is the serving benchmark's shape, whose 32- and 64-row chunks fan
+// out every phase of the pass by row group (rowFanOut; run it under
 // -race).
 func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
@@ -332,12 +331,13 @@ func TestCompiledPredictorMatchesLegacyBitwise(t *testing.T) {
 	}
 }
 
-// TestAttentionFanOutBitwise aims at blockRows' fan-out across heads: one
+// TestAttentionFanOutBitwise aims at attention in a fanned-out pass: one
 // pass at the serving benchmark's shape mixing eight decode rows at context
-// ≥ 200 with a 32-row prompt chunk — enough attention work to open the gate
-// — must leave logits bitwise equal to the legacy reference and every K/V
-// row and key-pack lane bitwise equal to a solo Predictor's, at GOMAXPROCS
-// 1 (serial), 2 and 8 (more workers than heads: rowParallel's cap).
+// ≥ 200 with a 32-row prompt chunk — enough attention work to open the
+// gate, and row groups that hold decode rows of different states next to a
+// chunk's rows — must leave logits bitwise equal to the legacy reference
+// and every K/V row and key-pack lane bitwise equal to a solo Predictor's,
+// at GOMAXPROCS 1 (serial), 2 and 8.
 func TestAttentionFanOutBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosSinusoidal, Act: nn.GELU}
@@ -385,16 +385,17 @@ func TestAttentionFanOutBitwise(t *testing.T) {
 	}
 }
 
-// TestBlockFanOutBitwise aims at blockRows' phase split: passes whose row
-// phases fan out by four-row group must leave logits bitwise equal to the
-// legacy reference and every K/V row and key-pack lane bitwise equal to a
-// solo Predictor's, at GOMAXPROCS 1 (serial), 2 and 8. The passes are eight
-// decode rows plus an 8-token prompt chunk at the serving benchmark's shape
-// (16 rows, exactly at the row-phase gate, with the heads serial); a 30-row
-// chunk at context 0, whose last row group is partial; and post-norm blocks
-// with ReLU and Tanh, whose layer norms and activation run on row ranges,
-// over a window whose last key block is partial. The heads stay serial in
-// every pass; TestAttentionFanOutBitwise fans them out too.
+// TestBlockFanOutBitwise aims at a pass's phases (layerRows): passes that
+// fan out by four-row group on the widest product alone must leave logits
+// bitwise equal to the legacy reference and every K/V row and key-pack
+// lane bitwise equal to a solo Predictor's, at GOMAXPROCS 1 (serial), 2 and
+// 8. The passes are eight decode rows plus an 8-token prompt chunk at the
+// serving benchmark's shape (16 rows, exactly at the row gate, with the
+// attention work below it); a 30-row chunk at context 0, whose last row
+// group is partial; and post-norm blocks with ReLU and Tanh, whose layer
+// norms and activation run on row ranges, over a window whose last key
+// block is partial. TestAttentionFanOutBitwise opens the attention gate
+// too.
 func TestBlockFanOutBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	bench := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosLearned, Act: nn.GELU}
@@ -453,10 +454,10 @@ func TestBlockFanOutBitwise(t *testing.T) {
 
 // TestConcurrentPassesFanOutBitwise runs fanned-out passes on two
 // BatchedPredictors at once, as a worker process's serve loops do, so both
-// queue for rowParallel's shared workers: each 40-row chunk opens the row
-// phases and the head phase, and each sequence must still end with logits
-// and every K/V row and key-pack lane bitwise equal to a solo Predictor's,
-// at GOMAXPROCS 2 and 8.
+// share rowParallel's helpers: each 40-row chunk opens both gates (the
+// widest product and the attention work), and each sequence must still end
+// with logits and every K/V row and key-pack lane bitwise equal to a solo
+// Predictor's, at GOMAXPROCS 2 and 8.
 func TestConcurrentPassesFanOutBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosLearned, Act: nn.GELU}

@@ -19,13 +19,15 @@ import (
 // (packedMat.matMat: every weight block streamed once per four-row group),
 // attention scores run sixteen keys per interleaved kernel call against each
 // state's key pack, and only the rows whose logits are wanted are
-// final-normed and unembedded. A block runs in three phases (blockRows): the
-// position-wise work before and after attention fans out by four-row group
-// once the pass's widest product, n·Hidden·Dim, reaches rowParallelWork, and
-// attention between them by head once the pass's attention work reaches the
-// same threshold; a decode-sized pass runs serially. Predictor's chunk
-// passes take pooled scratch (Extend); BatchedPredictor's share its one
-// arena (see batched.go).
+// final-normed and unembedded. The blocks run as Layers+1 phases with one
+// barrier per layer (layerRows): each phase finishes one layer's attention,
+// output projection and FFN and starts the next layer's Q/K/V, because
+// attention is the only step that mixes positions. A large pass runs every
+// phase by four-row group across workers once the pass's widest product,
+// n·Hidden·Dim, or its attention work reaches rowParallelWork; a
+// decode-sized pass runs serially. Predictor's chunk passes take pooled
+// scratch (Extend); BatchedPredictor's share its one arena (see
+// batched.go).
 //
 // Correctness contract: a pass performs, row by row, the arithmetic of
 // feeding that state's tokens one at a time — same kernels or bitwise-equal
@@ -36,15 +38,15 @@ import (
 // position p reads keys/values of positions ≤ p only, and those are fully
 // determined by the layer's input rows, so a pass writes the K/V rows and
 // pack lanes of all its rows — positions [start, start+R) of each state —
-// before scoring any of them. A row scores whole pack blocks through the
-// one holding its own position; lanes past that position — keys a later row
-// of the pass wrote, or stale ones past the state's length — are computed
-// but never read, because the softmax reads only the scores of positions
-// [0, pos]. So nothing past a state's length reaches a result, which is also
-// why Rewind (batched.go) and buffer recycling (BatchedPredictor.Add) need
-// clear nothing. legacy_test.go anchors every entry point bitwise to the
-// pre-compile reference; prefill_test.go, batched_test.go and rewind_test.go
-// fuzz the shapes against each other.
+// in one phase and scores them in the next. A row scores whole pack blocks
+// through the one holding its own position; lanes past that position — keys
+// a later row of the pass wrote, or stale ones past the state's length — are
+// computed but never read, because the softmax reads only the scores of
+// positions [0, pos]. So nothing past a state's length reaches a result,
+// which is also why Rewind (batched.go) and buffer recycling
+// (BatchedPredictor.Add) need clear nothing. legacy_test.go anchors every
+// entry point bitwise to the pre-compile reference; prefill_test.go,
+// batched_test.go and rewind_test.go fuzz the shapes against each other.
 
 // kvState is one sequence's KV cache: per layer and head, position-major
 // key and value rows preallocated to the window, of which rows [0, n) are
@@ -109,9 +111,9 @@ type passScratch struct {
 	att     *tensor.Tensor // attention / FFN output (rows×Dim)
 	hidden  *tensor.Tensor // FFN hidden (rows×Hidden)
 	attn    int            // the pass's attention work: Σ over rows of 2·(pos+1)·Dim
-	scores  []float64      // one row's attention scores, one slot of keyBlocks·16 per head
-	scores2 []float64      // second score row for the paired-query kernel, per head
-	smax    []float64      // softmax scratch, per head
+	scores  []float64      // one row's attention scores, one slot of keyBlocks·16 per four-row group
+	scores2 []float64      // second score row for the paired-query kernel, per group
+	smax    []float64      // softmax scratch, per group
 }
 
 func (sc *passScratch) ensure(cfg Config, rows int) {
@@ -123,7 +125,7 @@ func (sc *passScratch) ensure(cfg Config, rows int) {
 	tensor.Ensure(&sc.concat, rows, cfg.Dim)
 	tensor.Ensure(&sc.att, rows, cfg.Dim)
 	tensor.Ensure(&sc.hidden, rows, cfg.Hidden)
-	if n := cfg.Heads * cfg.keyBlocks() * 16; len(sc.scores) < n {
+	if n := (rows + 3) / 4 * cfg.keyBlocks() * 16; len(sc.scores) < n {
 		sc.scores = make([]float64, n)
 		sc.scores2 = make([]float64, n)
 		sc.smax = make([]float64, n)
@@ -190,8 +192,18 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, out *logitBuf) {
 			}
 		}
 	}
-	for li, b := range m.Blocks {
-		blockRows(cfg, &c.layers[li], sc, li, b)
+	// A decode-sized pass (Append, a batch of one-token rows) runs each
+	// phase once over all rows, serially and without allocating.
+	if groups := (n + 3) / 4; rowFanOut(cfg, n) || parallelRows(groups, sc.attn) {
+		l := 0
+		phase := func(g int) { m.layerRows(c, sc, l, g*4, min(g*4+4, n), g) }
+		for ; l <= len(m.Blocks); l++ {
+			rowParallel(groups, phase)
+		}
+	} else {
+		for l := 0; l <= len(m.Blocks); l++ {
+			m.layerRows(c, sc, l, 0, n, 0)
+		}
 	}
 	// sc.norm is free after the last block, so the final norm lands there.
 	// The unembedding — the largest matrix in the model — streams once for
@@ -212,38 +224,31 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, out *logitBuf) {
 	}
 }
 
-// blockRows advances one transformer block over the pass's residual rows in
-// sc.x, in place: LN → Q/K/V → causal attention (Eq. 13) → output
-// projection → FFN, with the residual adds. Attention is the only step that
-// mixes positions, so the block runs in three phases with a barrier between
-// each: a row phase (qkvRows), the head phase (attendHead per head) and a
-// second row phase (ffnRows). Every phase writes disjoint outputs per unit —
-// a row phase only its own rows, a head only its own K/V rows, pack lanes
-// and concat columns — so a large pass runs each across workers, with
-// bitwise the same result at any worker count. The row phases fan out by
-// four-row group, which keeps the fused X4 kernel in every worker, when
-// rowFanOut holds; attention fans out by head when the pass's attention work
-// reaches rowParallelWork. A decode-sized pass (Append, a batch of one-token
-// rows) stays serial and allocation-free.
-func blockRows(cfg Config, cl *compiledLayer, sc *passScratch, li int, b *Block) {
-	n := len(sc.rows)
-	groups, fan := (n+3)/4, rowFanOut(cfg, n)
-	if fan {
-		rowParallel(groups, func(g int) { sc.qkvRows(cl, b, g*4, min(g*4+4, n)) })
-	} else {
-		sc.qkvRows(cl, b, 0, n)
+// layerRows runs phase l of a pass over rows [lo, hi), using score slot
+// slot. A pass runs Layers+1 phases with a barrier between each, because
+// causal attention (Eq. 13) is the only step that mixes positions: phase 0
+// is layer 0's first half, and phase l in 1…Layers finishes layer l−1 and,
+// below the top, starts layer l:
+//   - layer l−1's attention over every head (attendRows);
+//   - layer l−1's output projection and FFN, with the residual adds
+//     (ffnRows);
+//   - layer l's LN1 and Q/K/V (qkvRows), then the rows' keys and values
+//     into their states (writeKV).
+//
+// The only cross-row reads are attention's: a row reads the K/V rows of its
+// state's positions up to its own, which the previous phase wrote for every
+// row of the pass. Everything else a phase reads and writes is the range's
+// own rows of the scratch and, for attention, its own score slot, so a
+// large pass runs each phase by four-row group across workers (rowPass),
+// with bitwise the same result at any worker count.
+func (m *Model) layerRows(c *compiledModel, sc *passScratch, l, lo, hi, slot int) {
+	if l > 0 {
+		sc.attendRows(m.Cfg, l-1, lo, hi, slot)
+		sc.ffnRows(&c.layers[l-1], m.Blocks[l-1], lo, hi)
 	}
-	if n > 1 && parallelRows(cfg.Heads, sc.attn) {
-		rowParallel(cfg.Heads, func(hi int) { sc.attendHead(cfg, li, hi) })
-	} else {
-		for hi := 0; hi < cfg.Heads; hi++ {
-			sc.attendHead(cfg, li, hi)
-		}
-	}
-	if fan {
-		rowParallel(groups, func(g int) { sc.ffnRows(cl, b, g*4, min(g*4+4, n)) })
-	} else {
-		sc.ffnRows(cl, b, 0, n)
+	if l < len(m.Blocks) {
+		sc.qkvRows(&c.layers[l], m.Blocks[l], lo, hi)
+		sc.writeKV(m.Cfg, l, lo, hi)
 	}
 }
 
@@ -265,6 +270,22 @@ func (sc *passScratch) qkvRows(cl *compiledLayer, b *Block, lo, hi int) {
 	cl.wq.matMat(sc.q, attnIn, lo, hi)
 	cl.wk.matMat(sc.k, attnIn, lo, hi)
 	cl.wv.matMat(sc.v, attnIn, lo, hi)
+}
+
+// writeKV stores the keys and values of layer li that qkvRows left for rows
+// [lo, hi) into the rows' states: each head's cache rows and key-pack lane
+// at the row's position.
+func (sc *passScratch) writeKV(cfg Config, li, lo, hi int) {
+	hd := cfg.Dim / cfg.Heads
+	for r := lo; r < hi; r++ {
+		row := sc.rows[r]
+		for h := 0; h < cfg.Heads; h++ {
+			krow := sc.k.Row(r)[h*hd : (h+1)*hd]
+			copy(row.kv.keys[li][h].Row(row.pos), krow)
+			packKeyRow(row.kv.kpacks[li][h], krow, row.pos)
+			copy(row.kv.vals[li][h].Row(row.pos), sc.v.Row(r)[h*hd:(h+1)*hd])
+		}
+	}
 }
 
 // ffnRows is a block's second row phase over rows [lo, hi): output
@@ -294,60 +315,52 @@ func (sc *passScratch) ffnRows(cl *compiledLayer, b *Block, lo, hi int) {
 	}
 }
 
-// attendHead runs head hi of layer li for every row of the pass: it writes
-// the rows' keys (cache row and pack lane) and values into their states,
-// then per row scores the state's positions [0, pos], takes the softmax and
-// leaves the weighted value sum in sc.concat. Two adjacent rows of one state
-// share each key block through the fused two-query kernel; a row whose
-// neighbour belongs to another state is scored alone. Loop order over rows
-// is free: every kernel's per-lane arithmetic is the same. It is blockRows'
-// head phase, between its two row phases: it reads the rows' q, k and v,
-// which the first row phase completed for every row, and the second reads
-// its concat columns. Heads may run concurrently: head hi writes only its
-// own K/V rows and pack lanes, the concat columns [hi·hd, (hi+1)·hd) and
-// score slot hi, and reads nothing another head writes.
-func (sc *passScratch) attendHead(cfg Config, li, hi int) {
+// attendRows runs layer li's attention for rows [lo, hi), every head: per
+// row and head it scores the state's positions [0, pos] against the row's
+// query, takes the softmax and leaves the weighted value sum in the head's
+// columns of sc.concat. Two adjacent rows of one state in the range share
+// each key block through the fused two-query kernel; a row whose neighbour
+// belongs to another state, or lies outside the range, is scored alone.
+// Loop order over rows is free: every kernel's per-lane arithmetic is the
+// same. Scores live in score slot slot, so ranges with distinct slots may
+// run concurrently.
+func (sc *passScratch) attendRows(cfg Config, li, lo, hi, slot int) {
 	rows := sc.rows
 	hd, stride := cfg.Dim/cfg.Heads, cfg.SparseStride
-	lo, up := hi*hd, (hi+1)*hd
-	slot := cfg.keyBlocks() * 16
-	w := hi * slot
-	scores, scores2, smax := sc.scores[w:w+slot], sc.scores2[w:w+slot], sc.smax[w:w+slot]
-	for r, row := range rows {
-		krow := sc.k.Row(r)[lo:up]
-		copy(row.kv.keys[li][hi].Row(row.pos), krow)
-		packKeyRow(row.kv.kpacks[li][hi], krow, row.pos)
-		copy(row.kv.vals[li][hi].Row(row.pos), sc.v.Row(r)[lo:up])
-	}
+	w := cfg.keyBlocks() * 16
+	scores, scores2, smax := sc.scores[slot*w:][:w], sc.scores2[slot*w:][:w], sc.smax[slot*w:][:w]
 	scale := 1 / math.Sqrt(float64(hd))
-	for r := 0; r < len(rows); r++ {
-		row := rows[r]
-		kc, vc, kp := row.kv.keys[li][hi], row.kv.vals[li][hi], row.kv.kpacks[li][hi]
-		q0 := sc.q.Row(r)[lo:up]
-		if stride > 0 {
-			maskedAttnScores(scores, q0, kc, row.pos, stride)
-			attnOut(sc.concat.Row(r)[lo:up], scores, smax, vc, row.pos, scale)
-			continue
-		}
-		pair := r+1 < len(rows) && rows[r+1].kv == row.kv
-		var q1 []float64
-		shared := 0 // leading blocks the pair scores together
-		if pair {
-			q1 = sc.q.Row(r + 1)[lo:up]
-			shared = (row.pos + 16) / 16
-			for bk := 0; bk < shared; bk++ {
-				mathx.DotInterleaved16X2(
-					(*[16]float64)(scores[bk*16:bk*16+16]),
-					(*[16]float64)(scores2[bk*16:bk*16+16]),
-					kp[bk*16*hd:(bk+1)*16*hd], q0, q1)
+	for h := 0; h < cfg.Heads; h++ {
+		c0, c1 := h*hd, (h+1)*hd
+		for r := lo; r < hi; r++ {
+			row := rows[r]
+			kc, vc, kp := row.kv.keys[li][h], row.kv.vals[li][h], row.kv.kpacks[li][h]
+			q0 := sc.q.Row(r)[c0:c1]
+			if stride > 0 {
+				maskedAttnScores(scores, q0, kc, row.pos, stride)
+				attnOut(sc.concat.Row(r)[c0:c1], scores, smax, vc, row.pos, scale)
+				continue
 			}
-		}
-		packedAttnScores(scores, q0, kp, shared, row.pos)
-		attnOut(sc.concat.Row(r)[lo:up], scores, smax, vc, row.pos, scale)
-		if pair {
-			r++
-			packedAttnScores(scores2, q1, kp, shared, row.pos+1)
-			attnOut(sc.concat.Row(r)[lo:up], scores2, smax, vc, row.pos+1, scale)
+			pair := r+1 < hi && rows[r+1].kv == row.kv
+			var q1 []float64
+			shared := 0 // leading blocks the pair scores together
+			if pair {
+				q1 = sc.q.Row(r + 1)[c0:c1]
+				shared = (row.pos + 16) / 16
+				for bk := 0; bk < shared; bk++ {
+					mathx.DotInterleaved16X2(
+						(*[16]float64)(scores[bk*16:bk*16+16]),
+						(*[16]float64)(scores2[bk*16:bk*16+16]),
+						kp[bk*16*hd:(bk+1)*16*hd], q0, q1)
+				}
+			}
+			packedAttnScores(scores, q0, kp, shared, row.pos)
+			attnOut(sc.concat.Row(r)[c0:c1], scores, smax, vc, row.pos, scale)
+			if pair {
+				r++
+				packedAttnScores(scores2, q1, kp, shared, row.pos+1)
+				attnOut(sc.concat.Row(r)[c0:c1], scores2, smax, vc, row.pos+1, scale)
+			}
 		}
 	}
 }
