@@ -11,7 +11,7 @@
 //
 //	llm-serve [-model model.json]
 //	          [-addr :8372] [-max-batch 8] [-queue 64]
-//	          [-prefill-chunk 32] [-synthetic 500]
+//	          [-prefill-chunk 0] [-synthetic 500]
 //	          [-drain-timeout 30s] [-request-timeout 0] [-stall-timeout 0]
 //	          [-join http://127.0.0.1:8371] [-advertise http://host:8372]
 //	          [-lease 15s] [-heartbeat 5s]
@@ -39,7 +39,8 @@
 // token plus at most one chunk of at most -prefill-chunk prompt rows, so a
 // long prompt rides the running streams' passes a bounded chunk at a time,
 // and no pass is wider than -max-batch + -prefill-chunk rows (0 or below
-// selects each flag's default). /v1/stats reports prompt_tokens
+// selects serve.Config's default for the field: 8 streams, 64 prompt
+// rows). /v1/stats reports prompt_tokens
 // and decode_tokens separately, the in_flight and queued live gauges an
 // llm-router polls for load-aware placement, plus the prefill_chunk_hist
 // histogram of chunk sizes and the batch_hist histogram of decode rows per
@@ -103,7 +104,7 @@ func main() {
 		addr         = flag.String("addr", ":8372", "listen address")
 		maxBatch     = flag.Int("max-batch", 8, "max sequences decoded per batched step")
 		queue        = flag.Int("queue", 64, "pending-request buffer depth")
-		prefill      = flag.Int("prefill-chunk", 32, "max prompt rows per forward pass, beside the decode rows")
+		prefill      = flag.Int("prefill-chunk", 0, "max prompt rows per forward pass, beside the decode rows (0 = serve's default, 64)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on SIGTERM or /v1/drain")
 		reqTimeout   = flag.Duration("request-timeout", 0, "default per-request deadline; requests without their own timeout_ms fail with 504 past it (0 disables)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "token-progress watchdog: streams making no progress for this long are failed (0 disables)")

@@ -288,7 +288,7 @@ func TestConfigDefaults(t *testing.T) {
 	}{
 		{"MaxBatch", func(c *Config) *int { return &c.MaxBatch }, 8},
 		{"QueueDepth", func(c *Config) *int { return &c.QueueDepth }, 64},
-		{"PrefillChunk", func(c *Config) *int { return &c.PrefillChunk }, 32},
+		{"PrefillChunk", func(c *Config) *int { return &c.PrefillChunk }, 64},
 	} {
 		for _, v := range []int{0, -1, 7} {
 			var c Config

@@ -205,7 +205,7 @@ func (g *gateStrategy) Pick(logits []float64, rng *mathx.RNG) int {
 func TestPrefixFaultPublishesNothing(t *testing.T) {
 	m, words := prefixLLM()
 	for _, kind := range []failpoint.Kind{failpoint.KindError, failpoint.KindPanic} {
-		s := New(m, Config{})
+		s := New(m, Config{PrefillChunk: 32})
 		sys := sysPrompt(words, 0)
 		serveOne(t, s, m, 0, sys+" "+suffix(words, 0, 20), genOpts(0, 4))
 

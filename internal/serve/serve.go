@@ -96,14 +96,19 @@ type Config struct {
 	// block in Do/Stream (default 64).
 	QueueDepth int
 	// PrefillChunk caps how many prompt rows one forward pass carries
-	// (default 32). Each iteration's pass holds every decode-phase
+	// (default 64). Each iteration's pass holds every decode-phase
 	// request's next token plus at most one prompt chunk, so this bounds
 	// the extra work a mid-decode request's token shares its pass with:
 	// one chunk's rows, regardless of prompt length, and a pass is never
-	// wider than MaxBatch + PrefillChunk rows, the width the predictor's
-	// pass arena keeps. Larger chunks ingest prompts faster (better
-	// time-to-first-token for the new request); smaller chunks keep
-	// in-flight streams smoother.
+	// wider than MaxBatch + PrefillChunk rows (72 at the defaults), the
+	// width the predictor's pass arena keeps. Larger chunks ingest prompts
+	// in fewer passes, and each pass pays a fixed hand-off per layer, so a
+	// prompt's time to first token falls; smaller chunks keep in-flight
+	// streams smoother. The default is sized on
+	// transformer.BenchmarkPrefillChunk (EXPERIMENTS E43): at the serving
+	// benchmark's shape on two cores, 64 rows cost less per token than 32,
+	// and eight decode rows beside a 64-row chunk wait about one pass of
+	// 0.9 ms (1.4 ms on one core).
 	PrefillChunk int
 	// RequestTimeout is the server-side default deadline applied to
 	// requests that do not carry their own Request.Timeout; 0 disables.
@@ -126,7 +131,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 64
 	}
 	if c.PrefillChunk <= 0 {
-		c.PrefillChunk = 32
+		c.PrefillChunk = 64
 	}
 	return c
 }

@@ -74,7 +74,8 @@ func TestCompiledCacheSharedAndInvalidated(t *testing.T) {
 // TestBatchedStepAllocsBounded pins the batched pass at zero allocations in
 // steady state, at every batch size the E21 scaling benchmark sweeps and for
 // a serving iteration's mixed pass (eight decode rows plus a 32-row prompt
-// chunk, rewound after each pass so the window never runs out): once the
+// chunk, and plus a 64-row one, the widest pass at serve's defaults;
+// rewound after each pass so the window never runs out): once the
 // scratch arena has grown to the pass, the map clear, the chunk list and the
 // tensor views are all reused. Each shape gets a fresh predictor, so each
 // measures an arena grown to its own pass rather than to the widest shape
@@ -121,6 +122,19 @@ func TestBatchedStepAllocsBounded(t *testing.T) {
 		}
 		bp.Pass(chunks)
 		bp.Rewind(prompt, 32)
+	})
+	bp = m.NewBatchedPredictor()
+	for i := range chunks {
+		chunks[i].ID = bp.Add()
+	}
+	prompt = chunks[8].ID
+	chunks[8].Tokens = randTokens(rng, 64, cfg.Vocab)
+	measure("8 decode rows + a 64-row chunk", func() {
+		for i := range chunks[:8] {
+			chunks[i].Tokens[0] = rng.Intn(cfg.Vocab)
+		}
+		bp.Pass(chunks)
+		bp.Rewind(prompt, 64)
 	})
 }
 

@@ -39,7 +39,8 @@ import (
 // passes. The arena grows to the widest pass and keeps that width, so its
 // footprint is bounded by the caller's widest pass, not by traffic: in the
 // serving loop at most MaxBatch decode rows plus one PrefillChunk-row prompt
-// chunk, both declared in serve.Config. A prompt chunk that shares its pass
+// chunk, both declared in serve.Config (72 rows at its defaults, 626 KiB
+// at the serving benchmark's shape). A prompt chunk that shares its pass
 // with decode rows shares their arena.
 //
 // A sequence that is told its whole prompt up front (Attach) restores the

@@ -1,6 +1,7 @@
 package transformer
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/autograd"
@@ -78,5 +79,58 @@ func BenchmarkFullRecompute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ForwardLogits(ids)
+	}
+}
+
+// BenchmarkPrefillChunk is the surface behind serve.Config.PrefillChunk's
+// default, at the serving benchmark's shape (Dim 64, 2 layers, 4 heads,
+// Window 320, Vocab 30). For each chunk size it prefills a 256-token prompt
+// from position 0 in chunks of that many rows: "prompt" reports µs per
+// prompt token; "beside8" gives every pass of that prompt eight decode rows
+// at context 40 as well and reports µs per pass, which is how long a decode
+// row waits while a prompt shares its passes. A pass fans out by row group
+// once it is wide enough, and pays one hand-off per layer for it, so run it
+// at -cpu 1,2: the chunk size moves the per-token cost only where there are
+// cores to fan out to (EXPERIMENTS E43).
+func BenchmarkPrefillChunk(b *testing.B) {
+	m := MustNew(Config{Vocab: 30, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosLearned, Act: nn.GELU}, mathx.NewRNG(1))
+	rng := mathx.NewRNG(2)
+	prompt := randTokens(rng, 256, m.Cfg.Vocab)
+	for _, rows := range []int{16, 32, 48, 64, 96, 128} {
+		for _, decode := range []int{0, 8} {
+			name := fmt.Sprintf("prompt/rows=%d", rows)
+			if decode > 0 {
+				name = fmt.Sprintf("beside%d/rows=%d", decode, rows)
+			}
+			b.Run(name, func(b *testing.B) {
+				bp := m.NewBatchedPredictor()
+				chunks := make([]Chunk, decode+1)
+				for i := range chunks[:decode] {
+					chunks[i] = Chunk{ID: bp.Add(), Tokens: randTokens(rng, 1, m.Cfg.Vocab)}
+					bp.Prefill(chunks[i].ID, randTokens(rng, 40, m.Cfg.Vocab))
+				}
+				passes := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					id := bp.Add()
+					for at := 0; at < len(prompt); at += rows {
+						chunks[decode] = Chunk{ID: id, Tokens: prompt[at:min(at+rows, len(prompt))]}
+						bp.Pass(chunks)
+						for _, c := range chunks[:decode] {
+							bp.Rewind(c.ID, 1)
+						}
+						passes++
+					}
+					bp.Drop(id)
+				}
+				us := float64(b.Elapsed().Nanoseconds()) / 1e3
+				if decode == 0 {
+					b.ReportMetric(us/float64(b.N*len(prompt)), "us/tok")
+				} else {
+					b.ReportMetric(us/float64(passes), "us/pass")
+				}
+			})
+		}
 	}
 }

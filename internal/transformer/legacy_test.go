@@ -502,6 +502,78 @@ func TestConcurrentPassesFanOutBitwise(t *testing.T) {
 	}
 }
 
+// TestAttentionQuadsBitwise aims at attendRows' runs: rows of one state
+// adjacent in a range are scored and value-summed four, two or one at a
+// time, and every run must leave logits bitwise equal to the legacy
+// reference and every K/V row and key-pack lane bitwise equal to a solo
+// Predictor's, at GOMAXPROCS 1 (serial, whole chunks are runs), 2 and 8
+// (four-row groups cut the runs). The passes hold chunks of one to four
+// rows, whose runs are 1, 2, 3 (a pair and a single) and 4 rows long;
+// chunks starting at positions 13, 14 and 15, whose runs straddle a 16-key
+// block, with decode rows between them; and a 64-row chunk beside eight
+// decode rows, the widest pass the serving loop makes at its defaults.
+// Each pass runs with sixteen-wide heads (the fused value sum), eight- and
+// thirty-two-wide ones and the sparse mask (per-row value sums).
+func TestAttentionQuadsBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	base := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 150, Pos: PosLearned, Act: nn.GELU}
+	hd8, hd32, sparse := base, base, base
+	hd8.Heads, hd32.Heads, sparse.SparseStride = 8, 2, 5
+	passes := []struct {
+		name  string
+		hists [][2]int // per sequence: history length, of which the last k go into the pass
+	}{
+		{"runs of one to four rows", [][2]int{{40, 4}, {21, 1}, {33, 3}, {18, 2}, {52, 2}, {9, 1}, {27, 3}, {46, 1}, {60, 4}, {4, 4}, {35, 1}}},
+		{"chunks at 13, 14 and 15 between decode rows", [][2]int{{18, 5}, {30, 1}, {21, 7}, {45, 1}, {21, 6}, {50, 1}}},
+		{"8 decode rows + a 64-row chunk", [][2]int{{41, 1}, {17, 1}, {66, 1}, {29, 1}, {80, 1}, {33, 1}, {48, 1}, {16, 1}, {104, 64}}},
+	}
+	for _, cfg := range []Config{base, hd8, hd32, sparse} {
+		m := MustNew(cfg, mathx.NewRNG(61))
+		rng := mathx.NewRNG(62)
+		for _, pass := range passes {
+			hists := make([][]int, len(pass.hists))
+			want := make([][][]float64, len(pass.hists))
+			solos := make([]*Predictor, len(pass.hists))
+			for i, h := range pass.hists {
+				hists[i] = randTokens(rng, h[0], cfg.Vocab)
+				slow := newLegacyPredictor(m)
+				for _, tok := range hists[i] {
+					want[i] = append(want[i], slow.Append(tok))
+				}
+				solos[i], _ = replay(m, hists[i])
+			}
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				tag := func(s string) string {
+					return fmt.Sprintf("head dim %d, stride %d, %s, GOMAXPROCS %d: %s",
+						cfg.Dim/cfg.Heads, cfg.SparseStride, pass.name, procs, s)
+				}
+				bp := m.NewBatchedPredictor()
+				chunks := make([]Chunk, len(hists))
+				for i, h := range hists {
+					id := bp.Add()
+					if k := pass.hists[i][1]; k < len(h) {
+						bp.Prefill(id, h[:len(h)-k])
+					}
+					chunks[i] = Chunk{ID: id, Tokens: h[len(h)-pass.hists[i][1]:], All: true}
+				}
+				got := bp.Pass(chunks)
+				if procs > 1 && !rowFanOut(m.Cfg, len(bp.rows)) {
+					t.Fatalf("%s: a %d-row pass does not fan out", tag("gate"), len(bp.rows))
+				}
+				r := 0
+				for i, h := range hists {
+					for j := len(h) - pass.hists[i][1]; j < len(h); j++ {
+						bitsEqual(t, tag(fmt.Sprintf("sequence %d position %d logits", i, j)), got[r], want[i][j])
+						r++
+					}
+					kvEqual(t, tag(fmt.Sprintf("sequence %d KV", i)), bp.seq(chunks[i].ID), solos[i])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkDecodeTokenVsLegacy is the E19 before/after pair at the E18
 // serving shape: per-token Append cost of the compiled fast path against
 // the preserved pre-compile implementation.

@@ -18,16 +18,20 @@ import (
 // projection is a blocked matrix-matrix sweep over the rows
 // (packedMat.matMat: every weight block streamed once per four-row group),
 // attention scores run sixteen keys per interleaved kernel call against each
-// state's key pack, and only the rows whose logits are wanted are
-// final-normed and unembedded. The blocks run as Layers+1 phases with one
+// state's key pack, and up to four rows of one state (a prompt chunk's) share
+// each key block and, with sixteen-wide heads, each value sweep
+// (attendRows); only the rows whose logits are wanted are final-normed and
+// unembedded. The blocks run as Layers+1 phases with one
 // barrier per layer (layerRows): each phase finishes one layer's attention,
 // output projection and FFN and starts the next layer's Q/K/V, because
 // attention is the only step that mixes positions. A large pass runs every
 // phase by four-row group across workers once the pass's widest product,
 // n·Hidden·Dim, or its attention work reaches rowParallelWork; a
-// decode-sized pass runs serially. Predictor's chunk passes take pooled
-// scratch (Extend); BatchedPredictor's share its one arena (see
-// batched.go).
+// decode-sized pass runs serially. A pass pays its hand-offs per layer
+// however many rows it carries, which is why the serving loop's prompt
+// chunk is 64 rows (serve.Config.PrefillChunk, EXPERIMENTS E43).
+// Predictor's chunk passes take pooled scratch (Extend); BatchedPredictor's
+// share its one arena (see batched.go).
 //
 // Correctness contract: a pass performs, row by row, the arithmetic of
 // feeding that state's tokens one at a time — same kernels or bitwise-equal
@@ -101,19 +105,18 @@ type passRow struct {
 // passScratch holds every intermediate of a row pass, grown to the largest
 // pass seen and reused, so steady-state passes allocate nothing.
 type passScratch struct {
-	rows    []passRow      // filled by the caller: one state's rows adjacent, in position order, within its window
-	x       *tensor.Tensor // residual stream (rows×Dim)
-	norm    *tensor.Tensor // layer-norm output (rows×Dim)
-	q       *tensor.Tensor // all heads' queries, head-major (rows×Dim)
-	k       *tensor.Tensor // all heads' keys (rows×Dim)
-	v       *tensor.Tensor // all heads' values (rows×Dim)
-	concat  *tensor.Tensor // concatenated head outputs (rows×Dim)
-	att     *tensor.Tensor // attention / FFN output (rows×Dim)
-	hidden  *tensor.Tensor // FFN hidden (rows×Hidden)
-	attn    int            // the pass's attention work: Σ over rows of 2·(pos+1)·Dim
-	scores  []float64      // one row's attention scores, one slot of keyBlocks·16 per four-row group
-	scores2 []float64      // second score row for the paired-query kernel, per group
-	smax    []float64      // softmax scratch, per group
+	rows   []passRow      // filled by the caller: one state's rows adjacent, in position order, within its window
+	x      *tensor.Tensor // residual stream (rows×Dim)
+	norm   *tensor.Tensor // layer-norm output (rows×Dim)
+	q      *tensor.Tensor // all heads' queries, head-major (rows×Dim)
+	k      *tensor.Tensor // all heads' keys (rows×Dim)
+	v      *tensor.Tensor // all heads' values (rows×Dim)
+	concat *tensor.Tensor // concatenated head outputs (rows×Dim)
+	att    *tensor.Tensor // attention / FFN output (rows×Dim)
+	hidden *tensor.Tensor // FFN hidden (rows×Hidden)
+	attn   int            // the pass's attention work: Σ over rows of 2·(pos+1)·Dim
+	scores []float64      // attention scores of a run of up to four rows: per four-row group, four rows of keyBlocks·16
+	smax   []float64      // softmax scratch, per group
 }
 
 func (sc *passScratch) ensure(cfg Config, rows int) {
@@ -125,9 +128,8 @@ func (sc *passScratch) ensure(cfg Config, rows int) {
 	tensor.Ensure(&sc.concat, rows, cfg.Dim)
 	tensor.Ensure(&sc.att, rows, cfg.Dim)
 	tensor.Ensure(&sc.hidden, rows, cfg.Hidden)
-	if n := (rows + 3) / 4 * cfg.keyBlocks() * 16; len(sc.scores) < n {
-		sc.scores = make([]float64, n)
-		sc.scores2 = make([]float64, n)
+	if n := (rows + 3) / 4 * cfg.keyBlocks() * 16; len(sc.smax) < n {
+		sc.scores = make([]float64, 4*n)
 		sc.smax = make([]float64, n)
 	}
 }
@@ -318,63 +320,126 @@ func (sc *passScratch) ffnRows(cl *compiledLayer, b *Block, lo, hi int) {
 // attendRows runs layer li's attention for rows [lo, hi), every head: per
 // row and head it scores the state's positions [0, pos] against the row's
 // query, takes the softmax and leaves the weighted value sum in the head's
-// columns of sc.concat. Two adjacent rows of one state in the range share
-// each key block through the fused two-query kernel; a row whose neighbour
-// belongs to another state, or lies outside the range, is scored alone.
-// Loop order over rows is free: every kernel's per-lane arithmetic is the
-// same. Scores live in score slot slot, so ranges with distinct slots may
-// run concurrently.
+// columns of sc.concat. Adjacent rows of one state — a prompt chunk's —
+// score the same keys and sum the same values, so each head walks the
+// range in runs of one state: four rows while four remain, then two, then
+// one (a run of three is a pair and a single, as in matMatBlock). A run
+// scores the key blocks through the one holding its first row's position
+// with one fused multi-query kernel call per block, and each later row
+// finishes its at most one further block alone. Softmax is per row. With
+// sixteen-wide heads the run's value sum is fused the same way over the
+// first row's positions, and each later row i adds its own positions
+// pos+1 … pos+i after it (see runValueSum). Loop order over rows is free:
+// every kernel's per-lane arithmetic is the same. Scores live in score slot
+// slot, four rows of them, so ranges with distinct slots may run
+// concurrently.
 func (sc *passScratch) attendRows(cfg Config, li, lo, hi, slot int) {
 	rows := sc.rows
 	hd, stride := cfg.Dim/cfg.Heads, cfg.SparseStride
 	w := cfg.keyBlocks() * 16
-	scores, scores2, smax := sc.scores[slot*w:][:w], sc.scores2[slot*w:][:w], sc.smax[slot*w:][:w]
+	var s [4][]float64 // the run's score rows
+	for i := range s {
+		s[i] = sc.scores[(slot*4+i)*w:][:w]
+	}
+	smax := sc.smax[slot*w:][:w]
 	scale := 1 / math.Sqrt(float64(hd))
 	for h := 0; h < cfg.Heads; h++ {
 		c0, c1 := h*hd, (h+1)*hd
-		for r := lo; r < hi; r++ {
+		for r := lo; r < hi; {
 			row := rows[r]
 			kc, vc, kp := row.kv.keys[li][h], row.kv.vals[li][h], row.kv.kpacks[li][h]
-			q0 := sc.q.Row(r)[c0:c1]
 			if stride > 0 {
-				maskedAttnScores(scores, q0, kc, row.pos, stride)
-				attnOut(sc.concat.Row(r)[c0:c1], scores, smax, vc, row.pos, scale)
+				maskedAttnScores(s[0], sc.q.Row(r)[c0:c1], kc, row.pos, stride)
+				weightedValueSum(sc.concat.Row(r)[c0:c1], vc, attnWeights(s[0], smax, row.pos, scale), row.pos)
+				r++
 				continue
 			}
-			pair := r+1 < hi && rows[r+1].kv == row.kv
-			var q1 []float64
-			shared := 0 // leading blocks the pair scores together
-			if pair {
-				q1 = sc.q.Row(r + 1)[c0:c1]
+			k := 1
+			for k < 4 && r+k < hi && rows[r+k].kv == row.kv {
+				k++
+			}
+			if k == 3 {
+				k = 2
+			}
+			var q [4][]float64
+			for i := range k {
+				q[i] = sc.q.Row(r + i)[c0:c1]
+			}
+			shared := 0 // leading blocks the run scores together
+			if k > 1 {
 				shared = (row.pos + 16) / 16
-				for bk := 0; bk < shared; bk++ {
+			}
+			for bk := 0; bk < shared; bk++ {
+				blk, kb := bk*16, kp[bk*16*hd:(bk+1)*16*hd]
+				if k == 4 {
+					mathx.DotInterleaved16X4(
+						(*[16]float64)(s[0][blk:blk+16]), (*[16]float64)(s[1][blk:blk+16]),
+						(*[16]float64)(s[2][blk:blk+16]), (*[16]float64)(s[3][blk:blk+16]),
+						kb, q[0], q[1], q[2], q[3])
+				} else {
 					mathx.DotInterleaved16X2(
-						(*[16]float64)(scores[bk*16:bk*16+16]),
-						(*[16]float64)(scores2[bk*16:bk*16+16]),
-						kp[bk*16*hd:(bk+1)*16*hd], q0, q1)
+						(*[16]float64)(s[0][blk:blk+16]), (*[16]float64)(s[1][blk:blk+16]),
+						kb, q[0], q[1])
 				}
 			}
-			packedAttnScores(scores, q0, kp, shared, row.pos)
-			attnOut(sc.concat.Row(r)[c0:c1], scores, smax, vc, row.pos, scale)
-			if pair {
-				r++
-				packedAttnScores(scores2, q1, kp, shared, row.pos+1)
-				attnOut(sc.concat.Row(r)[c0:c1], scores2, smax, vc, row.pos+1, scale)
+			for i := range k {
+				packedAttnScores(s[i], q[i], kp, shared, row.pos+i)
+				attnWeights(s[i], smax, row.pos+i, scale)
 			}
+			if hd == 16 && k > 1 {
+				sc.runValueSum(s[:k], vc, r, c0, row.pos)
+			} else {
+				for i := range k {
+					weightedValueSum(sc.concat.Row(r + i)[c0:c1], vc, s[i], row.pos+i)
+				}
+			}
+			r += k
 		}
 	}
 }
 
-// attnOut turns one row's raw scores over positions [0, pos] into its
-// attention output: scale by 1/√q, softmax (the Boltzmann weights of
-// Eq. 14), weighted value sum.
-func attnOut(out, scores, smax []float64, vc *tensor.Tensor, pos int, scale float64) {
+// attnWeights turns one row's raw scores over positions [0, pos] into its
+// attention weights in place: scale by 1/√q, then softmax (the Boltzmann
+// weights of Eq. 14).
+func attnWeights(scores, smax []float64, pos int, scale float64) []float64 {
 	s := scores[:pos+1]
 	for j := range s {
 		s[j] *= scale
 	}
-	w := mathx.SoftmaxFastInto(s, s, smax, 1)
-	weightedValueSum(out, vc, w, pos)
+	return mathx.SoftmaxFastInto(s, s, smax, 1)
+}
+
+// runValueSum is weightedValueSum for a run of k = len(ws) (two or four)
+// rows of one state at positions pos … pos+k−1 with sixteen-wide heads,
+// into the head's columns c0… of sc.concat rows r…: one fused kernel call
+// sums every row's weighted values over the first row's positions [0, pos],
+// and row i then adds its positions pos+1 … pos+i in ascending order, one
+// multiply and one add per lane. That is bitwise the single ascending
+// reduction weightedValueSum runs, because the kernel starts each lane from
+// zero and never fuses a multiply into an add; the conversion in
+// float64(w·v) keeps the compiler from fusing the tail's (the Go spec
+// allows x*y + z to fuse, and an explicit conversion forbids it).
+func (sc *passScratch) runValueSum(ws [][]float64, vc *tensor.Tensor, r, c0, pos int) {
+	var out [4]*[16]float64
+	for i := range ws {
+		out[i] = (*[16]float64)(sc.concat.Row(r + i)[c0:])
+	}
+	vs := vc.Data[:(pos+1)*16]
+	if len(ws) == 4 {
+		mathx.DotInterleaved16X4(out[0], out[1], out[2], out[3], vs,
+			ws[0][:pos+1], ws[1][:pos+1], ws[2][:pos+1], ws[3][:pos+1])
+	} else {
+		mathx.DotInterleaved16X2(out[0], out[1], vs, ws[0][:pos+1], ws[1][:pos+1])
+	}
+	for i := 1; i < len(ws); i++ {
+		o := out[i]
+		for j := pos + 1; j <= pos+i; j++ {
+			wj, v := ws[i][j], (*[16]float64)(vc.Row(j))
+			for d := range o {
+				o[d] += float64(wj * v[d])
+			}
+		}
+	}
 }
 
 // layerNormRowsInto applies layerNormInto to rows [lo, hi) of x, into dst

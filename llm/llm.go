@@ -215,7 +215,7 @@ func SyntheticCorpus(n int, seed uint64) []string {
 // ---- Serving ----
 
 // ServerConfig tunes a Server (serve.Config); the zero value selects
-// sensible defaults (batch of 8, 32-token prefill chunks). A batch that forms
+// sensible defaults (batch of 8, 64-token prefill chunks). A batch that forms
 // from idle starts at once, and later requests join it at the next iteration
 // boundary. PrefillChunk bounds how many prompt rows of a new request share
 // each forward pass with the in-flight streams' decode rows, so a long
