@@ -68,21 +68,23 @@
 // passthrough), GET /v1/stats (router + per-backend counters), GET
 // /healthz, POST /v1/drain. SIGTERM or /v1/drain drains gracefully:
 // admission stops (503, /healthz not-ready) while in-flight streams finish,
-// bounded by -drain-timeout.
+// bounded by -drain-timeout (httpapi.Exit, as in llm-serve; non-zero if
+// -drain-timeout cut requests off). A -backends or -peers URL without a
+// scheme and a host fails at start; duplicates are dropped.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/router"
 )
 
@@ -106,27 +108,11 @@ func main() {
 	)
 	flag.Parse()
 
-	splitList := func(s string) []string {
-		var out []string
-		for _, v := range strings.Split(s, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	fleet := splitList(*backends)
-	peers := splitList(*peersFlag)
-	hs := &http.Server{
-		Addr:              *addr,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	drained := make(chan struct{})
+	exit := httpapi.NewExit(*drainTimeout, nil)
 	rt, err := router.New(router.Config{
-		Backends:       fleet,
+		Backends:       strings.Split(*backends, ","),
 		DefaultLease:   *defaultLease,
-		Peers:          peers,
+		Peers:          strings.Split(*peersFlag, ","),
 		SyncInterval:   *syncEvery,
 		MaxInFlight:    *maxInflight,
 		BackendQueue:   *backendQueue,
@@ -135,35 +121,22 @@ func main() {
 		HealthInterval: *healthEvery,
 		FailThreshold:  *failThresh,
 		RelayTimeout:   *relayTimeout,
-	}, func() {
-		// Drain mode entered (via /v1/drain or signal): stop the listener
-		// once in-flight requests — streams included — have finished.
-		defer close(drained)
-		log.Printf("draining: waiting up to %s for in-flight requests", *drainTimeout)
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := hs.Shutdown(shutCtx); err != nil {
-			log.Printf("drain timed out: %v", err)
-		}
-	})
+	}, exit.Shutdown)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer rt.Close()
-	hs.Handler = rt
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		rt.StartDrain()
-	}()
-	log.Printf("routing on %s (%d seed backends, %d peer routers; workers may join via /v1/register)", *addr, len(fleet), len(peers))
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	st := rt.Stats()
+	log.Printf("routing on %s (%d seed backends, %d peer routers; workers may join via /v1/register)", *addr, len(st.Backends), len(st.Peers))
+	if err := exit.Serve(ctx, ln, rt); err != nil {
 		log.Fatal(err)
 	}
-	// ListenAndServe returns as soon as Shutdown closes the listener; the
-	// in-flight requests are done only when the drain hook's Shutdown is.
-	<-drained
 	log.Print("shut down")
 }

@@ -71,7 +71,9 @@
 // generation requests get 503 + Retry-After and /healthz flips to 503 so a
 // router ejects the worker — while requests already in flight, including
 // SSE streams, run to completion (bounded by -drain-timeout) before the
-// process exits.
+// process exits (httpapi.Exit, as in llm-router; non-zero if -drain-timeout
+// cut requests off). A -join or -advertise URL without a scheme and a host
+// fails at start.
 //
 // The request's HTTP context propagates to the batching engine, so a client
 // disconnect drops the request from the decoding batch immediately.
@@ -79,10 +81,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -126,74 +127,42 @@ func main() {
 	})
 	defer srv.Close()
 
-	hs := &http.Server{
-		Addr:              *addr,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	// The joiner keeps this worker registered with a router; it is started
-	// after the listener below and torn down first on drain.
-	var joiner *httpapi.Joiner
-	drained := make(chan struct{})
-
-	// Drain (via /v1/drain or a signal) stops admission in the handler;
-	// Shutdown then waits for in-flight requests — SSE streams included —
-	// before ListenAndServe returns. A joined worker deregisters first so
-	// the router stops sending fresh work while in-flight requests finish.
-	h := httpapi.New(srv, func() {
-		defer close(drained)
-		if joiner != nil {
-			leaveCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if err := joiner.Leave(leaveCtx); err != nil {
-				log.Printf("deregister failed (lease will expire instead): %v", err)
-			} else {
-				log.Printf("deregistered from %s", *join)
-			}
-			cancel()
-		}
-		log.Printf("draining: waiting up to %s for in-flight requests", *drainTimeout)
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := hs.Shutdown(shutCtx); err != nil {
-			log.Printf("drain timed out: %v", err)
-		}
-	})
-	hs.Handler = h
-
+	// A joined worker deregisters before the shutdown waits for its
+	// in-flight requests, so routers stop sending it fresh work meanwhile.
+	var leave func(context.Context)
 	if *join != "" {
 		self := *advertise
 		if self == "" {
 			self = advertisedURL(*addr)
 		}
-		var routers []string
-		for _, r := range strings.Split(*join, ",") {
-			if r = strings.TrimSpace(r); r != "" {
-				routers = append(routers, r)
-			}
-		}
-		var err error
-		joiner, err = httpapi.StartJoiner(httpapi.JoinConfig{
-			Routers: routers, Self: self,
+		joiner, err := httpapi.StartJoiner(httpapi.JoinConfig{
+			Routers: strings.Split(*join, ","), Self: self,
 			Lease: *lease, Interval: *heartbeat, Logf: log.Printf,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		leave = func(ctx context.Context) {
+			if err := joiner.Leave(ctx); err != nil {
+				log.Printf("deregister failed (lease will expire instead): %v", err)
+			} else {
+				log.Printf("deregistered from %s", *join)
+			}
+		}
 	}
+	exit := httpapi.NewExit(*drainTimeout, leave)
+	h := httpapi.New(srv, exit.Shutdown)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		h.Drain()
-	}()
 	log.Printf("serving on %s", *addr)
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := exit.Serve(ctx, ln, h); err != nil {
 		log.Fatal(err)
 	}
-	// ListenAndServe returns as soon as Shutdown closes the listener; the
-	// in-flight requests are done only when the drain hook's Shutdown is.
-	<-drained
 	log.Print("shut down")
 }
 

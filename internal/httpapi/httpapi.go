@@ -18,8 +18,10 @@
 // handler to reject new generation work with 503 + Retry-After and turns
 // /healthz not-ready — so a router stops picking this worker — while
 // requests already in flight (including SSE streams) run to completion.
-// The binary then uses http.Server.Shutdown, which waits for exactly those
-// in-flight handlers, to exit cleanly.
+// The drain switch (Drainer) and the graceful exit (Exit, whose Shutdown
+// waits for exactly those in-flight handlers) live here once and serve
+// the router too, as do the fleet's base-URL rule (BaseURL) and its
+// jittered retry backoff (JitteredBackoff).
 package httpapi
 
 import (
@@ -30,8 +32,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/failpoint"
@@ -52,37 +52,23 @@ const MaxBody = 1 << 20
 
 // Handler is the HTTP front end over one serve.Server.
 type Handler struct {
-	srv      *serve.Server
-	mux      *http.ServeMux
-	draining atomic.Bool
-	once     sync.Once
-	onDrain  func()
+	*Drainer
+	srv *serve.Server
+	mux *http.ServeMux
 }
 
 // New builds the worker handler. onDrain, if non-nil, runs once (on its own
-// goroutine) when drain mode is entered — the binary hooks graceful
-// http.Server shutdown there; tests and in-process fleets pass nil.
+// goroutine) when drain mode is entered: the binary passes its Exit's
+// Shutdown there; tests and in-process fleets pass nil.
 func New(srv *serve.Server, onDrain func()) *Handler {
-	h := &Handler{srv: srv, onDrain: onDrain}
+	h := &Handler{Drainer: NewDrainer(onDrain, "1", nil), srv: srv}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/generate", h.handleGenerate)
 	mux.HandleFunc("POST /v1/stream", h.handleStream)
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, h.srv.Stats())
 	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if h.draining.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
-		h.Drain()
-		WriteJSON(w, http.StatusAccepted, map[string]bool{"draining": true})
-	})
+	h.Routes(mux)
 	h.mux = mux
 	return h
 }
@@ -156,30 +142,6 @@ func (g *guardWriter) Flush() {
 	}
 }
 
-// Drain flips the worker to not-ready: new generation requests get 503 with
-// Retry-After, /healthz reports 503, and in-flight work keeps running. The
-// onDrain hook fires once, asynchronously — synchronously it would deadlock
-// with an http.Server.Shutdown that waits for the very /v1/drain request
-// that triggered it.
-func (h *Handler) Drain() {
-	h.draining.Store(true)
-	h.once.Do(func() {
-		if h.onDrain != nil {
-			go h.onDrain()
-		}
-	})
-}
-
-// rejectDraining answers a generation request arriving after Drain.
-func (h *Handler) rejectDraining(w http.ResponseWriter) bool {
-	if !h.draining.Load() {
-		return false
-	}
-	w.Header().Set("Retry-After", "1")
-	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining"})
-	return true
-}
-
 // GenRequest is the POST /v1/generate and /v1/stream body. Session is not
 // interpreted by the worker: it is the routing tier's affinity key, carried
 // in the body so keyed requests need no custom headers (the router also
@@ -248,9 +210,6 @@ func parseRequest(w http.ResponseWriter, r *http.Request) (serve.Request, error)
 	if err != nil {
 		return serve.Request{}, err
 	}
-	if err := sample.ValidateStrategy(strat); err != nil {
-		return serve.Request{}, err
-	}
 	return serve.Request{
 		Prompt: req.Prompt, MaxTokens: req.Tokens, Strategy: strat,
 		Seed: req.Seed, StopAtEOS: req.StopAtEOS, Timeout: timeout,
@@ -289,7 +248,7 @@ func Inject(w http.ResponseWriter, site string) bool {
 }
 
 func (h *Handler) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	if h.rejectDraining(w) {
+	if h.Refuse(w) {
 		return
 	}
 	if Inject(w, failpoint.HTTPGenerate) {
@@ -316,7 +275,7 @@ func (h *Handler) handleGenerate(w http.ResponseWriter, r *http.Request) {
 // handleStream serves one generation as server-sent events, flushing each
 // token the moment its batched decoding step completes.
 func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
-	if h.rejectDraining(w) {
+	if h.Refuse(w) {
 		return
 	}
 	if Inject(w, failpoint.HTTPStreamPreSSE) {

@@ -28,6 +28,8 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -68,18 +70,15 @@ type DeregisterResponse struct {
 // JoinConfig configures a worker's self-registration loop.
 type JoinConfig struct {
 	// Routers lists every router base URL (e.g. http://127.0.0.1:8370) the
-	// worker registers with and heartbeats. Duplicates are dropped.
+	// worker registers with and heartbeats (BaseURLs).
 	Routers []string
-	// Self is the base URL this worker advertises as reachable.
+	// Self is the base URL this worker advertises as reachable (BaseURL).
 	Self string
 	// Lease is the TTL requested per register call (default 15s).
 	Lease time.Duration
 	// Interval is the heartbeat period (default Lease/3, so a renewal can
 	// miss twice before the lease lapses).
 	Interval time.Duration
-	// Client issues the registration calls (default: 5s total timeout —
-	// control-plane calls are tiny; one must never hang a heartbeat slot).
-	Client *http.Client
 	// Logf, when non-nil, receives state-transition logs (joined, lost
 	// contact, re-joined) — not one line per heartbeat.
 	Logf func(format string, args ...any)
@@ -89,25 +88,76 @@ type JoinConfig struct {
 type Joiner struct {
 	cfg     JoinConfig
 	routers []string
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	once    sync.Once
+	// client times calls out at 5s: control-plane calls are tiny, and one
+	// must never hang a heartbeat slot.
+	client *http.Client
+	quit   chan struct{}
+	wg     sync.WaitGroup
+	once   sync.Once
 }
 
-// joinRouters normalizes the configured router list: trimmed, with empties
-// and duplicates dropped, order preserved.
-func joinRouters(cfg JoinConfig) []string {
+// BaseURL is the rule every fleet base URL follows (a worker's, a router's,
+// a peer's): surrounding spaces trimmed, one trailing "/" dropped, and a
+// scheme and a host required. The result is the spelling membership keys
+// on.
+func BaseURL(raw string) (string, error) {
+	s := strings.TrimSuffix(strings.TrimSpace(raw), "/")
+	u, err := url.Parse(s)
+	if err != nil {
+		return "", fmt.Errorf("httpapi: bad base URL %q: %w", raw, err)
+	}
+	if u.Scheme == "" || u.Host == "" {
+		return "", fmt.Errorf("httpapi: base URL %q needs a scheme and a host", raw)
+	}
+	return s, nil
+}
+
+// BaseURLs applies BaseURL to a configured list, in order, dropping blank
+// entries (a split comma-separated flag passes as it is) and duplicates.
+func BaseURLs(raw []string) ([]string, error) {
 	var out []string
-	seen := map[string]bool{}
-	for _, r := range cfg.Routers {
-		r = strings.TrimSuffix(strings.TrimSpace(r), "/")
-		if r == "" || seen[r] {
+	for _, r := range raw {
+		if strings.TrimSpace(r) == "" {
 			continue
 		}
-		seen[r] = true
-		out = append(out, r)
+		s, err := BaseURL(r)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(out, s) {
+			out = append(out, s)
+		}
 	}
-	return out
+	return out, nil
+}
+
+// JitteredBackoff spreads a nominal backoff uniformly over [d/2, d]. Pure
+// doubling would march every caller that failed at the same moment through
+// identical sleep schedules, synchronizing their retries into bursts; the
+// half-width jitter decorrelates them while keeping the expected wait
+// within 25% of nominal.
+func JitteredBackoff(d time.Duration) time.Duration {
+	if d <= 1 {
+		return d
+	}
+	half := d / 2
+	return half + rand.N(d-half+1)
+}
+
+// joinRouters applies the BaseURL rule to the routers, which it needs at
+// least one of, and to self. Duplicates are dropped: a worker must never
+// run two heartbeat loops at one router.
+func joinRouters(cfg JoinConfig) (routers []string, self string, err error) {
+	if routers, err = BaseURLs(cfg.Routers); err != nil {
+		return nil, "", err
+	}
+	if len(routers) == 0 {
+		return nil, "", errors.New("httpapi: join needs a router URL")
+	}
+	if self, err = BaseURL(cfg.Self); err != nil {
+		return nil, "", err
+	}
+	return routers, self, nil
 }
 
 // StartJoiner registers the worker and keeps its leases renewed, one
@@ -115,22 +165,24 @@ func joinRouters(cfg JoinConfig) []string {
 // delay renewals at the others. The first register per router is attempted
 // inline with the same retry policy as later ones, but errors do not fail
 // the start: a worker that boots before its routers retries until they
-// appear, with jittered exponential backoff.
+// appear, with jittered exponential backoff. A URL that breaks the BaseURL
+// rule is an error: no heartbeat could ever reach it.
 func StartJoiner(cfg JoinConfig) (*Joiner, error) {
-	routers := joinRouters(cfg)
-	if len(routers) == 0 || cfg.Self == "" {
-		return nil, errors.New("httpapi: join needs router and self URLs")
+	routers, self, err := joinRouters(cfg)
+	if err != nil {
+		return nil, err
 	}
+	cfg.Self = self
 	if cfg.Lease <= 0 {
 		cfg.Lease = 15 * time.Second
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = cfg.Lease / 3
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second}
+	j := &Joiner{
+		cfg: cfg, routers: routers, quit: make(chan struct{}),
+		client: &http.Client{Timeout: 5 * time.Second},
 	}
-	j := &Joiner{cfg: cfg, routers: routers, quit: make(chan struct{})}
 	for _, r := range routers {
 		j.wg.Add(1)
 		go j.loop(r)
@@ -175,8 +227,7 @@ func (j *Joiner) loop(router string) {
 				j.logf("lost router %s: %v (retrying)", router, err)
 			}
 			joined = false
-			half := backoff / 2
-			sleep = half + rand.N(backoff-half+1)
+			sleep = JitteredBackoff(backoff)
 			backoff *= 2
 			if backoff > j.cfg.Interval {
 				backoff = j.cfg.Interval
@@ -196,7 +247,7 @@ func (j *Joiner) registerOnce(router string) error {
 		return err
 	}
 	body, _ := json.Marshal(RegisterRequest{URL: j.cfg.Self, LeaseMS: j.cfg.Lease.Milliseconds()})
-	resp, err := j.cfg.Client.Post(router+"/v1/register", "application/json", bytes.NewReader(body))
+	resp, err := j.client.Post(router+"/v1/register", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -272,7 +323,7 @@ func (j *Joiner) deregisterOnce(ctx context.Context, router string) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := j.cfg.Client.Do(req)
+	resp, err := j.client.Do(req)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -145,19 +146,37 @@ func TestLeaveDeregisters(t *testing.T) {
 
 // TestJoinRoutersNormalize: the Routers list is normalized, with
 // whitespace, trailing slashes, empties, and duplicates dropped — a worker
-// must never run two heartbeat loops at one router.
+// must never run two heartbeat loops at one router — and a router or self
+// URL without a scheme and a host is an error, since no heartbeat could
+// ever reach it.
 func TestJoinRoutersNormalize(t *testing.T) {
-	got := joinRouters(JoinConfig{
+	got, self, err := joinRouters(JoinConfig{
 		Routers: []string{"http://a:1/", " http://b:2 ", "", "http://a:1", "http://b:2/"},
+		Self:    " http://w:3/ ",
 	})
-	want := []string{"http://a:1", "http://b:2"}
-	if len(got) != len(want) {
-		t.Fatalf("joinRouters = %v, want %v", got, want)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("joinRouters = %v, want %v", got, want)
+	want := []string{"http://a:1", "http://b:2"}
+	if !slices.Equal(got, want) || self != "http://w:3" {
+		t.Fatalf("joinRouters = %v, %q; want %v, %q", got, self, want, "http://w:3")
+	}
+	for _, bad := range []JoinConfig{
+		{Routers: []string{"localhost:8371"}, Self: "http://w:3"},
+		{Routers: []string{"http://a:1", "a:1"}, Self: "http://w:3"},
+		{Routers: []string{"http://"}, Self: "http://w:3"},
+		{Routers: []string{"http://a b:1"}, Self: "http://w:3"},
+		{Routers: []string{" ", ""}, Self: "http://w:3"},
+		{Routers: []string{"http://a:1"}, Self: "w:3"},
+		{Routers: []string{"http://a:1"}, Self: ""},
+	} {
+		if got, self, err := joinRouters(bad); err == nil {
+			t.Errorf("joinRouters(%q, self %q) = %v, %q; want an error", bad.Routers, bad.Self, got, self)
 		}
+	}
+	if j, err := StartJoiner(JoinConfig{Routers: []string{"localhost:8371"}, Self: "http://127.0.0.1:9999"}); err == nil {
+		j.Stop()
+		t.Fatal("StartJoiner with a scheme-less router URL returned no error")
 	}
 }
 

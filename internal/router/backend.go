@@ -1,9 +1,6 @@
 package router
 
 import (
-	"fmt"
-	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,8 +19,7 @@ import (
 // record of the lease (adopt) moves the lease clock and never the health
 // state — second-hand freshness is not evidence the worker answers here.
 type backend struct {
-	name string   // canonical URL string, the ring identity
-	base *url.URL // parsed base for building worker endpoints
+	name string // canonical base URL (httpapi.BaseURL), the ring identity
 
 	// inflight is the router-side count of requests currently proxied to
 	// this backend — the always-fresh half of the load signal.
@@ -60,19 +56,13 @@ type backend struct {
 	renewedAt time.Time
 }
 
-func newBackend(raw string) (*backend, error) {
-	raw = strings.TrimSuffix(raw, "/")
-	u, err := url.Parse(raw)
-	if err != nil {
-		return nil, fmt.Errorf("router: bad backend URL %q: %w", raw, err)
-	}
-	if u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("router: backend URL %q needs scheme and host", raw)
-	}
+// newBackend makes the member for a base URL already canonical under
+// httpapi.BaseURL.
+func newBackend(name string) *backend {
 	// Optimistically healthy: a cold router must route before its first
 	// probe tick, and a wrong guess self-corrects within FailThreshold
 	// attempts.
-	return &backend{name: raw, base: u, healthy: true}, nil
+	return &backend{name: name, healthy: true}
 }
 
 // endpoint returns the worker URL for path (e.g. "/v1/generate").

@@ -95,7 +95,7 @@ func (rt *Router) getOK(ctx context.Context, url string, out any) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return false
 	}
@@ -178,7 +178,7 @@ func (rt *Router) Stats() Stats {
 		Rejected:      rt.nRejected.Load(),
 		Errors:        rt.nErrors.Load(),
 		InFlight:      int(rt.inflight.Load()),
-		Draining:      rt.draining.Load(),
+		Draining:      rt.Draining(),
 		Epoch:         rt.mem.Epoch(),
 		Joins:         rt.nJoins.Load(),
 		Leaves:        rt.nLeaves.Load(),

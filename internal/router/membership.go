@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -225,8 +224,8 @@ func (m *membership) merge(recs []syncRecord, now time.Time, defaultLease time.D
 	defer m.mu.Unlock()
 	changed := false
 	for _, rec := range recs {
-		name := strings.TrimSuffix(rec.URL, "/")
-		if name == "" {
+		name, err := httpapi.BaseURL(rec.URL)
+		if err != nil {
 			continue
 		}
 		var e *backend
@@ -267,10 +266,7 @@ func (m *membership) merge(recs []syncRecord, now time.Time, defaultLease time.D
 		if !eventAt.Add(lease).After(now) {
 			continue // expired in transit
 		}
-		b, err := newBackend(name)
-		if err != nil {
-			continue
-		}
+		b := newBackend(name)
 		b.adopt(rec.Version, lease, eventAt, now)
 		delete(m.tomb, name)
 		m.members = append(append([]*backend(nil), m.members...), b)
@@ -357,11 +353,12 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("lease_ms %d must not be negative", req.LeaseMS)})
 		return
 	}
-	b, err := newBackend(req.URL)
+	name, err := httpapi.BaseURL(req.URL)
 	if err != nil {
 		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
+	b := newBackend(name)
 	lease := clampLease(time.Duration(req.LeaseMS)*time.Millisecond, rt.cfg.DefaultLease)
 	created, epoch := rt.mem.register(b, lease, time.Now())
 	if created {
@@ -383,11 +380,12 @@ func (rt *Router) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(w, r, &req); err != nil {
 		return
 	}
-	if req.URL == "" {
-		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "url required"})
+	name, err := httpapi.BaseURL(req.URL)
+	if err != nil {
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	removed, epoch := rt.mem.deregister(strings.TrimSuffix(req.URL, "/"), time.Now())
+	removed, epoch := rt.mem.deregister(name, time.Now())
 	if removed {
 		rt.nLeaves.Add(1)
 	}

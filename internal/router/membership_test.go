@@ -240,7 +240,7 @@ func TestOnlyFirstHandLivenessReadmits(t *testing.T) {
 	const threshold = 3
 	now := time.Now()
 	m := newMembership(nil)
-	b, _ := newBackend("http://w:1")
+	b := newBackend("http://w:1")
 	m.register(b, time.Second, now)
 	// A peer's record of a renewal it heard at the merge instant.
 	rec := func() []syncRecord {
@@ -299,8 +299,8 @@ func TestOnlyFirstHandLivenessReadmits(t *testing.T) {
 func TestSweepForgetsOnlyTheLapsed(t *testing.T) {
 	now := time.Now()
 	m := newMembership(nil)
-	gone, _ := newBackend("http://gone:1")
-	stay, _ := newBackend("http://stay:1")
+	gone := newBackend("http://gone:1")
+	stay := newBackend("http://stay:1")
 	m.register(gone, 20*time.Millisecond, now)
 	m.register(stay, time.Minute, now)
 	if expired, _ := m.sweep(now.Add(30 * time.Millisecond)); expired != 1 {
@@ -381,7 +381,7 @@ func TestRetryAfterDerived(t *testing.T) {
 	}
 
 	// And the header actually carries the derived value on a flux 503.
-	rt.StartDrain()
+	rt.Drain()
 	status, _, hdr := generate(t, ts.URL, "", nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("draining router answered %d, want 503", status)
@@ -397,17 +397,17 @@ func TestJitteredBackoffBounds(t *testing.T) {
 	const d = 10 * time.Millisecond
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 64; i++ {
-		got := jitteredBackoff(d)
+		got := httpapi.JitteredBackoff(d)
 		if got < d/2 || got > d {
-			t.Fatalf("jitteredBackoff(%v) = %v outside [%v, %v]", d, got, d/2, d)
+			t.Fatalf("JitteredBackoff(%v) = %v outside [%v, %v]", d, got, d/2, d)
 		}
 		seen[got] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("64 jittered draws were all identical; backoff is not jittered")
 	}
-	if got := jitteredBackoff(0); got != 0 {
-		t.Fatalf("jitteredBackoff(0) = %v, want 0", got)
+	if got := httpapi.JitteredBackoff(0); got != 0 {
+		t.Fatalf("JitteredBackoff(0) = %v, want 0", got)
 	}
 }
 

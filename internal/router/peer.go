@@ -36,10 +36,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,28 +76,6 @@ type peer struct {
 	syncs    atomic.Uint64 // successful exchanges (initiated by this side)
 	failures atomic.Uint64 // failed exchanges
 	lastOK   atomic.Int64  // unix nanos of the last success; 0 = never
-}
-
-// newPeers validates and canonicalizes the configured peer URL list.
-func newPeers(raw []string) ([]*peer, error) {
-	var out []*peer
-	seen := map[string]bool{}
-	for _, r := range raw {
-		r = strings.TrimSuffix(strings.TrimSpace(r), "/")
-		if r == "" {
-			continue
-		}
-		u, err := url.Parse(r)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("router: bad peer URL %q (need scheme and host)", r)
-		}
-		if seen[r] {
-			return nil, fmt.Errorf("router: duplicate peer %q", r)
-		}
-		seen[r] = true
-		out = append(out, &peer{url: r})
-	}
-	return out, nil
 }
 
 // syncLoop is the anti-entropy driver: an immediate first round (a cold
@@ -161,7 +136,7 @@ func (rt *Router) syncWith(p *peer, recs []syncRecord) {
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		p.failures.Add(1)
 		return
@@ -208,9 +183,10 @@ func (rt *Router) handleSync(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, syncResponse{Members: rt.mem.export(time.Now())})
 }
 
-// ready is the router's readiness predicate: the initial peer-sync round
-// has completed (trivially true with no peers) and at least one member is
-// healthy. The sync gate is a cold-start gate only — it never re-latches,
+// ready is the router's readiness predicate, the /healthz gate a client
+// or a TCP balancer fails over between routers on: the initial peer-sync
+// round has completed (trivially true with no peers) and at least one
+// member is healthy. The sync gate is a cold-start gate only — it never re-latches,
 // and it does not require the round to SUCCEED, because a router whose
 // peers are all down must still serve (that is the entire point of
 // replicating it); membership freshness is then carried by direct worker

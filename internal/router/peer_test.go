@@ -296,7 +296,7 @@ func runAntiEntropy(ops []aeOp, round bool) (ms []*membership, fresh map[string]
 	now := time.UnixMilli(1_700_000_000_000)
 	ms, fresh = make([]*membership, 3), map[string]uint64{}
 	for i := range ms {
-		seed, _ := newBackend("http://seed:1")
+		seed := newBackend("http://seed:1")
 		ms[i] = newMembership([]*backend{seed})
 	}
 	exchange := func(a, b, drop int) {
@@ -318,7 +318,7 @@ func runAntiEntropy(ops []aeOp, round bool) (ms []*membership, fresh map[string]
 			for _, m := range ms {
 				highest = max(highest, versionAt(m, o.worker))
 			}
-			b, _ := newBackend(o.worker)
+			b := newBackend(o.worker)
 			if created, _ := ms[o.r].register(b, o.lease, now); created && own == highest {
 				fresh[o.worker] = b.version
 			}

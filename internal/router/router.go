@@ -37,10 +37,11 @@
 //     queue-depth limit shed excess load early with 429 + Retry-After,
 //     keeping worker queues bounded instead of letting every client time
 //     out slowly.
-//   - Drain: StartDrain stops admitting (503, /healthz not-ready) and runs
-//     the onDrain hook, where the binary's http.Server.Shutdown waits for
-//     in-flight requests — including SSE streams — to finish, so SIGTERM
-//     rolls the tier without dropping a token.
+//   - Drain: the router embeds the worker's httpapi.Drainer. Drain stops
+//     admitting (503, /healthz not-ready) and runs the onDrain hook, where
+//     the binary's httpapi.Exit waits for in-flight requests — including
+//     SSE streams — to finish, so SIGTERM rolls the tier without dropping
+//     a token.
 package router
 
 import (
@@ -50,7 +51,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strconv"
@@ -117,11 +117,6 @@ type Config struct {
 	// length is the client's token budget, not the router's); they rely on
 	// the propagated deadline budget and the worker's own watchdog.
 	RelayTimeout time.Duration
-	// Client issues the proxied requests and health probes (default: a
-	// dedicated client with sane connection pooling and no global timeout —
-	// generation length is unbounded, cancellation rides the request
-	// context).
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -152,11 +147,6 @@ func (c Config) withDefaults() Config {
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = 500 * time.Millisecond
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-		}}
-	}
 	return c
 }
 
@@ -165,10 +155,14 @@ func (c Config) withDefaults() Config {
 // surface a single worker does, so clients cannot tell one worker from a
 // routed fleet.
 type Router struct {
+	*httpapi.Drainer
 	cfg   Config
 	mem   *membership
 	mux   *http.ServeMux
 	peers []*peer
+	// client has no global timeout: generation length is unbounded, and
+	// cancellation rides the request context.
+	client *http.Client
 
 	// initialSync latches once the first anti-entropy round has completed
 	// (immediately when no peers are configured); until then /healthz
@@ -177,14 +171,10 @@ type Router struct {
 	initialSync atomic.Bool
 
 	inflight atomic.Int64
-	draining atomic.Bool
 
 	quit chan struct{}
 	once sync.Once
 	hwg  sync.WaitGroup
-
-	onDrain   func()
-	drainOnce sync.Once
 
 	// Counters, exported on /v1/stats.
 	nRequests   atomic.Uint64 // everything that reached the handler
@@ -202,31 +192,32 @@ type Router struct {
 }
 
 // New builds the router and starts its health loop. onDrain, if non-nil,
-// runs once (on its own goroutine) when drain mode is entered via the
-// /v1/drain endpoint — the binary hooks graceful shutdown there. Callers
-// must Close the router to stop the health loop.
+// runs once (on its own goroutine) when drain mode is entered: the binary
+// passes its httpapi.Exit's Shutdown. Backends and Peers go through
+// httpapi.BaseURLs. Callers must Close the router to stop the health loop.
 func New(cfg Config, onDrain func()) (*Router, error) {
 	cfg = cfg.withDefaults()
-	rt := &Router{cfg: cfg, quit: make(chan struct{}), onDrain: onDrain}
-	var seeds []*backend
-	seen := map[string]bool{}
-	for _, raw := range cfg.Backends {
-		b, err := newBackend(raw)
-		if err != nil {
-			return nil, err
-		}
-		if seen[b.name] {
-			return nil, fmt.Errorf("router: duplicate backend %q", b.name)
-		}
-		seen[b.name] = true
-		seeds = append(seeds, b)
+	rt := &Router{
+		cfg: cfg, quit: make(chan struct{}),
+		client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
 	}
-	rt.mem = newMembership(seeds)
-	peers, err := newPeers(cfg.Peers)
+	rt.Drainer = httpapi.NewDrainer(onDrain, rt.retryAfterMembership(), rt.ready)
+	names, err := httpapi.BaseURLs(cfg.Backends)
 	if err != nil {
 		return nil, err
 	}
-	rt.peers = peers
+	seeds := make([]*backend, len(names))
+	for i, name := range names {
+		seeds[i] = newBackend(name)
+	}
+	rt.mem = newMembership(seeds)
+	peers, err := httpapi.BaseURLs(cfg.Peers)
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range peers {
+		rt.peers = append(rt.peers, &peer{url: u})
+	}
 	// With no peers there is nothing to sync: the cold-start readiness
 	// gate opens immediately.
 	rt.initialSync.Store(len(peers) == 0)
@@ -241,28 +232,7 @@ func New(cfg Config, onDrain func()) (*Router, error) {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteJSON(w, http.StatusOK, rt.Stats())
 	})
-	// /healthz mirrors the worker readiness contract: 200 only when this
-	// router can actually serve — it has finished its cold-start peer sync
-	// and sees at least one healthy backend — so a client (or a dumb TCP
-	// balancer) can fail over between routers on status alone.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if rt.draining.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
-		}
-		if ok, why := rt.ready(); !ok {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "not ready: "+why)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
-		rt.StartDrain()
-		httpapi.WriteJSON(w, http.StatusAccepted, map[string]bool{"draining": true})
-	})
+	rt.Routes(mux)
 	mux.HandleFunc("POST /v1/register", rt.handleRegister)
 	mux.HandleFunc("POST /v1/deregister", rt.handleDeregister)
 	mux.HandleFunc("POST /v1/sync", rt.handleSync)
@@ -290,21 +260,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) Close() {
 	rt.once.Do(func() { close(rt.quit) })
 	rt.hwg.Wait()
-}
-
-// StartDrain flips the router to not-admitting: new generation requests get
-// 503 + Retry-After and /healthz turns not-ready, while requests already
-// admitted (including SSE streams) run on. The onDrain hook fires once,
-// asynchronously — synchronously it would deadlock with an
-// http.Server.Shutdown that waits for the very /v1/drain request that
-// triggered it.
-func (rt *Router) StartDrain() {
-	rt.draining.Store(true)
-	rt.drainOnce.Do(func() {
-		if rt.onDrain != nil {
-			go rt.onDrain()
-		}
-	})
 }
 
 // retryAfterLoad is the Retry-After hint on load-shedding 429s: queue
@@ -352,8 +307,8 @@ func (rt *Router) reject(w http.ResponseWriter, why string) {
 // rejection when the router is draining or the global cap is hit; on true,
 // the caller must call the returned release exactly once.
 func (rt *Router) admit(w http.ResponseWriter) (release func(), ok bool) {
-	if rt.draining.Load() {
-		rt.reject(w, "draining")
+	if rt.Refuse(w) {
+		rt.nRejected.Add(1)
 		return nil, false
 	}
 	if rt.inflight.Add(1) > int64(rt.cfg.MaxInFlight) {
@@ -473,7 +428,7 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 		}
 		if i > 0 {
 			rt.nRetries.Add(1)
-			time.Sleep(jitteredBackoff(backoff))
+			time.Sleep(httpapi.JitteredBackoff(backoff))
 			backoff *= 2
 		}
 		// The deadline budget shrinks across attempts: each relay forwards
@@ -496,19 +451,6 @@ func (rt *Router) handle(w http.ResponseWriter, r *http.Request, path string, st
 	rt.nErrors.Add(1)
 	w.Header().Set("Retry-After", rt.retryAfterMembership())
 	httpapi.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": "all backends failed"})
-}
-
-// jitteredBackoff spreads a nominal backoff uniformly over [d/2, d]. Pure
-// doubling would march every request orphaned by the same worker ejection
-// through identical sleep schedules, synchronizing their retries into
-// bursts against the surviving replicas; the half-width jitter decorrelates
-// them while keeping the expected wait within 25% of nominal.
-func jitteredBackoff(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + rand.N(d-half+1)
 }
 
 // retryableStatus marks upstream replies that indicate the worker (not the
@@ -566,7 +508,7 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *backend,
 		}
 		req.Header.Set(httpapi.TimeoutHeader, strconv.FormatInt(ms, 10))
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		// Connect/transport failure: passive detection, retryable (unless
 		// the client itself is gone, which the attempt loop checks).

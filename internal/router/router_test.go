@@ -413,7 +413,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 	})
 }
 
-// TestGracefulDrain drains the way llm-router does: StartDrain rejects new
+// TestGracefulDrain drains the way llm-router does: Drain rejects new
 // work with 503 and flips /healthz, then the http.Server's Shutdown waits
 // for the in-flight SSE stream, which completes with its done frame, and
 // returns only once it has.
@@ -432,7 +432,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt.StartDrain()
+	rt.Drain()
 	status, _, hdr := generate(t, ts.URL, "", nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("generate while draining: %d, want 503", status)
