@@ -79,8 +79,9 @@ type JoinConfig struct {
 	// Interval is the heartbeat period (default Lease/3, so a renewal can
 	// miss twice before the lease lapses).
 	Interval time.Duration
-	// Logf, when non-nil, receives state-transition logs (joined, lost
-	// contact, re-joined) — not one line per heartbeat.
+	// Logf, when non-nil, receives state-transition logs (joined, the
+	// first failed register of each outage, re-joined) — not one line per
+	// heartbeat.
 	Logf func(format string, args ...any)
 }
 
@@ -202,7 +203,9 @@ func (j *Joiner) logf(format string, args ...any) {
 // whole heartbeat period) and capped at it (a dead router must not push
 // the retry period past the lease). Each router gets its own loop and its
 // own backoff state, so losing one router leaves the heartbeat cadence at
-// the others untouched.
+// the others untouched. The first failed register of each outage is logged,
+// whether or not the router had been joined, so a router that never answers
+// is not silent.
 func (j *Joiner) loop(router string) {
 	defer j.wg.Done()
 	const minBackoff = 5 * time.Millisecond
@@ -211,7 +214,7 @@ func (j *Joiner) loop(router string) {
 		backoff = minBackoff
 	}
 	base := backoff
-	joined := false
+	joined, failing := false, false
 	for {
 		err := j.registerOnce(router)
 		var sleep time.Duration
@@ -219,14 +222,16 @@ func (j *Joiner) loop(router string) {
 			if !joined {
 				j.logf("joined router %s (lease %v, heartbeat %v)", router, j.cfg.Lease, j.cfg.Interval)
 			}
-			joined = true
+			joined, failing = true, false
 			backoff = base
 			sleep = j.cfg.Interval
 		} else {
 			if joined {
 				j.logf("lost router %s: %v (retrying)", router, err)
+			} else if !failing {
+				j.logf("cannot register with router %s: %v (retrying)", router, err)
 			}
-			joined = false
+			joined, failing = false, true
 			sleep = JitteredBackoff(backoff)
 			backoff *= 2
 			if backoff > j.cfg.Interval {

@@ -3,10 +3,12 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,6 +112,38 @@ func TestJoinerRetriesThroughFailures(t *testing.T) {
 	}
 	defer j.Stop()
 	waitJoin(t, "a successful register after 5 failures", func() bool { return fr.registers.Load() >= 7 })
+}
+
+// TestJoinerLogsUnreachableRouterOnce: a router that never answers is
+// logged on the first failed register and not again over the retries that
+// follow — one line per outage, not per heartbeat.
+func TestJoinerLogsUnreachableRouterOnce(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	var mu sync.Mutex
+	var lines []string
+	j, err := StartJoiner(JoinConfig{
+		Routers: []string{dead.URL}, Self: "http://127.0.0.1:9999",
+		Lease: 300 * time.Millisecond, Interval: 20 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What is checked is that nothing more gets logged, which has no event
+	// to wait on: run for a span of ten or more registers at a 5-20ms
+	// backoff.
+	time.Sleep(200 * time.Millisecond)
+	j.Stop()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != 1 || !strings.Contains(lines[0], dead.URL) {
+		t.Fatalf("logged %q, want one failure line naming %s", lines, dead.URL)
+	}
 }
 
 // TestLeaveDeregisters: Leave halts heartbeats first (no stale renewal can

@@ -40,6 +40,36 @@ func TestAppendZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestKVBytesPerSequence pins the KV footprint at the serving benchmark's
+// shape: an Add on an empty pool allocates one window of value rows and one
+// of interleaved key packs per layer and head (the pack is the only key
+// store), plus at most 4 KiB of slice headers, tensor structs and
+// bookkeeping; and a prefix-cache block holds the same two runs for sixteen
+// positions. TotalAlloc counts the whole process, so the check takes the
+// fewest bytes over a few Adds, none of which finds a dropped sequence to
+// reuse.
+func TestKVBytesPerSequence(t *testing.T) {
+	cfg := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 320, Pos: PosLearned, Act: nn.GELU}
+	hd := cfg.Dim / cfg.Heads
+	bp := MustNew(cfg, mathx.NewRNG(14)).NewBatchedPredictor()
+	got := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bp.Add()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	data := uint64(2 * cfg.Layers * cfg.Heads * cfg.keyBlocks() * 16 * hd * 8)
+	if got < data || got > data+4<<10 {
+		t.Errorf("Add allocates %d B, want %d B of KV data plus at most 4 KiB", got, data)
+	}
+	t.Logf("Add allocates %d B (%d B of KV data)", got, data)
+	if got, want := newPrefixCache(cfg).blockFloats, 2*cfg.Layers*prefixBlock*cfg.Dim; got != want {
+		t.Errorf("prefix block holds %d floats, want %d (values and key pack)", got, want)
+	}
+}
+
 // TestCompiledCacheSharedAndInvalidated checks the compiled-view lifecycle:
 // predictors share one packed snapshot, and mutating the weights through
 // the sanctioned paths (InvalidateCompiled, as train.Run and

@@ -127,9 +127,6 @@ func (bp *BatchedPredictor) Drop(id int) {
 	bp.m.seqPool.Put(s)
 }
 
-// Size returns the number of registered sequences.
-func (bp *BatchedPredictor) Size() int { return len(bp.seqs) }
-
 // seq returns sequence id's state, panicking on an unknown handle.
 func (bp *BatchedPredictor) seq(id int) *batchSeq {
 	s := bp.seqs[id]
@@ -153,14 +150,14 @@ func (bp *BatchedPredictor) Len(id int) int { return bp.seq(id).n }
 // lanes are cleared — and is still bitwise-exact, because state beyond a
 // sequence's length never reaches a result before it is overwritten. Every
 // pass (rowPass, prefill.go) appending rows at positions [start, start+R) of a
-// state first writes those rows of the key/value caches and their pack
-// lanes, position-addressed (kc.Row(pos), lane pos&15 of block pos>>4), so
+// state first writes those positions' value rows and key-pack lanes,
+// position-addressed (vc.Row(pos), lane pos&15 of block pos>>4), so
 // re-ingesting position p lands exactly where the stale value sat. It then
 // scores each row through the pack block holding its position pos. Lanes
 // of that block past pos — a later row of the pass, or a stale lane at a
 // position ≥ start+R — are computed but never read: the softmax and the
 // value sum read the scores and value rows of [0, pos] only. Each sequence
-// owns its KV cache and key packs and the shared pass scratch holds no
+// owns its values and key packs and the shared pass scratch holds no
 // per-position state, so a rewind leaves every other sequence untouched.
 // rewind_test.go checks this bit for bit against predictors rebuilt from
 // scratch.

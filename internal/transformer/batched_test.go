@@ -215,13 +215,13 @@ func TestBatchedPredictorDropAndReuse(t *testing.T) {
 	bp := m.NewBatchedPredictor()
 	a := bp.Add()
 	b := bp.Add()
-	if bp.Size() != 2 {
-		t.Fatalf("Size = %d", bp.Size())
+	if len(bp.seqs) != 2 {
+		t.Fatalf("%d sequences", len(bp.seqs))
 	}
 	bp.Step([]int{a, b}, []int{1, 2})
 	bp.Drop(a)
-	if bp.Size() != 1 {
-		t.Fatalf("Size after drop = %d", bp.Size())
+	if len(bp.seqs) != 1 {
+		t.Fatalf("%d sequences after drop", len(bp.seqs))
 	}
 	// b keeps decoding after a is gone, and new sequences can join.
 	c := bp.Add()

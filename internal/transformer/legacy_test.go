@@ -505,7 +505,7 @@ func TestConcurrentPassesFanOutBitwise(t *testing.T) {
 // TestAttentionQuadsBitwise aims at attendRows' runs: rows of one state
 // adjacent in a range are scored and value-summed four, two or one at a
 // time, and every run must leave logits bitwise equal to the legacy
-// reference and every K/V row and key-pack lane bitwise equal to a solo
+// reference and every value row and key-pack lane bitwise equal to a solo
 // Predictor's, at GOMAXPROCS 1 (serial, whole chunks are runs), 2 and 8
 // (four-row groups cut the runs). The passes hold chunks of one to four
 // rows, whose runs are 1, 2, 3 (a pair and a single) and 4 rows long;
@@ -513,7 +513,8 @@ func TestConcurrentPassesFanOutBitwise(t *testing.T) {
 // block, with decode rows between them; and a 64-row chunk beside eight
 // decode rows, the widest pass the serving loop makes at its defaults.
 // Each pass runs with sixteen-wide heads (the fused value sum), eight- and
-// thirty-two-wide ones and the sparse mask (per-row value sums).
+// thirty-two-wide ones and the sparse mask (the same runs, with each row's
+// blocked positions masked after scoring).
 func TestAttentionQuadsBitwise(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	base := Config{Vocab: 64, Dim: 64, Layers: 2, Heads: 4, Window: 150, Pos: PosLearned, Act: nn.GELU}

@@ -40,25 +40,26 @@ import (
 // and KV contents do not depend on how tokens were grouped into passes.
 // Causality makes the phase order sound: within a layer, the row at
 // position p reads keys/values of positions ≤ p only, and those are fully
-// determined by the layer's input rows, so a pass writes the K/V rows and
-// pack lanes of all its rows — positions [start, start+R) of each state —
-// in one phase and scores them in the next. A row scores whole pack blocks
+// determined by the layer's input rows, so a pass writes the key-pack lanes
+// and value rows of all its rows — positions [start, start+R) of each state
+// — in one phase and scores them in the next. A row scores whole pack blocks
 // through the one holding its own position; lanes past that position — keys
 // a later row of the pass wrote, or stale ones past the state's length — are
 // computed but never read, because the softmax reads only the scores of
 // positions [0, pos]. So nothing past a state's length reaches a result,
 // which is also why Rewind (batched.go) and buffer recycling
-// (BatchedPredictor.Add) need clear nothing. legacy_test.go anchors every
+// (BatchedPredictor.Add) need clear nothing. A sparse stride only masks
+// scores once they are computed (attnWeights), so dense and sparse configs
+// share every kernel and every argument here. legacy_test.go anchors every
 // entry point bitwise to the pre-compile reference; prefill_test.go,
 // batched_test.go and rewind_test.go fuzz the shapes against each other.
 
-// kvState is one sequence's KV cache: per layer and head, position-major
-// key and value rows preallocated to the window, of which rows [0, n) are
-// valid, and the same keys in the sixteen-row interleaved layout (see
-// packKeyRow), maintained as each key row is written so scoring never
-// re-packs the prefix.
+// kvState is one sequence's KV cache, preallocated to the window, of which
+// positions [0, n) are valid: per layer and head, position-major value rows
+// and the keys in the sixteen-row interleaved layout (see packKeyRow), one
+// lane written as each key is computed, so scoring never re-packs the
+// prefix. The pack is the only copy of the keys.
 type kvState struct {
-	keys   [][]*tensor.Tensor
 	vals   [][]*tensor.Tensor
 	kpacks [][][]float64
 	n      int
@@ -67,18 +68,15 @@ type kvState struct {
 func newKVState(cfg Config) kvState {
 	hd := cfg.Dim / cfg.Heads
 	kv := kvState{
-		keys:   make([][]*tensor.Tensor, cfg.Layers),
 		vals:   make([][]*tensor.Tensor, cfg.Layers),
 		kpacks: make([][][]float64, cfg.Layers),
 	}
-	for li := range kv.keys {
-		kv.keys[li] = make([]*tensor.Tensor, cfg.Heads)
+	for li := range kv.vals {
 		kv.vals[li] = make([]*tensor.Tensor, cfg.Heads)
 		kv.kpacks[li] = make([][]float64, cfg.Heads)
-		for hi := range kv.keys[li] {
-			kv.keys[li][hi] = tensor.New(cfg.Window, hd)
+		for hi := range kv.vals[li] {
 			kv.vals[li][hi] = tensor.New(cfg.Window, hd)
-			kv.kpacks[li][hi] = make([]float64, cfg.keyPackLen(hd))
+			kv.kpacks[li][hi] = make([]float64, cfg.keyBlocks()*16*hd)
 		}
 	}
 	return kv
@@ -237,9 +235,9 @@ func (m *Model) rowPass(c *compiledModel, sc *passScratch, out *logitBuf) {
 //   - layer l's LN1 and Q/K/V (qkvRows), then the rows' keys and values
 //     into their states (writeKV).
 //
-// The only cross-row reads are attention's: a row reads the K/V rows of its
-// state's positions up to its own, which the previous phase wrote for every
-// row of the pass. Everything else a phase reads and writes is the range's
+// The only cross-row reads are attention's: a row reads the keys and values
+// of its state's positions up to its own, which the previous phase wrote for
+// every row of the pass. Everything else a phase reads and writes is the range's
 // own rows of the scratch and, for attention, its own score slot, so a
 // large pass runs each phase by four-row group across workers (rowPass),
 // with bitwise the same result at any worker count.
@@ -275,16 +273,14 @@ func (sc *passScratch) qkvRows(cl *compiledLayer, b *Block, lo, hi int) {
 }
 
 // writeKV stores the keys and values of layer li that qkvRows left for rows
-// [lo, hi) into the rows' states: each head's cache rows and key-pack lane
-// at the row's position.
+// [lo, hi) into the rows' states: each head's key-pack lane and value row at
+// the row's position.
 func (sc *passScratch) writeKV(cfg Config, li, lo, hi int) {
 	hd := cfg.Dim / cfg.Heads
 	for r := lo; r < hi; r++ {
 		row := sc.rows[r]
 		for h := 0; h < cfg.Heads; h++ {
-			krow := sc.k.Row(r)[h*hd : (h+1)*hd]
-			copy(row.kv.keys[li][h].Row(row.pos), krow)
-			packKeyRow(row.kv.kpacks[li][h], krow, row.pos)
+			packKeyRow(row.kv.kpacks[li][h], sc.k.Row(r)[h*hd:(h+1)*hd], row.pos)
 			copy(row.kv.vals[li][h].Row(row.pos), sc.v.Row(r)[h*hd:(h+1)*hd])
 		}
 	}
@@ -326,7 +322,8 @@ func (sc *passScratch) ffnRows(cl *compiledLayer, b *Block, lo, hi int) {
 // one (a run of three is a pair and a single, as in matMatBlock). A run
 // scores the key blocks through the one holding its first row's position
 // with one fused multi-query kernel call per block, and each later row
-// finishes its at most one further block alone. Softmax is per row. With
+// finishes its at most one further block alone. Masking (a sparse stride's
+// blocked positions) and softmax are per row (attnWeights). With
 // sixteen-wide heads the run's value sum is fused the same way over the
 // first row's positions, and each later row i adds its own positions
 // pos+1 … pos+i after it (see runValueSum). Loop order over rows is free:
@@ -347,13 +344,7 @@ func (sc *passScratch) attendRows(cfg Config, li, lo, hi, slot int) {
 		c0, c1 := h*hd, (h+1)*hd
 		for r := lo; r < hi; {
 			row := rows[r]
-			kc, vc, kp := row.kv.keys[li][h], row.kv.vals[li][h], row.kv.kpacks[li][h]
-			if stride > 0 {
-				maskedAttnScores(s[0], sc.q.Row(r)[c0:c1], kc, row.pos, stride)
-				weightedValueSum(sc.concat.Row(r)[c0:c1], vc, attnWeights(s[0], smax, row.pos, scale), row.pos)
-				r++
-				continue
-			}
+			vc, kp := row.kv.vals[li][h], row.kv.kpacks[li][h]
 			k := 1
 			for k < 4 && r+k < hi && rows[r+k].kv == row.kv {
 				k++
@@ -384,7 +375,7 @@ func (sc *passScratch) attendRows(cfg Config, li, lo, hi, slot int) {
 			}
 			for i := range k {
 				packedAttnScores(s[i], q[i], kp, shared, row.pos+i)
-				attnWeights(s[i], smax, row.pos+i, scale)
+				attnWeights(s[i], smax, row.pos+i, stride, scale)
 			}
 			if hd == 16 && k > 1 {
 				sc.runValueSum(s[:k], vc, r, c0, row.pos)
@@ -399,14 +390,22 @@ func (sc *passScratch) attendRows(cfg Config, li, lo, hi, slot int) {
 }
 
 // attnWeights turns one row's raw scores over positions [0, pos] into its
-// attention weights in place: scale by 1/√q, then softmax (the Boltzmann
-// weights of Eq. 14).
-func attnWeights(scores, smax []float64, pos int, scale float64) []float64 {
+// attention weights in place: with a sparse stride, −∞ at the positions
+// sparseBlocked hides from pos (weight zero after the softmax); then scale
+// by 1/√q and softmax (the Boltzmann weights of Eq. 14).
+func attnWeights(scores, smax []float64, pos, stride int, scale float64) {
 	s := scores[:pos+1]
+	if stride > 0 {
+		for j := range s {
+			if sparseBlocked(pos, j, stride) {
+				s[j] = math.Inf(-1)
+			}
+		}
+	}
 	for j := range s {
 		s[j] *= scale
 	}
-	return mathx.SoftmaxFastInto(s, s, smax, 1)
+	mathx.SoftmaxFastInto(s, s, smax, 1)
 }
 
 // runValueSum is weightedValueSum for a run of k = len(ws) (two or four)

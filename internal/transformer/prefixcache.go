@@ -10,12 +10,12 @@ import "slices"
 // rows and restores them into a new sequence instead of prefilling them.
 //
 // Granularity is the sixteen-position key-pack block: for one layer and
-// head, a block's key rows, value rows and interleaved key pack are three
-// contiguous runs of 16·headDim floats, so a block moves with three copies
-// per head. Blocks are named by a chain hash h_i = H(h_{i-1}, tokens of
-// block i) and linked to their predecessor's entry; a lookup accepts a block
-// only when its sixteen stored token ids equal the prompt's and its parent is
-// the entry the walk accepted one block earlier. By induction from the root
+// head, a block's value rows and interleaved key pack are two contiguous
+// runs of 16·headDim floats, so a block moves with two copies per head.
+// Blocks are named by a chain hash h_i = H(h_{i-1}, tokens of block i) and
+// linked to their predecessor's entry; a lookup accepts a block only when
+// its sixteen stored token ids equal the prompt's and its parent is the
+// entry the walk accepted one block earlier. By induction from the root
 // an accepted chain matches the prompt token for token, so a hash collision
 // costs a miss and can never change an output.
 //
@@ -73,12 +73,8 @@ type prefixCache struct {
 }
 
 func newPrefixCache(cfg Config) *prefixCache {
-	runs := 3 // keys, values, key pack
-	if cfg.keyPackLen(cfg.Dim/cfg.Heads) == 0 {
-		runs = 2
-	}
 	c := &prefixCache{
-		blockFloats: cfg.Layers * runs * prefixBlock * cfg.Dim,
+		blockFloats: cfg.Layers * 2 * prefixBlock * cfg.Dim, // values, key pack
 		blocks:      map[uint64]*prefixEntry{},
 		hash:        chainHash,
 	}
@@ -190,16 +186,13 @@ func (c *prefixCache) offer(s *batchSeq, depth int, parent *prefixEntry) *prefix
 }
 
 // copyBlock moves block b of the sequence's KV state — per layer and head,
-// the block's key rows, value rows and key pack, in that order — out to buf,
-// or with restore set, from buf back in.
+// the block's value rows, then its key pack — out to buf, or with restore
+// set, from buf back in.
 func (s *batchSeq) copyBlock(buf []float64, b int, restore bool) {
-	for li := range s.keys {
-		for hi, kc := range s.keys[li] {
-			run := prefixBlock * kc.Shape[1]
-			for _, kv := range [...][]float64{kc.Data, s.vals[li][hi].Data, s.kpacks[li][hi]} {
-				if len(kv) == 0 {
-					continue // sparse attention keeps no key pack
-				}
+	for li := range s.vals {
+		for hi, vc := range s.vals[li] {
+			run := prefixBlock * vc.Shape[1]
+			for _, kv := range [...][]float64{vc.Data, s.kpacks[li][hi]} {
 				if restore {
 					copy(kv[b*run:(b+1)*run], buf)
 				} else {

@@ -15,8 +15,8 @@ import (
 // fed the same tokens one at a time.
 
 // kvEqual compares the first n positions of a batch sequence's KV state —
-// key rows, value rows and interleaved key-pack lanes — with a solo
-// predictor's, bit for bit.
+// value rows and interleaved key-pack lanes — with a solo predictor's, bit
+// for bit.
 func kvEqual(t *testing.T, tag string, s *batchSeq, p *Predictor) {
 	t.Helper()
 	if s.n != p.n {
@@ -30,13 +30,12 @@ func kvEqual(t *testing.T, tag string, s *batchSeq, p *Predictor) {
 			}
 		}
 	}
-	for li := range s.keys {
-		for hi, kc := range s.keys[li] {
-			hd := kc.Shape[1]
-			same("keys", li, hi, kc.Data[:s.n*hd], p.keys[li][hi].Data[:s.n*hd])
-			same("values", li, hi, s.vals[li][hi].Data[:s.n*hd], p.vals[li][hi].Data[:s.n*hd])
+	for li := range s.vals {
+		for hi, vc := range s.vals[li] {
+			hd := vc.Shape[1]
+			same("values", li, hi, vc.Data[:s.n*hd], p.vals[li][hi].Data[:s.n*hd])
 			got, want := s.kpacks[li][hi], p.kpacks[li][hi]
-			for pos := 0; pos < s.n && (pos>>4+1)*16*hd <= len(want); pos++ {
+			for pos := 0; pos < s.n; pos++ {
 				for i := 0; i < hd; i++ {
 					at := (pos>>4)*16*hd + i*16 + pos&15
 					same("key pack", li, hi, got[at:at+1], want[at:at+1])
@@ -165,11 +164,11 @@ func TestPrefixCacheProperty(t *testing.T) {
 
 // TestPrefixCacheReuse pins how much a warm cache restores, over the model
 // shapes the kernels branch on (head widths at and off sixteen, post-norm,
-// sparse attention, which keeps no key pack): the first two sightings of a
-// prefix restore nothing, later ones restore its whole blocks — rounded down
-// when the shared part is not block-aligned, and short of the block holding
-// the last token when the prompt is itself a cached chain — and every
-// restored sequence matches the cache-free reference bitwise.
+// sparse attention): the first two sightings of a prefix restore nothing,
+// later ones restore its whole blocks — rounded down when the shared part is
+// not block-aligned, and short of the block holding the last token when the
+// prompt is itself a cached chain — and every restored sequence matches the
+// cache-free reference bitwise.
 func TestPrefixCacheReuse(t *testing.T) {
 	for _, cfg := range []Config{
 		{Vocab: 29, Dim: 32, Layers: 2, Heads: 2, Window: 96, Pos: PosLearned, Act: nn.GELU},
@@ -381,9 +380,9 @@ func TestBatchedAddReusesDirtyBuffers(t *testing.T) {
 			for _, id := range ids {
 				s := bp.seqs[id]
 				if poison {
-					for li := range s.keys {
-						for hi := range s.keys[li] {
-							for _, kv := range [][]float64{s.keys[li][hi].Data, s.vals[li][hi].Data, s.kpacks[li][hi]} {
+					for li := range s.vals {
+						for hi := range s.vals[li] {
+							for _, kv := range [][]float64{s.vals[li][hi].Data, s.kpacks[li][hi]} {
 								for i := range kv {
 									kv[i] = math.NaN()
 								}

@@ -329,8 +329,8 @@ func (a *Attention) replica() *Attention {
 }
 
 // causalMask returns (cached) the L×L additive mask enforcing j ≤ i
-// (Eq. 13's restriction); with SparseStride s > 0, position i additionally
-// attends only to the s most recent positions and every s-th earlier one.
+// (Eq. 13's restriction), plus the sparse-stride rule (sparseBlocked) when
+// SparseStride is set.
 func (m *Model) causalMask(l int) *tensor.Tensor {
 	if mk, ok := m.masks[l]; ok {
 		return mk
@@ -339,13 +339,7 @@ func (m *Model) causalMask(l int) *tensor.Tensor {
 	s := m.Cfg.SparseStride
 	for i := 0; i < l; i++ {
 		for j := 0; j < l; j++ {
-			blocked := j > i
-			if !blocked && s > 0 {
-				recent := i-j < s
-				strided := j%s == 0
-				blocked = !recent && !strided
-			}
-			if blocked {
+			if j > i || sparseBlocked(i, j, s) {
 				mk.Set(i, j, math.Inf(-1))
 			}
 		}
@@ -353,6 +347,13 @@ func (m *Model) causalMask(l int) *tensor.Tensor {
 	m.masks[l] = mk
 	return mk
 }
+
+// sparseBlocked is strided sparse attention's rule (§6): with stride s > 0,
+// the query at position i attends to the s most recent positions j ≤ i and
+// every s-th earlier one, and is blocked from the rest; stride 0 blocks
+// nothing. The training graph (causalMask) and the inference pass
+// (attnWeights) both apply it.
+func sparseBlocked(i, j, s int) bool { return s > 0 && i-j >= s && j%s != 0 }
 
 // Trace captures intermediate state for the probing experiments of §7.
 type Trace struct {
@@ -523,18 +524,6 @@ func (m *Model) NewPredictor() *Predictor {
 // when Window is not a multiple of sixteen.
 func (c Config) keyBlocks() int { return (c.Window + 15) / 16 }
 
-// keyPackLen is the per-head interleaved key-pack size: the window rounded
-// up to whole sixteen-row blocks, so every position has a lane. Sparse-stride
-// attention always scores through the masked per-row path and never reads a
-// pack, so those configs keep the packs empty (packKeyRow on an empty pack
-// is a no-op) rather than doubling key-cache memory for nothing.
-func (c Config) keyPackLen(hd int) int {
-	if c.SparseStride > 0 {
-		return 0
-	}
-	return c.keyBlocks() * 16 * hd
-}
-
 // Len returns the number of cached positions.
 func (p *Predictor) Len() int { return p.n }
 
@@ -585,9 +574,6 @@ func weightedValueSum(out []float64, vc *tensor.Tensor, w []float64, pos int) {
 // pass maintains the pack incrementally as it writes each key, so scoring
 // reads ready-packed blocks and nothing ever re-packs the prefix.
 func packKeyRow(kp, row []float64, pos int) {
-	if len(kp) == 0 {
-		return
-	}
 	hd := len(row)
 	seg := kp[(pos>>4)*16*hd:]
 	lane := pos & 15
@@ -603,25 +589,12 @@ func packKeyRow(kp, row []float64, pos int) {
 // or stale past the state's length); they land beyond scores[:pos+1] and are
 // never read. Each score accumulates its products in the same ascending
 // element order as a plain mathx.Dot, so results are bitwise identical to
-// the per-row loop. Sparse-stride attention takes maskedAttnScores instead.
+// the per-row loop.
 func packedAttnScores(scores, q, kp []float64, from, pos int) {
 	hd := len(q)
 	for bk := from; bk < (pos+16)/16; bk++ {
 		mathx.DotInterleaved16((*[16]float64)(scores[bk*16:bk*16+16]),
 			kp[bk*16*hd:(bk+1)*16*hd], q)
-	}
-}
-
-// maskedAttnScores is the sparse-stride scorer (§6): position pos attends
-// to the stride most recent positions and every stride-th earlier one;
-// every other score is −∞, which the softmax turns into weight zero.
-func maskedAttnScores(scores, q []float64, keys *tensor.Tensor, pos, stride int) {
-	for j := 0; j <= pos; j++ {
-		if pos-j >= stride && j%stride != 0 {
-			scores[j] = math.Inf(-1)
-			continue
-		}
-		scores[j] = mathx.Dot(keys.Row(j), q)
 	}
 }
 
