@@ -32,8 +32,9 @@
 // -request-timeout is the server-side default deadline: a request without
 // its own timeout_ms budget that overruns it fails with 504 between passes
 // and releases its batch slot. -stall-timeout arms the token-progress
-// watchdog, which fails streams that stop producing tokens (a wedged loop
-// or blocked predictor) even when total runtime is still within budget.
+// watchdog, a per-request timer that fails requests that stop producing
+// tokens (a wedged loop or blocked predictor) even when total runtime is
+// still within budget.
 //
 // Each loop iteration is one forward pass: every in-flight stream's next
 // token plus at most one chunk of at most -prefill-chunk prompt rows, so a
@@ -60,6 +61,11 @@
 //	                     data: {"index":0,"id":17,"text":"crown"}
 //	                   then a final event:
 //	                     data: {"done":true,"completion":"...","duration_ms":1.93}
+//	                   A failure before the first token gets the status
+//	                   /v1/generate would (400, 499, 503, 504 or 500);
+//	                   one after it ends the stream with an in-band
+//	                     data: {"error":"..."}
+//	                   frame.
 //	GET  /v1/stats     server throughput counters and load gauges
 //	GET  /healthz      readiness probe: 200 serving, 503 draining
 //	POST /v1/drain     enter drain mode (equivalent to SIGTERM)

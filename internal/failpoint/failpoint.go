@@ -40,9 +40,10 @@ const (
 	// HTTPGenerate fires at POST /v1/generate entry, before the body is
 	// parsed. Error → 500; Drop → the connection is severed.
 	HTTPGenerate = "httpapi/generate"
-	// HTTPStreamPreSSE fires at POST /v1/stream entry, before the SSE
-	// headers are committed. Error → 500 (a proper status, still
-	// retryable upstream).
+	// HTTPStreamPreSSE fires at POST /v1/stream entry, before the body is
+	// parsed and long before the SSE headers are committed. Error → 500
+	// (a proper status, though not one the router retries: it fails over
+	// only on 502/503/504); Drop → the connection is severed.
 	HTTPStreamPreSSE = "httpapi/stream/pre-sse"
 	// HTTPStreamMid fires on every streamed token after the SSE headers
 	// are out. Error → in-band error frame; Drop → the connection is

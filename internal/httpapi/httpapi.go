@@ -14,6 +14,14 @@
 //	GET  /healthz      readiness: 200 while serving, 503 once draining
 //	POST /v1/drain     enter drain mode (also wired to SIGTERM by the binary)
 //
+// The two generation endpoints run one handler and one error contract: a
+// failure before a stream's first token is answered with the status
+// /v1/generate gives it — 400 a bad request or prompt, 499 a client gone,
+// 503 a closed server, 504 a deadline or stall, 500 a panic — so a router
+// fails the stream over as it does a generate. Only once the first token
+// has committed the 200 and the SSE headers does a failure become an
+// in-band {"error": ...} frame, or a severed connection for a drop fault.
+//
 // Drain mode is the rolling-restart/scale-down story: Drain flips the
 // handler to reject new generation work with 503 + Retry-After and turns
 // /healthz not-ready — so a router stops picking this worker — while
@@ -63,8 +71,12 @@ type Handler struct {
 func New(srv *serve.Server, onDrain func()) *Handler {
 	h := &Handler{Drainer: NewDrainer(onDrain, "1", nil), srv: srv}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/generate", h.handleGenerate)
-	mux.HandleFunc("POST /v1/stream", h.handleStream)
+	mux.HandleFunc("POST /v1/generate", func(w http.ResponseWriter, r *http.Request) {
+		h.handle(w, r, false)
+	})
+	mux.HandleFunc("POST /v1/stream", func(w http.ResponseWriter, r *http.Request) {
+		h.handle(w, r, true)
+	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, h.srv.Stats())
 	})
@@ -110,7 +122,7 @@ func Guard(w http.ResponseWriter, r *http.Request, next http.Handler, onPanic fu
 // guardWriter tracks whether the response has been committed, so the panic
 // recovery layer knows whether a real 500 status is still possible. It
 // always implements http.Flusher (flushing is a no-op when the underlying
-// writer cannot), keeping the SSE handlers' capability checks working, and
+// writer cannot), so the stream handler needs no capability check, and
 // passes io.ReaderFrom through, so a relay's io.Copy keeps net/http's
 // pooled copy buffer instead of allocating one per call.
 type guardWriter struct {
@@ -247,11 +259,24 @@ func Inject(w http.ResponseWriter, site string) bool {
 	return true
 }
 
-func (h *Handler) handleGenerate(w http.ResponseWriter, r *http.Request) {
+// handle serves one generation, the same steps on both endpoints: Refuse,
+// the endpoint's entry failpoint, parseRequest, and one srv.Stream call. A
+// generate call passes no callback and gets one JSON reply. A stream's
+// callback writes one SSE frame per token, flushed the moment its batched
+// decoding step completes, and commits the 200 and the SSE headers at the
+// first token. Until then a failure is answered as /v1/generate answers
+// it, with errStatus's status, so a router can still fail the request over;
+// after it, a failure is an in-band error frame, or a severed connection
+// for a drop fault.
+func (h *Handler) handle(w http.ResponseWriter, r *http.Request, stream bool) {
 	if h.Refuse(w) {
 		return
 	}
-	if Inject(w, failpoint.HTTPGenerate) {
+	site := failpoint.HTTPGenerate
+	if stream {
+		site = failpoint.HTTPStreamPreSSE
+	}
+	if Inject(w, site) {
 		return
 	}
 	req, err := parseRequest(w, r)
@@ -259,72 +284,53 @@ func (h *Handler) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
+	// Guard's writer always implements http.Flusher.
+	flusher, _ := w.(http.Flusher)
+	committed := false // a stream's 200 and SSE headers are out
+	var onToken func(sample.Token) error
+	if stream {
+		onToken = func(t sample.Token) error {
+			if !committed {
+				committed = true
+				w.Header().Set("Content-Type", "text/event-stream")
+				w.Header().Set("Cache-Control", "no-cache")
+				w.WriteHeader(http.StatusOK)
+			}
+			if err := failpoint.Inject(failpoint.HTTPStreamMid); err != nil {
+				return err
+			}
+			if err := writeEvent(w, t); err != nil {
+				return err
+			}
+			flusher.Flush()
+			return nil
+		}
+	}
 	start := time.Now()
-	res, err := h.srv.Do(r.Context(), req)
-	if err != nil {
+	res, err := h.srv.Stream(r.Context(), req, onToken)
+	switch {
+	case err != nil && !committed:
 		WriteJSON(w, errStatus(err), map[string]string{"error": err.Error()})
-		return
-	}
-	WriteJSON(w, http.StatusOK, GenResponse{
-		Completion: res.Text,
-		Tokens:     res.Tokens,
-		DurationMS: sinceMS(start),
-	})
-}
-
-// handleStream serves one generation as server-sent events, flushing each
-// token the moment its batched decoding step completes.
-func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
-	if h.Refuse(w) {
-		return
-	}
-	if Inject(w, failpoint.HTTPStreamPreSSE) {
-		return
-	}
-	req, err := parseRequest(w, r)
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	// Reject invalid requests with a proper status before committing to
-	// streaming headers, matching /v1/generate's error contract.
-	if err := h.srv.Validate(req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	start := time.Now()
-	res, err := h.srv.Stream(r.Context(), req, func(t sample.Token) error {
-		if err := failpoint.Inject(failpoint.HTTPStreamMid); err != nil {
-			return err
-		}
-		if err := writeEvent(w, t); err != nil {
-			return err
-		}
-		flusher.Flush()
-		return nil
-	})
-	if err != nil {
+	case err != nil:
 		if errors.Is(err, failpoint.ErrDrop) {
 			// A mid-stream drop fault: sever the connection the way a
 			// crashing worker would, after the stream request has been
 			// cleanly cancelled out of the batch.
 			panic(http.ErrAbortHandler)
 		}
-		// Headers are sent; report the failure in-band and end the stream.
 		writeEvent(w, map[string]string{"error": err.Error()})
 		flusher.Flush()
-		return
+	case stream:
+		// Every completed request sampled a token, so the headers are out.
+		writeEvent(w, StreamDone{Done: true, Completion: res.Text, DurationMS: sinceMS(start)})
+		flusher.Flush()
+	default:
+		WriteJSON(w, http.StatusOK, GenResponse{
+			Completion: res.Text,
+			Tokens:     res.Tokens,
+			DurationMS: sinceMS(start),
+		})
 	}
-	writeEvent(w, StreamDone{Done: true, Completion: res.Text, DurationMS: sinceMS(start)})
-	flusher.Flush()
 }
 
 // writeEvent emits one SSE data frame.

@@ -76,7 +76,8 @@ func TestOversizedBodyRejected(t *testing.T) {
 // TestDeadlineMapsTo504: a request that exhausts its timeout budget fails
 // with 504 Gateway Timeout (not 400 or 499), whether the budget came from
 // the body's timeout_ms or from the router's header — and the header wins
-// over a generous body value.
+// over a generous body value. A stream that times out before its first
+// token is answered the same way.
 func TestDeadlineMapsTo504(t *testing.T) {
 	if err := failpoint.Arm(failpoint.Plan{Seed: 1, Rules: []failpoint.Rule{
 		{Site: failpoint.ServeSample, Kind: failpoint.KindLatency, Sleep: 20 * time.Millisecond},
@@ -109,6 +110,21 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("header budget ignored: request ran %v", d)
+	}
+
+	// A stream whose budget runs out during a slow first pass has sent no
+	// byte yet: it gets generate's 504, not a 200 with an error frame, so
+	// a router can still fail it over.
+	failpoint.Disarm()
+	if err := failpoint.Arm(failpoint.Plan{Seed: 1, Rules: []failpoint.Rule{
+		{Site: failpoint.ServeStep, Kind: failpoint.KindLatency, Sleep: 300 * time.Millisecond},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	sresp := postJSON(t, ts.URL+"/v1/stream", GenRequest{Prompt: "the king", Tokens: 8, TimeoutMS: 40})
+	sresp.Body.Close()
+	if sresp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("stream deadline before the first token: status %d, want 504", sresp.StatusCode)
 	}
 }
 

@@ -110,6 +110,75 @@ func TestRouterOverRealWorkers(t *testing.T) {
 	}
 }
 
+// TestStreamFailsOverBeforeFirstToken: a keyed stream whose ring owner
+// cannot serve it (its serve.Server is closed, its HTTP front still up) is
+// answered 503 before any byte is sent, so the router retries it on the
+// next replica and the client sees one clean stream.
+func TestStreamFailsOverBeforeFirstToken(t *testing.T) {
+	m := workerModel()
+	srvs := make([]*serve.Server, 2)
+	urls := make([]string, 2)
+	for i := range srvs {
+		srvs[i] = serve.New(m, serve.Config{})
+		t.Cleanup(srvs[i].Close)
+		ts := httptest.NewServer(httpapi.New(srvs[i], nil))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	rt, err := New(Config{Backends: urls}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+
+	const session = "tenant-0"
+	owner := newRing(urls).successors(session)[0]
+	srvs[owner].Close()
+
+	data, err := json.Marshal(httpapi.GenRequest{Prompt: "the king", Tokens: 6, Seed: 1, Session: session})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(front.URL+"/v1/stream", "application/json", strings.NewReader(string(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d, want 200 from the other replica", resp.StatusCode)
+	}
+	sawDone := false
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		payload, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "data: ")
+		if !ok {
+			continue
+		}
+		var probe struct {
+			Done  bool   `json:"done"`
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(payload), &probe); err != nil {
+			t.Fatalf("bad frame %q: %v", payload, err)
+		}
+		if probe.Error != "" {
+			t.Fatalf("in-band stream error %q", probe.Error)
+		}
+		sawDone = sawDone || probe.Done
+	}
+	if !sawDone {
+		t.Fatal("stream ended without a done frame")
+	}
+	if st := rt.Stats(); st.Retries != 1 {
+		t.Errorf("router retries %d, want 1", st.Retries)
+	}
+	if got := srvs[1-owner].Stats().Completed; got != 1 {
+		t.Errorf("the other replica completed %d requests, want 1", got)
+	}
+}
+
 // runPair issues one generate and one stream for the same request through
 // the router and checks they agree.
 func runPair(frontURL, session string, rep int) error {

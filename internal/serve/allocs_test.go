@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sample"
 )
@@ -16,25 +17,38 @@ import (
 // bound is deliberately loose (request admission, channel plumbing, and the
 // result all allocate once per request); what it catches is a regression
 // back to per-token slice churn, which lands at dozens of allocations per
-// token.
+// token. A server with StallTimeout set pays for each request's stall timer
+// and its closure, and nothing per token: at most two allocations per
+// request over the unarmed server.
 func TestServerDecodeStepAllocsBounded(t *testing.T) {
 	model := testLLM(t)
-	s := New(model, Config{MaxBatch: 4})
-	defer s.Close()
 	const tokens = 12
 	req := Request{Prompt: "the king", MaxTokens: tokens, Strategy: sample.TopP{P: 0.9, T: 0.8}, Seed: 5}
-	do := func() {
-		if _, err := s.Do(context.Background(), req); err != nil {
-			t.Fatal(err)
+	perRequest := func(cfg Config) float64 {
+		s := New(model, cfg)
+		defer s.Close()
+		do := func() {
+			if _, err := s.Do(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
 		}
+		do() // warm the loop, the batch slot, and every scratch arena
+		allocs := testing.AllocsPerRun(20, do)
+		perToken := allocs / tokens
+		t.Logf("StallTimeout %v: %.2f allocations per token (%.0f per request)", cfg.StallTimeout, perToken, allocs)
+		if perToken > 8 {
+			t.Errorf("StallTimeout %v: server decode allocates %.1f per token (%.0f per request), want <= 8",
+				cfg.StallTimeout, perToken, allocs)
+		}
+		return allocs
 	}
-	do() // warm the loop, the batch slot, and every scratch arena
-	allocs := testing.AllocsPerRun(20, do)
-	perToken := allocs / tokens
-	t.Logf("%.2f allocations per token (%.0f per request)", perToken, allocs)
-	if perToken > 8 {
-		t.Errorf("server decode allocates %.1f per token (%.0f per request), want <= 8",
-			perToken, allocs)
+	unarmed := perRequest(Config{MaxBatch: 4})
+	armed := perRequest(Config{MaxBatch: 4, StallTimeout: time.Minute})
+	// Under the race detector the two counts each drift by a few
+	// allocations per request, more than the difference pinned here.
+	if !raceEnabled && armed > unarmed+2 {
+		t.Errorf("the stall timer costs %.0f allocations per request (%.0f armed, %.0f unarmed), want <= 2",
+			armed-unarmed, armed, unarmed)
 	}
 }
 

@@ -257,6 +257,71 @@ func TestStallWatchdog(t *testing.T) {
 	}
 }
 
+// TestStallTimersUnderConcurrentLoad: with many requests in flight at once,
+// their stall timers are pushed back by the loop, stopped by the replies
+// and, across one wedged pass, fired from their own goroutines. Every
+// request either completes bitwise as lm.Gen does or fails with
+// ErrStalled, the ledger balances, and once the wedge is over a second
+// wave completes with no stall at all.
+func TestStallTimersUnderConcurrentLoad(t *testing.T) {
+	m := testLLM(t)
+	if err := failpoint.Arm(failpoint.Plan{Seed: 1, Rules: []failpoint.Rule{
+		{Site: failpoint.ServeStep, Kind: failpoint.KindLatency, Sleep: 600 * time.Millisecond, After: 4, Count: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disarm()
+	s := New(m, Config{MaxBatch: 3, QueueDepth: 4, StallTimeout: 200 * time.Millisecond})
+	defer s.Close()
+
+	var stalls atomic.Int64
+	wave := func(first int) {
+		var wg sync.WaitGroup
+		for i := first; i < first+8; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				opts := freeRun(4+i%5, sample.Temperature{T: 0.9}, uint64(i))
+				want, err := m.Gen("the king", opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := s.Stream(context.Background(), NewRequest("the king", opts...),
+					func(sample.Token) error { return nil })
+				switch {
+				case errors.Is(err, ErrStalled):
+					stalls.Add(1)
+				case err != nil:
+					t.Errorf("req %d: %v", i, err)
+				case got.Text != want.Text:
+					t.Errorf("req %d: %q != lm.Gen %q", i, got.Text, want.Text)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+	wave(0)
+	if stalls.Load() == 0 {
+		t.Fatal("no request stalled across the wedged pass")
+	}
+	failpoint.Disarm()
+	waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
+	stalled := stalls.Load()
+	wave(8)
+	if n := stalls.Load() - stalled; n != 0 {
+		t.Errorf("%d requests stalled after the wedge", n)
+	}
+	st := waitStats(s, func(st Stats) bool { return st.InFlight == 0 })
+	checkInvariant(t, st)
+	// A timer may fire as its request completes: the caller can then see
+	// ErrStalled for a request the ledger counts as completed, never the
+	// reverse.
+	if st.Stalled == 0 || st.Stalled > uint64(stalled) {
+		t.Errorf("Stalled = %d, callers saw %d stalls", st.Stalled, stalled)
+	}
+}
+
 // TestAdmissionValidation: malformed strategy parameters and negative
 // timeouts are rejected at the door with an error — they used to reach the
 // panic guards inside internal/sample from the middle of the batch loop.

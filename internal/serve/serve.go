@@ -30,7 +30,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -117,9 +116,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// StallTimeout arms the token-progress watchdog: a request that makes
 	// no progress (no sampled token, no prefill chunk) for this long is
-	// failed with ErrStalled, even while the loop itself is wedged — the
-	// watchdog runs on its own goroutine and kills via context cause.
-	// 0 disables.
+	// failed with ErrStalled, even while the loop itself is wedged — each
+	// request's stall timer fires on its own goroutine and kills via
+	// context cause. 0 disables.
 	StallTimeout time.Duration
 }
 
@@ -278,13 +277,6 @@ type Server struct {
 
 	mu    sync.Mutex
 	stats Stats
-
-	// watch is the stall watchdog's registry of live requests (nil when
-	// Config.StallTimeout is 0): every accepted pending is registered at
-	// enqueue and removed when its outcome is delivered, and the watchdog
-	// goroutine kills any entry whose progress stamp goes stale.
-	wmu   sync.Mutex
-	watch map[*pending]struct{}
 }
 
 type pending struct {
@@ -294,13 +286,14 @@ type pending struct {
 	events chan sample.Token // nil unless the caller is streaming
 
 	// cancel tears the request down with a cause (ErrStalled from the
-	// watchdog); nil when the request was built without prepare (tests
+	// stall timer); nil when the request was built without prepare (tests
 	// driving the batch directly).
 	cancel context.CancelCauseFunc
-	// progress is the UnixNano stamp of the last observable progress
-	// (admission, a prefill chunk, a sampled token) — the watchdog's
-	// staleness signal. Only maintained when the watchdog is armed.
-	progress atomic.Int64
+	// stall is the request's watchdog: armed at enqueue when
+	// Config.StallTimeout is set, pushed back by every observable progress
+	// (stamp), stopped by reply. On expiry it cancels the request with
+	// ErrStalled from the timer's own goroutine. Nil when unarmed.
+	stall *time.Timer
 }
 
 type outcome struct {
@@ -335,63 +328,27 @@ func newServer(m *core.LLM, cfg Config) *Server {
 	}
 	s.newBatch = func() batchPredictor { return m.Model.NewBatchedPredictor() }
 	s.queue = make(chan *pending, s.cfg.QueueDepth)
-	if s.cfg.StallTimeout > 0 {
-		s.watch = make(map[*pending]struct{})
-		s.wg.Add(1)
-		go s.watchdog()
-	}
 	return s
 }
 
-// watchdog is the token-progress stall detector: on its own goroutine — so
-// it keeps ticking even when the serving loop is wedged inside a predictor
-// call — it sweeps the live-request registry and cancels, with ErrStalled
-// as the cause, any request whose progress stamp is older than
-// StallTimeout. The loop (or the caller's select) then observes the
-// cancellation and charges the request to Failed/Stalled.
-func (s *Server) watchdog() {
-	defer s.wg.Done()
-	period := s.cfg.StallTimeout / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case now := <-ticker.C:
-			cutoff := now.Add(-s.cfg.StallTimeout).UnixNano()
-			s.wmu.Lock()
-			for p := range s.watch {
-				if p.progress.Load() < cutoff && p.cancel != nil {
-					p.cancel(ErrStalled)
-				}
-			}
-			s.wmu.Unlock()
-		}
-	}
-}
-
-// stamp records observable progress on p (watchdog-armed servers only).
+// stamp records observable progress on p (a prefill chunk, a sampled
+// token): it pushes p's stall timer back a full StallTimeout. A no-op on
+// unarmed requests.
 func (s *Server) stamp(p *pending) {
-	if s.watch != nil {
-		p.progress.Store(time.Now().UnixNano())
+	if p.stall != nil {
+		p.stall.Reset(s.cfg.StallTimeout)
 	}
 }
 
-// reply delivers p's terminal outcome and drops it from the watchdog
-// registry — the single exit point that keeps "exactly one terminal
-// outcome per accepted request" true, and therefore the single accounting
-// point: terminal charges the outcome to its counter (a panic is split out
-// here) before the reply is delivered, so a caller holding its answer never
-// reads Stats with the request still in flight.
+// reply delivers p's terminal outcome and stops its stall timer — the
+// single exit point that keeps "exactly one terminal outcome per accepted
+// request" true, and therefore the single accounting point: terminal
+// charges the outcome to its counter (a panic is split out here) before the
+// reply is delivered, so a caller holding its answer never reads Stats with
+// the request still in flight.
 func (s *Server) reply(p *pending, o outcome, terminal func(*Stats)) {
-	if s.watch != nil {
-		s.wmu.Lock()
-		delete(s.watch, p)
-		s.wmu.Unlock()
+	if p.stall != nil {
+		p.stall.Stop()
 	}
 	var pe *PanicError
 	isPanic := errors.As(o.err, &pe)
@@ -412,8 +369,8 @@ func deadlined(st *Stats) { st.Failed++; st.Deadlined++ }
 func stalled(st *Stats)   { st.Failed++; st.Stalled++ }
 
 // prepare wraps the caller's context with the request's teardown handles:
-// a cancel-with-cause hook for the watchdog and, when the request or server
-// sets a timeout, a deadline whose expiry cause is ErrDeadline. The
+// a cancel-with-cause hook for the stall timer and, when the request or
+// server sets a timeout, a deadline whose expiry cause is ErrDeadline. The
 // returned cancel releases both.
 func (s *Server) prepare(ctx context.Context, req Request) (context.Context, context.CancelCauseFunc) {
 	if ctx == nil {
@@ -477,13 +434,13 @@ func (s *Server) Gen(ctx context.Context, prompt string, opts ...sample.Option) 
 	return s.Do(ctx, NewRequest(prompt, opts...))
 }
 
-// validateBudget is the cheap admission precondition Do and Stream check
-// before enqueueing; prompt errors surface at admission, which encodes the
-// prompt anyway. The budget and strategy rule is lm.Check, lm.Stream's own,
-// so a malformed request (e.g. a non-positive temperature) is rejected at
-// the door instead of tripping a panic guard inside the batching loop, and
-// the server accepts exactly the requests the oracle does. Only the
-// deadline is the server's own.
+// validateBudget is the cheap admission precondition Stream checks before
+// enqueueing; prompt errors surface at admission, which encodes the prompt
+// anyway, so a prompt is encoded once per request. The budget and strategy
+// rule is lm.Check, lm.Stream's own, so a malformed request (e.g. a
+// non-positive temperature) is rejected at the door instead of tripping a
+// panic guard inside the batching loop, and the server accepts exactly the
+// requests the oracle does. Only the deadline is the server's own.
 func (s *Server) validateBudget(req Request) error {
 	if err := lm.Check(req.Options(), s.model.ContextWindow()); err != nil {
 		return err
@@ -494,26 +451,13 @@ func (s *Server) validateBudget(req Request) error {
 	return nil
 }
 
-// Validate reports whether req would be accepted, without submitting it —
-// front ends use it to reject bad requests (including unencodable prompts)
-// before committing to a response, e.g. before writing streaming headers.
-func (s *Server) Validate(req Request) error {
-	if err := s.validateBudget(req); err != nil {
-		return err
-	}
-	_, err := s.model.EncodePrompt(req.Prompt, req.MaxTokens)
-	return err
-}
-
-// enqueue submits p, counting it as accepted and registering it with the
-// stall watchdog.
+// enqueue submits p, counting it as accepted and, when StallTimeout is
+// set, arming its stall timer: from here on p must show progress at least
+// every StallTimeout, queued or not.
 func (s *Server) enqueue(ctx context.Context, p *pending) error {
 	s.count(func(st *Stats) { st.Requests++ })
-	if s.watch != nil {
-		s.stamp(p)
-		s.wmu.Lock()
-		s.watch[p] = struct{}{}
-		s.wmu.Unlock()
+	if s.cfg.StallTimeout > 0 {
+		p.stall = time.AfterFunc(s.cfg.StallTimeout, func() { p.cancel(ErrStalled) })
 	}
 	select {
 	case s.queue <- p:
@@ -660,8 +604,8 @@ type batch struct {
 
 // iterate is one scheduling iteration over the active batch: the
 // cancellation sweep — client cancellations, deadline expiries (ErrDeadline
-// cause) and watchdog kills (ErrStalled cause) all reclaim their batch slot
-// here, between passes — then exactly one forward pass over every
+// cause) and stall-timer kills (ErrStalled cause) all reclaim their batch
+// slot here, between passes — then exactly one forward pass over every
 // decode-phase request and at most one prompt chunk. So every decode-phase
 // request advances one token per iteration.
 func (b *batch) iterate() {

@@ -252,9 +252,8 @@ var ErrServerClosed = serve.ErrClosed
 // own sampling parameters and context-cancellation path. Prompts are
 // ingested in bounded chunks riding the same forward pass as the decode
 // rows. Every completion is bitwise the Gen result for the same request.
-// Validate checks a request without submitting it; Stats snapshots the
-// counters; Close stops the loop, failing pending requests with
-// ErrServerClosed.
+// Stats snapshots the counters; Close stops the loop, failing pending
+// requests with ErrServerClosed.
 type Server = serve.Server
 
 // NewServer starts a generation server over model. Close it when done.
